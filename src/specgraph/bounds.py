@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import groups
 from .errors import BadWeights, ColorViolation, InvalidOperation, NotRegular
 from .graph_core import (
     Graph,
@@ -278,15 +279,6 @@ def _check_pm1(lap_int: np.ndarray, lam: int, vec: np.ndarray) -> bool:
     return bool(np.array_equal(lap_int @ vec, lam * vec))
 
 
-def _group_char_vectors(orders, ks):
-    """Values of the character indexed by ks over the group, as complex."""
-    vals = []
-    for g in itertools.product(*[range(m) for m in orders]):
-        phase = sum(k * x / m for k, x, m in zip(ks, g, orders))
-        vals.append(complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase)))
-    return np.array(vals)
-
-
 def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
     """Search for a {+-1}-valued lambda_2 eigenfunction; success certifies
     beta = lambda_2 / 2 exactly (Alon-Milman from below, the +-1 eigenfunction
@@ -311,16 +303,14 @@ def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
         info = g.meta["cayley"]
         orders = info["orders"]
         d = g.max_degree
-        for ks in itertools.product(*[range(m) for m in orders]):
-            if all(k == 0 for k in ks):
-                continue
+        alphas = groups.character_sum(orders, info["generators"])
+        for ks, alpha in zip(groups.elements(orders)[1:], alphas[1:]):
             # order of the character divides 4 iff 4*k = 0 mod m componentwise
             if any((4 * k) % m for k, m in zip(ks, orders)):
                 continue
-            chi = _group_char_vectors(orders, ks)
-            alpha = sum(chi[_group_index_for(orders, s)] for s in info["generators"])
             if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam_int) > 1e-6:
                 continue
+            chi = groups.character(orders, ks)
             if all((2 * k) % m == 0 for k, m in zip(ks, orders)):
                 vec = np.round(chi.real).astype(np.int64)
             else:
@@ -331,15 +321,14 @@ def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
         info = g.meta["bicayley"]
         orders = info["orders"]
         d = g.max_degree
-        for ks in itertools.product(*[range(m) for m in orders]):
+        alphas = groups.character_sum(orders, info["subset"])
+        for ks, alpha in zip(groups.elements(orders)[1:], alphas[1:]):
             if any((2 * k) % m for k, m in zip(ks, orders)):
                 continue  # need a +-1-valued character
-            if all(k == 0 for k in ks):
-                continue
-            chi = np.round(_group_char_vectors(orders, ks).real).astype(np.int64)
-            alpha = sum(chi[_group_index_for(orders, s)] for s in info["subset"])
+            alpha = round(alpha.real)  # a sum of +-1 values
             if abs(d - abs(alpha) - lam_int) > 1e-6:
                 continue
+            chi = np.round(groups.character(orders, ks).real).astype(np.int64)
             sign = 1 if alpha >= 0 else -1
             vec = np.concatenate([chi, sign * chi])
             if _check_pm1(lap_int, lam_int, vec):
@@ -354,13 +343,6 @@ def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
             if _check_pm1(lap_int, lam_int, vec):
                 return certified(vec)
     return None
-
-
-def _group_index_for(orders, elem) -> int:
-    idx = 0
-    for m, x in zip(orders, elem):
-        idx = idx * m + x
-    return idx
 
 
 # -- mixing lemma -------------------------------------------------------------------
@@ -490,22 +472,18 @@ def sum_product_window_check(points_graph: Graph, q: int, window, equation: str,
 # -- perturbation interlacing ---------------------------------------------------------
 
 
-def _spectra_pair(g: Graph):
-    return graph_spectra(g)
-
-
 def perturbation_checks(g: Graph, operation: str, arg) -> dict:
     """Interlacing/Weyl inequalities for vertex removal, edge removal, or
     removing the edges of a subgraph; adjacency eigenvalues are indexed
     descending, laplacian ascending."""
-    adj, lap = _spectra_pair(g)
+    adj, lap = graph_spectra(g)
     alpha = adj.expanded()
     lam = lap.ascending()
     n = g.n
     checks: list[tuple[str, float, float]] = []  # (name, lhs, rhs) meaning lhs <= rhs
     if operation == "remove_vertex":
         h = remove_vertex(g, arg)
-        adj2, lap2 = _spectra_pair(h)
+        adj2, lap2 = graph_spectra(h)
         a2 = adj2.expanded()
         l2 = lap2.ascending()
         for k in range(n - 1):
@@ -515,7 +493,7 @@ def perturbation_checks(g: Graph, operation: str, arg) -> dict:
             checks.append((f"lambda[{k + 1}] lower", lam[k] - 1, l2[k]))
     elif operation == "remove_edge":
         h = remove_edges(g, [arg])
-        adj2, lap2 = _spectra_pair(h)
+        adj2, lap2 = graph_spectra(h)
         a2 = adj2.expanded()
         l2 = lap2.ascending()
         for k in range(n):
@@ -527,7 +505,7 @@ def perturbation_checks(g: Graph, operation: str, arg) -> dict:
         edges = list(arg)
         sub = Graph(n, edges)
         h = remove_edges(g, edges)
-        adj2, lap2 = _spectra_pair(h)
+        adj2, lap2 = graph_spectra(h)
         sub_spec = eig_symmetric(adjacency_matrix(sub))
         a2 = adj2.expanded()
         l2 = lap2.ascending()

@@ -136,19 +136,6 @@ def multiplicative_characters(spec: FieldSpec):
         yield MultiplicativeCharacter(spec, k)
 
 
-def eval_character(kind: str, idx, x: FieldElement) -> complex:
-    """Uniform entry point, kind in {additive, multiplicative}."""
-    if kind == "additive":
-        if not isinstance(idx, AdditiveCharacter):
-            raise SpecMismatch("additive evaluation needs an AdditiveCharacter")
-        return idx(x)
-    if kind == "multiplicative":
-        if not isinstance(idx, MultiplicativeCharacter):
-            raise SpecMismatch("multiplicative evaluation needs a MultiplicativeCharacter")
-        return idx(x)
-    raise SpecMismatch(f"unknown character kind {kind!r}")
-
-
 # -- character sums -----------------------------------------------------------
 
 def gauss_sum(psi: AdditiveCharacter, chi: MultiplicativeCharacter) -> complex:

@@ -129,14 +129,8 @@ def load_graph_source(source: str, *params) -> gc.Graph:
     return gfam.build(family, *args)
 
 
-def _graph_payload(g: gc.Graph) -> dict:
-    return gc.to_json_dict(g)
-
-
 def cmd_gen(args) -> int:
     g = load_graph_source(args.family, *args.params)
-    if args.json:
-        args.out = "json"
     config = {"command": "gen", "family": args.family, "params": list(args.params),
               "out": args.out, "seed": args.seed}
     if args.out == "edgelist":
@@ -152,7 +146,7 @@ def cmd_gen(args) -> int:
         else:
             sys.stdout.write(text)
     else:
-        _emit("graph", _graph_payload(g), config, args.path)
+        _emit("graph", gc.to_json_dict(g), config, args.path)
     return 0
 
 
@@ -361,8 +355,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--path", help="write the artifact to this file instead of stdout")
         p.add_argument("--caps", help="lower the exact-engine caps, e.g. chi=32,beta=16,iso=24")
-        p.add_argument("--json", action="store_true",
-                       help="force JSON output (reports already emit JSON)")
 
     p_gen = sub.add_parser("gen", help="generate a family member")
     p_gen.add_argument("family")

@@ -67,10 +67,6 @@ CORPUS_SPECS: list[tuple[str, str, tuple, bool]] = [
 ]
 
 
-def corpus_ids() -> list[str]:
-    return [cid for cid, _, _, _ in CORPUS_SPECS]
-
-
 def build_corpus(ids=None) -> list[tuple[str, str, tuple, bool, Graph]]:
     """Materialize (id, family, params, has_closed_form, graph) rows, sorted
     by corpus id for deterministic aggregation."""

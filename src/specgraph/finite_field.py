@@ -7,7 +7,6 @@ them are reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -280,25 +279,6 @@ class FieldElement:
         return f"{self.spec!r}[{self.index}]"
 
 
-def field_arith(op: str, a: FieldElement, b: FieldElement | int) -> FieldElement:
-    """Dispatch-style arithmetic entry point: op in {add, sub, mul, inv, pow}."""
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        if not isinstance(b, int):
-            raise SpecMismatch("pow takes an integer exponent")
-        return a ** b
-    if not isinstance(b, FieldElement):
-        raise SpecMismatch(f"{op} takes two field elements")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise SpecMismatch(f"unknown operation {op!r}")
-
-
 @lru_cache(maxsize=None)
 def construct_field(p: int, d: int) -> FieldSpec:
     """Build GF(p^d) with the lexicographically smallest monic irreducible
@@ -515,7 +495,3 @@ def q_binomial(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
-
-
-def sqrt_int(n: int) -> int:
-    return math.isqrt(n)

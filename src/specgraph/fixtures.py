@@ -11,7 +11,7 @@ from __future__ import annotations
 from .graph_core import Graph
 
 
-def lcf(shifts: list[int], repeats: int) -> Graph:
+def lcf(shifts: list[int], repeats: int, name: str = "") -> Graph:
     """Cubic graph from LCF notation: an n-cycle plus the chord i -> i + s."""
     n = len(shifts) * repeats
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -19,19 +19,15 @@ def lcf(shifts: list[int], repeats: int) -> Graph:
         j = (i + shifts[i % len(shifts)]) % n
         if i < j:
             edges.append((i, j))
-    return Graph(n, set(edges))
+    return Graph(n, set(edges), name=name)
 
 
 def heawood_fixture() -> Graph:
-    g = lcf([5, -5], 7)
-    g.name = "heawood_fixture"
-    return g
+    return lcf([5, -5], 7, name="heawood_fixture")
 
 
 def tutte_coxeter_fixture() -> Graph:
-    g = lcf([-13, -9, 7, -7, 9, 13], 5)
-    g.name = "tutte_coxeter_fixture"
-    return g
+    return lcf([-13, -9, 7, -7, 9, 13], 5, name="tutte_coxeter_fixture")
 
 
 def shrikhande_fixture() -> Graph:
@@ -45,9 +41,7 @@ def shrikhande_fixture() -> Graph:
         edges.append(((j + 1) % 8, 8 + j))
         edges.append((8 + j, 8 + (j + 2) % 8))
         edges.append((8 + j, 8 + (j + 3) % 8))
-    g = Graph(16, set(map(lambda e: (min(e), max(e)), edges)))
-    g.name = "shrikhande_fixture"
-    return g
+    return Graph(16, set(map(lambda e: (min(e), max(e)), edges)), name="shrikhande_fixture")
 
 
 def petersen_drawing_fixture() -> Graph:
@@ -55,17 +49,13 @@ def petersen_drawing_fixture() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
-    g = Graph(10, edges)
-    g.name = "petersen_fixture"
-    return g
+    return Graph(10, edges, name="petersen_fixture")
 
 
 def cubic_octet_triple() -> tuple[Graph, Graph, Graph]:
     """Three mutually non-isomorphic 3-regular graphs on 8 vertices,
     distinguishable by their link-graph patterns."""
     ring = [(i, (i + 1) % 8) for i in range(8)]
-    g1 = Graph(8, ring + [(0, 3), (1, 4), (2, 6), (5, 7)])
-    g2 = Graph(8, ring + [(0, 2), (4, 6), (5, 7), (1, 3)])
-    g3 = Graph(8, ring + [(2, 6), (5, 7), (1, 3), (0, 4)])
-    g1.name, g2.name, g3.name = "cubic8_a", "cubic8_b", "cubic8_c"
-    return g1, g2, g3
+    return (Graph(8, ring + [(0, 3), (1, 4), (2, 6), (5, 7)], name="cubic8_a"),
+            Graph(8, ring + [(0, 2), (4, 6), (5, 7), (1, 3)], name="cubic8_b"),
+            Graph(8, ring + [(2, 6), (5, 7), (1, 3), (0, 4)], name="cubic8_c"))

@@ -182,10 +182,6 @@ class Graph:
 
 # -- text formats --------------------------------------------------------------
 
-def from_edge_list(n: int, edges, labels=None, name: str = "") -> Graph:
-    return Graph(n, edges, labels=labels, name=name)
-
-
 def to_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines += [f"{u} {v}" for u, v in sorted(g.edges())]
@@ -480,7 +476,7 @@ def boundary_size(g: Graph, subset) -> int:
 
 # -- structure operations ---------------------------------------------------------
 
-def product(g: Graph, h: Graph) -> Graph:
+def product(g: Graph, h: Graph, name: str = "") -> Graph:
     """Cartesian product: (u1,u2) ~ (v1,v2) iff equal in one slot, adjacent in
     the other."""
     def idx(a, b):
@@ -493,8 +489,7 @@ def product(g: Graph, h: Graph) -> Graph:
     for u2, v2 in h.edges():
         for a in range(g.n):
             edges.append((idx(a, u2), idx(a, v2)))
-    name = f"({g.name or 'X'}x{h.name or 'Y'})"
-    return Graph(g.n * h.n, edges, name=name)
+    return Graph(g.n * h.n, edges, name=name or f"({g.name or 'X'}x{h.name or 'Y'})")
 
 
 def bipartite_double(g: Graph) -> Graph:
@@ -546,22 +541,6 @@ def remove_edges(g: Graph, drop) -> Graph:
             raise IndexOutOfRange(f"edge {tuple(e)} not present")
     edges = [e for e in g.edges() if frozenset(e) not in dropped]
     return Graph(g.n, edges, name=g.name)
-
-
-def structure_ops(kind: str, g: Graph, other=None) -> Graph:
-    """Dispatcher matching the operation catalogue: product, bipartite_double,
-    complement, cone, link."""
-    if kind == "product":
-        return product(g, other)
-    if kind == "bipartite_double":
-        return bipartite_double(g)
-    if kind == "complement":
-        return complement(g)
-    if kind == "cone":
-        return cone(g)
-    if kind == "link":
-        return link_graph(g, other)
-    raise IndexOutOfRange(f"unknown structure operation {kind!r}")
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadParameters,
     ContainsIdentity,
@@ -26,101 +28,66 @@ from .finite_field import (
     FieldSpec,
     construct_field,
     prime_power_decomposition,
-    quadratic_signature,
     signature_table,
     subfield_embedding,
     trace_norm,
 )
+from . import groups
 from .graph_core import Graph, common_neighbours, k4_at, product
 
-# -- abelian groups as tuples over cyclic factors --------------------------------
+# -- Cayley and bi-Cayley graphs over products of cyclic groups ------------------
+
+_ELEMENT_LABELS = object()  # default labels: each vertex's group element
 
 
-def _group_elements(orders: tuple[int, ...]):
-    return itertools.product(*[range(m) for m in orders])
-
-
-def _group_index(orders: tuple[int, ...], elem: tuple[int, ...]) -> int:
-    idx = 0
-    for m, x in zip(orders, elem):
-        idx = idx * m + x
-    return idx
-
-
-def _group_add(orders, a, b):
-    return tuple((x + y) % m for m, x, y in zip(orders, a, b))
-
-
-def _group_neg(orders, a):
-    return tuple((-x) % m for m, x in zip(orders, a))
-
-
-def _generates(orders, steps) -> bool:
-    """Whether the given step set reaches the whole group from 0."""
-    total = 1
-    for m in orders:
-        total *= m
-    zero = tuple(0 for _ in orders)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        g = frontier.pop()
-        for s in steps:
-            h = _group_add(orders, g, s)
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return len(seen) == total
-
-
-def cayley(orders, generators, name: str = "") -> Graph:
+def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS,
+           meta: dict | None = None) -> Graph:
     """Cayley graph of a product of cyclic groups w.r.t. a symmetric,
-    identity-free, generating subset."""
+    identity-free, generating subset.  Vertex i is group element i, labelled
+    with its tuple unless ``labels`` is given (None: unlabelled); ``meta`` is
+    stored next to the "cayley" entry."""
     orders = tuple(int(m) for m in orders)
-    gens = [tuple(int(x) % m for x, m in zip(s, orders)) for s in generators]
-    zero = tuple(0 for _ in orders)
-    gen_set = set(gens)
-    if zero in gen_set:
+    gen_set = {tuple(int(x) % m for x, m in zip(s, orders)) for s in generators}
+    if tuple(0 for _ in orders) in gen_set:
         raise ContainsIdentity("generating set contains the identity")
     for s in gen_set:
-        if _group_neg(orders, s) not in gen_set:
+        if groups.neg(orders, s) not in gen_set:
             raise NotSymmetric(f"generator {s} lacks its inverse")
-    if not _generates(orders, gen_set):
+    if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
-    elems = list(_group_elements(orders))
-    edges = []
-    for g in elems:
-        gi = _group_index(orders, g)
-        for s in gen_set:
-            hi = _group_index(orders, _group_add(orders, g, s))
-            if gi < hi:
-                edges.append((gi, hi))
-    n = len(elems)
-    labels = [str(e) for e in elems]
-    return Graph(n, edges, labels=labels, name=name or f"cayley{orders}",
-                 meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
+    table = groups.translate(orders, gen_set).T  # row i: the neighbours of vertex i
+    rows, cols = np.nonzero(np.arange(len(table))[:, None] < table)
+    edges = zip(rows.tolist(), table[rows, cols].tolist())
+    if labels is _ELEMENT_LABELS:
+        labels = [str(e) for e in groups.elements(orders)]
+    return Graph(len(table), edges, labels=labels, name=name or f"cayley{orders}",
+                 meta={"cayley": {"orders": orders, "generators": sorted(gen_set)},
+                       **(meta or {})})
 
 
-def bi_cayley(orders, subset, name: str = "") -> Graph:
+def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS,
+              meta: dict | None = None) -> Graph:
     """Bi-Cayley graph: two copies of the group, g_black ~ h_white iff
-    h - g lies in the subset.  Connected iff the difference set generates."""
+    h - g lies in the subset.  Connected iff the difference set generates.
+    Vertices i and n + i are group element i; ``labels`` and ``meta`` work as
+    in ``cayley``."""
     orders = tuple(int(m) for m in orders)
-    subs = [tuple(int(x) % m for x, m in zip(s, orders)) for s in subset]
-    sub_set = set(subs)
-    diffs = {_group_add(orders, s, _group_neg(orders, t)) for s in sub_set for t in sub_set}
-    if not _generates(orders, diffs):
+    sub_set = {tuple(int(x) % m for x, m in zip(s, orders)) for s in subset}
+    # S - S generates the same subgroup as S - s0 for any s0 in S
+    shift = groups.neg(orders, min(sub_set)) if sub_set else None
+    if shift is None or not groups.generates(
+            orders, [groups.add(orders, s, shift) for s in sub_set]):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-    elems = list(_group_elements(orders))
-    n = len(elems)
-    edges = []
-    for g in elems:
-        gi = _group_index(orders, g)
-        for s in sub_set:
-            hi = _group_index(orders, _group_add(orders, g, s))
-            edges.append((gi, n + hi))
-    labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
+    table = groups.translate(orders, sub_set).T
+    n = len(table)
+    edges = zip(np.repeat(np.arange(n), table.shape[1]).tolist(),
+                (n + table.ravel()).tolist())
+    if labels is _ELEMENT_LABELS:
+        elems = groups.elements(orders)
+        labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
     return Graph(2 * n, edges, labels=labels, name=name or f"bicayley{orders}",
-                 meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
+                 meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)},
+                       **(meta or {})})
 
 
 # -- elementary families ----------------------------------------------------------
@@ -302,20 +269,23 @@ def _field_for(q: int) -> FieldSpec:
     return construct_field(*pp)
 
 
+def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], list]:
+    """(F, +) as (Z_p)^d, and its non-zero squares.  An element's coordinates
+    are its coefficients top-first, so group element i is field element i."""
+    orders = (spec.p,) * spec.d
+    elems = groups.elements(orders)
+    sig = signature_table(spec)
+    return orders, [elems[i] for i in range(1, spec.q) if sig[i] == 1]
+
+
 def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
     if q % 4 != 1:
         raise BadParameters("Paley graph needs q = 1 mod 4")
     spec = _field_for(q)
-    sig = signature_table(spec)
-    edges = []
-    for i in range(q):
-        a = spec.element(i)
-        for j in range(i + 1, q):
-            if sig[(spec.element(j) - a).index] == 1:
-                edges.append((i, j))
-    return Graph(q, edges, labels=[str(i) for i in range(q)], name=f"paley_{q}",
-                 meta={"field": spec.to_json(), "kind": "paley"})
+    orders, squares = _nonzero_squares(spec)
+    return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)],
+                  meta={"field": spec.to_json(), "kind": "paley"})
 
 
 def bi_paley(q: int) -> Graph:
@@ -325,19 +295,9 @@ def bi_paley(q: int) -> Graph:
     if q == 3:
         raise BadParameters("BP(3) is a degenerate disjoint union")
     spec = _field_for(q)
-    sig = signature_table(spec)
-    edges = []
-    for i in range(q):
-        a = spec.element(i)
-        for j in range(q):
-            if sig[(spec.element(j) - a).index] == 1:
-                edges.append((i, q + j))
-    g = Graph(2 * q, edges, name=f"bipaley_{q}",
-              meta={"field": spec.to_json(), "kind": "bipaley",
-                    "bicayley": {"orders": (spec.p,) * spec.d,
-                                 "subset": sorted(spec.element(i).coeffs
-                                                  for i in range(1, q) if sig[i] == 1)}})
-    return g
+    orders, squares = _nonzero_squares(spec)
+    return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None,
+                     meta={"field": spec.to_json(), "kind": "bipaley"})
 
 
 def incidence(n: int, q: int) -> Graph:
@@ -360,10 +320,8 @@ def incidence(n: int, q: int) -> Graph:
         if trace_norm(emb, x)[0].is_zero():
             subset.append((j,))
         x = x * g
-    graph = bi_cayley((m,), subset, name=f"I_{n}({q})")
-    graph.meta["kind"] = "incidence"
-    graph.meta["incidence"] = {"n": n, "q": q}
-    return graph
+    return bi_cayley((m,), subset, name=f"I_{n}({q})",
+                     meta={"kind": "incidence", "incidence": {"n": n, "q": q}})
 
 
 def incidence_points(n: int, q: int) -> Graph:
@@ -457,9 +415,8 @@ def shrikhande() -> Graph:
 
 
 def rook(n: int = 4) -> Graph:
-    g = product(complete(n), complete(n))
-    g.name = f"rook_{n}"
-    return g
+    k = complete(n)
+    return product(k, k, name=f"rook_{n}")
 
 
 def rook_twin() -> Graph:
@@ -507,22 +464,17 @@ def machine(orders) -> Graph:
     {(s,0), (0,s), (s,s) : s != 0} for an abelian G of size n; parameters are
     (n^2, 3n-3, n, 6)."""
     orders = tuple(int(m) for m in orders)
-    size = 1
-    for m in orders:
-        size *= m
+    size = math.prod(orders)
     if size < 3:
         raise BadParameters("machine construction needs |G| >= 3")
-    zero = tuple(0 for _ in orders)
+    zero, *nonzero = groups.elements(orders)
     gens = []
-    for s in _group_elements(orders):
-        if s == zero:
-            continue
+    for s in nonzero:
         gens.append(s + zero)
         gens.append(zero + s)
         gens.append(s + s)
-    g = cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}")
-    g.meta["machine"] = {"orders": orders, "group_size": size}
-    return g
+    return cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}",
+                  meta={"machine": {"orders": orders, "group_size": size}})
 
 
 def order2_count(orders) -> int:

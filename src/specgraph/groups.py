@@ -1,0 +1,80 @@
+"""Finite abelian groups Z_m1 x ... x Z_mk and their characters.
+
+Elements are int tuples, numbered in mixed-radix order with the first
+coordinate most significant: element i is the i-th tuple of
+``itertools.product(range(m1), ..., range(mk))``.  Cayley and bi-Cayley
+builders, the character-sum closed forms and the +-1 certificates all index
+vertices and characters this way.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+
+def elements(orders) -> list[tuple[int, ...]]:
+    """All elements in index order."""
+    return list(itertools.product(*[range(m) for m in orders]))
+
+
+def index(orders, elem) -> int:
+    idx = 0
+    for m, x in zip(orders, elem):
+        idx = idx * m + x
+    return idx
+
+
+def add(orders, a, b) -> tuple[int, ...]:
+    return tuple((x + y) % m for m, x, y in zip(orders, a, b))
+
+
+def neg(orders, a) -> tuple[int, ...]:
+    return tuple((-x) % m for m, x in zip(orders, a))
+
+
+def translate(orders, steps) -> np.ndarray:
+    """(len(steps), n) table: row j holds the index of x + steps[j] for every
+    x, in index order."""
+    steps = np.array(list(steps), dtype=np.int64).reshape(-1, len(orders))
+    idx = np.zeros((len(steps), 1), dtype=np.int64)
+    for m, c in zip(orders, steps.T):
+        idx = (idx[:, :, None] * m + (np.arange(m) + c[:, None, None]) % m).reshape(
+            len(steps), idx.shape[1] * m)
+    return idx
+
+
+def generates(orders, steps) -> bool:
+    """Whether the steps reach every element from 0."""
+    moves = translate(orders, steps)
+    seen = np.zeros(math.prod(orders), dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        seen[frontier] = True
+        reached = np.zeros_like(seen)
+        reached[moves[:, frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+    return bool(seen.all())
+
+
+def character(orders, k) -> np.ndarray:
+    """chi_k(x) = exp(2 pi i sum_j k_j x_j / m_j) for every x, in index order.
+
+    Since chi_k(x) = chi_x(k), the vector for k = x also lists chi_k(x) over
+    every character k; character_sum relies on that."""
+    lcm = math.lcm(*orders)
+    turns = np.zeros(1, dtype=np.int64)  # phase in units of 1/lcm of a turn
+    for m, kj in zip(orders, k):
+        turns = (turns[:, None] + (kj * np.arange(m)) % m * (lcm // m)).ravel()
+    return np.exp(2j * np.pi * (turns % lcm) / lcm)
+
+
+def character_sum(orders, subset) -> np.ndarray:
+    """sum_{s in S} chi_k(s) for every character k, in index order: the
+    eigenvalues of the Cayley graph on S."""
+    total = np.zeros(math.prod(orders), dtype=complex)
+    for s in subset:
+        total += character(orders, s)
+    return total

@@ -10,7 +10,6 @@ stay independent.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import IdentityViolated, Mismatch, NoClosedForm, NotSymmetric, SizeOverflow
 from .graph_core import Graph
 from . import graph_families as gf
+from . import groups
 
 EIG_SIZE_CAP = 4096
 VALUE_MERGE_TOL = 1e-9
@@ -37,12 +37,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def laplacian_matrix(g: Graph) -> np.ndarray:
     a = adjacency_matrix(g)
     return np.diag(a.sum(axis=1)) - a
-
-
-def matrices(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(A, L); they satisfy A + L = diag(deg) exactly."""
-    a = adjacency_matrix(g)
-    return a, np.diag(a.sum(axis=1)) - a
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -140,17 +134,10 @@ def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
     return Spectrum(_cluster(values, tol), kind, tol)
 
 
-def eig_symmetric_with_vectors(matrix: np.ndarray, kind: str = "adjacency"):
-    """(Spectrum, raw ascending eigenvalues, eigenvector columns)."""
-    m = np.asarray(matrix, dtype=float)
-    spec = eig_symmetric(m, kind)
-    w, v = np.linalg.eigh(m)
-    return spec, w, v
-
-
 def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
-    a, lap = matrices(g)
-    return eig_symmetric(a, "adjacency"), eig_symmetric(lap, "laplacian")
+    a = adjacency_matrix(g)
+    return (eig_symmetric(a, "adjacency"),
+            eig_symmetric(np.diag(a.sum(axis=1)) - a, "laplacian"))
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -260,28 +247,18 @@ def cayley_closed_form(orders, generators, family: str = "cayley") -> ClosedForm
     """Character-sum spectrum of an abelian Cayley graph: one eigenvalue
     sum_{s in S} chi(s) per character chi."""
     orders = tuple(int(m) for m in orders)
-    entries = []
-    for ks in gf._group_elements(orders):
-        total = 0j
-        for s in generators:
-            phase = sum(k * x / m for k, x, m in zip(ks, s, orders))
-            total += cmath.exp(2j * cmath.pi * phase)
-        entries.append((total.real, 1, f"chi{ks}"))
-    return _form(family, entries)
+    sums = groups.character_sum(orders, generators)
+    return _form(family, [(float(v.real), 1, f"chi{ks}")
+                          for v, ks in zip(sums, groups.elements(orders))])
 
 
 def bicayley_closed_form(orders, subset, family: str = "bicayley") -> ClosedForm:
     """Spectrum +-|sum_{s in S} chi(s)| of an abelian bi-Cayley graph."""
     orders = tuple(int(m) for m in orders)
     entries = []
-    for ks in gf._group_elements(orders):
-        total = 0j
-        for s in subset:
-            phase = sum(k * x / m for k, x, m in zip(ks, s, orders))
-            total += cmath.exp(2j * cmath.pi * phase)
-        r = abs(total)
-        entries.append((r, 1, f"+|chi{ks}|"))
-        entries.append((-r, 1, f"-|chi{ks}|"))
+    for r, ks in zip(np.abs(groups.character_sum(orders, subset)), groups.elements(orders)):
+        entries.append((float(r), 1, f"+|chi{ks}|"))
+        entries.append((-float(r), 1, f"-|chi{ks}|"))
     return _form(family, entries)
 
 

@@ -69,20 +69,20 @@ def test_additive_inverse_random_gf49():
     rnd = random.Random(49)
     for _ in range(100):
         x = spec.element(rnd.randrange(spec.q))
-        assert ff.field_arith("add", x, -x).is_zero()
+        assert (x + -x).is_zero()
 
 
 def test_lagrange_gf9():
     spec = GF(3, 2)
     for a in spec.units():
-        assert ff.field_arith("pow", a, spec.q - 1) == spec.one
+        assert a ** (spec.q - 1) == spec.one
 
 
 def test_inverse_matches_exhaustive_search_gf27():
     spec = GF(3, 3)
     for a in spec.units():
         brute = next(b for b in spec.units() if a * b == spec.one)
-        assert ff.field_arith("inv", a, None) == brute
+        assert a.inverse() == brute
 
 
 def test_inverse_of_zero():

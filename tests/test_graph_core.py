@@ -22,7 +22,7 @@ def test_edge_list_round_trip():
 
 
 def test_triangle_edge_list():
-    g = gc.from_edge_list(3, [(0, 1), (1, 2), (0, 2), (1, 0)])  # duplicate collapsed
+    g = gc.Graph(3, [(0, 1), (1, 2), (0, 2), (1, 0)])  # duplicate collapsed
     assert g.edge_count == 3
     assert g == gf.complete(3)
 
@@ -195,10 +195,11 @@ def test_link_graphs_of_the_twins():
     assert gc.is_isomorphic(link_shri, gf.cycle(6))[0]
 
 
-def test_structure_ops_dispatch():
+def test_complement_and_link():
     g = gf.cycle(5)
-    assert gc.structure_ops("complement", g) == gc.complement(g)
-    assert gc.structure_ops("link", gf.petersen(), 0).n == 3
+    assert gc.complement(gc.complement(g)) == g
+    assert gc.is_isomorphic(gc.complement(g), g)[0]  # C_5 is self-complementary
+    assert gc.link_graph(gf.petersen(), 0).n == 3
 
 
 # -- isomorphism ----------------------------------------------------------------

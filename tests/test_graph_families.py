@@ -10,6 +10,7 @@ from specgraph import finite_field as ff
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
+from specgraph import groups
 from specgraph.errors import (
     BadParameters,
     ContainsIdentity,
@@ -62,6 +63,46 @@ def test_cayley_cycle_and_cube():
 
 def test_bi_cayley_heawood():
     assert iso(gf.bi_cayley((7,), [(1,), (2,), (4,)]), gf.heawood())
+
+
+@pytest.mark.parametrize("g", [
+    gf.cube(4), gf.halved_cube(5), gf.decked_cube(4, (1, 1, 0, 1)), gf.shrikhande(),
+    gf.rook_twin(), gf.andrasfai(4), gf.machine((2, 3)), gf.heawood(), gf.incidence(3, 3),
+    gf.paley(9), gf.paley(25), gf.paley(49), gf.bi_paley(7), gf.bi_paley(27),
+], ids=lambda g: g.name)
+def test_group_metadata_matches_edges(g):
+    """Vertex 0 is the identity, so its neighbours are the generators (the
+    subset, on the white side, for a bi-Cayley graph) at their group index."""
+    if "cayley" in g.meta:
+        info, offset = g.meta["cayley"], 0
+        steps = info["generators"]
+    else:
+        info, offset = g.meta["bicayley"], g.n // 2
+        steps = info["subset"]
+    assert g.adj[0] == {offset + groups.index(info["orders"], s) for s in steps}
+
+
+def _field_loop_edges(q: int, bipartite: bool) -> set:
+    """The (bi-)Paley edges by field subtraction and signature lookup."""
+    spec = ff.construct_field(*ff.prime_power_decomposition(q))
+    sig = ff.signature_table(spec)
+    edges = set()
+    for i in range(q):
+        a = spec.element(i)
+        for j in range(q):
+            if sig[(spec.element(j) - a).index] == 1:
+                edges.add((i, q + j) if bipartite else (min(i, j), max(i, j)))
+    return edges
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 49, 81])
+def test_paley_matches_field_loop(q):
+    assert set(gf.paley(q).edges()) == _field_loop_edges(q, bipartite=False)
+
+
+@pytest.mark.parametrize("q", [7, 11, 19, 27, 43])
+def test_bi_paley_matches_field_loop(q):
+    assert set(gf.bi_paley(q).edges()) == _field_loop_edges(q, bipartite=True)
 
 
 # -- parameter formulas ---------------------------------------------------------

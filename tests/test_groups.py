@@ -1,0 +1,73 @@
+"""The abelian-group helper against direct definitions: the mixed-radix
+layout, a pure-Python reachability search, and characters written out one
+phase at a time."""
+
+import cmath
+import itertools
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specgraph import groups
+
+GROUPS = [(1,), (2, 2, 2), (5, 3), (4, 6), (9,), (3, 3, 3), (2, 4, 3)]
+
+
+@st.composite
+def group_and_steps(draw):
+    orders = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    elem = st.tuples(*[st.integers(0, m - 1) for m in orders])
+    return orders, draw(st.lists(elem, max_size=4))
+
+
+def _reaches_all(orders, steps) -> bool:
+    zero = tuple(0 for _ in orders)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        g = frontier.pop()
+        for s in steps:
+            h = tuple((x + y) % m for x, y, m in zip(g, s, orders))
+            if h not in seen:
+                seen.add(h)
+                frontier.append(h)
+    return len(seen) == math.prod(orders)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(group_and_steps())
+def test_generates_matches_search(case):
+    orders, steps = case
+    assert groups.generates(orders, steps) == _reaches_all(orders, steps)
+
+
+def test_layout_index_translate_neg():
+    for orders in GROUPS:
+        elems = groups.elements(orders)
+        assert elems == list(itertools.product(*[range(m) for m in orders]))
+        for i, x in enumerate(elems):
+            assert groups.index(orders, x) == i
+            assert groups.add(orders, x, groups.neg(orders, x)) == elems[0]
+        for s, shifted in zip(elems, groups.translate(orders, elems)):
+            assert [elems[j] for j in shifted] == [groups.add(orders, x, s) for x in elems]
+
+
+def test_characters_match_definition_and_are_orthogonal():
+    for orders in GROUPS:
+        elems = groups.elements(orders)
+        table = np.array([groups.character(orders, k) for k in elems])
+        for k, row in zip(elems, table):
+            direct = [cmath.exp(2j * cmath.pi * sum(a * x / m for a, x, m in zip(k, g, orders)))
+                      for g in elems]
+            assert np.abs(row - direct).max() < 1e-12
+        assert np.abs(table - table.T).max() < 1e-12  # chi_k(x) = chi_x(k)
+        n = len(elems)
+        assert np.abs(table @ table.conj().T - n * np.eye(n)).max() < 1e-9
+
+
+def test_character_sum_is_sum_over_subset():
+    orders, subset = (4, 6), [(1, 0), (3, 0), (2, 3)]
+    expected = [sum(groups.character(orders, k)[groups.index(orders, s)] for s in subset)
+                for k in groups.elements(orders)]
+    assert np.abs(groups.character_sum(orders, subset) - expected).max() < 1e-12

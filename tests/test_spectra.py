@@ -20,12 +20,12 @@ def adj_spectrum(g):
 
 def test_matrices_sum_to_degree_diagonal():
     g = gf.paley(13)
-    a, lap = sp.matrices(g)
+    a, lap = sp.adjacency_matrix(g), sp.laplacian_matrix(g)
     assert np.array_equal(a + lap, np.diag([g.degree(v) for v in range(g.n)]))
 
 
 def test_k3_matrices():
-    a, lap = sp.matrices(gf.complete(3))
+    a, lap = sp.adjacency_matrix(gf.complete(3)), sp.laplacian_matrix(gf.complete(3))
     assert np.array_equal(a, np.ones((3, 3)) - np.eye(3))
     assert np.array_equal(lap, 3 * np.eye(3) - np.ones((3, 3)))
 
@@ -97,14 +97,6 @@ def test_frucht_against_determinant_bisection_oracle():
             roots.append((a_ + b_) / 2)
     assert len(roots) == 12
     assert np.abs(np.sort(roots) - numeric).max() < 1e-8
-
-
-def test_vector_output_residual():
-    g = gf.paley(13)
-    a = sp.adjacency_matrix(g)
-    _, w, v = sp.eig_symmetric_with_vectors(a)
-    residual = np.abs(a @ v - v * w).max()
-    assert residual <= 1e-8 * np.abs(a).sum()
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -212,12 +204,20 @@ def test_paley_eigenvalues_via_field_characters():
 
 
 def test_cayley_generic_closed_form_from_meta():
-    g = gf.decked_cube(4, (1, 1, 1, 0))
-    cf = sp.closed_form_for_graph(g)
-    assert sp.verify_closed_form(g, cf)["ok"]
-    h = gf.incidence(3, 3)
-    cf2 = sp.closed_form_for_graph(h)  # bi-Cayley route
-    assert sp.verify_closed_form(h, cf2)["ok"]
+    graphs = [
+        gf.decked_cube(4, (1, 1, 1, 0)),
+        gf.cayley((5, 3), [(1, 0), (4, 0), (0, 1), (0, 2), (2, 1), (3, 2)]),
+        gf.cayley((4, 6), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)]),
+        gf.cayley((9,), [(1,), (8,), (3,), (6,)]),
+        gf.paley(25),
+        gf.incidence(3, 3),  # bi-Cayley route from here on
+        gf.bi_cayley((5, 3), [(0, 0), (1, 0), (2, 1)]),
+        gf.bi_cayley((4, 6), [(0, 0), (1, 2), (3, 1)]),
+        gf.bi_cayley((9,), [(0,), (1,), (3,)]),
+        gf.bi_paley(27),
+    ]
+    for g in graphs:
+        assert sp.verify_closed_form(g, sp.closed_form_for_graph(g))["ok"], g.name
 
 
 def test_cone_and_complement_laplacian_rules():
