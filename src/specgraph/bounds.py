@@ -422,12 +422,12 @@ def sum_product_window_check(points_graph: Graph, q: int, window, equation: str,
     ``points_graph`` must be the coordinate picture of I_3(q); the window is
     a 4-tuple (A, B, C, D) of subsets of field-element indices.
     """
-    from .finite_field import construct_field, prime_power_decomposition
+    from .finite_field import field
     from .graph_families import incidence_point_index
 
     if equation not in ("a+b=cd", "ab+cd=1"):
         raise InvalidOperation(f"unknown equation {equation!r}")
-    spec = construct_field(*prime_power_decomposition(q))
+    spec = field(q)
     A, B, C, D = [sorted(set(block)) for block in window]
     S = set()
     for a in A:

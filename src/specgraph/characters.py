@@ -20,22 +20,11 @@ from .finite_field import (
     FieldSpec,
     SubfieldEmbedding,
     absolute_trace,
+    evaluate,
     trace_norm,
 )
 
 MAGNITUDE_TOL = 1e-9
-
-
-@lru_cache(maxsize=None)
-def _log_table(spec: FieldSpec) -> dict[int, int]:
-    """Discrete log base the canonical generator, keyed by element index."""
-    g = spec.generator()
-    table = {}
-    x = spec.one
-    for j in range(spec.q - 1):
-        table[x.index] = j
-        x = x * g
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +88,7 @@ class MultiplicativeCharacter:
         if x.is_zero():
             return 1.0 + 0j if self.is_trivial else 0j
         n = self.spec.q - 1
-        j = _log_table(self.spec)[x.index]
-        return _roots_of_unity(n)[(self.exponent * j) % n]
+        return _roots_of_unity(n)[(self.exponent * x.log()) % n]
 
     def conjugate(self) -> "MultiplicativeCharacter":
         return MultiplicativeCharacter(self.spec, -self.exponent)
@@ -225,13 +213,6 @@ class WeilReport:
     hypothesis_checked: bool
 
 
-def _eval_poly(f: list[FieldElement], s: FieldElement) -> FieldElement:
-    acc = f[-1]
-    for c in reversed(f[:-1]):
-        acc = acc * s + c
-    return acc
-
-
 def _as_field_poly(spec: FieldSpec, f) -> list[FieldElement]:
     out = []
     for c in f:
@@ -244,7 +225,7 @@ def _as_field_poly(spec: FieldSpec, f) -> list[FieldElement]:
 def polynomial_character_sum(spec: FieldSpec, f, char) -> complex:
     """Raw sum of char(f(s)) over all s in F, with no hypothesis checks."""
     poly = _as_field_poly(spec, f)
-    return sum(char(_eval_poly(poly, s)) for s in spec.elements())
+    return sum(char(evaluate(poly, s)) for s in spec.elements())
 
 
 def _is_mth_power(spec: FieldSpec, poly: list[FieldElement], m: int) -> bool:

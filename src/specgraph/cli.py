@@ -22,7 +22,7 @@ from . import finite_field as ff
 from . import graph_core as gc
 from . import graph_families as gfam
 from . import spectra as sp
-from .errors import CapExceeded, Mismatch, NoClosedForm, SpecgraphError
+from .errors import BadParameters, CapExceeded, Mismatch, NoClosedForm, SpecgraphError
 
 DEFAULT_CAPS = {"chi": gc.CHI_CAP, "beta": gc.BETA_CAP, "iso": gc.ISO_CAP}
 DEFAULT_SEED = 20150901
@@ -109,9 +109,12 @@ def _parse_caps(text: str | None) -> dict:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in caps:
-            raise SystemExit(f"unknown cap {key!r}; expected chi, beta, iso")
-        # caps may only be lowered below the defaults, never raised
-        caps[key] = min(caps[key], int(value))
+            raise BadParameters(f"unknown cap {key!r}; expected chi, beta, iso")
+        try:
+            # caps may only be lowered below the defaults, never raised
+            caps[key] = min(caps[key], int(value))
+        except ValueError:
+            raise BadParameters(f"cap {key} needs an integer, got {value!r}") from None
     return caps
 
 
@@ -186,7 +189,7 @@ def _coerced(args) -> list:
 
 
 def _char_rows(q: int, ext: int | None) -> list[dict]:
-    spec = ff.construct_field(*ff.prime_power_decomposition(q))
+    spec = ff.field(q)
     rows = []
     sq = math.sqrt(q)
 

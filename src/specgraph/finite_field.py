@@ -2,16 +2,20 @@
 
 Fields are realized as Z_p[X]/(f) for a deterministically chosen irreducible
 modulus f, so that element indices, generators and graph labels derived from
-them are reproducible across runs.
+them are reproducible across runs.  An element is its index; its products
+are read from exp and log tables that are built once per field from the
+polynomial presentation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import (
+    BadParameters,
     BadResidueClass,
     DivisionByZero,
     EvenCharacteristic,
@@ -74,7 +78,8 @@ def prime_power_decomposition(n: int) -> tuple[int, int] | None:
 
 # -- polynomial arithmetic over Z_p ------------------------------------------
 # Polynomials are tuples of coefficients, constant term first, no trailing
-# zeros (the zero polynomial is the empty tuple).
+# zeros (the zero polynomial is the empty tuple).  They serve only to find the
+# modulus and to build the exp and log tables.
 
 def _trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
@@ -152,7 +157,8 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p^d) presented as Z_p[X]/(modulus); modulus coefficients are stored
-    constant term first and include the leading 1."""
+    constant term first and include the leading 1.  Element i is the residue
+    whose coefficients, constant term first, are the base-p digits of i."""
 
     p: int
     d: int
@@ -160,46 +166,41 @@ class FieldSpec:
     q: int
 
     def element(self, index: int) -> "FieldElement":
-        """Element with the given canonical index (base-p digits = coefficients)."""
+        """Element with the given canonical index."""
         if not 0 <= index < self.q:
             raise SpecMismatch(f"index {index} outside field of size {self.q}")
-        coeffs, n = [], index
-        for _ in range(self.d):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, index)
 
     def from_coeffs(self, coeffs) -> "FieldElement":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.d:
-            c = list(_poly_mod(tuple(c), self.modulus, self.p))
-        c += [0] * (self.d - len(c))
-        return FieldElement(self, tuple(c[: self.d]))
+        """Residue of the polynomial with these coefficients, constant term first."""
+        # The class of X has index p, or 0 in a prime field, whose modulus is X.
+        return evaluate(coeffs, FieldElement(self, self.p % self.q))
 
     def from_int(self, n: int) -> "FieldElement":
         """Image of the integer n under Z -> GF(p^d) (constant polynomial)."""
-        return self.from_coeffs([n])
+        return FieldElement(self, n % self.p)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.d)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return FieldElement(self, 1)
 
     def elements(self) -> Iterator["FieldElement"]:
         for i in range(self.q):
-            yield self.element(i)
+            yield FieldElement(self, i)
 
     def units(self) -> Iterator["FieldElement"]:
         for i in range(1, self.q):
-            yield self.element(i)
+            yield FieldElement(self, i)
 
     def generator(self) -> "FieldElement":
         """Canonical generator of the multiplicative group: the element of
         smallest index with order q - 1."""
-        return _generator(self)
+        exp, _ = _tables(self)
+        return FieldElement(self, exp[1 % len(exp)])  # in GF(2), exp is [1]
 
     def to_json(self) -> dict:
         return {"p": self.p, "d": self.d, "modulus": list(self.modulus)}
@@ -210,73 +211,114 @@ class FieldSpec:
 
 @dataclass(frozen=True)
 class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    """An element of a field spec, held as its canonical index.  Addition is
+    digit-wise in base p; multiplication reads the spec's exp and log tables."""
 
-    @property
-    def index(self) -> int:
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.spec.p + c
-        return n
+    spec: FieldSpec
+    index: int
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.index == 0
 
     def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch("elements from different fields")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, _add_digits(self.index, other.index, self.spec.p, 1))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.spec, _add_digits(self.index, other.index, self.spec.p, -1))
 
     def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.spec, _add_digits(0, self.index, self.spec.p, -1))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        prod = _poly_mul(_trim(list(self.coeffs)), _trim(list(other.coeffs)), self.spec.p)
-        return self.spec.from_coeffs(_poly_mod(prod, self.spec.modulus, self.spec.p))
+        if not self.index or not other.index:
+            return FieldElement(self.spec, 0)
+        exp, log = _tables(self.spec)
+        return FieldElement(self.spec, exp[(log[self.index] + log[other.index]) % len(exp)])
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return self ** (self.spec.q - 2)
+        return self ** -1
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not self.index:
+            if e < 0:
+                raise DivisionByZero("zero has no multiplicative inverse")
+            return FieldElement(self.spec, 0 if e else 1)
+        exp, log = _tables(self.spec)
+        return FieldElement(self.spec, exp[log[self.index] * e % len(exp)])
+
+    def log(self) -> int:
+        """Discrete logarithm base the canonical generator, in [0, q - 1)."""
+        if not self.index:
+            raise DivisionByZero("zero has no discrete logarithm")
+        return _tables(self.spec)[1][self.index]
 
     def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise DivisionByZero("zero has no multiplicative order")
         n = self.spec.q - 1
-        for prime in prime_factors(n):
-            while n % prime == 0 and (self ** (n // prime)) == self.spec.one:
-                n //= prime
-        return n
+        return n // math.gcd(self.log(), n)
 
     def __repr__(self) -> str:
         return f"{self.spec!r}[{self.index}]"
+
+
+def _add_digits(a: int, b: int, p: int, sign: int) -> int:
+    """Index of a + sign * b, added digit by digit in base p."""
+    out, place = 0, 1
+    while a or b:
+        out += (a + sign * b) % p * place
+        a, b, place = a // p, b // p, place * p
+    return out
+
+
+def _coeffs(spec: FieldSpec, index: int) -> tuple[int, ...]:
+    """Coefficients of element ``index``, constant term first."""
+    return tuple(index // spec.p**i % spec.p for i in range(spec.d))
+
+
+def evaluate(coeffs, x: FieldElement) -> FieldElement:
+    """sum c_i x^i by Horner's rule, constant term first; integer
+    coefficients are read through Z -> GF(p^d)."""
+    spec = x.spec
+    acc = spec.zero
+    for c in reversed(coeffs):
+        acc = acc * x + (c if isinstance(c, FieldElement) else spec.from_int(c))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _tables(spec: FieldSpec):
+    """(exp, log) base the canonical generator g: exp[j] is the index of g^j
+    and log[exp[j]] = j (log[0] is unused).
+
+    g is the unit of least index whose order is q - 1 by the prime-factor
+    test; its powers are walked with polynomial arithmetic.  A walk that does
+    not reach every unit means the modulus is reducible."""
+    from array import array  # here, so that processes with no field work skip it
+
+    p, m, n = spec.p, spec.modulus, spec.q - 1
+    factors = prime_factors(n)
+    for i in range(1, spec.q):
+        g = _coeffs(spec, i)
+        if all(_poly_powmod(g, n // t, m, p) != (1,) for t in factors):
+            break
+    exp, log = array("l", [0]) * n, array("l", [0]) * spec.q
+    x: tuple[int, ...] = (1,)
+    for j in range(n):
+        k = sum(c * p**i for i, c in enumerate(x))
+        exp[j], log[k] = k, j
+        x = _poly_mod(_poly_mul(x, g, p), m, p)
+    if x != (1,) or log[1] != 0:
+        raise SpecMismatch(f"modulus {m} is not irreducible over Z_{p}")
+    return exp, log
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +353,12 @@ def construct_field(p: int, d: int) -> FieldSpec:
     raise SpecMismatch("no irreducible polynomial found")  # unreachable
 
 
-@lru_cache(maxsize=None)
-def _generator(spec: FieldSpec) -> FieldElement:
-    for i in range(1, spec.q):
-        g = spec.element(i)
-        if g.multiplicative_order() == spec.q - 1:
-            return g
-    raise SpecMismatch("multiplicative group not cyclic")  # unreachable
+def field(q: int) -> FieldSpec:
+    """GF(q), for a prime power q."""
+    pp = prime_power_decomposition(q)
+    if pp is None:
+        raise BadParameters(f"{q} is not a prime power")
+    return construct_field(*pp)
 
 
 # -- subfield embeddings ------------------------------------------------------
@@ -341,13 +382,7 @@ class SubfieldEmbedding:
     def lift(self, a: FieldElement) -> FieldElement:
         if a.spec != self.base:
             raise SpecMismatch("element not in the base field")
-        out = self.big.zero
-        xp = self.big.one
-        for c in a.coeffs:
-            if c:
-                out = out + self.big.from_int(c) * xp
-            xp = xp * self.image_of_x
-        return out
+        return evaluate(_coeffs(self.base, a.index), self.image_of_x)
 
     def in_base_image(self, a: FieldElement) -> bool:
         """Whether a lies in the embedded copy of the base field."""
@@ -358,16 +393,8 @@ class SubfieldEmbedding:
 def subfield_embedding(big: FieldSpec, base: FieldSpec) -> SubfieldEmbedding:
     if big.p != base.p or big.d % base.d != 0:
         raise SpecMismatch(f"{base!r} does not embed in {big!r}")
-    if base.d == 1:
-        return SubfieldEmbedding(big, base, big.zero)
     for cand in big.elements():
-        acc = big.zero
-        xp = big.one
-        for c in base.modulus:
-            if c:
-                acc = acc + big.from_int(c) * xp
-            xp = xp * cand
-        if acc.is_zero():
+        if evaluate(base.modulus, cand).is_zero():
             return SubfieldEmbedding(big, base, cand)
     raise SpecMismatch("modulus has no root in the big field")  # unreachable
 
@@ -396,13 +423,8 @@ def trace_norm(emb: SubfieldEmbedding, a: FieldElement) -> tuple[FieldElement, F
 
 def absolute_trace(a: FieldElement) -> int:
     """Trace down to the prime field, as an integer in [0, p)."""
-    spec = a.spec
-    tr = spec.zero
-    power = a
-    for _ in range(spec.d):
-        tr = tr + power
-        power = power**spec.p
-    return tr.coeffs[0]
+    emb = subfield_embedding(a.spec, construct_field(a.spec.p, 1))
+    return trace_norm(emb, a)[0].index
 
 
 # -- squares ------------------------------------------------------------------

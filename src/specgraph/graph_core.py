@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    BadParameters,
     CapExceeded,
     Disconnected,
     IndexOutOfRange,
@@ -190,8 +191,11 @@ def to_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str, name: str = "") -> Graph:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = [(int(r[0]), int(r[1])) for r in rows[1:]]
+    try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+        edges = [(int(r[0]), int(r[1])) for r in rows[1:]]
+    except (IndexError, ValueError):
+        raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
     return Graph(n, edges, name=name)

@@ -27,7 +27,7 @@ from .errors import (
 from .finite_field import (
     FieldSpec,
     construct_field,
-    prime_power_decomposition,
+    field,
     signature_table,
     subfield_embedding,
     trace_norm,
@@ -262,13 +262,6 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
 # -- field-based families -------------------------------------------------------------
 
 
-def _field_for(q: int) -> FieldSpec:
-    pp = prime_power_decomposition(q)
-    if pp is None:
-        raise BadParameters(f"{q} is not a prime power")
-    return construct_field(*pp)
-
-
 def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], list]:
     """(F, +) as (Z_p)^d, and its non-zero squares.  An element's coordinates
     are its coefficients top-first, so group element i is field element i."""
@@ -282,7 +275,7 @@ def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
     if q % 4 != 1:
         raise BadParameters("Paley graph needs q = 1 mod 4")
-    spec = _field_for(q)
+    spec = field(q)
     orders, squares = _nonzero_squares(spec)
     return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)],
                   meta={"field": spec.to_json(), "kind": "paley"})
@@ -294,7 +287,7 @@ def bi_paley(q: int) -> Graph:
         raise BadParameters("bi-Paley graph needs q = 3 mod 4")
     if q == 3:
         raise BadParameters("BP(3) is a degenerate disjoint union")
-    spec = _field_for(q)
+    spec = field(q)
     orders, squares = _nonzero_squares(spec)
     return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None,
                      meta={"field": spec.to_json(), "kind": "bipaley"})
@@ -305,21 +298,12 @@ def incidence(n: int, q: int) -> Graph:
     bi-Cayley graph of the cyclic group K*/F* over the trace-zero subset."""
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
-    pp = prime_power_decomposition(q)
-    if pp is None:
-        raise BadParameters(f"{q} is not a prime power")
-    p, e = pp
-    base = construct_field(p, e)
-    big = construct_field(p, e * n)
+    base = field(q)
+    big = construct_field(base.p, base.d * n)
     emb = subfield_embedding(big, base)
     m = (q**n - 1) // (q - 1)
     g = big.generator()
-    subset = []
-    x = big.one
-    for j in range(m):
-        if trace_norm(emb, x)[0].is_zero():
-            subset.append((j,))
-        x = x * g
+    subset = [(j,) for j in range(m) if trace_norm(emb, g**j)[0].is_zero()]
     return bi_cayley((m,), subset, name=f"I_{n}({q})",
                      meta={"kind": "incidence", "incidence": {"n": n, "q": q}})
 
@@ -331,7 +315,7 @@ def incidence_points(n: int, q: int) -> Graph:
     sum-product application)."""
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
-    spec = _field_for(q)
+    spec = field(q)
     points = []
     for vec in itertools.product(range(q), repeat=n):
         elems = [spec.element(i) for i in vec]
@@ -360,7 +344,7 @@ def incidence_points(n: int, q: int) -> Graph:
 
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:
     """Vertex id of the projective point with the given coordinate indices."""
-    spec = _field_for(q)
+    spec = field(q)
     elems = [spec.element(i) for i in vec_indices]
     lead = next(e for e in elems if not e.is_zero())
     inv = lead.inverse()
@@ -372,7 +356,7 @@ def sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F*: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 3:
         raise BadParameters("sum-product graph needs q >= 3")
-    spec = _field_for(q)
+    spec = field(q)
     m = q * (q - 1)
 
     def idx(a, x):
@@ -391,7 +375,7 @@ def full_sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 2:
         raise BadParameters("full sum-product graph needs q >= 2")
-    spec = _field_for(q)
+    spec = field(q)
     m = q * q
 
     def idx(a, x):

@@ -27,8 +27,7 @@ def criterion(number: int, title: str):
     print(f"ACCEPTANCE {number} ({title}): PASS")
 
 
-def field(q):
-    return ff.construct_field(*ff.prime_power_decomposition(q))
+field = ff.field
 
 
 # -- 1. closed-form vs numeric over every family with a formula --------------------

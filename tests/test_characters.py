@@ -14,8 +14,7 @@ from specgraph.errors import HypothesisViolated, ZeroElement
 GF = ff.construct_field
 
 
-def field(q):
-    return GF(*ff.prime_power_decomposition(q))
+field = ff.field
 
 
 def all_nontrivial_pairs(spec):

@@ -140,6 +140,21 @@ def test_gen_raw_cayley(capsys):
     assert gc.is_isomorphic(g, gf.shrikhande())[0]
 
 
-def test_usage_error_exit_code(capsys):
-    code = cli.main(["gen", "nonesuch"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "nonesuch"],
+    ["chars", "12"],
+    ["chars", "1"],
+    ["audit", "complete:3", "--caps", "beta=abc"],
+    ["audit", "complete:3", "--caps", "gamma=1"],
+    ["spec", "{empty}"],
+    ["spec", "{non_integer}"],
+], ids=["unknown_family", "chars_12", "chars_1", "caps_not_integer", "caps_unknown_key",
+        "empty_edge_list", "non_integer_edge_list"])
+def test_usage_error_exit_code(argv, tmp_path, capsys):
+    files = {"empty": "", "non_integer": "3 1\n0 x\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = cli.main([a.format(**{k: tmp_path / k for k in files}) for a in argv])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

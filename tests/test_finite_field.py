@@ -9,6 +9,7 @@ import pytest
 
 from specgraph import finite_field as ff
 from specgraph.errors import (
+    BadParameters,
     BadResidueClass,
     DivisionByZero,
     EvenCharacteristic,
@@ -57,6 +58,9 @@ def test_construct_field_errors():
         GF(4, 1)
     with pytest.raises(SizeOverflow):
         GF(2, 40)
+    for q in (1, 12):
+        with pytest.raises(BadParameters, match=f"{q} is not a prime power"):
+            ff.field(q)
 
 
 def test_construct_field_deterministic():
@@ -89,11 +93,59 @@ def test_inverse_of_zero():
     spec = GF(5, 1)
     with pytest.raises(DivisionByZero):
         spec.zero.inverse()
+    assert spec.zero ** 0 == spec.one
+    assert spec.zero ** 5 == spec.zero
+    for op in (lambda: spec.zero ** -1, spec.zero.log):
+        with pytest.raises(DivisionByZero):
+            op()
 
 
 def test_spec_mismatch():
     with pytest.raises(SpecMismatch):
         GF(5, 1).one + GF(7, 1).one
+
+
+@pytest.mark.parametrize("p,modulus", [(3, (2, 0, 1)), (3, (0, 0, 1)), (2, (1, 0, 1))])
+def test_reducible_modulus_rejected(p, modulus):
+    spec = ff.FieldSpec(p, 2, modulus, p * p)  # X^2 - 1, X^2 and (X + 1)^2
+    with pytest.raises(SpecMismatch):
+        spec.element(p) * spec.element(p + 1)
+
+
+# -- the polynomial presentation as the oracle of the table arithmetic -----------
+
+def padded(c, d):
+    c = tuple(c)
+    return c + (0,) * (d - len(c))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 125])
+def test_table_arithmetic_matches_polynomials(q):
+    spec = ff.field(q)
+    p, d, m = spec.p, spec.d, spec.modulus
+    # element i is the residue whose coefficients are the base-p digits of i
+    polys = [tuple(i // p**k % p for k in range(d)) for i in range(q)]
+    index = {c: i for i, c in enumerate(polys)}
+
+    def of(c):
+        return index[padded(c, d)]
+
+    elems = list(spec.elements())
+    inverse = {}
+    for a, pa in zip(elems, polys):
+        assert (-a).index == of((-x) % p for x in pa)
+        for b, pb in zip(elems, polys):
+            assert (a + b).index == of((x + y) % p for x, y in zip(pa, pb))
+            assert (a - b).index == of((x - y) % p for x, y in zip(pa, pb))
+            prod = ff._poly_mod(ff._poly_mul(pa, pb, p), m, p)
+            assert (a * b).index == of(prod)
+            if prod == (1,):
+                inverse[a.index] = b.index
+    for a in elems[1:]:
+        assert a.inverse().index == inverse[a.index]
+        for e in (0, 1, 2, q - 2, q - 1, q, q + 3, 3 * q + 1):
+            assert (a**e).index == of(ff._poly_powmod(polys[a.index], e, m, p))
+            assert (a**-e).index == of(ff._poly_powmod(polys[inverse[a.index]], e, m, p))
 
 
 # -- Frobenius, trace, norm ---------------------------------------------------
@@ -128,8 +180,8 @@ def test_frobenius_is_conjugation_on_quadratic_extension():
     emb = ff.subfield_embedding(big, base)
     for x in range(7):
         for y in range(7):
-            a = ff.FieldElement(big, (x, y))
-            assert ff.frobenius(emb, a) == ff.FieldElement(big, (x, (-y) % 7))
+            a = big.from_coeffs((x, y))
+            assert ff.frobenius(emb, a) == big.from_coeffs((x, (-y) % 7))
 
 
 def test_trace_norm_formulas_on_quadratic_extension():
@@ -137,10 +189,10 @@ def test_trace_norm_formulas_on_quadratic_extension():
     emb = ff.subfield_embedding(big, GF(7, 1))
     for x in range(7):
         for y in range(7):
-            a = ff.FieldElement(big, (x, y))
+            a = big.from_coeffs((x, y))
             tr, nm = ff.trace_norm(emb, a)
-            assert tr == ff.FieldElement(big, ((2 * x) % 7, 0))
-            assert nm == ff.FieldElement(big, ((x * x - d * y * y) % 7, 0))
+            assert tr == big.from_coeffs(((2 * x) % 7, 0))
+            assert nm == big.from_coeffs(((x * x - d * y * y) % 7, 0))
 
 
 def test_trace_onto_with_uniform_fibers_gf4():
@@ -314,6 +366,16 @@ def test_multiplicative_group_cyclic(p, d):
     assert spec.q <= 2048
     g = spec.generator()
     assert g.multiplicative_order() == spec.q - 1
+
+    def order(a):  # by repeated multiplication, no pow shortcuts
+        x, k = a, 1
+        while x != spec.one:
+            x, k = x * a, k + 1
+        return k
+
+    # the canonical generator is the unit of least index with order q - 1
+    assert order(g) == spec.q - 1
+    assert all(order(spec.element(i)) < spec.q - 1 for i in range(1, g.index))
 
 
 @pytest.mark.parametrize("p,d", [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2),

@@ -84,7 +84,7 @@ def test_group_metadata_matches_edges(g):
 
 def _field_loop_edges(q: int, bipartite: bool) -> set:
     """The (bi-)Paley edges by field subtraction and signature lookup."""
-    spec = ff.construct_field(*ff.prime_power_decomposition(q))
+    spec = ff.field(q)
     sig = ff.signature_table(spec)
     edges = set()
     for i in range(q):
@@ -292,7 +292,7 @@ def test_andrasfai_invariants(n):
 @pytest.mark.parametrize("q", [5, 9, 13, 17])
 def test_paley_nonsquare_scaling_switches_edges(q):
     g = gf.paley(q)
-    spec = ff.construct_field(*ff.prime_power_decomposition(q))
+    spec = ff.field(q)
     gen = spec.generator()  # a generator is never a square
     for i in range(q):
         for j in range(i + 1, q):
