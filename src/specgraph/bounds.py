@@ -114,6 +114,8 @@ def _skip(name, note) -> BoundRecord:
 
 
 EQ_TOL = 1e-6
+DISCONNECTED = "needs a connected graph"
+NO_EDGES = "needs an edge"
 
 
 def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
@@ -133,7 +135,9 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     gamma = inv.girth
     bipartite = inv.bipartite
     regular = g.is_regular
-    is_tree = g.is_connected and gamma == math.inf
+    connected = g.is_connected
+    edgeless = g.edge_count == 0
+    is_tree = connected and gamma == math.inf
     is_complete = g.edge_count == n * (n - 1) // 2
     rep = AuditReport(graph=g.name or "graph", seed=seed)
     rec = rep.records.append
@@ -144,10 +148,15 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
         rec(_skip("hoffman_chromatic", "chromatic number capped"))
     else:
         rec(_le("wilf_chromatic", chi, 1 + alpha_max, {"chi": chi, "alpha_max": alpha_max}))
-        rec(_ge("hoffman_chromatic", chi, 1 + alpha_max / (-alpha_min),
-                {"chi": chi, "alpha_max": alpha_max, "alpha_min": alpha_min}))
+        if edgeless:
+            rec(_skip("hoffman_chromatic", NO_EDGES))
+        else:
+            rec(_ge("hoffman_chromatic", chi, 1 + alpha_max / (-alpha_min),
+                    {"chi": chi, "alpha_max": alpha_max, "alpha_min": alpha_min}))
     if iota is None:
         rec(_skip("hoffman_independence", "independence number capped"))
+    elif edgeless:
+        rec(_skip("hoffman_independence", NO_EDGES))
     else:
         rec(_le("hoffman_independence", iota, n * (1 - d_min / lam_max),
                 {"iota": iota, "d_min": d_min, "lambda_max": lam_max}))
@@ -174,11 +183,20 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
              abs(alpha_min + alpha_max) <= EQ_TOL, alpha_min, -alpha_max))
     rec(_le("average_degree_le_alpha_max", d_ave, alpha_max, {"d_ave": d_ave}))
     rec(_le("alpha_max_le_degree", alpha_max, d, {"d": d}))
-    rec(_iff("alpha_max_regular_iff", regular, abs(alpha_max - d) <= EQ_TOL, alpha_max, d))
+    if connected:
+        rec(_iff("alpha_max_regular_iff", regular, abs(alpha_max - d) <= EQ_TOL, alpha_max, d))
+    else:
+        rec(_skip("alpha_max_regular_iff", DISCONNECTED))
     rec(_le("lambda_max_le_2d", lam_max, 2 * d, {"lambda_max": lam_max}))
-    rec(_iff("lambda_max_2d_iff", regular and bipartite,
-             abs(lam_max - 2 * d) <= EQ_TOL, lam_max, 2 * d))
-    rec(_ge("lambda_max_ge_d_plus_1", lam_max, d + 1, {"lambda_max": lam_max, "d": d}))
+    if connected:
+        rec(_iff("lambda_max_2d_iff", regular and bipartite,
+                 abs(lam_max - 2 * d) <= EQ_TOL, lam_max, 2 * d))
+    else:
+        rec(_skip("lambda_max_2d_iff", DISCONNECTED))
+    if edgeless:
+        rec(_skip("lambda_max_ge_d_plus_1", NO_EDGES))
+    else:
+        rec(_ge("lambda_max_ge_d_plus_1", lam_max, d + 1, {"lambda_max": lam_max, "d": d}))
     rec(_ge("alpha_max_ge_sqrt_d", alpha_max, math.sqrt(d), {"alpha_max": alpha_max}))
     if not is_complete:
         rec(_le("second_laplacian_le_d", lam2, d, {"lambda2": lam2}))
@@ -266,7 +284,9 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     # Brooks (statement-level check)
     if chi is not None:
         odd_cycle = regular and d == 2 and n % 2 == 1
-        if not (is_complete or odd_cycle):
+        if not connected:
+            rec(_skip("brooks", DISCONNECTED))
+        elif not (is_complete or odd_cycle):
             rec(_le("brooks", chi, d, {"chi": chi}))
     return rep
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     BadParameters,
     CapExceeded,
@@ -198,6 +200,11 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
         raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
+    seen = set()
+    for u, v in edges:
+        if (u, v) in seen:
+            raise BadParameters(f"edge list repeats the edge {u} {v}")
+        seen.update({(u, v), (v, u)})
     return Graph(n, edges, name=name)
 
 
@@ -435,42 +442,87 @@ def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_
 
 # -- isoperimetric constant ------------------------------------------------------
 
-def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
-    """Exact min over non-empty S with |S| <= n/2 of |boundary S| / |S|,
-    as a Fraction, together with one minimizing subset.
+BETA_CHUNK_BITS = 14
 
-    Gray-code subset sweep: each step flips one vertex and updates the cut.
+
+def isoperimetric_constant(g: Graph, cap: int = BETA_CAP, budget: float = EXACT_BUDGET_SECONDS):
+    """Exact min over non-empty S with |S| <= n/2 of |boundary S| / |S|,
+    as a Fraction, together with one minimizing subset: the first minimizer
+    in the Gray-code order of the subset masks (vertex v is bit v).
+
+    Chunked exhaustive sweep. The low k = min(n, BETA_CHUNK_BITS) vertices
+    get int16 tables over all 2^k subsets L, built by doubling: |L|, cut(L),
+    and for each high vertex v, |N(v) & L|. The subsets H of the high vertices
+    are walked in Gray order; flipping v moves the cut of every L | H at once
+    by -+2|N(v) & L| plus a scalar. Each step takes the least cut for each
+    |S|, compares ratios by integer cross-multiplication and breaks ties by
+    Gray rank, so the witness is the subset a one-vertex-at-a-time Gray sweep
+    keeps. The time budget is checked once per high subset.
     """
     if not g.is_connected:
         raise Disconnected("isoperimetric constant needs a connected graph")
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over isoperimetric cap {cap}")
-    n = g.n
-    masks = g.masks
-    degs = g.degrees
+    deadline = _Deadline(budget)
+    n, masks, degs = g.n, g.masks, g.degrees
     half = n // 2
-    best_num, best_den = degs[0], 1  # S = {0} as a starting bound
-    best_mask = 1
-    subset = 0
-    cut = 0
-    size = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        inside = (masks[v] & subset).bit_count()
-        if subset & bit:
-            subset ^= bit
-            size -= 1
-            cut -= degs[v] - 2 * (masks[v] & subset).bit_count()
-        else:
-            subset ^= bit
-            size += 1
-            cut += degs[v] - 2 * inside
-        if 0 < size <= half and cut * best_den < best_num * size:
-            best_num, best_den = cut, size
-            best_mask = subset
+    k = min(n, BETA_CHUNK_BITS)
+    low_all = (1 << k) - 1
+    low = np.arange(1 << k, dtype=np.int32)
+    size = np.zeros(1, np.int16)
+    cut = np.zeros(1, np.int16)
+    for j in range(k):
+        inner = size[low[:1 << j] & (masks[j] & low_all)]
+        cut = np.concatenate([cut, cut + (degs[j] - 2 * inner)])
+        size = np.concatenate([size, size + 1])
+    # The subset of Gray rank r is r ^ r >> 1. Sort the ranks stably by the
+    # subset's size, so that each size is one contiguous group in rank order.
+    gray = low ^ low >> 1
+    ranks = np.argsort(size[gray], kind="stable")
+    order = gray[ranks]
+    bounds = np.searchsorted(size[order], np.arange(k + 2))
+    cut = cut[order]
+    nbr2 = [2 * size[order & (masks[v] & low_all)] for v in range(k, n)]
+    high_masks = [masks[v] >> k for v in range(k, n)]
+    group_sizes = np.arange(k + 1)
+
+    best, best_mask = Fraction(degs[0]), 1  # S = {0}, the first subset in Gray order
+    h_set = h_size = h_cut = 0
+    for step in range(1 << (n - k)):
+        deadline.check()
+        if step:
+            i = (step & -step).bit_length() - 1
+            h_set ^= 1 << i
+            change = degs[k + i] - 2 * (high_masks[i] & h_set).bit_count()
+            if h_set >> i & 1:
+                h_size, h_cut = h_size + 1, h_cut + change
+                cut -= nbr2[i]
+            else:
+                h_size, h_cut = h_size - 1, h_cut - change
+                cut += nbr2[i]
+        lo_t, hi_t = max(0, 1 - h_size), min(k, half - h_size)
+        if lo_t > hi_t:
+            continue
+        mins = np.minimum.reduceat(cut, bounds[:-1])[lo_t:hi_t + 1].astype(np.int64) + h_cut
+        dens = group_sizes[lo_t:hi_t + 1] + h_size
+        better = np.flatnonzero(mins * best.denominator < best.numerator * dens)
+        if not better.size:
+            continue
+        # H's ranks all follow the earlier H's, so only a strict gain counts
+        # across steps; within H, ties in the ratio go to the least rank. With
+        # |H| odd the low rank is complemented, so the last L of a group wins.
+        odd = h_size & 1
+        candidates = []
+        for j in better.tolist():
+            c, t = int(mins[j]), lo_t + j
+            hits = np.flatnonzero(cut[bounds[t]:bounds[t + 1]] == c - h_cut)
+            pos = bounds[t] + hits[-1 if odd else 0]
+            candidates.append((Fraction(c, t + h_size), int(ranks[pos]) ^ (low_all * odd),
+                               int(order[pos])))
+        best, _, lo_mask = min(candidates)
+        best_mask = h_set << k | lo_mask
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return Fraction(best_num, best_den), witness
+    return best, witness
 
 
 def boundary_size(g: Graph, subset) -> int:
@@ -782,7 +834,8 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP,
     iota = guarded("independence", lambda: independence_number(g, cap=chi_cap, budget=budget))
     omega = guarded("clique", lambda: clique_number(g, cap=chi_cap, budget=budget))
     if g.is_connected:
-        beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap))
+        beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap,
+                                                                       budget=budget))
     else:
         beta_pair = None
         skipped.append("isoperimetric (disconnected)")

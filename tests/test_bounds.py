@@ -64,6 +64,17 @@ def test_audit_tree_records():
     assert record(rep, "tree_lambda2_pendant").status == "pass"
 
 
+@pytest.mark.parametrize("edges,n", [([(0, 1), (2, 3)], 4), ([(0, 1)], 4), ([], 3)],
+                         ids=["2K2", "K2+2K1", "3K1"])
+def test_audit_skips_hypotheses_of_disconnected_and_edgeless_graphs(edges, n):
+    g = gc.Graph(n, edges)
+    rep = audit(g)
+    assert rep.failed == []
+    skipped = {r.name for r in rep.skipped}
+    assert {"alpha_max_regular_iff", "lambda_max_2d_iff", "brooks"} <= skipped
+    assert ("hoffman_chromatic" in skipped) == (not edges)
+
+
 def test_audit_json_shape():
     rep = audit(gf.cycle(5))
     data = rep.to_json()

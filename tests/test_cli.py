@@ -148,10 +148,13 @@ def test_gen_raw_cayley(capsys):
     ["audit", "complete:3", "--caps", "gamma=1"],
     ["spec", "{empty}"],
     ["spec", "{non_integer}"],
+    ["spec", "{duplicate}"],
+    ["spec", "{reversed_duplicate}"],
 ], ids=["unknown_family", "chars_12", "chars_1", "caps_not_integer", "caps_unknown_key",
-        "empty_edge_list", "non_integer_edge_list"])
+        "empty_edge_list", "non_integer_edge_list", "duplicate_edge", "reversed_duplicate_edge"])
 def test_usage_error_exit_code(argv, tmp_path, capsys):
-    files = {"empty": "", "non_integer": "3 1\n0 x\n"}
+    files = {"empty": "", "non_integer": "3 1\n0 x\n", "duplicate": "3 2\n0 1\n0 1\n",
+             "reversed_duplicate": "3 2\n0 1\n1 0\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     code = cli.main([a.format(**{k: tmp_path / k for k in files}) for a in argv])

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from specgraph import corpus as corpus_mod
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
@@ -149,6 +152,99 @@ def test_beta_brute_force_oracle_small():
     assert beta == best
 
 
+def _gray_sweep(g):
+    """The one-vertex-at-a-time Gray-code sweep the chunked sweep replaced,
+    kept as its oracle: it keeps the first minimizer in Gray order."""
+    n = g.n
+    masks = g.masks
+    degs = g.degrees
+    half = n // 2
+    best_num, best_den = degs[0], 1  # S = {0} as a starting bound
+    best_mask = 1
+    subset = 0
+    cut = 0
+    size = 0
+    for i in range(1, 1 << n):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        inside = (masks[v] & subset).bit_count()
+        if subset & bit:
+            subset ^= bit
+            size -= 1
+            cut -= degs[v] - 2 * (masks[v] & subset).bit_count()
+        else:
+            subset ^= bit
+            size += 1
+            cut += degs[v] - 2 * inside
+        if 0 < size <= half and cut * best_den < best_num * size:
+            best_num, best_den = cut, size
+            best_mask = subset
+    witness = frozenset(v for v in range(n) if best_mask >> v & 1)
+    return Fraction(best_num, best_den), witness
+
+
+def test_beta_matches_gray_sweep_on_corpus():
+    checked = 0
+    for cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+        if g.is_connected and g.n <= 16:
+            assert gc.isoperimetric_constant(g) == _gray_sweep(g), cid
+            checked += 1
+    assert checked >= 30
+
+
+@st.composite
+def connected_graphs(draw, max_n):
+    """A random spanning tree plus each other pair with a drawn density."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.integers(0, 10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    extra = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    return gc.Graph(n, tree + extra)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(connected_graphs(15))
+@example(gf.cycle(14))
+@example(gf.complete_bipartite(7, 7))
+@example(gf.cycle(15))
+def test_beta_matches_gray_sweep(g):
+    """n <= 15 spans one chunk (n < 14, n = 14) and two (n = 15)."""
+    assert gc.isoperimetric_constant(g) == _gray_sweep(g)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(connected_graphs(11), st.integers(0, 4))
+def test_beta_matches_gray_sweep_small_chunks(g, bits):
+    """Chunks of 2^0..2^4 low subsets walk many high subsets of both parities."""
+    saved = gc.BETA_CHUNK_BITS
+    gc.BETA_CHUNK_BITS = bits
+    try:
+        got = gc.isoperimetric_constant(g)
+    finally:
+        gc.BETA_CHUNK_BITS = saved
+    assert got == _gray_sweep(g)
+
+
+@pytest.mark.parametrize("cid,beta,witness", [
+    ("SP_4", Fraction(2, 3), [2, 4, 6, 8, 9, 10, 13, 14, 15, 16, 20, 21]),
+    ("bipaley_11", Fraction(19, 11), [0, 2, 7, 8, 9, 10, 11, 12, 13, 14, 16]),
+    ("smalldiam_3", Fraction(1, 7), [1, 4, 5, 10, 11, 12, 13]),
+    ("FSP_3", Fraction(7, 9), [0, 5, 6, 7, 8, 10, 11, 12, 13]),
+    ("paley_17", Fraction(7, 2), [0, 1, 2, 4, 6, 8, 9, 10]),
+])
+def test_beta_pinned_on_largest_corpus_graphs(cid, beta, witness):
+    """Values the Gray-code sweep gave on the largest graphs it ran on."""
+    (_cid, _fam, _params, _cf, g), = corpus_mod.build_corpus([cid])
+    assert gc.isoperimetric_constant(g) == (beta, frozenset(witness))
+
+
+def test_beta_honours_budget():
+    with pytest.raises(CapExceeded):
+        gc.isoperimetric_constant(gf.cube(4), budget=0)
+    assert "isoperimetric" in gc.invariant_report(gf.cube(4), budget=0).skipped
+
+
 # -- structure operations ---------------------------------------------------------
 
 def test_product_is_cube():
@@ -173,8 +269,6 @@ def test_bipartite_double_connectivity_rule():
 
 
 def test_bipartite_double_connectivity_over_corpus():
-    from specgraph import corpus as corpus_mod
-
     for _cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
         assert gc.bipartite_double(g).is_connected == (not g.is_bipartite)
 
