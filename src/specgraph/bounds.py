@@ -116,6 +116,8 @@ def _skip(name, note) -> BoundRecord:
 EQ_TOL = 1e-6
 DISCONNECTED = "needs a connected graph"
 NO_EDGES = "needs an edge"
+TWO_VERTICES = "needs at least two vertices"
+DEGREE_TWO = "needs maximum degree at least 2"
 
 
 def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
@@ -128,7 +130,8 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     d_ave = float(g.average_degree)
     alpha_max, alpha_min = adj.max, adj.min
     alpha2 = adj.kth_largest(2) if n >= 2 else alpha_max
-    lam2, lam_max = lap.lambda2, lap.max
+    lam2 = lap.lambda2 if n >= 2 else None
+    lam_max = lap.max
     chi, iota, omega = inv.chromatic, inv.independence, inv.clique
     beta = inv.isoperimetric
     delta = inv.diameter
@@ -164,9 +167,9 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
         rec(_ge("chi_iota_product", chi * iota, n, {"chi": chi, "iota": iota}))
 
     # isoperimetric
-    if beta is None:
+    if beta is None or n < 2:
         for name in ("alon_milman", "dodziuk", "mohar_beta", "iso_diameter"):
-            rec(_skip(name, "isoperimetric constant capped"))
+            rec(_skip(name, "isoperimetric constant capped" if beta is None else TWO_VERTICES))
     else:
         b = float(beta)
         rec(_ge("alon_milman", b, lam2 / 2, {"beta": str(beta), "lambda2": lam2}))
@@ -234,12 +237,19 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
 
     # trees
     if is_tree and delta is not None:
-        rec(_le("tree_alpha_max", alpha_max,
-                2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 2)), {"delta": delta}))
-        rec(_le("tree_lambda_max", lam_max,
-                d + 2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 1)), {"delta": delta}))
-        rec(_le("tree_lambda2_pendant", lam2,
-                2 - 2 * math.cos(math.pi / (delta + 1)), {"delta": delta}))
+        if d < 2:
+            rec(_skip("tree_alpha_max", DEGREE_TWO))
+            rec(_skip("tree_lambda_max", DEGREE_TWO))
+        else:
+            rec(_le("tree_alpha_max", alpha_max,
+                    2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 2)), {"delta": delta}))
+            rec(_le("tree_lambda_max", lam_max,
+                    d + 2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 1)), {"delta": delta}))
+        if n < 2:
+            rec(_skip("tree_lambda2_pendant", TWO_VERTICES))
+        else:
+            rec(_le("tree_lambda2_pendant", lam2,
+                    2 - 2 * math.cos(math.pi / (delta + 1)), {"delta": delta}))
 
     # Chung diameter bounds
     if delta is not None and regular:

@@ -341,7 +341,9 @@ def cmd_iso(args) -> int:
             payload["verdict"] = "non-isomorphic; isospectral"
     except CapExceeded:
         payload["verdict"] = "undecided"
-        payload["note"] = "over the isomorphism cap; invariant and spectrum comparison only"
+        over_cap = max(g.n, h.n) > caps["iso"]
+        limit = "isomorphism cap" if over_cap else "time budget of the isomorphism search"
+        payload["note"] = f"over the {limit}; invariant and spectrum comparison only"
         payload["degree_sequences_match"] = sorted(g.degrees) == sorted(h.degrees)
     _emit("iso", payload, config, args.path)
     return 0

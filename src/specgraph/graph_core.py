@@ -97,6 +97,12 @@ class Graph:
         return v in self.adj[u]
 
     @cached_property
+    def _local_counts(self) -> tuple[tuple[int, int, int], ...]:
+        """(degree, triangles, K4s) at each vertex; seeds colour refinement."""
+        return tuple((self.degree(v), triangles_at(self, v), k4_at(self, v))
+                     for v in range(self.n))
+
+    @cached_property
     def is_connected(self) -> bool:
         return len(self._component(0)) == self.n
 
@@ -601,14 +607,19 @@ def remove_edges(g: Graph, drop) -> Graph:
 
 # -- isomorphism -------------------------------------------------------------------
 
-def _refined_colors_joint(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _refined_colors_joint(g: Graph, h: Graph, fixed_g=(),
+                          fixed_h=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """1-WL colour refinement over both graphs with a shared palette, seeded
-    with (degree, triangle, K4) counts; colour ids are assigned by sorted
-    signature so they correspond across the two graphs."""
-    def seed(x: Graph):
-        return [(x.degree(v), triangles_at(x, v), k4_at(x, v)) for v in range(x.n)]
+    with (tag, degree, triangle, K4) counts; colour ids are assigned by sorted
+    signature so they correspond across the two graphs. The tag individualises
+    the fixed vertices: it is i+1 for the i-th fixed vertex and 0 otherwise."""
+    def seed(x: Graph, fixed):
+        tag = [0] * x.n
+        for i, v in enumerate(fixed):
+            tag[v] = i + 1
+        return [(tag[v], *x._local_counts[v]) for v in range(x.n)]
 
-    sig_g, sig_h = seed(g), seed(h)
+    sig_g, sig_h = seed(g, fixed_g), seed(h, fixed_h)
     cur_g = cur_h = None
     for _ in range(g.n + 1):
         palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
@@ -622,19 +633,18 @@ def _refined_colors_joint(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[in
     return tuple(cur_g), tuple(cur_h)
 
 
-def _iso_search(g: Graph, h: Graph, count_all: bool = False):
-    """Backtracking isomorphism search; returns (count, first_mapping)."""
-    cg, ch = _refined_colors_joint(g, h)
+def _iso_search(g: Graph, h: Graph, deadline: _Deadline, fixed_g=(), fixed_h=()):
+    """Backtracking search for one isomorphism g -> h that sends fixed_g[i] to
+    fixed_h[i]; returns it as a list, or None when there is none."""
+    cg, ch = _refined_colors_joint(g, h, fixed_g, fixed_h)
     if sorted(cg) != sorted(ch):
-        return 0, None
+        return None
     by_color: dict[int, list[int]] = {}
     for v in range(h.n):
         by_color.setdefault(ch[v], []).append(v)
 
     mapping = [-1] * g.n
     used = [False] * h.n
-    found = [0]
-    first: list = [None]
 
     order: list[int] = []
     placed = set()
@@ -647,11 +657,9 @@ def _iso_search(g: Graph, h: Graph, count_all: bool = False):
         placed.add(v)
 
     def rec(pos: int) -> bool:
+        deadline.check()
         if pos == g.n:
-            found[0] += 1
-            if first[0] is None:
-                first[0] = list(mapping)
-            return not count_all
+            return True
         v = order[pos]
         for w in by_color.get(cg[v], ()):
             if used[w]:
@@ -678,11 +686,10 @@ def _iso_search(g: Graph, h: Graph, count_all: bool = False):
             used[w] = False
         return False
 
-    rec(0)
-    return found[0], first[0]
+    return mapping if rec(0) else None
 
 
-def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
+def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP, budget: float = EXACT_BUDGET_SECONDS):
     """(decision, mapping). The mapping sends g-vertices to h-vertices."""
     if g.n > cap or h.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
@@ -690,15 +697,57 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
         return False, None
     if sorted(g.degrees) != sorted(h.degrees):
         return False, None
-    count, mapping = _iso_search(g, h, count_all=False)
-    return (count > 0), mapping
+    mapping = _iso_search(g, h, _Deadline(budget))
+    return mapping is not None, mapping
 
 
-def automorphism_count(g: Graph, cap: int = ISO_CAP) -> int:
+def automorphism_count(g: Graph, cap: int = ISO_CAP, budget: float = EXACT_BUDGET_SECONDS) -> int:
+    """|Aut(g)| by orbit-stabiliser down a base b_1, b_2, ...: the product of
+    the orbit lengths of b_i under the stabiliser of b_1..b_{i-1}.
+
+    With the base individualised, b_i is the least vertex of the smallest
+    non-singleton refined cell; the base is complete once the colouring is
+    discrete. A cell member w is in b_i's orbit iff a search finds an
+    automorphism extending base + [b_i] -> base + [w]. Each one found joins the
+    orbits of the points it moves (union-find), so a member joined to b_i needs
+    no search, and one joined to a member that failed is skipped.
+    """
     if g.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
-    count, _ = _iso_search(g, g, count_all=True)
-    return count
+    deadline = _Deadline(budget)
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    base: list[int] = []
+    order = 1
+    while True:
+        colors, _ = _refined_colors_joint(g, g, base, base)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        cell = min((c for c in cells.values() if len(c) > 1), key=len, default=None)
+        if cell is None:
+            return order
+        parent[:] = range(g.n)
+        v = cell[0]
+        failed: list[int] = []
+        for w in cell[1:]:
+            root = find(w)
+            if root == find(v) or any(find(u) == root for u in failed):
+                continue
+            perm = _iso_search(g, g, deadline, base + [v], base + [w])
+            if perm is None:
+                failed.append(w)
+                continue
+            for x, y in enumerate(perm):
+                parent[find(x)] = find(y)
+        order *= sum(1 for w in cell if find(w) == find(v))
+        base.append(v)
 
 
 # -- friendship and universality ------------------------------------------------

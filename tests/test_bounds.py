@@ -64,14 +64,24 @@ def test_audit_tree_records():
     assert record(rep, "tree_lambda2_pendant").status == "pass"
 
 
-@pytest.mark.parametrize("edges,n", [([(0, 1), (2, 3)], 4), ([(0, 1)], 4), ([], 3)],
-                         ids=["2K2", "K2+2K1", "3K1"])
-def test_audit_skips_hypotheses_of_disconnected_and_edgeless_graphs(edges, n):
+CONNECTED_ONLY = {"alpha_max_regular_iff", "lambda_max_2d_iff", "brooks"}
+TREE_DEGREE_TWO = {"tree_alpha_max", "tree_lambda_max"}
+TWO_VERTICES = {"alon_milman", "dodziuk", "mohar_beta", "iso_diameter", "tree_lambda2_pendant"}
+
+
+@pytest.mark.parametrize("edges,n,skips", [
+    ([(0, 1), (2, 3)], 4, CONNECTED_ONLY),
+    ([(0, 1)], 4, CONNECTED_ONLY),
+    ([], 3, CONNECTED_ONLY),
+    ([(0, 1)], 2, TREE_DEGREE_TWO),
+    ([], 1, TREE_DEGREE_TWO | TWO_VERTICES),
+], ids=["2K2", "K2+2K1", "3K1", "K2", "K1"])
+def test_audit_skips_hypotheses_of_disconnected_and_edgeless_graphs(edges, n, skips):
     g = gc.Graph(n, edges)
     rep = audit(g)
     assert rep.failed == []
     skipped = {r.name for r in rep.skipped}
-    assert {"alpha_max_regular_iff", "lambda_max_2d_iff", "brooks"} <= skipped
+    assert skips <= skipped
     assert ("hoffman_chromatic" in skipped) == (not edges)
 
 

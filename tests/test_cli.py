@@ -124,6 +124,16 @@ def test_iso_undecided_over_cap(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "undecided"
     assert doc["isospectral"] is True
+    assert doc["note"].startswith("over the isomorphism cap;")
+
+
+def test_iso_undecided_over_budget(capsys, monkeypatch):
+    search = gc.is_isomorphic
+    monkeypatch.setattr(gc, "is_isomorphic", lambda g, h, cap: search(g, h, cap, budget=0))
+    code, out = run(capsys, "iso", "heawood", "bi_paley:7")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "undecided"
+    assert doc["note"].startswith("over the time budget of the isomorphism search;")
 
 
 def test_verify_subset(capsys):

@@ -14,6 +14,7 @@ from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph.errors import CapExceeded, Disconnected, IndexOutOfRange, LoopEdge
+from specgraph.graph_core import Graph, k4_at, triangles_at
 
 
 def test_edge_list_round_trip():
@@ -328,9 +329,158 @@ def test_isomorphic_rejects_degree_mismatch():
 
 
 def test_automorphism_counts():
-    assert gc.automorphism_count(gf.frucht()) == 1
-    assert gc.automorphism_count(gf.complete(4)) == 24
-    assert gc.automorphism_count(gf.cycle(5)) == 10
+    """Orders from the literature; K_12 is far past what enumeration reaches."""
+    for g, order in [
+        (gf.frucht(), 1), (gf.complete(4), 24), (gf.cycle(5), 10),
+        (gf.complete(12), 479001600), (gf.petersen(), 120), (gf.heawood(), 336),
+        (gf.tutte_coxeter(), 1440), (gf.incidence(3, 3), 11232), (gf.cube(5), 3840),
+        (gf.paley(29), 406), (gf.andrasfai(8), 46), (gf.complete_bipartite(3, 4), 144),
+        (gc.Graph(3, []), 6),
+    ]:
+        assert gc.automorphism_count(g) == order, g
+
+
+# The enumerating search that orbit-stabiliser counting replaced, kept as the
+# oracle for automorphism counts and for is_isomorphic's first mapping.
+
+def _refined_colors_joint(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """1-WL colour refinement over both graphs with a shared palette, seeded
+    with (degree, triangle, K4) counts; colour ids are assigned by sorted
+    signature so they correspond across the two graphs."""
+    def seed(x: Graph):
+        return [(x.degree(v), triangles_at(x, v), k4_at(x, v)) for v in range(x.n)]
+
+    sig_g, sig_h = seed(g), seed(h)
+    cur_g = cur_h = None
+    for _ in range(g.n + 1):
+        palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
+        nxt_g = [palette[s] for s in sig_g]
+        nxt_h = [palette[s] for s in sig_h]
+        if nxt_g == cur_g and nxt_h == cur_h:
+            break
+        cur_g, cur_h = nxt_g, nxt_h
+        sig_g = [(cur_g[v], tuple(sorted(cur_g[w] for w in g.adj[v]))) for v in range(g.n)]
+        sig_h = [(cur_h[v], tuple(sorted(cur_h[w] for w in h.adj[v]))) for v in range(h.n)]
+    return tuple(cur_g), tuple(cur_h)
+
+
+def _iso_search(g: Graph, h: Graph, count_all: bool = False):
+    """Backtracking isomorphism search; returns (count, first_mapping)."""
+    cg, ch = _refined_colors_joint(g, h)
+    if sorted(cg) != sorted(ch):
+        return 0, None
+    by_color: dict[int, list[int]] = {}
+    for v in range(h.n):
+        by_color.setdefault(ch[v], []).append(v)
+
+    mapping = [-1] * g.n
+    used = [False] * h.n
+    found = [0]
+    first: list = [None]
+
+    order: list[int] = []
+    placed = set()
+    while len(order) < g.n:
+        v = max(
+            (u for u in range(g.n) if u not in placed),
+            key=lambda u: (sum(1 for w in g.adj[u] if w in placed), g.degree(u), -u),
+        )
+        order.append(v)
+        placed.add(v)
+
+    def rec(pos: int) -> bool:
+        if pos == g.n:
+            found[0] += 1
+            if first[0] is None:
+                first[0] = list(mapping)
+            return not count_all
+        v = order[pos]
+        for w in by_color.get(cg[v], ()):
+            if used[w]:
+                continue
+            ok = True
+            for u in g.adj[v]:
+                mu = mapping[u]
+                if mu >= 0 and not h.has_edge(w, mu):
+                    ok = False
+                    break
+            if ok:
+                for u in range(g.n):
+                    mu = mapping[u]
+                    if mu >= 0 and u not in g.adj[v] and h.has_edge(w, mu):
+                        ok = False
+                        break
+            if not ok:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if rec(pos + 1):
+                return True
+            mapping[v] = -1
+            used[w] = False
+        return False
+
+    rec(0)
+    return found[0], first[0]
+
+
+def test_automorphism_count_matches_enumeration_on_corpus():
+    checked = 0
+    for cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+        if g.n <= 24:
+            assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0], cid
+            checked += 1
+    assert checked == 45
+
+
+@st.composite
+def any_graphs(draw, max_n):
+    """Each pair an edge with a drawn density: disconnected and edgeless too."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.integers(0, 10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    return gc.Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+def _cycles(*lengths):
+    """Disjoint union of cycles: refinement cannot tell their vertices apart."""
+    starts = list(itertools.accumulate(lengths, initial=0))
+    return gc.Graph(starts[-1], [(s + i, s + (i + 1) % k)
+                                 for s, k in zip(starts, lengths) for i in range(k)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(any_graphs(8))
+@example(gc.Graph(8, []))
+@example(gc.Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+@example(_cycles(4, 4, 8))
+@example(_cycles(5, 10))
+def test_automorphism_count_matches_enumeration(g):
+    """The unions of cycles have refined cells that are not orbits."""
+    assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0]
+
+
+def test_is_isomorphic_matches_enumeration():
+    """Seeded relabellings of the corpus, and unions of cycles that refinement
+    leaves one colour class each, so that backtracking must refute them."""
+    rnd = random.Random(5)
+    pairs = [(_cycles(8), _cycles(4, 4)), (_cycles(5, 5), _cycles(10))]
+    for _cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+        if g.n <= 32:
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            pairs.append((g, g.relabel(perm)))
+    assert len(pairs) == 52
+    for g, h in pairs:
+        count, first = _iso_search(g, h)
+        assert gc.is_isomorphic(g, h) == (count > 0, first), g
+
+
+def test_isomorphism_search_honours_budget():
+    with pytest.raises(CapExceeded):
+        gc.is_isomorphic(gf.cube(4), gf.cube(4), budget=0)
+    with pytest.raises(CapExceeded):
+        gc.automorphism_count(gf.cube(4), budget=0)
 
 
 # -- friendship and universality ------------------------------------------------
