@@ -32,6 +32,7 @@ from .spectra import (
     eig_symmetric,
     graph_spectra,
     laplacian_matrix,
+    spectrum,
 )
 
 REL_TOL = 1e-7
@@ -169,7 +170,7 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     # isoperimetric
     if beta is None or n < 2:
         for name in ("alon_milman", "dodziuk", "mohar_beta", "iso_diameter"):
-            rec(_skip(name, "isoperimetric constant capped" if beta is None else TWO_VERTICES))
+            rec(_skip(name, TWO_VERTICES if n < 2 else "isoperimetric constant capped"))
     else:
         b = float(beta)
         rec(_ge("alon_milman", b, lam2 / 2, {"beta": str(beta), "lambda2": lam2}))
@@ -408,7 +409,7 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
         raise InvalidOperation("path length must be >= 1")
     S, T, ell = query.S, query.T, query.ell
     if adj is None:
-        adj = eig_symmetric(adjacency_matrix(g))
+        adj = spectrum(g)
     d = g.max_degree
     count = (edge_count_between(g, S, T) if ell == 1
              else path_count_between(g, S, T, ell))
@@ -536,7 +537,7 @@ def perturbation_checks(g: Graph, operation: str, arg) -> dict:
         sub = Graph(n, edges)
         h = remove_edges(g, edges)
         adj2, lap2 = graph_spectra(h)
-        sub_spec = eig_symmetric(adjacency_matrix(sub))
+        sub_spec = spectrum(sub)
         a2 = adj2.expanded()
         l2 = lap2.ascending()
         for k in range(n):
@@ -557,8 +558,8 @@ def compare_to_cycle(g: Graph) -> list[int]:
     alpha_k(g) - 1 <= alpha_k(C_n) <= alpha_k(g) + 1 fails."""
     from .graph_families import cycle
 
-    adj_g = eig_symmetric(adjacency_matrix(g)).expanded()
-    adj_c = eig_symmetric(adjacency_matrix(cycle(g.n))).expanded()
+    adj_g = spectrum(g).expanded()
+    adj_c = spectrum(cycle(g.n)).expanded()
     bad = []
     for k in range(g.n):
         lo, hi = adj_g[k] - 1, adj_g[k] + 1

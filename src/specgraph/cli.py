@@ -1,7 +1,6 @@
 """Batch command-line front end: generation, spectra, character tables,
 bound audits, corpus verification, and isomorphism comparison, all emitting
-schema-validated JSON with the seed and configuration echoed for
-reproducibility.
+strict JSON with the seed and configuration echoed for reproducibility.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import json
 import math
 import os
 import sys
-
-import jsonschema
 
 from . import __version__
 from . import bounds as bd
@@ -27,73 +24,10 @@ from .errors import BadParameters, CapExceeded, Mismatch, NoClosedForm, Specgrap
 DEFAULT_CAPS = {"chi": gc.CHI_CAP, "beta": gc.BETA_CAP, "iso": gc.ISO_CAP}
 DEFAULT_SEED = 20150901
 
-_RECORD_SCHEMA = {
-    "type": "object",
-    "required": ["name", "status"],
-    "properties": {
-        "name": {"type": "string"},
-        "status": {"enum": ["pass", "fail", "skipped"]},
-    },
-}
-
-SCHEMAS = {
-    "graph": {
-        "type": "object",
-        "required": ["version", "config", "n", "edges"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "edges": {"type": "array", "items": {"type": "array",
-                                                 "items": {"type": "integer"}}},
-        },
-    },
-    "spectrum": {
-        "type": "object",
-        "required": ["version", "config", "spectrum"],
-        "properties": {
-            "spectrum": {
-                "type": "object",
-                "required": ["kind", "entries"],
-                "properties": {"entries": {"type": "array"}},
-            },
-        },
-    },
-    "chars": {
-        "type": "object",
-        "required": ["version", "config", "rows"],
-        "properties": {
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["field", "sum_type", "indices", "re", "im",
-                                 "magnitude", "bound", "pass"],
-                },
-            },
-        },
-    },
-    "audit": {
-        "type": "object",
-        "required": ["version", "config", "audit"],
-        "properties": {"audit": {"type": "object",
-                                 "properties": {"records": {"type": "array",
-                                                            "items": _RECORD_SCHEMA}}}},
-    },
-    "verify": {
-        "type": "object",
-        "required": ["version", "config", "graphs", "summary"],
-    },
-    "iso": {
-        "type": "object",
-        "required": ["version", "config", "verdict"],
-    },
-}
-
-
-def _emit(kind: str, payload: dict, config: dict, path: str | None) -> None:
+def _emit(payload: dict, config: dict, path: str | None) -> None:
     doc = {"version": __version__, "config": config}
     doc.update(payload)
-    jsonschema.validate(doc, SCHEMAS[kind])
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -149,7 +83,7 @@ def cmd_gen(args) -> int:
         else:
             sys.stdout.write(text)
     else:
-        _emit("graph", gc.to_json_dict(g), config, args.path)
+        _emit(gc.to_json_dict(g), config, args.path)
     return 0
 
 
@@ -157,8 +91,7 @@ def cmd_spec(args) -> int:
     g = load_graph_source(args.source, *args.params)
     config = {"command": "spec", "source": args.source, "params": list(args.params),
               "kind": args.kind, "seed": args.seed}
-    matrix = sp.adjacency_matrix(g) if args.kind == "adjacency" else sp.laplacian_matrix(g)
-    spectrum = sp.eig_symmetric(matrix, args.kind)
+    spectrum = sp.spectrum(g, args.kind)
     payload: dict = {"graph": {"n": g.n, "edges": g.edge_count, "name": g.name},
                      "spectrum": spectrum.to_json()}
     if args.closed_form:
@@ -169,14 +102,14 @@ def cmd_spec(args) -> int:
                 if not g.is_regular:
                     raise NoClosedForm("laplacian closed form needs a regular family")
                 cf = cf.laplacian_for_regular(g.max_degree)
-            result = sp.verify_closed_form(g, cf)
+            result = sp.verify_closed_form(spectrum, cf, name=g.name)
             payload["closed_form"] = {"entries": cf.to_json()["entries"],
                                       "match": result}
         except NoClosedForm as exc:
             payload["closed_form"] = {"error": str(exc)}
         except Mismatch as exc:
             payload["closed_form"] = {"mismatch": str(exc)}
-    _emit("spectrum", payload, config, args.path)
+    _emit(payload, config, args.path)
     return 0
 
 
@@ -254,14 +187,14 @@ def _char_rows(q: int, ext: int | None) -> list[dict]:
 def cmd_chars(args) -> int:
     config = {"command": "chars", "q": args.q, "ext": args.ext, "seed": args.seed}
     rows = _char_rows(args.q, args.ext)
-    _emit("chars", {"rows": rows}, config, args.path)
+    _emit({"rows": rows}, config, args.path)
     return 0 if all(r["pass"] for r in rows) else 1
 
 
-def _audit_graph(g: gc.Graph, caps: dict, seed: int) -> bd.AuditReport:
+def _audit_graph(g: gc.Graph, caps: dict, seed: int, spectra) -> bd.AuditReport:
+    """Audit g against its (adjacency, laplacian) spectra."""
     inv = gc.invariant_report(g, chi_cap=caps["chi"], beta_cap=caps["beta"])
-    adj, lap = sp.graph_spectra(g)
-    return bd.audit_bounds(g, inv, adj, lap, seed=seed)
+    return bd.audit_bounds(g, inv, *spectra, seed=seed)
 
 
 def cmd_audit(args) -> int:
@@ -269,8 +202,8 @@ def cmd_audit(args) -> int:
     caps = _parse_caps(args.caps)
     config = {"command": "audit", "source": args.source, "params": list(args.params),
               "seed": args.seed, "caps": caps}
-    report = _audit_graph(g, caps, args.seed)
-    _emit("audit", {"audit": report.to_json()}, config, args.path)
+    report = _audit_graph(g, caps, args.seed, sp.graph_spectra(g))
+    _emit({"audit": report.to_json()}, config, args.path)
     return 0 if report.ok else 1
 
 
@@ -288,7 +221,8 @@ def cmd_verify(args) -> int:
             for params in instances:
                 g = gfam.build(family, *params)
                 try:
-                    result = sp.verify_closed_form(g, sp.closed_form_spectrum(family, *params))
+                    cf = sp.closed_form_spectrum(family, *params)
+                    result = sp.verify_closed_form(sp.spectrum(g), cf, name=g.name)
                     closed_forms.append({"family": family, "params": list(params),
                                          "ok": result["ok"]})
                 except Mismatch as exc:
@@ -297,14 +231,15 @@ def cmd_verify(args) -> int:
                     total_fail += 1
     for cid, family, params, has_cf, g in corpus_mod.build_corpus(ids):
         entry: dict = {"id": cid, "n": g.n, "edges": g.edge_count}
+        spectra = sp.graph_spectra(g)  # (adjacency, laplacian), shared with the audit
         if has_cf:
             try:
                 cf = sp.closed_form_spectrum(family, *params)
-                entry["closed_form"] = sp.verify_closed_form(g, cf)
+                entry["closed_form"] = sp.verify_closed_form(spectra[0], cf, name=g.name)
             except Mismatch as exc:
                 entry["closed_form"] = {"ok": False, "error": str(exc)}
                 total_fail += 1
-        report = _audit_graph(g, caps, args.seed)
+        report = _audit_graph(g, caps, args.seed, spectra)
         entry["audit"] = {"passed": len(report.records) - len(report.failed) - len(report.skipped),
                           "failed": [r.name for r in report.failed],
                           "skipped": [r.name for r in report.skipped]}
@@ -314,7 +249,7 @@ def cmd_verify(args) -> int:
     payload = {"graphs": graphs, "summary": summary}
     if closed_forms:
         payload["closed_forms"] = closed_forms
-    _emit("verify", payload, config, args.path)
+    _emit(payload, config, args.path)
     return 0 if total_fail == 0 else 1
 
 
@@ -326,8 +261,8 @@ def cmd_iso(args) -> int:
               "seed": args.seed, "caps": caps}
     payload: dict = {"first": {"n": g.n, "edges": g.edge_count},
                      "second": {"n": h.n, "edges": h.edge_count}}
-    adj_g = sp.eig_symmetric(sp.adjacency_matrix(g))
-    adj_h = sp.eig_symmetric(sp.adjacency_matrix(h))
+    adj_g = sp.spectrum(g)
+    adj_h = sp.spectrum(h)
     isospectral = (g.n == h.n and len(adj_g.entries) == len(adj_h.entries) and all(
         abs(a - b) <= 1e-7 and ma == mb
         for (a, ma), (b, mb) in zip(adj_g.entries, adj_h.entries)))
@@ -345,7 +280,7 @@ def cmd_iso(args) -> int:
         limit = "isomorphism cap" if over_cap else "time budget of the isomorphism search"
         payload["note"] = f"over the {limit}; invariant and spectrum comparison only"
         payload["degree_sequences_match"] = sorted(g.degrees) == sorted(h.degrees)
-    _emit("iso", payload, config, args.path)
+    _emit(payload, config, args.path)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import (
@@ -180,6 +180,12 @@ class FieldSpec:
         """Image of the integer n under Z -> GF(p^d) (constant polynomial)."""
         return FieldElement(self, n % self.p)
 
+    @cached_property
+    def tables(self):
+        """(exp, log) tables of the field, built on first use; see _tables.
+        Held on the spec, so that a table read costs no hash of the spec."""
+        return _tables(self)
+
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -199,7 +205,7 @@ class FieldSpec:
     def generator(self) -> "FieldElement":
         """Canonical generator of the multiplicative group: the element of
         smallest index with order q - 1."""
-        exp, _ = _tables(self)
+        exp, _ = self.tables
         return FieldElement(self, exp[1 % len(exp)])  # in GF(2), exp is [1]
 
     def to_json(self) -> dict:
@@ -239,7 +245,7 @@ class FieldElement:
         self._check(other)
         if not self.index or not other.index:
             return FieldElement(self.spec, 0)
-        exp, log = _tables(self.spec)
+        exp, log = self.spec.tables
         return FieldElement(self.spec, exp[(log[self.index] + log[other.index]) % len(exp)])
 
     def inverse(self) -> "FieldElement":
@@ -253,14 +259,14 @@ class FieldElement:
             if e < 0:
                 raise DivisionByZero("zero has no multiplicative inverse")
             return FieldElement(self.spec, 0 if e else 1)
-        exp, log = _tables(self.spec)
+        exp, log = self.spec.tables
         return FieldElement(self.spec, exp[log[self.index] * e % len(exp)])
 
     def log(self) -> int:
         """Discrete logarithm base the canonical generator, in [0, q - 1)."""
         if not self.index:
             raise DivisionByZero("zero has no discrete logarithm")
-        return _tables(self.spec)[1][self.index]
+        return self.spec.tables[1][self.index]
 
     def multiplicative_order(self) -> int:
         n = self.spec.q - 1
@@ -294,7 +300,6 @@ def evaluate(coeffs, x: FieldElement) -> FieldElement:
     return acc
 
 
-@lru_cache(maxsize=None)
 def _tables(spec: FieldSpec):
     """(exp, log) base the canonical generator g: exp[j] is the index of g^j
     and log[exp[j]] = j (log[0] is unused).

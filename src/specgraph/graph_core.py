@@ -464,7 +464,12 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP, budget: float = EXACT_
     |S|, compares ratios by integer cross-multiplication and breaks ties by
     Gray rank, so the witness is the subset a one-vertex-at-a-time Gray sweep
     keeps. The time budget is checked once per high subset.
+
+    On one vertex no S has 0 < |S| <= n/2, so beta is undefined there and the
+    call raises BadParameters.
     """
+    if g.n < 2:
+        raise BadParameters("isoperimetric constant needs at least two vertices")
     if not g.is_connected:
         raise Disconnected("isoperimetric constant needs a connected graph")
     if g.n > cap:
@@ -882,7 +887,10 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP,
     chi = guarded("chromatic", lambda: chromatic_number(g, cap=chi_cap, budget=budget))
     iota = guarded("independence", lambda: independence_number(g, cap=chi_cap, budget=budget))
     omega = guarded("clique", lambda: clique_number(g, cap=chi_cap, budget=budget))
-    if g.is_connected:
+    if g.n < 2:
+        beta_pair = None
+        skipped.append("isoperimetric (one vertex)")
+    elif g.is_connected:
         beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap,
                                                                        budget=budget))
     else:

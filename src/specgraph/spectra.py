@@ -10,6 +10,7 @@ stay independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,14 +30,18 @@ COMPARE_TOL = 1e-7
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=rows.size)
+    a[rows, cols] = 1.0
     return a
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
+    # 0 - a in place rather than -a, so that the zero entries stay +0.0
+    np.subtract(0.0, a, out=a)
+    np.fill_diagonal(a, g.degrees)
+    return a
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -134,10 +139,14 @@ def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
     return Spectrum(_cluster(values, tol), kind, tol)
 
 
+def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
+    """The clustered spectrum of g's adjacency or laplacian matrix."""
+    matrix = adjacency_matrix(g) if kind == "adjacency" else laplacian_matrix(g)
+    return eig_symmetric(matrix, kind)
+
+
 def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
-    a = adjacency_matrix(g)
-    return (eig_symmetric(a, "adjacency"),
-            eig_symmetric(np.diag(a.sum(axis=1)) - a, "laplacian"))
+    return spectrum(g, "adjacency"), spectrum(g, "laplacian")
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -491,24 +500,26 @@ def closed_form_for_graph(g: Graph) -> ClosedForm:
 
 # -- verification ------------------------------------------------------------------
 
-def verify_closed_form(g: Graph, cf: ClosedForm, tol: float = COMPARE_TOL) -> dict:
-    """Check the numeric spectrum against a closed form, value-by-value within
-    tol and multiplicity-exactly.  Raises Mismatch at the first divergence."""
-    if cf.n != g.n:
-        raise Mismatch(f"closed form has {cf.n} eigenvalues, graph has {g.n} vertices")
-    matrix = adjacency_matrix(g) if cf.matrix_kind == "adjacency" else laplacian_matrix(g)
-    numeric = eig_symmetric(matrix, cf.matrix_kind)
+def verify_closed_form(numeric: Spectrum, cf: ClosedForm, tol: float = COMPARE_TOL,
+                       name: str = "") -> dict:
+    """Check a numeric spectrum of the graph called name against a closed
+    form, value-by-value within tol and multiplicity-exactly.  Raises Mismatch
+    at the first divergence."""
+    if cf.matrix_kind != numeric.matrix_kind:
+        raise Mismatch(f"{name}: {cf.matrix_kind} closed form vs {numeric.matrix_kind} spectrum")
+    if cf.n != numeric.n:
+        raise Mismatch(f"closed form has {cf.n} eigenvalues, graph has {numeric.n} vertices")
     expected = cf.value_mults()
     got = numeric.entries
     if len(expected) != len(got):
         raise Mismatch(
-            f"{g.name}: {len(expected)} distinct closed-form values vs {len(got)} numeric clusters")
+            f"{name}: {len(expected)} distinct closed-form values vs {len(got)} numeric clusters")
     max_err = 0.0
     for (ev, em), (nv, nm) in zip(expected, got):
         if abs(ev - nv) > tol:
-            raise Mismatch(f"{g.name}: eigenvalue {ev} vs numeric {nv}")
+            raise Mismatch(f"{name}: eigenvalue {ev} vs numeric {nv}")
         if em != nm:
-            raise Mismatch(f"{g.name}: multiplicity of {ev}: closed form {em}, numeric {nm}")
+            raise Mismatch(f"{name}: multiplicity of {ev}: closed form {em}, numeric {nm}")
         max_err = max(max_err, abs(ev - nv))
     return {"ok": True, "max_error": max_err, "clusters": len(got)}
 

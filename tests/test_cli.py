@@ -2,18 +2,146 @@
 
 import json
 
+import jsonschema
 import pytest
 
+from specgraph import bounds as bd
 from specgraph import cli
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
+from specgraph import spectra as sp
+
+_RECORD_SCHEMA = {
+    "type": "object",
+    "required": ["name", "status"],
+    "properties": {
+        "name": {"type": "string"},
+        "status": {"enum": ["pass", "fail", "skipped"]},
+    },
+}
+
+# The shape of each command's JSON report, by command name.
+SCHEMAS = {
+    "gen": {
+        "type": "object",
+        "required": ["version", "config", "n", "edges"],
+        "properties": {
+            "n": {"type": "integer", "minimum": 1},
+            "edges": {"type": "array", "items": {"type": "array",
+                                                 "items": {"type": "integer"}}},
+        },
+    },
+    "spec": {
+        "type": "object",
+        "required": ["version", "config", "spectrum"],
+        "properties": {
+            "spectrum": {
+                "type": "object",
+                "required": ["kind", "entries"],
+                "properties": {"entries": {"type": "array"}},
+            },
+        },
+    },
+    "chars": {
+        "type": "object",
+        "required": ["version", "config", "rows"],
+        "properties": {
+            "rows": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["field", "sum_type", "indices", "re", "im",
+                                 "magnitude", "bound", "pass"],
+                },
+            },
+        },
+    },
+    "audit": {
+        "type": "object",
+        "required": ["version", "config", "audit"],
+        "properties": {"audit": {"type": "object",
+                                 "properties": {"records": {"type": "array",
+                                                            "items": _RECORD_SCHEMA}}}},
+    },
+    "verify": {
+        "type": "object",
+        "required": ["version", "config", "graphs", "summary"],
+    },
+    "iso": {
+        "type": "object",
+        "required": ["version", "config", "verdict"],
+    },
+}
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_json(text: str):
+    """Parse a report, refusing the NaN and Infinity tokens strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "5", "--out", "json"],
+    ["spec", "petersen"],
+    ["spec", "paley:13", "--closed-form"],
+    ["spec", "cube:4", "--kind", "laplacian", "--closed-form"],
+    ["chars", "5"],
+    ["chars", "3", "--ext", "2"],
+    ["audit", "petersen"],
+    ["verify"],
+    ["iso", "heawood", "bi_paley:7"],
+], ids=lambda argv: "_".join(argv))
+def test_report_matches_its_schema(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    jsonschema.validate(strict_json(out), SCHEMAS[argv[0]])
+
+
+def test_emit_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        cli._emit({"value": float("nan")}, {}, None)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["audit", "sum_product:4"]],
+                         ids=["verify", "audit_sum_product_4"])
+def test_report_bytes_repeat(argv, capsys):
+    _, first = run(capsys, *argv)
+    _, second = run(capsys, *argv)
+    assert first == second
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["spec", "paley:29", "--closed-form"], 1),
+    (["spec", "cube:4", "--kind", "laplacian", "--closed-form"], 1),
+    (["verify", "--families", "petersen"], 2),
+], ids=["spec_paley_29", "spec_cube_4_laplacian", "verify_one_graph"])
+def test_each_matrix_is_solved_once(argv, calls, capsys, monkeypatch):
+    """The closed-form check and the audit reuse the spectra already solved."""
+    solve = sp.eig_symmetric
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[1:])
+        return solve(*args, **kwargs)
+
+    for module in (sp, bd):
+        monkeypatch.setattr(module, "eig_symmetric", counted)
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(seen) == calls, seen
+    doc = json.loads(out)
+    if "--closed-form" in argv:
+        assert doc["closed_form"]["match"]["ok"]
+    else:
+        assert doc["graphs"][0]["closed_form"]["ok"]
 
 
 def test_gen_edge_list(capsys):

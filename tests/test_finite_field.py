@@ -148,6 +148,20 @@ def test_table_arithmetic_matches_polynomials(q):
             assert (a**-e).index == of(ff._poly_powmod(polys[inverse[a.index]], e, m, p))
 
 
+def test_table_reads_do_not_hash_the_spec(monkeypatch):
+    """The tables live on the spec, so arithmetic never hashes it."""
+    spec = GF(7, 2)
+    a, b = spec.element(10), spec.element(23)
+    hashes = []
+    monkeypatch.setattr(ff.FieldSpec, "__hash__", lambda self: hashes.append(self) or 0)
+    for _ in range(10):
+        a = a * b
+        a = a ** 3
+        assert a.log() < spec.q - 1
+    assert spec.generator().multiplicative_order() == spec.q - 1
+    assert hashes == []
+
+
 # -- Frobenius, trace, norm ---------------------------------------------------
 
 def test_frobenius_fixes_embedded_base_gf4():

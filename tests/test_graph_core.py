@@ -13,7 +13,13 @@ from specgraph import corpus as corpus_mod
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
-from specgraph.errors import CapExceeded, Disconnected, IndexOutOfRange, LoopEdge
+from specgraph.errors import (
+    BadParameters,
+    CapExceeded,
+    Disconnected,
+    IndexOutOfRange,
+    LoopEdge,
+)
 from specgraph.graph_core import Graph, k4_at, triangles_at
 
 
@@ -195,8 +201,9 @@ def test_beta_matches_gray_sweep_on_corpus():
 
 @st.composite
 def connected_graphs(draw, max_n):
-    """A random spanning tree plus each other pair with a drawn density."""
-    n = draw(st.integers(1, max_n))
+    """A random spanning tree plus each other pair with a drawn density; at
+    least two vertices, as beta is undefined on one."""
+    n = draw(st.integers(2, max_n))
     density = draw(st.integers(0, 10)) / 10
     rng = draw(st.randoms(use_true_random=False))
     tree = [(rng.randrange(v), v) for v in range(1, n)]
@@ -244,6 +251,16 @@ def test_beta_honours_budget():
     with pytest.raises(CapExceeded):
         gc.isoperimetric_constant(gf.cube(4), budget=0)
     assert "isoperimetric" in gc.invariant_report(gf.cube(4), budget=0).skipped
+
+
+def test_beta_refused_on_one_vertex():
+    """No S has 0 < |S| <= n/2 on one vertex, so beta is undefined there."""
+    k1 = Graph(1, [])
+    with pytest.raises(BadParameters):
+        gc.isoperimetric_constant(k1)
+    data = gc.invariant_report(k1).to_json()
+    assert data["isoperimetric"] is None and data["isoperimetric_witness"] is None
+    assert data["skipped"] == ["isoperimetric (one vertex)"]
 
 
 # -- structure operations ---------------------------------------------------------

@@ -1,11 +1,15 @@
 """Eigensolver contracts, closed-form spectra, classifiers and feasibility,
 plus the spectral invariants over a sub-corpus."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import spectra as sp
@@ -22,6 +26,47 @@ def test_matrices_sum_to_degree_diagonal():
     g = gf.paley(13)
     a, lap = sp.adjacency_matrix(g), sp.laplacian_matrix(g)
     assert np.array_equal(a + lap, np.diag([g.degree(v) for v in range(g.n)]))
+
+
+def _edge_loop_adjacency(g):
+    """The per-edge builder the fancy-indexed one replaced, kept as its oracle."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def _assert_matrices_match_edge_loop(g):
+    a = _edge_loop_adjacency(g)
+    lap = np.diag(a.sum(axis=1)) - a
+    for new, old in [(sp.adjacency_matrix(g), a), (sp.laplacian_matrix(g), lap)]:
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        # signed zeros too: the eigensolver sees the very same bits
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def test_matrices_match_edge_loop_on_corpus():
+    for _cid, _family, _params, _cf, g in corpus_mod.build_corpus():
+        _assert_matrices_match_edge_loop(g)
+
+
+@st.composite
+def any_graphs(draw, max_n):
+    """Each pair an edge with a drawn density: edgeless, disconnected and
+    complete graphs included."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.integers(0, 10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    return gc.Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(gc.Graph(1, []))
+@example(gc.Graph(5, []))
+@example(gc.Graph(6, [(0, 1), (2, 3), (3, 4)]))
+def test_matrices_match_edge_loop_on_random_graphs(g):
+    _assert_matrices_match_edge_loop(g)
 
 
 def test_k3_matrices():
@@ -145,7 +190,7 @@ def test_q4_binomial_multiplicities():
     cf = sp.closed_form_spectrum("cube", 4)
     assert [(round(v), m) for v, m, _ in cf.entries] == [
         (4, 1), (2, 4), (0, 6), (-2, 4), (-4, 1)]
-    assert sp.verify_closed_form(gf.cube(4), cf)["ok"]
+    assert sp.verify_closed_form(adj_spectrum(gf.cube(4)), cf)["ok"]
 
 
 def test_corrupted_multiplicity_mismatch():
@@ -153,7 +198,7 @@ def test_corrupted_multiplicity_mismatch():
     bad = sp.ClosedForm(cf.family, cf.matrix_kind, tuple(
         (v, (m + 1 if i == 0 else m), lbl) for i, (v, m, lbl) in enumerate(cf.entries)))
     with pytest.raises(Mismatch):
-        sp.verify_closed_form(gf.cube(3), bad)
+        sp.verify_closed_form(adj_spectrum(gf.cube(3)), bad)
 
 
 def test_wrong_value_mismatch():
@@ -161,7 +206,16 @@ def test_wrong_value_mismatch():
     bad = sp.ClosedForm(cf.family, cf.matrix_kind,
                         ((5.0, 1, "n"), (-1.0, 4, "-1")))
     with pytest.raises(Mismatch):
-        sp.verify_closed_form(gf.complete(5), bad)
+        sp.verify_closed_form(adj_spectrum(gf.complete(5)), bad)
+
+
+def test_matrix_kind_mismatch():
+    """An edgeless graph's two spectra agree, so only their kinds differ."""
+    g = gc.Graph(3, [])
+    cf = sp.ClosedForm("edgeless", "laplacian", ((0.0, 3, "0"),))
+    assert sp.verify_closed_form(sp.spectrum(g, "laplacian"), cf)["ok"]
+    with pytest.raises(Mismatch):
+        sp.verify_closed_form(sp.spectrum(g), cf)
 
 
 def test_no_closed_form_for_andrasfai():
@@ -172,7 +226,7 @@ def test_no_closed_form_for_andrasfai():
 def test_laplacian_closed_form_regular():
     g = gf.paley(9)
     cf = sp.closed_form_spectrum("paley", 9).laplacian_for_regular(4)
-    assert sp.verify_closed_form(g, cf)["ok"]
+    assert sp.verify_closed_form(sp.spectrum(g, "laplacian"), cf)["ok"]
 
 
 def test_paley_eigenvalues_via_field_characters():
@@ -217,7 +271,8 @@ def test_cayley_generic_closed_form_from_meta():
         gf.bi_paley(27),
     ]
     for g in graphs:
-        assert sp.verify_closed_form(g, sp.closed_form_for_graph(g))["ok"], g.name
+        cf = sp.closed_form_for_graph(g)
+        assert sp.verify_closed_form(adj_spectrum(g), cf)["ok"], g.name
 
 
 def test_cone_and_complement_laplacian_rules():
@@ -236,14 +291,14 @@ def test_cone_and_complement_laplacian_rules():
         if m > 0:
             entries.append((v + 1, m, lbl))
     cone_cf = sp._form("cone_c6", entries, kind="laplacian")
-    assert sp.verify_closed_form(cone_graph, cone_cf)["ok"]
+    assert sp.verify_closed_form(sp.spectrum(cone_graph, "laplacian"), cone_cf)["ok"]
 
     comp = gc.complement(gf.petersen())
     pet_lap = sp.eig_symmetric(sp.laplacian_matrix(gf.petersen()), "laplacian")
     pet_cf = sp.ClosedForm("petlap", "laplacian",
                            tuple((v, m, "x") for v, m in pet_lap.entries))
     comp_cf = sp.complement_laplacian_closed_form(pet_cf, 10, "pet_complement")
-    assert sp.verify_closed_form(comp, comp_cf)["ok"]
+    assert sp.verify_closed_form(sp.spectrum(comp, "laplacian"), comp_cf)["ok"]
 
 
 def test_product_rule_spectra():
@@ -253,13 +308,13 @@ def test_product_rule_spectra():
         cf_b = sp.ClosedForm("b", "adjacency",
                              tuple((v, m, "x") for v, m in adj_spectrum(b).entries))
         cf = sp.product_closed_form(cf_a, cf_b)
-        assert sp.verify_closed_form(gc.product(a, b), cf)["ok"]
+        assert sp.verify_closed_form(adj_spectrum(gc.product(a, b)), cf)["ok"]
 
 
 def test_double_rule_spectrum():
     pet = gf.petersen()
     cf = sp.double_closed_form(sp.closed_form_spectrum("petersen"))
-    assert sp.verify_closed_form(gc.bipartite_double(pet), cf)["ok"]
+    assert sp.verify_closed_form(adj_spectrum(gc.bipartite_double(pet)), cf)["ok"]
 
 
 def test_partial_design_closed_form_machinery():
