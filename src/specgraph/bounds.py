@@ -170,7 +170,8 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     # isoperimetric
     if beta is None or n < 2:
         for name in ("alon_milman", "dodziuk", "mohar_beta", "iso_diameter"):
-            rec(_skip(name, TWO_VERTICES if n < 2 else "isoperimetric constant capped"))
+            rec(_skip(name, TWO_VERTICES if n < 2 else DISCONNECTED if not connected
+                      else "isoperimetric constant capped"))
     else:
         b = float(beta)
         rec(_ge("alon_milman", b, lam2 / 2, {"beta": str(beta), "lambda2": lam2}))
@@ -445,8 +446,7 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
     }
 
 
-def sum_product_window_check(points_graph: Graph, q: int, window, equation: str,
-                             adj: Spectrum | None = None) -> dict:
+def sum_product_window_check(points_graph: Graph, q: int, window, equation: str) -> dict:
     """Solution count of a + b = cd or ab + cd = 1 inside A x B x C x D,
     via the incidence-graph mixing lemma; checks |N_W - |W|/q| <= sqrt(q |W|).
 

@@ -389,10 +389,6 @@ class SubfieldEmbedding:
             raise SpecMismatch("element not in the base field")
         return evaluate(_coeffs(self.base, a.index), self.image_of_x)
 
-    def in_base_image(self, a: FieldElement) -> bool:
-        """Whether a lies in the embedded copy of the base field."""
-        return frobenius(self, a) == a
-
 
 @lru_cache(maxsize=None)
 def subfield_embedding(big: FieldSpec, base: FieldSpec) -> SubfieldEmbedding:

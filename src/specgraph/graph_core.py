@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -320,7 +320,6 @@ def clique_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_SEC
         raise CapExceeded(f"n = {g.n} over clique cap {cap}")
     deadline = _Deadline(budget)
     masks = g.masks
-    order = sorted(range(g.n), key=lambda v: g.degree(v))
     best = [1 if g.n else 0]
 
     def colour_bound(cand: int) -> int:
@@ -399,24 +398,11 @@ def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_
         return 2
     deadline = _Deadline(budget)
 
-    def greedy_dsatur() -> int:
-        colours = [-1] * g.n
-        for _ in range(g.n):
-            v = max(
-                (u for u in range(g.n) if colours[u] < 0),
-                key=lambda u: (len({colours[w] for w in g.adj[u] if colours[w] >= 0}), g.degree(u)),
-            )
-            used = {colours[w] for w in g.adj[v] if colours[w] >= 0}
-            c = 0
-            while c in used:
-                c += 1
-            colours[v] = c
-        return max(colours) + 1
-
-    lower = clique_number(g, cap=cap, budget=budget)
-    upper = greedy_dsatur()
-
-    def colourable(k: int) -> bool:
+    def colour(k: int) -> int | None:
+        """The number of colours of the first colouring with at most k
+        colours found by DSATUR-ordered backtracking, or None.  With k = n no
+        step ever lacks a colour, so the search never backtracks and gives
+        the greedy DSATUR colouring."""
         colours = [-1] * g.n
 
         def rec(done: int) -> bool:
@@ -438,10 +424,12 @@ def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_
                 colours[v] = -1
             return False
 
-        return rec(0)
+        return max(colours) + 1 if rec(0) else None
 
+    lower = clique_number(g, cap=cap, budget=budget)
+    upper = colour(g.n)
     for k in range(lower, upper):
-        if colourable(k):
+        if colour(k) is not None:
             return k
     return upper
 
@@ -770,12 +758,12 @@ def friendship_check(g: Graph):
 
 @dataclass(frozen=True)
 class _SmallClasses:
-    k: int
     canon_of_code: tuple[int, ...]
     class_codes: tuple[int, ...]
 
 
-def _small_graph_classes(k: int) -> _SmallClasses:
+@cache
+def small_graph_classes(k: int) -> _SmallClasses:
     pairs = list(itertools.combinations(range(k), 2))
     nbits = len(pairs)
     perms = list(itertools.permutations(range(k)))
@@ -793,16 +781,7 @@ def _small_graph_classes(k: int) -> _SmallClasses:
     canon = []
     for code in range(1 << nbits):
         canon.append(min(apply_perm(code, p) for p in perms))
-    return _SmallClasses(k, tuple(canon), tuple(sorted(set(canon))))
-
-
-_SMALL_CACHE: dict[int, _SmallClasses] = {}
-
-
-def small_graph_classes(k: int) -> _SmallClasses:
-    if k not in _SMALL_CACHE:
-        _SMALL_CACHE[k] = _small_graph_classes(k)
-    return _SMALL_CACHE[k]
+    return _SmallClasses(tuple(canon), tuple(sorted(set(canon))))
 
 
 def contains_all_small_graphs(g: Graph, k: int) -> bool:

@@ -8,6 +8,7 @@ runs produce identical graphs.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,8 +149,7 @@ def cube(n: int) -> Graph:
     if n < 1:
         raise BadParameters("cube needs n >= 1")
     basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    g = cayley((2,) * n, basis, name=f"Q_{n}")
-    return g
+    return cayley((2,) * n, basis, name=f"Q_{n}")
 
 
 def halved_cube(n: int) -> Graph:
@@ -158,17 +158,19 @@ def halved_cube(n: int) -> Graph:
     if n < 3:
         raise BadParameters("halved cube needs n >= 3")
     m = n - 1
-    gens = []
-    for i in range(m):
-        gens.append(tuple(1 if j == i else 0 for j in range(m)))
-    for i, j in itertools.combinations(range(m), 2):
-        gens.append(tuple(1 if t in (i, j) else 0 for t in range(m)))
+    gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    gens += [tuple(1 if t in (i, j) else 0 for t in range(m))
+             for i, j in itertools.combinations(range(m), 2)]
     return cayley((2,) * m, gens, name=f"halfQ_{n}")
 
 
-def decked_cube(n: int, extra: tuple[int, ...]) -> Graph:
-    """Q_n plus the extra generator; the generator must have weight >= 2."""
-    extra = tuple(int(b) % 2 for b in extra)
+def decked_cube(n: int, extra: tuple[int, ...] | str) -> Graph:
+    """Q_n plus the extra generator, given as bits or as a bit string such as
+    "011"; the generator must have weight >= 2."""
+    try:
+        extra = tuple(int(b) % 2 for b in extra)
+    except ValueError:
+        raise BadParameters(f"extra generator must be bits, got {extra!r}") from None
     if len(extra) != n or sum(extra) < 2:
         raise BadParameters("extra generator must have length n and weight >= 2")
     basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
@@ -337,9 +339,8 @@ def incidence_points(n: int, q: int) -> Graph:
                 edges.append((i, m + j))
     labels = [str(tuple(e.index for e in pt)) + "b" for pt in points]
     labels += [str(tuple(e.index for e in pt)) + "w" for pt in points]
-    graph = Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts",
-                  meta={"kind": "incidence_points", "incidence": {"n": n, "q": q}})
-    return graph
+    return Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts",
+                 meta={"kind": "incidence_points", "incidence": {"n": n, "q": q}})
 
 
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:
@@ -352,50 +353,41 @@ def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, si
     return graph.labels.index(label)
 
 
+def _sum_product(q: int, lo: int, name: str, kind: str) -> Graph:
+    """Bipartite graph on two copies of F x X, X the elements of index >= lo
+    (F for lo = 0, F* for lo = 1): (a,x) ~ (b,y) iff a + b = xy."""
+    spec = field(q)
+    xs = [spec.element(i) for i in range(lo, q)]
+    w = len(xs)
+    m = q * w
+    edges = []
+    for a in spec.elements():
+        for x in xs:
+            for y in xs:
+                b = x * y - a
+                edges.append((a.index * w + x.index - lo, m + b.index * w + y.index - lo))
+    return Graph(2 * m, edges, name=name, meta={"kind": kind, "q": q})
+
+
 def sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F*: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 3:
         raise BadParameters("sum-product graph needs q >= 3")
-    spec = field(q)
-    m = q * (q - 1)
-
-    def idx(a, x):
-        return a.index * (q - 1) + (x.index - 1)
-
-    edges = []
-    for a in spec.elements():
-        for x in spec.units():
-            for y in spec.units():
-                b = x * y - a
-                edges.append((idx(a, x), m + idx(b, y)))
-    return Graph(2 * m, edges, name=f"SP_{q}", meta={"kind": "sum_product", "q": q})
+    return _sum_product(q, 1, f"SP_{q}", "sum_product")
 
 
 def full_sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 2:
         raise BadParameters("full sum-product graph needs q >= 2")
-    spec = field(q)
-    m = q * q
-
-    def idx(a, x):
-        return a.index * q + x.index
-
-    edges = []
-    for a in spec.elements():
-        for x in spec.elements():
-            for y in spec.elements():
-                b = x * y - a
-                edges.append((idx(a, x), m + idx(b, y)))
-    return Graph(2 * m, edges, name=f"FSP_{q}", meta={"kind": "full_sum_product", "q": q})
+    return _sum_product(q, 0, f"FSP_{q}", "full_sum_product")
 
 
 # -- individual graphs ------------------------------------------------------------------
 
 
 def shrikhande() -> Graph:
-    g = cayley((4, 4), [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)], name="shrikhande")
-    return g
+    return cayley((4, 4), [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)], name="shrikhande")
 
 
 def rook(n: int = 4) -> Graph:
@@ -417,8 +409,7 @@ def andrasfai(n: int) -> Graph:
 
 
 def heawood() -> Graph:
-    g = bi_cayley((7,), [(1,), (2,), (4,)], name="heawood")
-    return g
+    return bi_cayley((7,), [(1,), (2,), (4,)], name="heawood")
 
 
 def tutte_coxeter() -> Graph:
@@ -463,10 +454,7 @@ def machine(orders) -> Graph:
 
 def order2_count(orders) -> int:
     """Number of order-2 elements in the product of cyclic groups."""
-    total = 1
-    for m in orders:
-        total *= 2 if m % 2 == 0 else 1
-    return total - 1
+    return math.prod(2 if m % 2 == 0 else 1 for m in orders) - 1
 
 
 def machine_order2_census(g: Graph) -> int:
@@ -622,11 +610,27 @@ def bp_determination(g: Graph) -> bool:
 # -- registry -----------------------------------------------------------------------------
 
 def _parse_tuple(text) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).split(","))
+    try:
+        return tuple(int(x) for x in str(text).split(","))
+    except ValueError:
+        raise BadParameters(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_tuple_list(text) -> list[tuple[int, ...]]:
     return [_parse_tuple(part) for part in str(text).split(";") if part]
+
+
+def _machine(*orders: int) -> Graph:
+    return machine(orders)
+
+
+# raw group constructions: orders as "4,4", elements as "1,0;3,0;..."
+def _cayley(orders: str, generators: str) -> Graph:
+    return cayley(_parse_tuple(orders), _parse_tuple_list(generators))
+
+
+def _bi_cayley(orders: str, subset: str) -> Graph:
+    return bi_cayley(_parse_tuple(orders), _parse_tuple_list(subset))
 
 
 FAMILY_BUILDERS = {
@@ -639,11 +643,11 @@ FAMILY_BUILDERS = {
     "complete_bipartite": complete_bipartite,
     "cube": cube,
     "halved_cube": halved_cube,
-    "decked_cube": lambda n, bits: decked_cube(int(n), tuple(int(b) for b in str(bits))),
+    "decked_cube": decked_cube,
     "petersen": petersen,
-    "tree": lambda d, r, kind="T": tree(int(d), int(r), kind),
-    "ade": lambda kind, n=0: ade(str(kind), int(n)),
-    "extended_ade": lambda kind, n=0: extended_ade(str(kind), int(n)),
+    "tree": tree,
+    "ade": ade,
+    "extended_ade": extended_ade,
     "paley": paley,
     "bi_paley": bi_paley,
     "incidence": incidence,
@@ -656,23 +660,52 @@ FAMILY_BUILDERS = {
     "heawood": heawood,
     "tutte_coxeter": tutte_coxeter,
     "frucht": frucht,
-    "machine": lambda *orders: machine(orders),
+    "machine": _machine,
     "small_diameter_x": small_diameter_x,
-    # raw group constructions: orders as "4,4", elements as "1,0;3,0;..."
-    "cayley": lambda orders, gens: cayley(_parse_tuple(orders), _parse_tuple_list(gens)),
-    "bi_cayley": lambda orders, subset: bi_cayley(_parse_tuple(orders),
-                                                  _parse_tuple_list(subset)),
+    "cayley": _cayley,
+    "bi_cayley": _bi_cayley,
 }
 
 
+def _as_int(value, family: str, name: str) -> int:
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        return int(value)
+    raise BadParameters(f"{family}: {name} must be an integer, got {value!r}")
+
+
+def parse_source(source: str, *params) -> tuple[str, list]:
+    """Split a family spec "family:a,b" into the family name and its
+    arguments, the packed ones first and then params.  Arguments are typed by
+    the builder's signature: a parameter annotated int takes an int or its
+    decimal text, any other is passed as given (so the bit string "011" keeps
+    its leading zero).  A wrong argument count raises BadParameters; an
+    unknown family comes back with its arguments untyped."""
+    family, _, packed = source.partition(":")
+    args = [p for p in packed.split(",") if p] + list(params)
+    builder = FAMILY_BUILDERS.get(family)
+    if builder is None:
+        return family, args
+    sig = inspect.signature(builder, eval_str=True)
+    try:
+        bound = sig.bind(*args)
+    except TypeError as exc:
+        usage = ", ".join(map(str, sig.parameters.values()))
+        raise BadParameters(f"{family}({usage}): {exc}") from None
+    for name, value in bound.arguments.items():
+        param = sig.parameters[name]
+        if param.annotation is int:
+            bound.arguments[name] = (
+                tuple(_as_int(v, family, name) for v in value)
+                if param.kind is param.VAR_POSITIONAL else _as_int(value, family, name))
+    return family, list(bound.args)
+
+
 def build(family: str, *params) -> Graph:
-    """Tagged-union entry point over the family catalogue."""
+    """Tagged-union entry point over the family catalogue; the family and its
+    parameters are read as ``parse_source`` reads them."""
+    family, args = parse_source(family, *params)
     if family not in FAMILY_BUILDERS:
         raise BadParameters(f"unknown family {family!r}")
-    coerced = []
-    for p in params:
-        if isinstance(p, str) and p.lstrip("-").isdigit():
-            coerced.append(int(p))
-        else:
-            coerced.append(p)
-    return FAMILY_BUILDERS[family](*coerced)
+    return FAMILY_BUILDERS[family](*args)

@@ -81,10 +81,6 @@ class Spectrum:
         return float(self.ascending()[k - 1])
 
     @property
-    def second_largest(self) -> float:
-        return self.kth_largest(2)
-
-    @property
     def lambda2(self) -> float:
         return self.kth_smallest(2)
 
@@ -420,10 +416,8 @@ def _cf_tutte_coxeter() -> ClosedForm:
     ])
 
 
-def _cf_machine(orders) -> ClosedForm:
-    size = 1
-    for m in orders:
-        size *= int(m)
+def _cf_machine(*orders: int) -> ClosedForm:
+    size = math.prod(orders)
     return srg_closed_form(size * size, 3 * size - 3, size, 6, family="machine")
 
 
@@ -438,18 +432,6 @@ def _cf_windmill(k: int) -> ClosedForm:
 
 def _cf_wheel(n: int) -> ClosedForm:
     return cone_closed_form_adjacency(_cf_cycle(n - 1), 2, "wheel")
-
-
-def _cf_halved_cube(n: int) -> ClosedForm:
-    g = gf.halved_cube(n)
-    info = g.meta["cayley"]
-    return cayley_closed_form(info["orders"], info["generators"], family="halved_cube")
-
-
-def _cf_decked_cube(n: int, bits) -> ClosedForm:
-    g = gf.decked_cube(n, bits)
-    info = g.meta["cayley"]
-    return cayley_closed_form(info["orders"], info["generators"], family="decked_cube")
 
 
 _CLOSED_FORMS = {
@@ -467,9 +449,9 @@ _CLOSED_FORMS = {
     "sum_product": _cf_sum_product,
     "full_sum_product": _cf_full_sum_product,
     "tutte_coxeter": _cf_tutte_coxeter,
-    "machine": lambda *orders: _cf_machine(orders),
-    "halved_cube": _cf_halved_cube,
-    "decked_cube": lambda n, bits: _cf_decked_cube(int(n), tuple(int(b) for b in str(bits))),
+    "machine": _cf_machine,
+    "halved_cube": lambda n: closed_form_for_graph(gf.halved_cube(n)),
+    "decked_cube": lambda n, extra: closed_form_for_graph(gf.decked_cube(n, extra)),
     "petersen": lambda: srg_closed_form(10, 3, 0, 1, family="petersen"),
     "shrikhande": lambda: srg_closed_form(16, 6, 2, 2, family="shrikhande"),
     "rook_twin": lambda: srg_closed_form(16, 6, 2, 2, family="rook_twin"),

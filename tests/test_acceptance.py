@@ -172,7 +172,7 @@ def test_criterion_7_bounds_corpus():
     with criterion(7, "bounds corpus"):
         rows = corpus_mod.build_corpus()
         assert len(rows) >= 40
-        for cid, _family, _params, _has_cf, g in rows:
+        for cid, _family, _params, g in rows:
             inv = gc.invariant_report(g)
             adj, lap = sp.graph_spectra(g)
             report = bd.audit_bounds(g, inv, adj, lap)

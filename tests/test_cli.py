@@ -1,12 +1,15 @@
 """Command-line front end: artifact schemas, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from specgraph import bounds as bd
 from specgraph import cli
+from specgraph import corpus as corpus_mod
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
@@ -278,24 +281,81 @@ def test_gen_raw_cayley(capsys):
     assert gc.is_isomorphic(g, gf.shrikhande())[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "nonesuch"],
-    ["chars", "12"],
-    ["chars", "1"],
-    ["audit", "complete:3", "--caps", "beta=abc"],
-    ["audit", "complete:3", "--caps", "gamma=1"],
-    ["spec", "{empty}"],
-    ["spec", "{non_integer}"],
-    ["spec", "{duplicate}"],
-    ["spec", "{reversed_duplicate}"],
-], ids=["unknown_family", "chars_12", "chars_1", "caps_not_integer", "caps_unknown_key",
-        "empty_edge_list", "non_integer_edge_list", "duplicate_edge", "reversed_duplicate_edge"])
-def test_usage_error_exit_code(argv, tmp_path, capsys):
+BAD = "error: BadParameters: "
+
+# id: (argv, the start of the error line; None for an argparse usage error,
+# which exits 2 with its own message)
+USAGE_ERRORS = {
+    "unknown_family": (["gen", "nonesuch"], "error: "),
+    "chars_12": (["chars", "12"], "error: "),
+    "chars_1": (["chars", "1"], "error: "),
+    "caps_not_integer": (["audit", "complete:3", "--caps", "beta=abc"], "error: "),
+    "caps_unknown_key": (["audit", "complete:3", "--caps", "gamma=1"], "error: "),
+    "empty_edge_list": (["spec", "{empty}"], "error: "),
+    "non_integer_edge_list": (["spec", "{non_integer}"], "error: "),
+    "duplicate_edge": (["spec", "{duplicate}"], "error: "),
+    "reversed_duplicate_edge": (["spec", "{reversed_duplicate}"], "error: "),
+    "missing_parameter": (["gen", "cube"], BAD),
+    "extra_parameter": (["gen", "paley:13,5"], BAD),
+    "non_integer_parameter": (["gen", "paley:x"], BAD),
+    "decimal_fraction_parameter": (["gen", "complete:2.5"], BAD),
+    "non_integer_second_parameter": (["gen", "tree:3,x"], BAD),
+    "non_integer_group_order": (["gen", "machine:x"], BAD),
+    "missing_generators": (["gen", "cayley:4"], BAD),
+    "non_integer_closed_form_parameter": (["spec", "paley:x", "--closed-form"], BAD),
+    "caps_on_gen": (["gen", "paley:13", "--caps", "chi=3"], None),
+    "caps_on_spec": (["spec", "paley:13", "--caps", "chi=3"], None),
+    "caps_on_chars": (["chars", "5", "--caps", "chi=3"], None),
+}
+
+
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     files = {"empty": "", "non_integer": "3 1\n0 x\n", "duplicate": "3 2\n0 1\n0 1\n",
              "reversed_duplicate": "3 2\n0 1\n1 0\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    code = cli.main([a.format(**{k: tmp_path / k for k in files}) for a in argv])
+    argv = [a.format(**{k: tmp_path / k for k in files}) for a in argv]
+    if err is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        return
+    code = cli.main(argv)
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [["decked_cube:3,011"], ["decked_cube", "3", "011"]],
+                         ids=["packed", "separate"])
+def test_decked_cube_bit_string_keeps_leading_zero(argv, capsys):
+    code, out = run(capsys, "gen", *argv)
+    assert code == 0
+    assert gc.parse_edge_list(out) == gc.Graph(8, gf.decked_cube(3, (0, 1, 1)).edges())
+    code, out = run(capsys, "spec", *argv, "--closed-form")
+    doc = json.loads(out)
+    assert code == 0 and doc["graph"]["name"] == "DQ_3011"
+    assert doc["closed_form"]["match"]["ok"]
+
+
+def test_verify_checks_a_closed_form_exactly_for_families_with_one(capsys):
+    code, out = run(capsys, "verify")
+    assert code == 0
+    checked = {g["id"] for g in json.loads(out)["graphs"] if "closed_form" in g}
+    assert checked == {cid for cid, family, _params in corpus_mod.CORPUS_SPECS
+                       if family in sp._CLOSED_FORMS}
+    assert len(checked) == 44
+
+
+def _readme_cli_lines() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("specgraph ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=lambda line: line.split("#")[0].strip())
+def test_readme_cli_examples_run(line, capsys):
+    argv = shlex.split(line, comments=True)[1:]
+    assert cli.main(argv) == 0

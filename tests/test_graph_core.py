@@ -192,7 +192,7 @@ def _gray_sweep(g):
 
 def test_beta_matches_gray_sweep_on_corpus():
     checked = 0
-    for cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+    for cid, _fam, _params, g in corpus_mod.build_corpus():
         if g.is_connected and g.n <= 16:
             assert gc.isoperimetric_constant(g) == _gray_sweep(g), cid
             checked += 1
@@ -243,7 +243,7 @@ def test_beta_matches_gray_sweep_small_chunks(g, bits):
 ])
 def test_beta_pinned_on_largest_corpus_graphs(cid, beta, witness):
     """Values the Gray-code sweep gave on the largest graphs it ran on."""
-    (_cid, _fam, _params, _cf, g), = corpus_mod.build_corpus([cid])
+    (_cid, _fam, _params, g), = corpus_mod.build_corpus([cid])
     assert gc.isoperimetric_constant(g) == (beta, frozenset(witness))
 
 
@@ -287,7 +287,7 @@ def test_bipartite_double_connectivity_rule():
 
 
 def test_bipartite_double_connectivity_over_corpus():
-    for _cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+    for _cid, _fam, _params, g in corpus_mod.build_corpus():
         assert gc.bipartite_double(g).is_connected == (not g.is_bipartite)
 
 
@@ -443,7 +443,7 @@ def _iso_search(g: Graph, h: Graph, count_all: bool = False):
 
 def test_automorphism_count_matches_enumeration_on_corpus():
     checked = 0
-    for cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+    for cid, _fam, _params, g in corpus_mod.build_corpus():
         if g.n <= 24:
             assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0], cid
             checked += 1
@@ -477,12 +477,93 @@ def test_automorphism_count_matches_enumeration(g):
     assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0]
 
 
+def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP,
+                      budget: float = gc.EXACT_BUDGET_SECONDS) -> int:
+    """The chromatic number as it was computed before the greedy DSATUR pass
+    became the first descent of the colourability search: a separate greedy
+    colouring for the upper bound, then k-colourability backtracking."""
+    if g.n > cap:
+        raise CapExceeded(f"n = {g.n} over chromatic cap {cap}")
+    if g.edge_count == 0:
+        return 1
+    if g.is_bipartite:
+        return 2
+    deadline = gc._Deadline(budget)
+
+    def greedy_dsatur() -> int:
+        colours = [-1] * g.n
+        for _ in range(g.n):
+            v = max(
+                (u for u in range(g.n) if colours[u] < 0),
+                key=lambda u: (len({colours[w] for w in g.adj[u] if colours[w] >= 0}), g.degree(u)),
+            )
+            used = {colours[w] for w in g.adj[v] if colours[w] >= 0}
+            c = 0
+            while c in used:
+                c += 1
+            colours[v] = c
+        return max(colours) + 1
+
+    lower = gc.clique_number(g, cap=cap, budget=budget)
+    upper = greedy_dsatur()
+
+    def colourable(k: int) -> bool:
+        colours = [-1] * g.n
+
+        def rec(done: int) -> bool:
+            deadline.check()
+            if done == g.n:
+                return True
+            v = max(
+                (u for u in range(g.n) if colours[u] < 0),
+                key=lambda u: (len({colours[w] for w in g.adj[u] if colours[w] >= 0}), g.degree(u)),
+            )
+            used = {colours[w] for w in g.adj[v] if colours[w] >= 0}
+            top = min(k, (max((colours[u] for u in range(g.n)), default=-1) + 2))
+            for c in range(top):
+                if c in used:
+                    continue
+                colours[v] = c
+                if rec(done + 1):
+                    return True
+                colours[v] = -1
+            return False
+
+        return rec(0)
+
+    for k in range(lower, upper):
+        if colourable(k):
+            return k
+    return upper
+
+
+def test_chromatic_number_matches_two_search_oracle_on_corpus():
+    checked = 0
+    for cid, _fam, _params, g in corpus_mod.build_corpus():
+        if g.n <= gc.CHI_CAP:
+            assert gc.chromatic_number(g) == _chromatic_number(g), cid
+            checked += 1
+    assert checked == 52
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(gc.Graph(12, []))
+@example(gc.Graph(1, []))
+@example(gc.Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+@example(_cycles(5, 7))
+@example(gc.Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]))
+def test_chromatic_number_matches_two_search_oracle(g):
+    """Edgeless, disconnected and odd-cycle unions included."""
+    assert gc.chromatic_number(g) == _chromatic_number(g)
+
+
 def test_is_isomorphic_matches_enumeration():
     """Seeded relabellings of the corpus, and unions of cycles that refinement
     leaves one colour class each, so that backtracking must refute them."""
     rnd = random.Random(5)
     pairs = [(_cycles(8), _cycles(4, 4)), (_cycles(5, 5), _cycles(10))]
-    for _cid, _fam, _params, _cf, g in corpus_mod.build_corpus():
+    for _cid, _fam, _params, g in corpus_mod.build_corpus():
         if g.n <= 32:
             perm = list(range(g.n))
             rnd.shuffle(perm)

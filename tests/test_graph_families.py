@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from specgraph import corpus as corpus_mod
 from specgraph import finite_field as ff
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
@@ -378,3 +379,58 @@ def test_registry_build():
     assert gf.build("decked_cube", 3, "110").n == 8
     with pytest.raises(BadParameters):
         gf.build("nonesuch")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("paley:13",), ("paley", [13])),
+    (("paley", 13), ("paley", [13])),
+    (("paley", "13"), ("paley", [13])),
+    (("tree:3,2", "Tt"), ("tree", [3, 2, "Tt"])),
+    (("decked_cube:3,011",), ("decked_cube", [3, "011"])),
+    (("machine:2,2",), ("machine", [2, 2])),
+    (("ade:E,6",), ("ade", ["E", 6])),
+    (("complete:-3",), ("complete", [-3])),
+    (("nonesuch:1,x", "2"), ("nonesuch", ["1", "x", "2"])),
+    (("graph.el",), ("graph.el", [])),
+], ids=lambda v: repr(v))
+def test_parse_source_types_by_signature(argv, expected):
+    assert gf.parse_source(*argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("cube",), ("paley:x",), ("paley:13,5",), ("complete:2.5",), ("tree:3,x",),
+    ("decked_cube:3",), ("machine:x",), ("cayley:4",), ("petersen:1",), ("paley", 13.0),
+    ("complete:²",),
+], ids=lambda v: repr(v))
+def test_parse_source_refuses_bad_parameters(argv):
+    with pytest.raises(BadParameters):
+        gf.parse_source(*argv)
+    with pytest.raises(BadParameters):
+        gf.build(*argv)
+
+
+def test_decked_cube_bit_string_keeps_leading_zero():
+    expected = gf.decked_cube(3, (0, 1, 1))
+    assert gf.build("decked_cube:3,011") == expected
+    assert gf.build("decked_cube", 3, "011") == expected
+    assert gf.build("decked_cube", "3", "011").name == expected.name == "DQ_3011"
+    with pytest.raises(BadParameters):
+        gf.build("decked_cube:3,0x1")
+
+
+@pytest.mark.parametrize("cid,family,params", corpus_mod.CORPUS_SPECS,
+                         ids=[row[0] for row in corpus_mod.CORPUS_SPECS])
+def test_corpus_row_builds_from_packed_text(cid, family, params):
+    """Each corpus row gives the same graph from its Python parameters and
+    from its family spec text, as typed on the command line."""
+    built = gf.build(family, *params)
+    packed = gf.build(f"{family}:{','.join(map(str, params))}")
+    assert packed == built
+    assert (packed.name, packed.labels, packed.meta) == (built.name, built.labels, built.meta)
+
+
+def test_raw_group_text_refused():
+    with pytest.raises(BadParameters):
+        gf.build("cayley", "4,x", "1,0")
+    with pytest.raises(BadParameters):
+        gf.build("bi_cayley", "7", "1;x")

@@ -46,7 +46,7 @@ def _assert_matrices_match_edge_loop(g):
 
 
 def test_matrices_match_edge_loop_on_corpus():
-    for _cid, _family, _params, _cf, g in corpus_mod.build_corpus():
+    for _cid, _family, _params, g in corpus_mod.build_corpus():
         _assert_matrices_match_edge_loop(g)
 
 
