@@ -3,8 +3,8 @@ sum-product application, perturbation interlacing checks, and the supporting
 symmetric-matrix principles (Courant-Fischer, Cauchy, Weyl, Aronszajn).
 
 Every bound comparison uses a relative tolerance of 1e-7 with an absolute
-floor of 1e-9, so eigensolver noise can never flip a verdict; bounds whose
-exact invariants hit a cap are reported as skipped, never approximated.
+floor of 1e-9 (the matrix principles use the floor alone), so eigensolver noise
+never flips a verdict; bounds whose exact invariants hit a cap are skipped.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .graph_core import (
     triangle_count,
 )
 from .spectra import (
+    EQ_TOL,
     Spectrum,
     adjacency_matrix,
     eig_symmetric,
@@ -37,6 +38,8 @@ from .spectra import (
 
 REL_TOL = 1e-7
 ABS_FLOOR = 1e-9
+PM1_ENUMERATION_CAP = 20  # cheeger_pm1 tries every balanced sign vector up to this n
+COURANT_FISCHER_TRIALS = 200
 
 
 def _tol(*values) -> float:
@@ -114,7 +117,6 @@ def _skip(name, note) -> BoundRecord:
     return BoundRecord(name, "", None, None, None, "skipped", note)
 
 
-EQ_TOL = 1e-6
 DISCONNECTED = "needs a connected graph"
 NO_EDGES = "needs an edge"
 TWO_VERTICES = "needs at least two vertices"
@@ -311,14 +313,14 @@ def _check_pm1(lap_int: np.ndarray, lam: int, vec: np.ndarray) -> bool:
     return bool(np.array_equal(lap_int @ vec, lam * vec))
 
 
-def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
+def cheeger_pm1(g: Graph):
     """Search for a {+-1}-valued lambda_2 eigenfunction; success certifies
     beta = lambda_2 / 2 exactly (Alon-Milman from below, the +-1 eigenfunction
     bound from above).
 
     Strategy: character eigenfunctions for abelian Cayley / bi-Cayley graphs
     (real and order-4 characters, taking Re + Im in the latter case), balanced
-    sign enumeration for small graphs otherwise.
+    sign enumeration on at most PM1_ENUMERATION_CAP vertices otherwise.
     """
     lap = laplacian_matrix(g)
     spec = eig_symmetric(lap, "laplacian")
@@ -365,7 +367,7 @@ def cheeger_pm1(g: Graph, enumeration_cap: int = 20):
             vec = np.concatenate([chi, sign * chi])
             if _check_pm1(lap_int, lam_int, vec):
                 return certified(vec)
-    if g.n <= enumeration_cap:
+    if g.n <= PM1_ENUMERATION_CAP:
         n = g.n
         half = n // 2
         for rest in itertools.combinations(range(1, n), half - 1):
@@ -586,15 +588,15 @@ def motzkin_straus(g: Graph, weights, omega: int) -> dict:
 # -- symmetric-matrix principles ----------------------------------------------------------
 
 
-def cauchy_interlacing_check(m: np.ndarray, tol: float = 1e-9) -> bool:
+def cauchy_interlacing_check(m: np.ndarray) -> bool:
     """Eigenvalues of the first-row-and-column deletion interlace those of m."""
     mu = np.linalg.eigvalsh(m)
     mu2 = np.linalg.eigvalsh(m[1:, 1:])
     n = m.shape[0]
-    return all(mu[k] - tol <= mu2[k] <= mu[k + 1] + tol for k in range(n - 1))
+    return all(mu[k] - ABS_FLOOR <= mu2[k] <= mu[k + 1] + ABS_FLOOR for k in range(n - 1))
 
 
-def weyl_check(m: np.ndarray, other: np.ndarray, tol: float = 1e-9) -> bool:
+def weyl_check(m: np.ndarray, other: np.ndarray) -> bool:
     """mu_{k+l-1}(M+N) >= mu_k(M) + mu_l(N) for all valid index pairs."""
     n = m.shape[0]
     mu_m = np.linalg.eigvalsh(m)
@@ -602,12 +604,12 @@ def weyl_check(m: np.ndarray, other: np.ndarray, tol: float = 1e-9) -> bool:
     mu_s = np.linalg.eigvalsh(m + other)
     for k in range(1, n + 1):
         for ell in range(1, n + 2 - k):
-            if mu_s[k + ell - 2] < mu_m[k - 1] + mu_n[ell - 1] - tol:
+            if mu_s[k + ell - 2] < mu_m[k - 1] + mu_n[ell - 1] - ABS_FLOOR:
                 return False
     return True
 
 
-def aronszajn_check(m: np.ndarray, split: int, tol: float = 1e-9) -> bool:
+def aronszajn_check(m: np.ndarray, split: int) -> bool:
     """mu_1 + mu_{k+l} <= mu'_k + mu''_l for the diagonal blocks of sizes
     split and n - split."""
     n = m.shape[0]
@@ -616,26 +618,25 @@ def aronszajn_check(m: np.ndarray, split: int, tol: float = 1e-9) -> bool:
     mu2 = np.linalg.eigvalsh(m[split:, split:])
     for k in range(1, split + 1):
         for ell in range(1, n - split + 1):
-            if mu[0] + mu[k + ell - 1] > mu1[k - 1] + mu2[ell - 1] + tol:
+            if mu[0] + mu[k + ell - 1] > mu1[k - 1] + mu2[ell - 1] + ABS_FLOOR:
                 return False
     return True
 
 
-def courant_fischer_check(m: np.ndarray, rng: np.random.Generator,
-                          trials: int = 200, tol: float = 1e-9) -> bool:
-    """Sampled minimax: every random k-subspace has max Rayleigh >= mu_k, and
-    the span of the bottom-k eigenvectors attains mu_k exactly."""
+def courant_fischer_check(m: np.ndarray, rng: np.random.Generator) -> bool:
+    """Sampled minimax: COURANT_FISCHER_TRIALS // n + 1 random k-subspaces per k
+    have max Rayleigh >= mu_k, and the bottom-k eigenvectors attain mu_k exactly."""
     n = m.shape[0]
     mu, vecs = np.linalg.eigh(m)
     for k in range(1, n + 1):
         span = vecs[:, :k]
         top = np.linalg.eigvalsh(span.T @ m @ span)[-1]
-        if abs(top - mu[k - 1]) > tol:
+        if abs(top - mu[k - 1]) > ABS_FLOOR:
             return False
-        for _ in range(trials // n + 1):
+        for _ in range(COURANT_FISCHER_TRIALS // n + 1):
             basis = np.linalg.qr(rng.normal(size=(n, k)))[0]
             sampled = np.linalg.eigvalsh(basis.T @ m @ basis)[-1]
-            if sampled < mu[k - 1] - tol:
+            if sampled < mu[k - 1] - ABS_FLOOR:
                 return False
     return True
 

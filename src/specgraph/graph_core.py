@@ -1,8 +1,8 @@
 """Finite simple undirected graphs and their exact combinatorial invariants.
 
-Exact engines (chromatic number, independence, clique, isoperimetric
-constant, isomorphism) are branch-and-bound or exhaustive with hard caps and
-time budgets; past a cap they raise CapExceeded rather than approximate.
+Exact engines (chromatic number, independence, clique, isoperimetric constant,
+isomorphism) are branch-and-bound or exhaustive; past a size cap or the time
+budget EXACT_BUDGET_SECONDS they raise CapExceeded rather than approximate.
 """
 
 from __future__ import annotations
@@ -306,19 +306,19 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
 # -- exact chromatic / independence / clique -------------------------------------
 
 class _Deadline:
-    def __init__(self, budget: float):
-        self.t_end = time.monotonic() + budget
+    def __init__(self):
+        self.t_end = time.monotonic() + EXACT_BUDGET_SECONDS
 
     def check(self):
         if time.monotonic() > self.t_end:
             raise CapExceeded("time budget exhausted")
 
 
-def clique_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_SECONDS) -> int:
+def clique_number(g: Graph, cap: int = CHI_CAP) -> int:
     """Exact clique number by branch and bound with a greedy-colouring bound."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over clique cap {cap}")
-    deadline = _Deadline(budget)
+    deadline = _Deadline()
     masks = g.masks
     best = [1 if g.n else 0]
 
@@ -377,26 +377,31 @@ def _max_matching_bipartite(g: Graph) -> int:
     return size
 
 
-def independence_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_SECONDS) -> int:
+def independence_number(g: Graph, cap: int = CHI_CAP) -> int:
     """Exact independence number: Koenig's theorem on bipartite graphs,
     clique search on the complement otherwise."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over independence cap {cap}")
     if g.is_bipartite:
         return g.n - _max_matching_bipartite(g)
-    return clique_number(complement(g), cap=cap, budget=budget)
+    return clique_number(complement(g), cap=cap)
 
 
-def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_SECONDS) -> int:
+def chromatic_number(g: Graph, cap: int = CHI_CAP) -> int:
     """Exact chromatic number: clique lower bound, DSATUR upper bound, then
     k-colourability backtracking for the gap."""
+    return _chromatic_number(g, cap, None)
+
+
+def _chromatic_number(g: Graph, cap: int, omega: int | None) -> int:
+    """chromatic_number, with the clique number omega as lower bound when known."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over chromatic cap {cap}")
     if g.edge_count == 0:
         return 1
     if g.is_bipartite:
         return 2
-    deadline = _Deadline(budget)
+    deadline = _Deadline()
 
     def colour(k: int) -> int | None:
         """The number of colours of the first colouring with at most k
@@ -426,7 +431,7 @@ def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_
 
         return max(colours) + 1 if rec(0) else None
 
-    lower = clique_number(g, cap=cap, budget=budget)
+    lower = clique_number(g, cap=cap) if omega is None else omega
     upper = colour(g.n)
     for k in range(lower, upper):
         if colour(k) is not None:
@@ -439,7 +444,7 @@ def chromatic_number(g: Graph, cap: int = CHI_CAP, budget: float = EXACT_BUDGET_
 BETA_CHUNK_BITS = 14
 
 
-def isoperimetric_constant(g: Graph, cap: int = BETA_CAP, budget: float = EXACT_BUDGET_SECONDS):
+def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     """Exact min over non-empty S with |S| <= n/2 of |boundary S| / |S|,
     as a Fraction, together with one minimizing subset: the first minimizer
     in the Gray-code order of the subset masks (vertex v is bit v).
@@ -462,7 +467,7 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP, budget: float = EXACT_
         raise Disconnected("isoperimetric constant needs a connected graph")
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over isoperimetric cap {cap}")
-    deadline = _Deadline(budget)
+    deadline = _Deadline()
     n, masks, degs = g.n, g.masks, g.degrees
     half = n // 2
     k = min(n, BETA_CHUNK_BITS)
@@ -682,7 +687,7 @@ def _iso_search(g: Graph, h: Graph, deadline: _Deadline, fixed_g=(), fixed_h=())
     return mapping if rec(0) else None
 
 
-def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP, budget: float = EXACT_BUDGET_SECONDS):
+def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
     """(decision, mapping). The mapping sends g-vertices to h-vertices."""
     if g.n > cap or h.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
@@ -690,11 +695,11 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP, budget: float = EXACT_
         return False, None
     if sorted(g.degrees) != sorted(h.degrees):
         return False, None
-    mapping = _iso_search(g, h, _Deadline(budget))
+    mapping = _iso_search(g, h, _Deadline())
     return mapping is not None, mapping
 
 
-def automorphism_count(g: Graph, cap: int = ISO_CAP, budget: float = EXACT_BUDGET_SECONDS) -> int:
+def automorphism_count(g: Graph, cap: int = ISO_CAP) -> int:
     """|Aut(g)| by orbit-stabiliser down a base b_1, b_2, ...: the product of
     the orbit lengths of b_i under the stabiliser of b_1..b_{i-1}.
 
@@ -707,7 +712,7 @@ def automorphism_count(g: Graph, cap: int = ISO_CAP, budget: float = EXACT_BUDGE
     """
     if g.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
-    deadline = _Deadline(budget)
+    deadline = _Deadline()
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -849,8 +854,7 @@ class InvariantReport:
         }
 
 
-def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP,
-                     budget: float = EXACT_BUDGET_SECONDS) -> InvariantReport:
+def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP) -> InvariantReport:
     """All invariants at once; capped engines record a skip instead of failing."""
     skipped: list[str] = []
 
@@ -863,19 +867,19 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP,
 
     diam = diameter(g) if g.is_connected else None
     gir = girth(g)
-    chi = guarded("chromatic", lambda: chromatic_number(g, cap=chi_cap, budget=budget))
-    iota = guarded("independence", lambda: independence_number(g, cap=chi_cap, budget=budget))
-    omega = guarded("clique", lambda: clique_number(g, cap=chi_cap, budget=budget))
+    # one clique search gives omega and chi's lower bound; skips keep report order
+    omega = guarded("clique", lambda: clique_number(g, cap=chi_cap))
+    chi = guarded("chromatic", lambda: _chromatic_number(g, chi_cap, omega))
+    iota = guarded("independence", lambda: independence_number(g, cap=chi_cap))
+    skipped.sort(key=("chromatic", "independence", "clique").index)
+    beta_pair = None
     if g.n < 2:
-        beta_pair = None
         skipped.append("isoperimetric (one vertex)")
-    elif g.is_connected:
-        beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap,
-                                                                       budget=budget))
-    else:
-        beta_pair = None
+    elif not g.is_connected:
         skipped.append("isoperimetric (disconnected)")
-    beta, witness = beta_pair if beta_pair is not None else (None, None)
+    else:
+        beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap))
+    beta, witness = beta_pair or (None, None)
     return InvariantReport(
         name=g.name,
         n=g.n,

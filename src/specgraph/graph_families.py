@@ -41,14 +41,24 @@ from .graph_core import Graph, common_neighbours, k4_at, product
 _ELEMENT_LABELS = object()  # default labels: each vertex's group element
 
 
+def _reduced(orders, elements) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+    """The group orders and the set of elements reduced mod them; BadParameters
+    for an order below 1 or an element without one coordinate per order."""
+    orders = tuple(int(m) for m in orders)
+    if min(orders, default=1) < 1:
+        raise BadParameters(f"group orders must be at least 1, got {orders}")
+    if any(len(s) != len(orders) for s in elements):
+        raise BadParameters(f"each element needs one coordinate per order of {orders}")
+    return orders, {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
+
+
 def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS,
            meta: dict | None = None) -> Graph:
     """Cayley graph of a product of cyclic groups w.r.t. a symmetric,
     identity-free, generating subset.  Vertex i is group element i, labelled
     with its tuple unless ``labels`` is given (None: unlabelled); ``meta`` is
     stored next to the "cayley" entry."""
-    orders = tuple(int(m) for m in orders)
-    gen_set = {tuple(int(x) % m for x, m in zip(s, orders)) for s in generators}
+    orders, gen_set = _reduced(orders, generators)
     if tuple(0 for _ in orders) in gen_set:
         raise ContainsIdentity("generating set contains the identity")
     for s in gen_set:
@@ -72,8 +82,7 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS,
     h - g lies in the subset.  Connected iff the difference set generates.
     Vertices i and n + i are group element i; ``labels`` and ``meta`` work as
     in ``cayley``."""
-    orders = tuple(int(m) for m in orders)
-    sub_set = {tuple(int(x) % m for x, m in zip(s, orders)) for s in subset}
+    orders, sub_set = _reduced(orders, subset)
     # S - S generates the same subgroup as S - s0 for any s0 in S
     shift = groups.neg(orders, min(sub_set)) if sub_set else None
     if shift is None or not groups.generates(

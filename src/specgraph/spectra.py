@@ -24,6 +24,7 @@ from . import groups
 EIG_SIZE_CAP = 4096
 VALUE_MERGE_TOL = 1e-9
 COMPARE_TOL = 1e-7
+EQ_TOL = 1e-6  # spectral values within this of each other count as equal
 
 
 # -- matrices -----------------------------------------------------------------
@@ -87,8 +88,8 @@ class Spectrum:
     def distinct_values(self) -> list[float]:
         return [v for v, _ in self.entries]
 
-    def multiplicity_near(self, value: float, tol: float = 1e-6) -> int:
-        return sum(m for v, m in self.entries if abs(v - value) <= tol)
+    def multiplicity_near(self, value: float) -> int:
+        return sum(m for v, m in self.entries if abs(v - value) <= EQ_TOL)
 
     def to_json(self) -> dict:
         return {
@@ -218,6 +219,16 @@ def design_closed_form(m: int, d: int, c: int, family: str = "design") -> Closed
     ])
 
 
+def _drop_one(entries, value: float, tol: float, missing: str) -> list:
+    """entries (value, multiplicity, ...) less one copy of the first value within
+    tol of value, emptied entries left out; Mismatch(missing) if none is that close."""
+    for i, (v, m, *rest) in enumerate(entries):
+        if abs(v - value) <= tol:
+            kept = [*entries[:i], (v, m - 1, *rest), *entries[i + 1:]]
+            return [e for e in kept if e[1] > 0]
+    raise Mismatch(missing)
+
+
 def partial_design_closed_form(m: int, d: int, c1: int, c2: int,
                                c1_graph_values, family: str = "partial_design") -> ClosedForm:
     """Spectrum of a partial design graph from its parameters and the
@@ -225,18 +236,10 @@ def partial_design_closed_form(m: int, d: int, c1: int, c2: int,
     and every remaining alpha' contributes +-sqrt((d-c2)+(c1-c2) alpha')."""
     params = gf.PartialDesignParams(m, d, c1, c2)
     dprime = gf.c1_graph_degree(params, c1)
-    pool = [(v, mult) for v, mult in c1_graph_values]
-    # remove one copy of the trivial eigenvalue d'
-    for i, (v, mult) in enumerate(pool):
-        if abs(v - dprime) <= 1e-6:
-            pool[i] = (v, mult - 1)
-            break
-    else:
-        raise Mismatch("c1-graph spectrum lacks its trivial eigenvalue")
+    pool = _drop_one(c1_graph_values, dprime, EQ_TOL,
+                     "c1-graph spectrum lacks its trivial eigenvalue")
     entries = [(float(d), 1, "d"), (-float(d), 1, "-d")]
     for v, mult in pool:
-        if mult <= 0:
-            continue
         inner = (d - c2) + (c1 - c2) * v
         if inner < -1e-6:
             raise IdentityViolated("negative value under the square root")
@@ -275,31 +278,17 @@ def cone_closed_form_adjacency(base: ClosedForm, base_degree: int, family: str) 
     root = math.sqrt(base_degree**2 + 4 * n0)
     entries = [((base_degree + root) / 2, 1, "cone+"),
                ((base_degree - root) / 2, 1, "cone-")]
-    dropped = False
-    for v, m, lbl in base.entries:
-        if not dropped and abs(v - base_degree) <= 1e-9:
-            m -= 1
-            dropped = True
-        if m > 0:
-            entries.append((v, m, lbl))
-    if not dropped:
-        raise Mismatch("base spectrum lacks its trivial eigenvalue")
+    entries += _drop_one(base.entries, base_degree, VALUE_MERGE_TOL,
+                         "base spectrum lacks its trivial eigenvalue")
     return _form(family, entries)
 
 
 def complement_laplacian_closed_form(base_lap: ClosedForm, n: int, family: str) -> ClosedForm:
     """Laplacian of the complement: {0} plus {n - lambda} over the non-trivial
     part of the base laplacian spectrum."""
-    entries = [(0.0, 1, "0")]
-    dropped = False
-    for v, m, lbl in sorted(base_lap.entries, key=lambda t: t[0]):
-        if not dropped and abs(v) <= 1e-9:
-            m -= 1
-            dropped = True
-        if m > 0:
-            entries.append((float(n) - v, m, f"{n}-({lbl})"))
-    if not dropped:
-        raise Mismatch("laplacian spectrum lacks the 0 eigenvalue")
+    base = _drop_one(sorted(base_lap.entries, key=lambda t: t[0]), 0.0, VALUE_MERGE_TOL,
+                     "laplacian spectrum lacks the 0 eigenvalue")
+    entries = [(0.0, 1, "0")] + [(float(n) - v, m, f"{n}-({lbl})") for v, m, lbl in base]
     return _form(family, entries, kind="laplacian")
 
 
@@ -482,11 +471,10 @@ def closed_form_for_graph(g: Graph) -> ClosedForm:
 
 # -- verification ------------------------------------------------------------------
 
-def verify_closed_form(numeric: Spectrum, cf: ClosedForm, tol: float = COMPARE_TOL,
-                       name: str = "") -> dict:
+def verify_closed_form(numeric: Spectrum, cf: ClosedForm, name: str = "") -> dict:
     """Check a numeric spectrum of the graph called name against a closed
-    form, value-by-value within tol and multiplicity-exactly.  Raises Mismatch
-    at the first divergence."""
+    form, value-by-value within COMPARE_TOL and multiplicity-exactly.
+    Raises Mismatch at the first divergence."""
     if cf.matrix_kind != numeric.matrix_kind:
         raise Mismatch(f"{name}: {cf.matrix_kind} closed form vs {numeric.matrix_kind} spectrum")
     if cf.n != numeric.n:
@@ -498,7 +486,7 @@ def verify_closed_form(numeric: Spectrum, cf: ClosedForm, tol: float = COMPARE_T
             f"{name}: {len(expected)} distinct closed-form values vs {len(got)} numeric clusters")
     max_err = 0.0
     for (ev, em), (nv, nm) in zip(expected, got):
-        if abs(ev - nv) > tol:
+        if abs(ev - nv) > COMPARE_TOL:
             raise Mismatch(f"{name}: eigenvalue {ev} vs numeric {nv}")
         if em != nm:
             raise Mismatch(f"{name}: multiplicity of {ev}: closed form {em}, numeric {nm}")
@@ -508,10 +496,10 @@ def verify_closed_form(numeric: Spectrum, cf: ClosedForm, tol: float = COMPARE_T
 
 # -- classifiers ---------------------------------------------------------------------
 
-def spectrum_classifiers(adj: Spectrum, n: int, lap: Spectrum | None = None,
-                         tol: float = 1e-6) -> dict:
+def spectrum_classifiers(adj: Spectrum, n: int, lap: Spectrum | None = None) -> dict:
     """Structure read off the spectrum alone: bipartiteness, regularity,
     component count, and the strongly-regular / design converses."""
+    tol = EQ_TOL
     values = adj.expanded()
     out: dict = {}
     sym = all(abs(values[i] + values[n - 1 - i]) <= tol for i in range(n))
@@ -519,10 +507,8 @@ def spectrum_classifiers(adj: Spectrum, n: int, lap: Spectrum | None = None,
     alpha_max = adj.max
     out["regular"] = abs(float((values**2).sum()) - n * alpha_max) <= tol * n * max(1, alpha_max)
     if lap is not None:
-        out["connected_components"] = lap.multiplicity_near(0.0, tol)
-    out["srg"] = None
-    out["design"] = None
-    out["extremal_design_degree"] = None
+        out["connected_components"] = lap.multiplicity_near(0.0)
+    out.update(srg=None, design=None, extremal_design_degree=None)
     distinct = adj.distinct_values()
     if out["regular"] and len(distinct) == 3:
         d = round(alpha_max)

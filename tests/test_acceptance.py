@@ -33,6 +33,7 @@ field = ff.field
 # -- 1. closed-form vs numeric over every family with a formula --------------------
 
 def test_criterion_1_closed_forms_match_numeric():
+    assert sp.COMPARE_TOL == 1e-7  # the tolerance README states
     with criterion(1, "closed-form vs numeric"):
         start = time.monotonic()
         checked = 0
@@ -40,7 +41,7 @@ def test_criterion_1_closed_forms_match_numeric():
             for params in instances:
                 g = gf.build(family, *params)
                 cf = sp.closed_form_spectrum(family, *params)
-                result = sp.verify_closed_form(sp.spectrum(g), cf, tol=1e-7)
+                result = sp.verify_closed_form(sp.spectrum(g), cf)
                 assert result["ok"], (family, params)
                 checked += 1
         # strongly-regular parameter forms
@@ -48,14 +49,14 @@ def test_criterion_1_closed_forms_match_numeric():
                           (gf.shrikhande(), (16, 6, 2, 2)),
                           (gf.paley(13), (13, 6, 2, 3))]:
             cf = sp.srg_closed_form(*params)
-            assert sp.verify_closed_form(sp.spectrum(g), cf, tol=1e-7)["ok"]
+            assert sp.verify_closed_form(sp.spectrum(g), cf)["ok"]
             checked += 1
         # design parameter forms
         for g, params in [(gf.bi_paley(7), (7, 3, 1)),
                           (gf.incidence(3, 3), (13, 4, 1)),
                           (gf.bi_paley(11), (11, 5, 2))]:
             cf = sp.design_closed_form(*params)
-            assert sp.verify_closed_form(sp.spectrum(g), cf, tol=1e-7)["ok"]
+            assert sp.verify_closed_form(sp.spectrum(g), cf)["ok"]
             checked += 1
         # partial design parameter forms, fed by the c1-graph spectrum
         for g, params in [(gf.tutte_coxeter(), (15, 3, 0, 1)),
@@ -64,7 +65,7 @@ def test_criterion_1_closed_forms_match_numeric():
             c1 = gf.c1_graph(g, params[2])
             c1_spec = sp.eig_symmetric(sp.adjacency_matrix(c1))
             cf = sp.partial_design_closed_form(*params, c1_spec.entries)
-            assert sp.verify_closed_form(sp.spectrum(g), cf, tol=1e-7)["ok"]
+            assert sp.verify_closed_form(sp.spectrum(g), cf)["ok"]
             checked += 1
         elapsed = time.monotonic() - start
         assert checked >= 50
@@ -263,10 +264,10 @@ def test_criterion_11_matrix_principles():
             m = (m + m.T) / 2
             other = rng.normal(size=(n, n))
             other = (other + other.T) / 2
-            assert bd.cauchy_interlacing_check(m, tol=1e-9)
-            assert bd.weyl_check(m, other, tol=1e-9)
+            assert bd.cauchy_interlacing_check(m)
+            assert bd.weyl_check(m, other)
             if n >= 2:
-                assert bd.aronszajn_check(m, int(rng.integers(1, n)), tol=1e-9)
+                assert bd.aronszajn_check(m, int(rng.integers(1, n)))
 
 
 # -- 12. Paley universality -------------------------------------------------------------------------------

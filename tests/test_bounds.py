@@ -312,7 +312,7 @@ def test_courant_fischer_spot_check():
     rng = np.random.default_rng(88)
     for _ in range(5):
         m = random_symmetric(rng, 8)
-        assert bd.courant_fischer_check(m, rng, trials=200)
+        assert bd.courant_fischer_check(m, rng)
 
 
 def test_step_function_identity():

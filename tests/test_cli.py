@@ -259,8 +259,7 @@ def test_iso_undecided_over_cap(capsys):
 
 
 def test_iso_undecided_over_budget(capsys, monkeypatch):
-    search = gc.is_isomorphic
-    monkeypatch.setattr(gc, "is_isomorphic", lambda g, h, cap: search(g, h, cap, budget=0))
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
     code, out = run(capsys, "iso", "heawood", "bi_paley:7")
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "undecided"
@@ -302,6 +301,11 @@ USAGE_ERRORS = {
     "non_integer_second_parameter": (["gen", "tree:3,x"], BAD),
     "non_integer_group_order": (["gen", "machine:x"], BAD),
     "missing_generators": (["gen", "cayley:4"], BAD),
+    "zero_group_order": (["gen", "cayley", "0", "1"], BAD),
+    "zero_bi_cayley_group_order": (["gen", "bi_cayley", "0", "0"], BAD),
+    "negative_group_order": (["gen", "cayley", "-3", "1"], BAD),
+    "generator_shorter_than_group": (["gen", "cayley", "4,4", "1"], BAD),
+    "generator_longer_than_group": (["gen", "cayley", "4", "1,0"], BAD),
     "non_integer_closed_form_parameter": (["spec", "paley:x", "--closed-form"], BAD),
     "caps_on_gen": (["gen", "paley:13", "--caps", "chi=3"], None),
     "caps_on_spec": (["spec", "paley:13", "--caps", "chi=3"], None),

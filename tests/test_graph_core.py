@@ -247,10 +247,11 @@ def test_beta_pinned_on_largest_corpus_graphs(cid, beta, witness):
     assert gc.isoperimetric_constant(g) == (beta, frozenset(witness))
 
 
-def test_beta_honours_budget():
+def test_beta_honours_budget(monkeypatch):
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
     with pytest.raises(CapExceeded):
-        gc.isoperimetric_constant(gf.cube(4), budget=0)
-    assert "isoperimetric" in gc.invariant_report(gf.cube(4), budget=0).skipped
+        gc.isoperimetric_constant(gf.cube(4))
+    assert "isoperimetric" in gc.invariant_report(gf.cube(4)).skipped
 
 
 def test_beta_refused_on_one_vertex():
@@ -477,8 +478,7 @@ def test_automorphism_count_matches_enumeration(g):
     assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0]
 
 
-def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP,
-                      budget: float = gc.EXACT_BUDGET_SECONDS) -> int:
+def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP) -> int:
     """The chromatic number as it was computed before the greedy DSATUR pass
     became the first descent of the colourability search: a separate greedy
     colouring for the upper bound, then k-colourability backtracking."""
@@ -488,7 +488,7 @@ def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP,
         return 1
     if g.is_bipartite:
         return 2
-    deadline = gc._Deadline(budget)
+    deadline = gc._Deadline()
 
     def greedy_dsatur() -> int:
         colours = [-1] * g.n
@@ -504,7 +504,7 @@ def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP,
             colours[v] = c
         return max(colours) + 1
 
-    lower = gc.clique_number(g, cap=cap, budget=budget)
+    lower = gc.clique_number(g, cap=cap)
     upper = greedy_dsatur()
 
     def colourable(k: int) -> bool:
@@ -574,11 +574,28 @@ def test_is_isomorphic_matches_enumeration():
         assert gc.is_isomorphic(g, h) == (count > 0, first), g
 
 
-def test_isomorphism_search_honours_budget():
+def test_isomorphism_search_honours_budget(monkeypatch):
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
     with pytest.raises(CapExceeded):
-        gc.is_isomorphic(gf.cube(4), gf.cube(4), budget=0)
+        gc.is_isomorphic(gf.cube(4), gf.cube(4))
     with pytest.raises(CapExceeded):
-        gc.automorphism_count(gf.cube(4), budget=0)
+        gc.automorphism_count(gf.cube(4))
+
+
+@pytest.mark.parametrize("engine", [gc.clique_number, gc.independence_number,
+                                    gc.chromatic_number], ids=lambda f: f.__name__)
+def test_clique_engines_honour_budget(engine, monkeypatch):
+    """Petersen is not bipartite, so each engine reaches its timed search."""
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
+    with pytest.raises(CapExceeded):
+        engine(gf.petersen())
+
+
+def test_invariant_report_records_budget_skips_in_order(monkeypatch):
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
+    rep = gc.invariant_report(gf.petersen())
+    assert rep.skipped == ["chromatic", "independence", "clique", "isoperimetric"]
+    assert rep.chromatic is rep.independence is rep.clique is rep.isoperimetric is None
 
 
 # -- friendship and universality ------------------------------------------------

@@ -326,6 +326,22 @@ def test_partial_design_closed_form_machinery():
         [(round(v, 9), m) for v, m, _ in expected.entries]
 
 
+@pytest.mark.parametrize("build, missing", [
+    (lambda: sp.cone_closed_form_adjacency(sp.closed_form_spectrum("cycle", 5), 3, "cone"),
+     "base spectrum lacks its trivial eigenvalue"),
+    (lambda: sp.complement_laplacian_closed_form(
+        sp.ClosedForm("no_zero", "laplacian", ((1.0, 2, "a"), (3.0, 1, "b"))), 3, "complement"),
+     "laplacian spectrum lacks the 0 eigenvalue"),
+    (lambda: sp.partial_design_closed_form(15, 3, 0, 1, [(0.0, 5)]),
+     "c1-graph spectrum lacks its trivial eigenvalue"),
+], ids=["cone", "complement_laplacian", "partial_design"])
+def test_closed_form_rule_refuses_base_without_trivial_eigenvalue(build, missing):
+    """Each rule drops one copy of a trivial eigenvalue of its base spectrum;
+    a base without that value is a Mismatch, not a wrong spectrum."""
+    with pytest.raises(Mismatch, match=missing):
+        build()
+
+
 # -- classifiers -------------------------------------------------------------------
 
 def test_classifiers_petersen():
