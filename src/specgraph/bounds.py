@@ -186,8 +186,11 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     # extremal eigenvalue locations
     rec(_ge("alpha_min_vs_max", alpha_min, -alpha_max,
             {"alpha_min": alpha_min, "alpha_max": alpha_max}))
-    rec(_iff("alpha_min_bipartite_iff", bipartite,
-             abs(alpha_min + alpha_max) <= EQ_TOL, alpha_min, -alpha_max))
+    if connected:  # a bipartite component can carry alpha_max alone
+        rec(_iff("alpha_min_bipartite_iff", bipartite,
+                 abs(alpha_min + alpha_max) <= EQ_TOL, alpha_min, -alpha_max))
+    else:
+        rec(_skip("alpha_min_bipartite_iff", DISCONNECTED))
     rec(_le("average_degree_le_alpha_max", d_ave, alpha_max, {"d_ave": d_ave}))
     rec(_le("alpha_max_le_degree", alpha_max, d, {"d": d}))
     if connected:

@@ -14,22 +14,24 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import HypothesisViolated, SpecMismatch, ZeroElement
 from .finite_field import (
     FieldElement,
     FieldSpec,
     SubfieldEmbedding,
-    absolute_trace,
+    construct_field,
     evaluate,
-    trace_norm,
+    subfield_embedding,
 )
 
 MAGNITUDE_TOL = 1e-9
 
 
-@lru_cache(maxsize=None)
-def _abstr_table(spec: FieldSpec) -> tuple[int, ...]:
-    return tuple(absolute_trace(x) for x in spec.elements())
+def _absolute_traces(spec: FieldSpec) -> tuple[int, ...]:
+    """AbsTr in [0, p) of every element, by index."""
+    return subfield_embedding(spec, construct_field(spec.p, 1)).trace_norm_table[0]
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +57,7 @@ class AdditiveCharacter:
     def __call__(self, x: FieldElement) -> complex:
         if x.spec != self.spec:
             raise SpecMismatch("argument not in the character's field")
-        tr = _abstr_table(self.spec)[(self.twist * x).index]
+        tr = _absolute_traces(self.spec)[(self.twist * x).index]
         return _roots_of_unity(self.spec.p)[tr]
 
     def conjugate(self) -> "AdditiveCharacter":
@@ -148,15 +150,9 @@ def eisenstein_sum(emb: SubfieldEmbedding, chi: MultiplicativeCharacter,
     singular variant E0(chi) over the punctured fiber Tr = 0."""
     if chi.spec != emb.big:
         raise SpecMismatch("character must live on the big field")
-    big = emb.big
-    target = big.zero if singular else big.one
-    total = 0j
-    for s in big.elements():
-        if singular and s.is_zero():
-            continue
-        if trace_norm(emb, s)[0] == target:
-            total += chi(s)
-    return total
+    traces = emb.trace_norm_table[0]
+    target = 0 if singular else 1  # units only: Tr(0) = 0 != 1, and E0's fibre is punctured
+    return sum((chi(s) for s in emb.big.units() if traces[s.index] == target), 0j)
 
 
 def restrict_to_base(emb: SubfieldEmbedding, chi: MultiplicativeCharacter) -> MultiplicativeCharacter:
@@ -196,11 +192,79 @@ def norm_restricted_sum(emb: SubfieldEmbedding, psi: AdditiveCharacter) -> tuple
     n q^((n-1)/2) checked empirically."""
     if psi.spec != emb.big:
         raise SpecMismatch("character must live on the big field")
-    one = emb.big.one
-    total = sum(psi(s) for s in emb.big.units() if trace_norm(emb, s)[1] == one)
+    norms = emb.trace_norm_table[1]
+    total = sum(psi(s) for s in emb.big.units() if norms[s.index] == 1)
     n = emb.degree
     bound = n * emb.base.q ** ((n - 1) / 2)
     return total, bound, abs(total) <= bound + MAGNITUDE_TOL
+
+
+# -- character tables: every sum of one kind, each bit for bit the scalar sum ----
+
+def _roots(n: int, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of _roots_of_unity(n) at the given exponents."""
+    roots = np.array(_roots_of_unity(n))
+    return roots.real[exponents], roots.imag[exponents]
+
+
+def _sums(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Row sums of the terms re + i im, added left to right from 0.0 as sum()
+    adds them (np.sum adds pairwise)."""
+    start = np.zeros((len(re), 1))
+    out = np.empty(len(re), complex)
+    out.real, out.imag = (np.cumsum(np.hstack((start, x)), axis=1)[:, -1] for x in (re, im))
+    return out
+
+
+def _pair_sums(a, b) -> np.ndarray:
+    """[i, j]: the sum of the terms a[i] b[j], over the last axis of (re, im)
+    arrays.  Products in real arithmetic round as Python's complex product
+    (numpy's may not); a row of a at a time keeps the arrays at b's size."""
+    (ar, ai), (br, bi) = a, b
+    return np.array([_sums(x * br - y * bi, x * bi + y * br) for x, y in zip(ar, ai)])
+
+
+def _twisted_units(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """psi_t(s) as (re, im), over twists t (rows) and units s (columns)."""
+    exp, log = (np.asarray(a) for a in spec.tables)
+    product = np.zeros((spec.q, spec.q - 1), dtype=np.int64)  # index of t s; 0 for t = 0
+    product[1:] = exp[np.add.outer(log[1:], log[1:]) % (spec.q - 1)]
+    return _roots(spec.p, np.asarray(_absolute_traces(spec))[product])
+
+
+def _multiplicative(spec: FieldSpec, indices) -> tuple[np.ndarray, np.ndarray]:
+    """chi_k(s) as (re, im), over exponents k (rows) and the elements of the
+    given indices (columns); a column for 0 is left for the caller to set."""
+    n = spec.q - 1
+    return _roots(n, np.multiply.outer(np.arange(n), np.asarray(spec.tables[1])[indices]) % n)
+
+
+def gauss_table(spec: FieldSpec) -> np.ndarray:
+    """G(psi_t, chi_k) at [t, k], as gauss_sum gives it."""
+    return _pair_sums(_twisted_units(spec), _multiplicative(spec, np.arange(1, spec.q)))
+
+
+def jacobi_table(spec: FieldSpec) -> np.ndarray:
+    """J(chi_k1, chi_k2) at [k1, k2], as jacobi_sum gives it."""
+    re, im = _multiplicative(spec, np.arange(spec.q))
+    re[:, 0], im[:, 0] = 0.0, 0.0  # chi_k(0) = 0, but chi_0(0) = 1
+    re[0, 0] = 1.0
+    one_minus = [(spec.one - s).index for s in spec.elements()]
+    return _pair_sums((re, im), (re[:, one_minus], im[:, one_minus]))
+
+
+def kloosterman_table(spec: FieldSpec) -> np.ndarray:
+    """K(psi_t1, psi_t2) at [t1 - 1, t2 - 1], as kloosterman_sum gives it."""
+    exp, log = (np.asarray(a) for a in spec.tables)
+    re, im = _twisted_units(spec)
+    inverse = exp[-log[1:] % (spec.q - 1)] - 1  # column of 1/s
+    return _pair_sums((re[1:], im[1:]), (re[1:, inverse], im[1:, inverse]))
+
+
+def eisenstein_table(emb: SubfieldEmbedding) -> np.ndarray:
+    """E(chi_k) of the big field's characters at [k], as eisenstein_sum gives it."""
+    fibre = np.flatnonzero(np.asarray(emb.trace_norm_table[0]) == 1)
+    return _sums(*_multiplicative(emb.big, fibre))
 
 
 # -- Weil bound on polynomial character sums -----------------------------------

@@ -384,6 +384,13 @@ class SubfieldEmbedding:
     def degree(self) -> int:
         return self.big.d // self.base.d
 
+    @cached_property
+    def trace_norm_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(traces, norms): the relative trace and norm index of each big-field
+        element, by index; one trace_norm call per element, on first use."""
+        pairs = [trace_norm(self, a) for a in self.big.elements()]
+        return tuple(tr.index for tr, _ in pairs), tuple(nm.index for _, nm in pairs)
+
     def lift(self, a: FieldElement) -> FieldElement:
         if a.spec != self.base:
             raise SpecMismatch("element not in the base field")
@@ -420,12 +427,6 @@ def trace_norm(emb: SubfieldEmbedding, a: FieldElement) -> tuple[FieldElement, F
         nm = nm * power
         power = frobenius(emb, power)
     return tr, nm
-
-
-def absolute_trace(a: FieldElement) -> int:
-    """Trace down to the prime field, as an integer in [0, p)."""
-    emb = subfield_embedding(a.spec, construct_field(a.spec.p, 1))
-    return trace_norm(emb, a)[0].index
 
 
 # -- squares ------------------------------------------------------------------

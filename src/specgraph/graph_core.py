@@ -89,6 +89,10 @@ class Graph:
         return self.min_degree == self.max_degree
 
     @cached_property
+    def vertex_of_label(self) -> dict[str, int]:
+        return {label: v for v, label in enumerate(self.labels)}
+
+    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks, one int per vertex."""
         return tuple(sum(1 << u for u in s) for s in self.adj)

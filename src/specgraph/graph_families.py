@@ -359,7 +359,7 @@ def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, si
     lead = next(e for e in elems if not e.is_zero())
     inv = lead.inverse()
     label = str(tuple((e * inv).index for e in elems)) + ("b" if side == "black" else "w")
-    return graph.labels.index(label)
+    return graph.vertex_of_label[label]
 
 
 def _sum_product(q: int, lo: int, name: str, kind: str) -> Graph:

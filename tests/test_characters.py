@@ -317,3 +317,50 @@ def test_dual_sums_vanish(q):
             continue
         total = sum(psi(x) for psi in ch.additive_characters(spec))
         assert abs(total) < 1e-8
+
+
+# -- character tables against the scalar sums ---------------------------------------
+# The tables feed `specgraph chars`, whose report bytes must not depend on which
+# path computed a sum; so every entry must equal the scalar sum exactly.
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_tables_equal_scalar_sums_exactly(q):
+    spec = field(q)
+    additive = list(ch.additive_characters(spec))
+    multiplicative = list(ch.multiplicative_characters(spec))
+    assert ch.gauss_table(spec).tolist() == [
+        [ch.gauss_sum(psi, chi) for chi in multiplicative] for psi in additive]
+    assert ch.jacobi_table(spec).tolist() == [
+        [ch.jacobi_sum(chi1, chi2) for chi2 in multiplicative] for chi1 in multiplicative]
+    assert ch.kloosterman_table(spec).tolist() == [
+        [ch.kloosterman_sum(psi1, psi2) for psi2 in additive[1:]] for psi1 in additive[1:]]
+
+
+@pytest.mark.parametrize("q,n", [(5, 3), (9, 2), (3, 2), (2, 3), (4, 2)])
+def test_eisenstein_table_equals_scalar_sums_exactly(q, n):
+    emb, big = emb_for(q, n)
+    assert ch.eisenstein_table(emb).tolist() == [
+        ch.eisenstein_sum(emb, chi) for chi in ch.multiplicative_characters(big)]
+
+
+def _eisenstein_by_trace_norm(emb, chi, singular=False):
+    """The Eisenstein sum with one trace_norm call per element and character,
+    as it was computed before the embedding's trace table."""
+    big = emb.big
+    target = big.zero if singular else big.one
+    total = 0j
+    for s in big.elements():
+        if singular and s.is_zero():
+            continue
+        if ff.trace_norm(emb, s)[0] == target:
+            total += chi(s)
+    return total
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (3, 3), (5, 3)])
+def test_eisenstein_sum_equals_per_element_trace_loop(q, n):
+    emb, big = emb_for(q, n)
+    for chi in ch.multiplicative_characters(big):
+        for singular in (False, True):
+            assert (ch.eisenstein_sum(emb, chi, singular=singular)
+                    == _eisenstein_by_trace_norm(emb, chi, singular))

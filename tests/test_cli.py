@@ -1,6 +1,7 @@
 """Command-line front end: artifact schemas, determinism, exit codes."""
 
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import jsonschema
 import pytest
 
 from specgraph import bounds as bd
+from specgraph import characters as ch
 from specgraph import cli
 from specgraph import corpus as corpus_mod
+from specgraph import finite_field as ff
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
@@ -114,8 +117,9 @@ def test_emit_refuses_nan(capsys):
         cli._emit({"value": float("nan")}, {}, None)
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["audit", "sum_product:4"]],
-                         ids=["verify", "audit_sum_product_4"])
+@pytest.mark.parametrize("argv", [["verify"], ["audit", "sum_product:4"], ["chars", "27"],
+                                  ["chars", "5", "--ext", "3"]],
+                         ids=["verify", "audit_sum_product_4", "chars_27", "chars_5_ext_3"])
 def test_report_bytes_repeat(argv, capsys):
     _, first = run(capsys, *argv)
     _, second = run(capsys, *argv)
@@ -363,3 +367,93 @@ def _readme_cli_lines() -> list[str]:
 def test_readme_cli_examples_run(line, capsys):
     argv = shlex.split(line, comments=True)[1:]
     assert cli.main(argv) == 0
+
+
+def _char_rows_by_scalar_sums(q: int, ext: int | None) -> list[dict]:
+    """`cli._char_rows` as it was before the character tables: every sum
+    evaluated term by term through the character objects."""
+    spec = ff.field(q)
+    rows = []
+    sq = math.sqrt(q)
+
+    def row(sum_type, indices, value, bound, ok):
+        rows.append({
+            "field": f"GF({q})", "sum_type": sum_type, "indices": list(indices),
+            "re": value.real, "im": value.imag, "magnitude": abs(value),
+            "bound": bound, "pass": bool(ok),
+        })
+
+    for t in range(q):
+        psi = ch.AdditiveCharacter(spec, spec.element(t))
+        for k in range(q - 1):
+            chi = ch.MultiplicativeCharacter(spec, k)
+            val = ch.gauss_sum(psi, chi)
+            if t == 0 and k == 0:
+                expected, ok = float(q - 1), abs(val - (q - 1)) <= 1e-9
+            elif t == 0:
+                expected, ok = 0.0, abs(val) <= 1e-9
+            elif k == 0:
+                expected, ok = 1.0, abs(val + 1) <= 1e-9
+            else:
+                expected, ok = sq, abs(abs(val) - sq) <= 1e-9
+            row("gauss", (t, k), val, expected, ok)
+    for k1 in range(q - 1):
+        for k2 in range(q - 1):
+            val = ch.jacobi_sum(ch.MultiplicativeCharacter(spec, k1),
+                                ch.MultiplicativeCharacter(spec, k2))
+            if k1 == 0 and k2 == 0:
+                expected, ok = float(q), abs(val - q) <= 1e-9
+            elif k1 == 0 or k2 == 0:
+                expected, ok = 0.0, abs(val) <= 1e-9
+            elif (k1 + k2) % (q - 1) == 0:
+                expected, ok = 1.0, abs(abs(val) - 1) <= 1e-9
+            else:
+                expected, ok = sq, abs(abs(val) - sq) <= 1e-9
+            row("jacobi", (k1, k2), val, expected, ok)
+    for t1 in range(1, q):
+        for t2 in range(1, q):
+            val = ch.kloosterman_sum(ch.AdditiveCharacter(spec, spec.element(t1)),
+                                     ch.AdditiveCharacter(spec, spec.element(t2)))
+            row("kloosterman", (t1, t2), val, 2 * sq, abs(val) <= 2 * sq + 1e-9)
+    if ext:
+        big = ff.construct_field(spec.p, spec.d * ext)
+        emb = ff.subfield_embedding(big, spec)
+        for k in range(big.q - 1):
+            chi = ch.MultiplicativeCharacter(big, k)
+            val = ch.eisenstein_sum(emb, chi)
+            if k == 0:
+                expected = float(q ** (ext - 1))
+                ok = abs(val - expected) <= 1e-9
+            elif k % (q - 1) == 0:
+                expected = q ** (ext / 2 - 1)
+                ok = abs(abs(val) - expected) <= 1e-9
+            else:
+                expected = q ** ((ext - 1) / 2)
+                ok = abs(abs(val) - expected) <= 1e-9
+            row("eisenstein", (k,), val, expected, ok)
+    return rows
+
+
+@pytest.mark.parametrize("q,ext", [(5, None), (9, None), (16, None), (27, None), (5, 3), (9, 2)])
+def test_char_rows_bytes_equal_scalar_sums(q, ext):
+    def dumps(rows):
+        return json.dumps(rows, indent=2, sort_keys=True)
+
+    assert dumps(cli._char_rows(q, ext)) == dumps(_char_rows_by_scalar_sums(q, ext))
+
+
+def test_chars_takes_one_trace_per_element(monkeypatch):
+    """`chars 9 --ext 3` takes the trace of each element of GF(729) and of
+    GF(9) once: 738 trace_norm calls, where one per element and character
+    made 530,721."""
+    trace_norm = ff.trace_norm
+    calls = []
+
+    def counted(emb, a):
+        calls.append(a)
+        return trace_norm(emb, a)
+
+    monkeypatch.setattr(ff, "trace_norm", counted)
+    ff.subfield_embedding.cache_clear()  # drop the trace tables of earlier tests
+    cli._char_rows(9, 3)
+    assert len(calls) <= 738

@@ -1,6 +1,7 @@
 """Family constructors against the identifications, parameter formulas and
 classification facts stated for them."""
 
+import ast
 import itertools
 import math
 
@@ -54,6 +55,20 @@ def test_tutte_coxeter_matches_fixture():
 def test_incidence_points_picture_agrees():
     for n, q in [(3, 2), (3, 3)]:
         assert iso(gf.incidence(n, q), gf.incidence_points(n, q))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_incidence_point_index_inverts_the_labels(q):
+    """Every vertex's normalised coordinates, and each non-zero multiple of
+    them, map back to that vertex on its side."""
+    g = gf.incidence_points(3, q)
+    spec = ff.field(q)
+    for v, label in enumerate(g.labels):
+        coords = [spec.element(i) for i in ast.literal_eval(label[:-1])]
+        side = "black" if label.endswith("b") else "white"
+        for c in spec.units():
+            scaled = tuple((c * x).index for x in coords)
+            assert gf.incidence_point_index(g, scaled, q, side) == v
 
 
 def test_cayley_cycle_and_cube():
