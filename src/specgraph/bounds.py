@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -57,13 +57,6 @@ class BoundRecord:
     note: str = ""
     inputs: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name, "relation": self.relation,
-            "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-            "status": self.status, "note": self.note, "inputs": self.inputs,
-        }
-
 
 @dataclass
 class AuditReport:
@@ -90,7 +83,7 @@ class AuditReport:
             "passed": sum(1 for r in self.records if r.status == "pass"),
             "failed": len(self.failed),
             "skipped": len(self.skipped),
-            "records": [r.to_json() for r in self.records],
+            "records": [asdict(r) for r in self.records],
         }
 
 
@@ -106,10 +99,10 @@ def _ge(name, lhs, rhs, inputs=None, note="") -> BoundRecord:
                        float(lhs - rhs), "pass" if ok else "fail", note, inputs or {})
 
 
-def _iff(name, holds: bool, equal: bool, lhs, rhs, note="") -> BoundRecord:
+def _iff(name, holds: bool, equal: bool, lhs, rhs) -> BoundRecord:
     ok = holds == equal
     return BoundRecord(name, "equality iff condition", float(lhs), float(rhs),
-                       float(abs(lhs - rhs)), "pass" if ok else "fail", note,
+                       float(abs(lhs - rhs)), "pass" if ok else "fail", "",
                        {"condition": holds, "numeric_equality": equal})
 
 
@@ -139,7 +132,7 @@ def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     beta = inv.isoperimetric
     delta = inv.diameter
     gamma = inv.girth
-    bipartite = inv.bipartite
+    bipartite = g.is_bipartite
     regular = g.is_regular
     connected = g.is_connected
     edgeless = g.edge_count == 0
@@ -329,7 +322,7 @@ def cheeger_pm1(g: Graph):
     spec = eig_symmetric(lap, "laplacian")
     lam2 = spec.lambda2
     lam_int = round(lam2)
-    if g.n % 2 or abs(lam2 - lam_int) > 1e-6 or lam_int % 2:
+    if g.n % 2 or abs(lam2 - lam_int) > EQ_TOL or lam_int % 2:
         return None
     lap_int = lap.astype(np.int64)
 
@@ -345,7 +338,7 @@ def cheeger_pm1(g: Graph):
             # order of the character divides 4 iff 4*k = 0 mod m componentwise
             if any((4 * k) % m for k, m in zip(ks, orders)):
                 continue
-            if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam_int) > 1e-6:
+            if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam_int) > EQ_TOL:
                 continue
             chi = groups.character(orders, ks)
             if all((2 * k) % m == 0 for k, m in zip(ks, orders)):
@@ -363,7 +356,7 @@ def cheeger_pm1(g: Graph):
             if any((2 * k) % m for k, m in zip(ks, orders)):
                 continue  # need a +-1-valued character
             alpha = round(alpha.real)  # a sum of +-1 values
-            if abs(d - abs(alpha) - lam_int) > 1e-6:
+            if abs(d - abs(alpha) - lam_int) > EQ_TOL:
                 continue
             chi = np.round(groups.character(orders, ks).real).astype(np.int64)
             sign = 1 if alpha >= 0 else -1

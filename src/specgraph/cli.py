@@ -104,7 +104,8 @@ def cmd_spec(args) -> int:
 def _char_rows(q: int, ext: int | None) -> list[dict]:
     spec = ff.field(q)
     rows = []
-    name, sq = f"GF({q})", math.sqrt(q)  # one name string shared by every row
+    # one name string shared by every row
+    name, sq, tol = f"GF({q})", math.sqrt(q), ch.MAGNITUDE_TOL
 
     def row(sum_type, indices, value, bound, ok):
         rows.append({
@@ -117,37 +118,37 @@ def _char_rows(q: int, ext: int | None) -> list[dict]:
     for t, values in enumerate(ch.gauss_table(spec).tolist()):
         for k, val in enumerate(values):
             if t == 0 and k == 0:
-                expected, ok = float(q - 1), abs(val - (q - 1)) <= 1e-9
+                expected, ok = float(q - 1), abs(val - (q - 1)) <= tol
             elif t == 0:
-                expected, ok = 0.0, abs(val) <= 1e-9
+                expected, ok = 0.0, abs(val) <= tol
             elif k == 0:
-                expected, ok = 1.0, abs(val + 1) <= 1e-9
+                expected, ok = 1.0, abs(val + 1) <= tol
             else:
-                expected, ok = sq, abs(abs(val) - sq) <= 1e-9
+                expected, ok = sq, abs(abs(val) - sq) <= tol
             row("gauss", (t, k), val, expected, ok)
     for k1, values in enumerate(ch.jacobi_table(spec).tolist()):
         for k2, val in enumerate(values):
             if k1 == 0 and k2 == 0:
-                expected, ok = float(q), abs(val - q) <= 1e-9
+                expected, ok = float(q), abs(val - q) <= tol
             elif k1 == 0 or k2 == 0:
-                expected, ok = 0.0, abs(val) <= 1e-9
+                expected, ok = 0.0, abs(val) <= tol
             elif (k1 + k2) % (q - 1) == 0:
-                expected, ok = 1.0, abs(abs(val) - 1) <= 1e-9
+                expected, ok = 1.0, abs(abs(val) - 1) <= tol
             else:
-                expected, ok = sq, abs(abs(val) - sq) <= 1e-9
+                expected, ok = sq, abs(abs(val) - sq) <= tol
             row("jacobi", (k1, k2), val, expected, ok)
     for t1, values in enumerate(ch.kloosterman_table(spec).tolist(), 1):
         for t2, val in enumerate(values, 1):
-            row("kloosterman", (t1, t2), val, 2 * sq, abs(val) <= 2 * sq + 1e-9)
+            row("kloosterman", (t1, t2), val, 2 * sq, abs(val) <= 2 * sq + tol)
     if ext:
         big = ff.construct_field(spec.p, spec.d * ext)
         for k, val in enumerate(ch.eisenstein_table(ff.subfield_embedding(big, spec)).tolist()):
             if k == 0:
                 expected = float(q ** (ext - 1))
-                ok = abs(val - expected) <= 1e-9
+                ok = abs(val - expected) <= tol
             else:
                 expected = q ** (ext / 2 - 1) if k % (q - 1) == 0 else q ** ((ext - 1) / 2)
-                ok = abs(abs(val) - expected) <= 1e-9
+                ok = abs(abs(val) - expected) <= tol
             row("eisenstein", (k,), val, expected, ok)
     return rows
 
@@ -233,7 +234,7 @@ def cmd_iso(args) -> int:
     adj_g = sp.spectrum(g)
     adj_h = sp.spectrum(h)
     isospectral = (g.n == h.n and len(adj_g.entries) == len(adj_h.entries) and all(
-        abs(a - b) <= 1e-7 and ma == mb
+        abs(a - b) <= sp.COMPARE_TOL and ma == mb
         for (a, ma), (b, mb) in zip(adj_g.entries, adj_h.entries)))
     payload["isospectral"] = isospectral
     try:

@@ -9,6 +9,7 @@ polynomial presentation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -342,17 +343,8 @@ def construct_field(p: int, d: int) -> FieldSpec:
         return FieldSpec(p, 1, (0, 1), p)
     # Low coefficients vary slowest, so the first hit is lexicographically
     # smallest under constant-term-first comparison.
-    def candidates():
-        idx = 0
-        while idx < q:
-            n, c = idx, []
-            for _ in range(d):
-                c.append(n % p)
-                n //= p
-            yield tuple(reversed(c)) + (1,)
-            idx += 1
-
-    for f in candidates():
+    for low in itertools.product(range(p), repeat=d):
+        f = low + (1,)
         if _is_irreducible(f, p):
             return FieldSpec(p, d, f, q)
     raise SpecMismatch("no irreducible polynomial found")  # unreachable

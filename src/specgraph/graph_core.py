@@ -36,7 +36,8 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Disconnected graphs are allowed as values (complements, derived graphs);
-    operations that need connectivity raise Disconnected themselves.
+    operations that need connectivity raise Disconnected themselves. ``meta``
+    holds the group of a Cayley ("cayley") or bi-Cayley ("bicayley") graph.
     """
 
     def __init__(self, n: int, edges, labels=None, name: str = "", meta: dict | None = None):
@@ -108,28 +109,7 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return len(self._component(0)) == self.n
-
-    def _component(self, start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    @cached_property
-    def components(self) -> list[frozenset[int]]:
-        left = set(range(self.n))
-        out = []
-        while left:
-            comp = self._component(min(left))
-            out.append(frozenset(comp))
-            left -= comp
-        return out
+        return INF not in self.bfs_distances(0)
 
     def bfs_distances(self, source: int) -> list[float]:
         dist = [INF] * self.n
@@ -148,23 +128,30 @@ class Graph:
         return dist
 
     @cached_property
+    def components(self) -> list[frozenset[int]]:
+        """Vertex sets of the components, each reached by a BFS from the least
+        vertex no earlier BFS reached."""
+        left = set(range(self.n))
+        out = []
+        while left:
+            dist = self.bfs_distances(min(left))
+            out.append(frozenset(v for v in left if dist[v] != INF))
+            left -= out[-1]
+        return out
+
+    @cached_property
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """A 2-coloring (covering all components), or None if an odd cycle exists."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for w in self.adj[u]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        black = frozenset(v for v in range(self.n) if color[v] == 0)
+        """A 2-coloring (covering all components), or None if an odd cycle
+        exists. Black is the even-distance side from each component's least
+        vertex."""
+        parity = [0] * self.n
+        for comp in self.components:
+            dist = self.bfs_distances(min(comp))
+            for v in comp:
+                parity[v] = dist[v] % 2
+        if any(parity[u] == parity[v] for u, v in self.edges()):
+            return None
+        black = frozenset(v for v in range(self.n) if parity[v] == 0)
         return black, frozenset(range(self.n)) - black
 
     @property
@@ -391,10 +378,10 @@ def independence_number(g: Graph, cap: int = CHI_CAP) -> int:
     return clique_number(complement(g), cap=cap)
 
 
-def chromatic_number(g: Graph, cap: int = CHI_CAP) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number: clique lower bound, DSATUR upper bound, then
     k-colourability backtracking for the gap."""
-    return _chromatic_number(g, cap, None)
+    return _chromatic_number(g, CHI_CAP, None)
 
 
 def _chromatic_number(g: Graph, cap: int, omega: int | None) -> int:
@@ -703,7 +690,7 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
     return mapping is not None, mapping
 
 
-def automorphism_count(g: Graph, cap: int = ISO_CAP) -> int:
+def automorphism_count(g: Graph) -> int:
     """|Aut(g)| by orbit-stabiliser down a base b_1, b_2, ...: the product of
     the orbit lengths of b_i under the stabiliser of b_1..b_{i-1}.
 
@@ -714,8 +701,8 @@ def automorphism_count(g: Graph, cap: int = ISO_CAP) -> int:
     orbits of the points it moves (union-find), so a member joined to b_i needs
     no search, and one joined to a member that failed is skipped.
     """
-    if g.n > cap:
-        raise CapExceeded(f"isomorphism cap {cap} exceeded")
+    if g.n > ISO_CAP:
+        raise CapExceeded(f"isomorphism cap {ISO_CAP} exceeded")
     deadline = _Deadline()
     parent = list(range(g.n))
 
@@ -817,43 +804,37 @@ def contains_all_small_graphs(g: Graph, k: int) -> bool:
 
 @dataclass
 class InvariantReport:
-    name: str
-    n: int
-    edge_count: int
-    degree_min: int
-    degree_max: int
-    degree_avg: Fraction
+    graph: Graph
     diameter: int | None
     girth: float | None  # math.inf sentinel for forests
-    bipartite: bool
     chromatic: int | None
     independence: int | None
     clique: int | None
     isoperimetric: Fraction | None
     iso_witness: frozenset | None
-    connected: bool
     skipped: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         def frac(x):
             return None if x is None else {"num": x.numerator, "den": x.denominator}
 
+        g = self.graph
         return {
-            "name": self.name,
-            "n": self.n,
-            "edges": self.edge_count,
-            "degree": {"min": self.degree_min, "max": self.degree_max,
-                       "avg": frac(self.degree_avg)},
+            "name": g.name,
+            "n": g.n,
+            "edges": g.edge_count,
+            "degree": {"min": g.min_degree, "max": g.max_degree,
+                       "avg": frac(g.average_degree)},
             "diameter": self.diameter,
             "girth": ("inf" if self.girth == INF else self.girth),
-            "bipartite": self.bipartite,
+            "bipartite": g.is_bipartite,
             "chromatic": self.chromatic,
             "independence": self.independence,
             "clique": self.clique,
             "isoperimetric": frac(self.isoperimetric),
             "isoperimetric_witness": (sorted(self.iso_witness)
                                       if self.iso_witness is not None else None),
-            "connected": self.connected,
+            "connected": g.is_connected,
             "skipped": self.skipped,
         }
 
@@ -885,20 +866,13 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP)
         beta_pair = guarded("isoperimetric", lambda: isoperimetric_constant(g, cap=beta_cap))
     beta, witness = beta_pair or (None, None)
     return InvariantReport(
-        name=g.name,
-        n=g.n,
-        edge_count=g.edge_count,
-        degree_min=g.min_degree,
-        degree_max=g.max_degree,
-        degree_avg=g.average_degree,
+        graph=g,
         diameter=diam,
         girth=gir,
-        bipartite=g.is_bipartite,
         chromatic=chi,
         independence=iota,
         clique=omega,
         isoperimetric=beta,
         iso_witness=witness,
-        connected=g.is_connected,
         skipped=skipped,
     )

@@ -52,12 +52,10 @@ def _reduced(orders, elements) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
     return orders, {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
 
 
-def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS,
-           meta: dict | None = None) -> Graph:
+def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     """Cayley graph of a product of cyclic groups w.r.t. a symmetric,
     identity-free, generating subset.  Vertex i is group element i, labelled
-    with its tuple unless ``labels`` is given (None: unlabelled); ``meta`` is
-    stored next to the "cayley" entry."""
+    with its tuple unless ``labels`` is given (None: unlabelled)."""
     orders, gen_set = _reduced(orders, generators)
     if tuple(0 for _ in orders) in gen_set:
         raise ContainsIdentity("generating set contains the identity")
@@ -72,16 +70,14 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS,
     if labels is _ELEMENT_LABELS:
         labels = [str(e) for e in groups.elements(orders)]
     return Graph(len(table), edges, labels=labels, name=name or f"cayley{orders}",
-                 meta={"cayley": {"orders": orders, "generators": sorted(gen_set)},
-                       **(meta or {})})
+                 meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
 
 
-def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS,
-              meta: dict | None = None) -> Graph:
+def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     """Bi-Cayley graph: two copies of the group, g_black ~ h_white iff
     h - g lies in the subset.  Connected iff the difference set generates.
-    Vertices i and n + i are group element i; ``labels`` and ``meta`` work as
-    in ``cayley``."""
+    Vertices i and n + i are group element i; ``labels`` works as in
+    ``cayley``."""
     orders, sub_set = _reduced(orders, subset)
     # S - S generates the same subgroup as S - s0 for any s0 in S
     shift = groups.neg(orders, min(sub_set)) if sub_set else None
@@ -96,8 +92,7 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS,
         elems = groups.elements(orders)
         labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
     return Graph(2 * n, edges, labels=labels, name=name or f"bicayley{orders}",
-                 meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)},
-                       **(meta or {})})
+                 meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
 
 
 # -- elementary families ----------------------------------------------------------
@@ -286,10 +281,8 @@ def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
     if q % 4 != 1:
         raise BadParameters("Paley graph needs q = 1 mod 4")
-    spec = field(q)
-    orders, squares = _nonzero_squares(spec)
-    return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)],
-                  meta={"field": spec.to_json(), "kind": "paley"})
+    orders, squares = _nonzero_squares(field(q))
+    return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)])
 
 
 def bi_paley(q: int) -> Graph:
@@ -298,10 +291,8 @@ def bi_paley(q: int) -> Graph:
         raise BadParameters("bi-Paley graph needs q = 3 mod 4")
     if q == 3:
         raise BadParameters("BP(3) is a degenerate disjoint union")
-    spec = field(q)
-    orders, squares = _nonzero_squares(spec)
-    return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None,
-                     meta={"field": spec.to_json(), "kind": "bipaley"})
+    orders, squares = _nonzero_squares(field(q))
+    return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None)
 
 
 def incidence(n: int, q: int) -> Graph:
@@ -315,8 +306,18 @@ def incidence(n: int, q: int) -> Graph:
     m = (q**n - 1) // (q - 1)
     g = big.generator()
     subset = [(j,) for j in range(m) if trace_norm(emb, g**j)[0].is_zero()]
-    return bi_cayley((m,), subset, name=f"I_{n}({q})",
-                     meta={"kind": "incidence", "incidence": {"n": n, "q": q}})
+    return bi_cayley((m,), subset, name=f"I_{n}({q})")
+
+
+def _projective(spec: FieldSpec, vec_indices) -> tuple[int, ...] | None:
+    """The coordinate indices scaled so that the first non-zero entry is 1;
+    None for the zero vector."""
+    elems = [spec.element(i) for i in vec_indices]
+    lead = next((e for e in elems if not e.is_zero()), None)
+    if lead is None:
+        return None
+    inv = lead.inverse()
+    return tuple((e * inv).index for e in elems)
 
 
 def incidence_points(n: int, q: int) -> Graph:
@@ -327,16 +328,8 @@ def incidence_points(n: int, q: int) -> Graph:
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
     spec = field(q)
-    points = []
-    for vec in itertools.product(range(q), repeat=n):
-        elems = [spec.element(i) for i in vec]
-        lead = next((e for e in elems if not e.is_zero()), None)
-        if lead is None:
-            continue
-        inv = lead.inverse()
-        normal = tuple((e * inv).index for e in elems)
-        if normal == vec:
-            points.append(tuple(spec.element(i) for i in vec))
+    vecs = [v for v in itertools.product(range(q), repeat=n) if _projective(spec, v) == v]
+    points = [[spec.element(i) for i in v] for v in vecs]
     m = len(points)
     edges = []
     for i, u in enumerate(points):
@@ -346,23 +339,19 @@ def incidence_points(n: int, q: int) -> Graph:
                 dot = dot + a * b
             if dot.is_zero():
                 edges.append((i, m + j))
-    labels = [str(tuple(e.index for e in pt)) + "b" for pt in points]
-    labels += [str(tuple(e.index for e in pt)) + "w" for pt in points]
-    return Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts",
-                 meta={"kind": "incidence_points", "incidence": {"n": n, "q": q}})
+    labels = [f"{v}b" for v in vecs] + [f"{v}w" for v in vecs]
+    return Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts")
 
 
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:
     """Vertex id of the projective point with the given coordinate indices."""
-    spec = field(q)
-    elems = [spec.element(i) for i in vec_indices]
-    lead = next(e for e in elems if not e.is_zero())
-    inv = lead.inverse()
-    label = str(tuple((e * inv).index for e in elems)) + ("b" if side == "black" else "w")
-    return graph.vertex_of_label[label]
+    normal = _projective(field(q), vec_indices)
+    if normal is None:
+        raise BadParameters("the zero vector is not a projective point")
+    return graph.vertex_of_label[f"{normal}{'b' if side == 'black' else 'w'}"]
 
 
-def _sum_product(q: int, lo: int, name: str, kind: str) -> Graph:
+def _sum_product(q: int, lo: int, name: str) -> Graph:
     """Bipartite graph on two copies of F x X, X the elements of index >= lo
     (F for lo = 0, F* for lo = 1): (a,x) ~ (b,y) iff a + b = xy."""
     spec = field(q)
@@ -375,21 +364,21 @@ def _sum_product(q: int, lo: int, name: str, kind: str) -> Graph:
             for y in xs:
                 b = x * y - a
                 edges.append((a.index * w + x.index - lo, m + b.index * w + y.index - lo))
-    return Graph(2 * m, edges, name=name, meta={"kind": kind, "q": q})
+    return Graph(2 * m, edges, name=name)
 
 
 def sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F*: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 3:
         raise BadParameters("sum-product graph needs q >= 3")
-    return _sum_product(q, 1, f"SP_{q}", "sum_product")
+    return _sum_product(q, 1, f"SP_{q}")
 
 
 def full_sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F: (a,x) ~ (b,y) iff a + b = xy."""
     if q < 2:
         raise BadParameters("full sum-product graph needs q >= 2")
-    return _sum_product(q, 0, f"FSP_{q}", "full_sum_product")
+    return _sum_product(q, 0, f"FSP_{q}")
 
 
 # -- individual graphs ------------------------------------------------------------------
@@ -457,8 +446,7 @@ def machine(orders) -> Graph:
         gens.append(s + zero)
         gens.append(zero + s)
         gens.append(s + s)
-    return cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}",
-                  meta={"machine": {"orders": orders, "group_size": size}})
+    return cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}")
 
 
 def order2_count(orders) -> int:

@@ -229,8 +229,7 @@ def _drop_one(entries, value: float, tol: float, missing: str) -> list:
     raise Mismatch(missing)
 
 
-def partial_design_closed_form(m: int, d: int, c1: int, c2: int,
-                               c1_graph_values, family: str = "partial_design") -> ClosedForm:
+def partial_design_closed_form(m: int, d: int, c1: int, c2: int, c1_graph_values) -> ClosedForm:
     """Spectrum of a partial design graph from its parameters and the
     spectrum of the c1-graph; the c1-graph's trivial eigenvalue d' is dropped
     and every remaining alpha' contributes +-sqrt((d-c2)+(c1-c2) alpha')."""
@@ -248,7 +247,7 @@ def partial_design_closed_form(m: int, d: int, c1: int, c2: int,
         r = math.sqrt(max(inner, 0.0))
         entries.append((r, mult, f"sqrt({inner:.9g})"))
         entries.append((-r, mult, f"-sqrt({inner:.9g})"))
-    return _form(family, entries)
+    return _form("partial_design", entries)
 
 
 def cayley_closed_form(orders, generators, family: str = "cayley") -> ClosedForm:
@@ -292,16 +291,16 @@ def complement_laplacian_closed_form(base_lap: ClosedForm, n: int, family: str) 
     return _form(family, entries, kind="laplacian")
 
 
-def product_closed_form(a: ClosedForm, b: ClosedForm, family: str = "product") -> ClosedForm:
+def product_closed_form(a: ClosedForm, b: ClosedForm) -> ClosedForm:
     entries = [(va + vb, ma * mb, f"{la}+{lb}")
                for va, ma, la in a.entries for vb, mb, lb in b.entries]
-    return _form(family, entries)
+    return _form("product", entries)
 
 
-def double_closed_form(a: ClosedForm, family: str = "double") -> ClosedForm:
+def double_closed_form(a: ClosedForm) -> ClosedForm:
     entries = [(v, m, lbl) for v, m, lbl in a.entries]
     entries += [(-v, m, f"-({lbl})") for v, m, lbl in a.entries]
-    return _form(family, entries)
+    return _form("double", entries)
 
 
 def radial_tree_eigenvalues(d: int, radius: int) -> tuple[list[float], list[float]]:

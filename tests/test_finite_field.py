@@ -68,6 +68,32 @@ def test_construct_field_deterministic():
     assert GF(2, 4).modulus == (1, 0, 0, 1, 1)
 
 
+def _first_irreducible(p: int, d: int) -> tuple[int, ...]:
+    """The modulus search construct_field made with a hand-written base-p
+    counter before it used itertools.product, kept as its oracle."""
+    q = p**d
+
+    def candidates():
+        idx = 0
+        while idx < q:
+            n, c = idx, []
+            for _ in range(d):
+                c.append(n % p)
+                n //= p
+            yield tuple(reversed(c)) + (1,)
+            idx += 1
+
+    return next(f for f in candidates() if ff._is_irreducible(f, p))
+
+
+def test_construct_field_modulus_matches_counter_oracle():
+    powers = [pp for q in range(4, 3500)
+              if (pp := ff.prime_power_decomposition(q)) is not None and pp[1] > 1]
+    assert len(powers) == 38
+    for p, d in powers:
+        assert GF(p, d).modulus == _first_irreducible(p, d), (p, d)
+
+
 def test_additive_inverse_random_gf49():
     spec = GF(7, 2)
     rnd = random.Random(49)

@@ -478,6 +478,80 @@ def test_automorphism_count_matches_enumeration(g):
     assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0]
 
 
+# The depth-first reachability and 2-colouring that the breadth-first ones
+# replaced, kept as their oracle.
+
+def _component(g: Graph, start: int) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _components(g: Graph) -> list[frozenset[int]]:
+    left = set(range(g.n))
+    out = []
+    while left:
+        comp = _component(g, min(left))
+        out.append(frozenset(comp))
+        left -= comp
+    return out
+
+
+def _is_connected(g: Graph) -> bool:
+    return len(_component(g, 0)) == g.n
+
+
+def _bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    color = [-1] * g.n
+    for start in range(g.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in g.adj[u]:
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    black = frozenset(v for v in range(g.n) if color[v] == 0)
+    return black, frozenset(range(g.n)) - black
+
+
+def _assert_traversals_match_dfs(g: Graph):
+    assert g.is_connected == _is_connected(g)
+    assert g.components == _components(g)
+    assert g.bipartition == _bipartition(g)
+
+
+def test_traversals_match_dfs_on_corpus():
+    for _cid, _fam, _params, g in corpus_mod.build_corpus():
+        _assert_traversals_match_dfs(g)
+
+
+K3_C4 = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)], name="K3+C4")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(Graph(1, []))
+@example(Graph(3, []))
+@example(Graph(4, [(0, 1), (2, 3)]))
+@example(K3_C4)
+@example(_cycles(5, 10))
+@example(_cycles(4, 6))
+def test_traversals_match_dfs(g):
+    _assert_traversals_match_dfs(g)
+
+
 def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP) -> int:
     """The chromatic number as it was computed before the greedy DSATUR pass
     became the first descent of the colourability search: a separate greedy
@@ -716,3 +790,19 @@ def test_invariant_report_json():
     assert data["girth"] == 5
     tree_rep = gc.invariant_report(gf.tree(3, 2))
     assert tree_rep.to_json()["girth"] == "inf"
+    assert gc.invariant_report(K3_C4).to_json() == {
+        "name": "K3+C4", "n": 7, "edges": 7,
+        "degree": {"min": 2, "max": 2, "avg": {"num": 2, "den": 1}},
+        "diameter": None, "girth": 3, "bipartite": False,
+        "chromatic": 3, "independence": 3, "clique": 3,
+        "isoperimetric": None, "isoperimetric_witness": None,
+        "connected": False, "skipped": ["isoperimetric (disconnected)"],
+    }
+    assert gc.invariant_report(Graph(3, [], name="3K1")).to_json() == {
+        "name": "3K1", "n": 3, "edges": 0,
+        "degree": {"min": 0, "max": 0, "avg": {"num": 0, "den": 1}},
+        "diameter": None, "girth": "inf", "bipartite": True,
+        "chromatic": 1, "independence": 3, "clique": 1,
+        "isoperimetric": None, "isoperimetric_witness": None,
+        "connected": False, "skipped": ["isoperimetric (disconnected)"],
+    }

@@ -71,6 +71,12 @@ def test_incidence_point_index_inverts_the_labels(q):
             assert gf.incidence_point_index(g, scaled, q, side) == v
 
 
+def test_incidence_point_index_refuses_the_zero_vector():
+    g = gf.incidence_points(3, 3)
+    with pytest.raises(BadParameters):
+        gf.incidence_point_index(g, (0, 0, 0), 3, "black")
+
+
 def test_cayley_cycle_and_cube():
     assert iso(gf.build("cycle", 7), gf.cayley((7,), [(1,), (6,)]))
     basis = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
@@ -96,6 +102,14 @@ def test_group_metadata_matches_edges(g):
         info, offset = g.meta["bicayley"], g.n // 2
         steps = info["subset"]
     assert g.adj[0] == {offset + groups.index(info["orders"], s) for s in steps}
+
+
+def test_metadata_is_only_the_group():
+    """The closed forms and the +-1 certificates read a graph's "cayley" or
+    "bicayley" entry; a graph carries no other metadata."""
+    graphs = [g for *_, g in corpus_mod.build_corpus()] + [gf.incidence_points(3, 3)]
+    for g in graphs:
+        assert set(g.meta) <= {"cayley", "bicayley"}, g.name
 
 
 def _field_loop_edges(q: int, bipartite: bool) -> set:
