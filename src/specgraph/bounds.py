@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -458,33 +460,18 @@ def sum_product_window_check(points_graph: Graph, q: int, window, equation: str)
         raise InvalidOperation(f"unknown equation {equation!r}")
     spec = field(q)
     A, B, C, D = [sorted(set(block)) for block in window]
-    S = set()
-    for a in A:
-        for c in C:
-            coords = (a, (-spec.one).index, c) if equation == "a+b=cd" else (1, a, c)
-            S.add(incidence_point_index(points_graph, coords, q, "black"))
-    T = set()
-    for b in B:
-        for dd in D:
-            T.add(incidence_point_index(points_graph, ((-spec.one).index, b, dd), q, "white"))
+    minus_one = (-spec.one).index
+    black = ((a, minus_one, c) if equation == "a+b=cd" else (1, a, c) for a in A for c in C)
+    S = {incidence_point_index(points_graph, v, q, "black") for v in black}
+    T = {incidence_point_index(points_graph, (minus_one, b, dd), q, "white") for b in B for dd in D}
     if len(S) != len(A) * len(C) or len(T) != len(B) * len(D):
         raise InvalidOperation("window points collide; blocks must be index sets")
     count = edge_count_between(points_graph, S, T)
     # independent direct count of solutions via pair-count tables
-    pair_counts: dict[int, int] = {}
-    for a in A:
-        ea = spec.element(a)
-        for b in B:
-            eb = spec.element(b)
-            key = (ea + eb).index if equation == "a+b=cd" else (ea * eb).index
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-    direct = 0
-    for c in C:
-        ec = spec.element(c)
-        for dd in D:
-            prod = ec * spec.element(dd)
-            target = prod.index if equation == "a+b=cd" else (spec.one - prod).index
-            direct += pair_counts.get(target, 0)
+    combine = operator.add if equation == "a+b=cd" else operator.mul
+    pair_counts = Counter(combine(spec.element(a), spec.element(b)).index for a in A for b in B)
+    products = (spec.element(c) * spec.element(dd) for c in C for dd in D)
+    direct = sum(pair_counts[(p if equation == "a+b=cd" else spec.one - p).index] for p in products)
     w = len(A) * len(B) * len(C) * len(D)
     bound = math.sqrt(q * w)
     deviation = abs(direct - w / q)

@@ -26,8 +26,11 @@ DEFAULT_SEED = 20150901
 
 def _write(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadParameters(f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -59,8 +62,12 @@ def load_graph_source(source: str, *params) -> gc.Graph:
     """A graph source is an edge-list file path, or a family spec as
     ``graph_families.parse_source`` reads it."""
     if os.path.exists(source) and not params:
-        with open(source) as fh:
-            return gc.parse_edge_list(fh.read(), name=os.path.basename(source))
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BadParameters(f"cannot read {source}: {exc}") from None
+        return gc.parse_edge_list(text, name=os.path.basename(source))
     return gfam.build(source, *params)
 
 

@@ -91,7 +91,7 @@ class Graph:
 
     @cached_property
     def vertex_of_label(self) -> dict[str, int]:
-        return {label: v for v, label in enumerate(self.labels)}
+        return {label: v for v, label in enumerate(self.labels or ())}
 
     @cached_property
     def masks(self) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .finite_field import (
     FieldSpec,
-    construct_field,
     field,
     signature_table,
     subfield_embedding,
@@ -295,17 +294,21 @@ def bi_paley(q: int) -> Graph:
     return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None)
 
 
-def incidence(n: int, q: int) -> Graph:
-    """Incidence graph of 1-spaces vs (n-1)-spaces of GF(q)^n, realized as the
-    bi-Cayley graph of the cyclic group K*/F* over the trace-zero subset."""
+def _singer(n: int, q: int):
+    """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
+    group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K."""
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
     base = field(q)
-    big = construct_field(base.p, base.d * n)
-    emb = subfield_embedding(big, base)
-    m = (q**n - 1) // (q - 1)
-    g = big.generator()
-    subset = [(j,) for j in range(m) if trace_norm(emb, g**j)[0].is_zero()]
+    emb = subfield_embedding(field(q**n), base)
+    m, g = (q**n - 1) // (q - 1), emb.big.generator()
+    return emb, m, [(j,) for j in range(m) if trace_norm(emb, g**j)[0].is_zero()]
+
+
+def incidence(n: int, q: int) -> Graph:
+    """Incidence graph of 1-spaces vs (n-1)-spaces of GF(q)^n, realized as the
+    bi-Cayley graph of the cyclic group K*/F* over the trace-zero subset."""
+    _, m, subset = _singer(n, q)
     return bi_cayley((m,), subset, name=f"I_{n}({q})")
 
 
@@ -314,41 +317,44 @@ def _projective(spec: FieldSpec, vec_indices) -> tuple[int, ...] | None:
     None for the zero vector."""
     elems = [spec.element(i) for i in vec_indices]
     lead = next((e for e in elems if not e.is_zero()), None)
-    if lead is None:
-        return None
-    inv = lead.inverse()
-    return tuple((e * inv).index for e in elems)
+    return None if lead is None else tuple((e / lead).index for e in elems)
 
 
 def incidence_points(n: int, q: int) -> Graph:
     """Coordinate picture of the incidence graph: two copies of the projective
     points of GF(q)^n, joined when orthogonal under the standard scalar
     product.  Labels carry the normalized coordinates (used by the
-    sum-product application)."""
-    if n < 3:
-        raise BadParameters("incidence graph needs n >= 3")
-    spec = field(q)
-    vecs = [v for v in itertools.product(range(q), repeat=n) if _projective(spec, v) == v]
-    points = [[spec.element(i) for i in v] for v in vecs]
-    m = len(points)
-    edges = []
-    for i, u in enumerate(points):
-        for j, v in enumerate(points):
-            dot = spec.zero
-            for a, b in zip(u, v):
-                dot = dot + a * b
-            if dot.is_zero():
-                edges.append((i, m + j))
-    labels = [f"{v}b" for v in vecs] + [f"{v}w" for v in vecs]
-    return Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts")
+    sum-product application).  It is incidence(n, q) relabelled: in the basis
+    1, g, ..., g^(n-1) of K over F, white vertex j is the point y with
+    sum y_k g^k in g^j F* and black vertex i the point (Tr g^(k-i))_k, whose
+    scalar product is a unit times Tr g^(j-i)."""
+    emb, m, subset = _singer(n, q)
+    spec, g = emb.base, emb.big.generator()
+    unlift = {emb.lift(a).index: a.index for a in spec.elements()}
+    black = [_projective(spec, [unlift[trace_norm(emb, g ** (k - i))[0].index]
+                                for k in range(n)]) for i in range(m)]
+    white = [None] * m
+    for y in itertools.product(range(q), repeat=n):
+        if _projective(spec, y) == y:
+            point = sum((emb.lift(spec.element(c)) * g**k for k, c in enumerate(y)), emb.big.zero)
+            white[point.log() % m] = y
+    labels = [f"{v}b" for v in black] + [f"{v}w" for v in white]
+    return bi_cayley((m,), subset, name=f"I_{n}({q})pts", labels=labels)
 
 
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:
-    """Vertex id of the projective point with the given coordinate indices."""
+    """Vertex id of the projective point with the given coordinate indices on
+    the "black" or "white" side; BadParameters for the zero vector, any other
+    side, or a point that the graph does not label."""
     normal = _projective(field(q), vec_indices)
     if normal is None:
         raise BadParameters("the zero vector is not a projective point")
-    return graph.vertex_of_label[f"{normal}{'b' if side == 'black' else 'w'}"]
+    if side not in ("black", "white"):
+        raise BadParameters(f"side must be 'black' or 'white', got {side!r}")
+    vertex = graph.vertex_of_label.get(f"{normal}{side[0]}")
+    if vertex is None:
+        raise BadParameters(f"{graph.name} has no {side} vertex labelled {normal} over GF({q})")
+    return vertex
 
 
 def _sum_product(q: int, lo: int, name: str) -> Graph:

@@ -15,7 +15,7 @@ from specgraph import bounds as bd
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import spectra as sp
-from specgraph.errors import BadWeights, ColorViolation, NotRegular
+from specgraph.errors import BadWeights, ColorViolation, NotRegular, SpecgraphError
 
 
 def audit(g, **caps):
@@ -240,6 +240,27 @@ def test_sum_product_window_small():
     assert res["agree"] and res["pass"]
     res2 = bd.sum_product_window_check(g, 7, ([1, 2], [1, 3, 4], [2, 5], [1, 6]), "ab+cd=1")
     assert res2["agree"] and res2["pass"]
+
+
+@pytest.mark.parametrize("equation", ["a+b=cd", "ab+cd=1"])
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_sum_product_window_prime_power(q, equation):
+    """Over GF(4), GF(8) and GF(9) the point labels go through the subfield
+    lift and back; 40 seeded random windows per equation."""
+    g = gf.incidence_points(3, q)
+    rng = np.random.default_rng(q)
+    for _ in range(40):
+        window = tuple(sorted(rng.choice(q, size=int(rng.integers(1, q)), replace=False).tolist())
+                       for _ in range(4))
+        res = bd.sum_product_window_check(g, q, window, equation)
+        assert res["agree"] and res["pass"], window
+
+
+@pytest.mark.parametrize("graph", [gf.incidence(3, 7), gf.incidence_points(3, 5)],
+                         ids=["element_labels", "points_of_gf5"])
+def test_sum_product_window_refuses_a_graph_without_the_points_of_gf7(graph):
+    with pytest.raises(SpecgraphError):
+        bd.sum_product_window_check(graph, 7, ([0, 1], [1], [2], [3]), "a+b=cd")
 
 
 # -- perturbation --------------------------------------------------------------------

@@ -311,6 +311,9 @@ USAGE_ERRORS = {
     "generator_shorter_than_group": (["gen", "cayley", "4,4", "1"], BAD),
     "generator_longer_than_group": (["gen", "cayley", "4", "1,0"], BAD),
     "non_integer_closed_form_parameter": (["spec", "paley:x", "--closed-form"], BAD),
+    "source_is_a_directory": (["spec", "{directory}"], BAD),
+    "source_not_utf8": (["spec", "{not_utf8}"], BAD),
+    "unwritable_path": (["gen", "paley", "5", "--path", "{directory}/missing/x"], BAD),
     "caps_on_gen": (["gen", "paley:13", "--caps", "chi=3"], None),
     "caps_on_spec": (["spec", "paley:13", "--caps", "chi=3"], None),
     "caps_on_chars": (["chars", "5", "--caps", "chi=3"], None),
@@ -323,7 +326,10 @@ def test_usage_error_exit_code(argv, err, tmp_path, capsys):
              "reversed_duplicate": "3 2\n0 1\n1 0\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [a.format(**{k: tmp_path / k for k in files}) for a in argv]
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "not_utf8").write_bytes(b"3 1\n0 \xff\n")
+    argv = [a.format(**{k: tmp_path / k for k in [*files, "directory", "not_utf8"]})
+            for a in argv]
     if err is None:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

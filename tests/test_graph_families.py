@@ -77,6 +77,62 @@ def test_incidence_point_index_refuses_the_zero_vector():
         gf.incidence_point_index(g, (0, 0, 0), 3, "black")
 
 
+@pytest.mark.parametrize("graph,coords,q,side", [
+    (gf.incidence_points(3, 3), (1, 0, 0), 3, "blak"),
+    (gf.incidence_points(3, 5), (1, 0, 6), 7, "black"),
+    (gf.incidence_points(3, 3), (1, 0), 3, "white"),
+    (gf.incidence(3, 3), (1, 0, 0), 3, "black"),
+    (gf.bi_paley(7), (1, 0, 0), 7, "white"),
+], ids=["misspelt_side", "wrong_field", "wrong_coordinate_count", "element_labels",
+        "unlabelled_graph"])
+def test_incidence_point_index_refuses_a_point_the_graph_does_not_label(graph, coords, q, side):
+    with pytest.raises(BadParameters):
+        gf.incidence_point_index(graph, coords, q, side)
+
+
+def _orthogonal_points(n: int, q: int) -> gc.Graph:
+    """The coordinate picture by the scalar product of every pair of
+    projective points: the oracle for ``incidence_points``."""
+    spec = ff.field(q)
+    vecs = [v for v in itertools.product(range(q), repeat=n) if gf._projective(spec, v) == v]
+    points = [[spec.element(i) for i in v] for v in vecs]
+    m = len(points)
+    edges = []
+    for i, u in enumerate(points):
+        for j, v in enumerate(points):
+            dot = spec.zero
+            for a, b in zip(u, v):
+                dot = dot + a * b
+            if dot.is_zero():
+                edges.append((i, m + j))
+    labels = [f"{v}b" for v in vecs] + [f"{v}w" for v in vecs]
+    return gc.Graph(2 * m, edges, labels=labels, name=f"I_{n}({q})pts")
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 8), (3, 9),
+                                 (4, 2), (4, 3)])
+def test_incidence_points_is_the_orthogonality_graph(n, q):
+    """Each side is labelled by the m distinct normalised points, u ~ w iff
+    their labels are orthogonal, and the graph is incidence(n, q) itself."""
+    g, oracle, singer = gf.incidence_points(n, q), _orthogonal_points(n, q), gf.incidence(n, q)
+    m = g.n // 2
+    assert g.name == oracle.name and g.n == oracle.n
+    assert sorted(g.labels[:m]) == sorted(oracle.labels[:m])
+    assert sorted(g.labels[m:]) == sorted(oracle.labels[m:])
+
+    def by_label(h):
+        return {(h.labels[u], h.labels[v]) for u, v in h.edges()}
+
+    assert by_label(g) == by_label(oracle)
+    assert g.edges() == singer.edges() and g.meta == singer.meta
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 6)], ids=["n_below_3", "q_not_a_prime_power"])
+def test_incidence_points_refuses_bad_parameters(n, q):
+    with pytest.raises(BadParameters):
+        gf.incidence_points(n, q)
+
+
 def test_cayley_cycle_and_cube():
     assert iso(gf.build("cycle", 7), gf.cayley((7,), [(1,), (6,)]))
     basis = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
