@@ -118,10 +118,11 @@ TWO_VERTICES = "needs at least two vertices"
 DEGREE_TWO = "needs maximum degree at least 2"
 
 
-def audit_bounds(g: Graph, inv: InvariantReport, adj: Spectrum, lap: Spectrum,
+def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
                  seed: int = 0) -> AuditReport:
-    """One record per applicable bound; tree-only / regular-only bounds are
-    gated by structure, capped invariants produce skips."""
+    """One record per applicable bound over inv.graph; tree-only / regular-only
+    bounds are gated by structure, capped invariants produce skips."""
+    g = inv.graph
     n = g.n
     d = g.max_degree
     d_min = g.min_degree

@@ -160,14 +160,11 @@ def restrict_to_base(emb: SubfieldEmbedding, chi: MultiplicativeCharacter) -> Mu
     chi along the embedding."""
     if chi.spec != emb.big:
         raise SpecMismatch("character must live on the big field")
-    g = emb.base.generator()
-    n_base = emb.base.q - 1
-    val = chi(emb.lift(g))
-    # chi(lift(g)) is an n_base-th root of unity; recover its exponent.
-    for k in range(n_base):
-        if abs(val - _roots_of_unity(n_base)[k]) < 1e-6:
-            return MultiplicativeCharacter(emb.base, k)
-    raise SpecMismatch("restriction is not a character of the base field")
+    # lift(g) lies in F*, the subgroup of K* of index r = (Q-1)/(q-1), so its
+    # log L is a multiple of r and chi_k(lift(g)) = exp(2 pi i (k L/r) / (q-1))
+    r = (emb.big.q - 1) // (emb.base.q - 1)
+    log = emb.lift(emb.base.generator()).log()
+    return MultiplicativeCharacter(emb.base, chi.exponent * log // r)
 
 
 def induce_additive(emb: SubfieldEmbedding, psi: AdditiveCharacter) -> AdditiveCharacter:

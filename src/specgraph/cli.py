@@ -170,7 +170,7 @@ def cmd_chars(args) -> int:
 def _audit_graph(g: gc.Graph, caps: dict, seed: int, spectra) -> bd.AuditReport:
     """Audit g against its (adjacency, laplacian) spectra."""
     inv = gc.invariant_report(g, chi_cap=caps["chi"], beta_cap=caps["beta"])
-    return bd.audit_bounds(g, inv, *spectra, seed=seed)
+    return bd.audit_bounds(inv, *spectra, seed=seed)
 
 
 def cmd_audit(args) -> int:

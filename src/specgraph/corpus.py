@@ -6,6 +6,7 @@ the exact engines inside the default desk-scale budget.
 
 from __future__ import annotations
 
+from .errors import BadParameters
 from .graph_core import Graph
 from . import graph_families as gf
 
@@ -68,7 +69,10 @@ CORPUS_SPECS: list[tuple[str, str, tuple]] = [
 
 def build_corpus(ids=None) -> list[tuple[str, str, tuple, Graph]]:
     """Materialize (id, family, params, graph) rows, sorted by corpus id for
-    deterministic aggregation."""
+    deterministic aggregation; BadParameters names any id not in the corpus."""
+    unknown = sorted(set(ids or ()) - {cid for cid, _, _ in CORPUS_SPECS})
+    if unknown:
+        raise BadParameters(f"unknown corpus id {', '.join(map(repr, unknown))}")
     rows = []
     for cid, family, params in CORPUS_SPECS:
         if ids is not None and cid not in ids:

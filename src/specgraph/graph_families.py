@@ -334,8 +334,10 @@ def incidence_points(n: int, q: int) -> Graph:
     black = [_projective(spec, [unlift[trace_norm(emb, g ** (k - i))[0].index]
                                 for k in range(n)]) for i in range(m)]
     white = [None] * m
-    for y in itertools.product(range(q), repeat=n):
-        if _projective(spec, y) == y:
+    # the normalised points: zeros, the one (index 1) at the lead, then any tail
+    for lead in range(n):
+        for tail in itertools.product(range(q), repeat=n - 1 - lead):
+            y = (0,) * lead + (1,) + tail
             point = sum((emb.lift(spec.element(c)) * g**k for k, c in enumerate(y)), emb.big.zero)
             white[point.log() % m] = y
     labels = [f"{v}b" for v in black] + [f"{v}w" for v in white]
@@ -345,10 +347,14 @@ def incidence_points(n: int, q: int) -> Graph:
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:
     """Vertex id of the projective point with the given coordinate indices on
     the "black" or "white" side; BadParameters for the zero vector, any other
-    side, or a point that the graph does not label."""
+    side, a graph whose order is not that of I_n(q) for n = len(vec_indices),
+    or a point that the graph does not label."""
     normal = _projective(field(q), vec_indices)
     if normal is None:
         raise BadParameters("the zero vector is not a projective point")
+    n = len(vec_indices)
+    if graph.n != 2 * (q**n - 1) // (q - 1):
+        raise BadParameters(f"{graph.name} has {graph.n} vertices, not those of I_{n}({q})")
     if side not in ("black", "white"):
         raise BadParameters(f"side must be 'black' or 'white', got {side!r}")
     vertex = graph.vertex_of_label.get(f"{normal}{side[0]}")

@@ -153,7 +153,6 @@ class ClosedForm:
     """Symbolically-derived spectrum: (value, multiplicity, label) entries,
     sorted descending; values are exact expressions evaluated to doubles."""
 
-    family: str
     matrix_kind: str
     entries: tuple[tuple[float, int, str], ...]
 
@@ -167,18 +166,17 @@ class ClosedForm:
     def laplacian_for_regular(self, d: int) -> "ClosedForm":
         """lambda = d - alpha, valid for d-regular families."""
         entries = tuple((d - v, m, f"{d}-({lbl})") for v, m, lbl in reversed(self.entries))
-        return ClosedForm(self.family, "laplacian", entries)
+        return ClosedForm("laplacian", entries)
 
     def to_json(self) -> dict:
         return {
-            "family": self.family,
             "kind": self.matrix_kind,
             "entries": [{"value": v, "multiplicity": m, "label": lbl}
                         for v, m, lbl in self.entries],
         }
 
 
-def _form(family: str, pairs, kind: str = "adjacency") -> ClosedForm:
+def _form(pairs, kind: str = "adjacency") -> ClosedForm:
     """Merge (value, mult, label) triples that agree within tolerance and sort
     descending."""
     merged: list[list] = []
@@ -187,33 +185,30 @@ def _form(family: str, pairs, kind: str = "adjacency") -> ClosedForm:
             merged[-1][1] += m
         else:
             merged.append([v, m, lbl])
-    return ClosedForm(family, kind, tuple((v, m, lbl) for v, m, lbl in merged))
+    return ClosedForm(kind, tuple((v, m, lbl) for v, m, lbl in merged))
 
 
-def srg_closed_form(n: int, d: int, a: int, c: int, family: str = "srg") -> ClosedForm:
+def srg_closed_form(n: int, d: int, a: int, c: int) -> ClosedForm:
     """Three eigenvalues of a strongly regular graph with the stated
-    parameters and multiplicities."""
-    gf.SrgParams(n, d, a, c)  # validates the double-counting identity
+    parameters, with the multiplicities that srg_feasibility finds exactly:
+    (n-1 -+ num/t)/2, or (n-1)/2 each in the quadratic case."""
+    kind, t = srg_feasibility(n, d, a, c)
+    if kind == "infeasible":
+        raise IdentityViolated(f"({n},{d},{a},{c}) is infeasible: {t}")
+    shift = ((n - 1) * (a - c) + 2 * d) // t if t else 0
     disc = (a - c) ** 2 + 4 * (d - c)
     root = math.sqrt(disc)
-    alpha2 = (a - c + root) / 2
-    alpha3 = (a - c - root) / 2
-    num = (n - 1) * (a - c) + 2 * d
-    m2 = (n - 1 - num / root) / 2
-    m3 = (n - 1 + num / root) / 2
-    if abs(m2 - round(m2)) > 1e-9 or abs(m3 - round(m3)) > 1e-9:
-        raise IdentityViolated(f"non-integral multiplicities for ({n},{d},{a},{c})")
-    return _form(family, [
+    return _form([
         (float(d), 1, "d"),
-        (alpha2, round(m2), f"(a-c+sqrt({disc}))/2"),
-        (alpha3, round(m3), f"(a-c-sqrt({disc}))/2"),
+        ((a - c + root) / 2, (n - 1 - shift) // 2, f"(a-c+sqrt({disc}))/2"),
+        ((a - c - root) / 2, (n - 1 + shift) // 2, f"(a-c-sqrt({disc}))/2"),
     ])
 
 
-def design_closed_form(m: int, d: int, c: int, family: str = "design") -> ClosedForm:
+def design_closed_form(m: int, d: int, c: int) -> ClosedForm:
     gf.DesignParams(m, d, c)
     r = math.sqrt(d - c)
-    return _form(family, [
+    return _form([
         (float(d), 1, "d"), (-float(d), 1, "-d"),
         (r, m - 1, f"sqrt({d - c})"), (-r, m - 1, f"-sqrt({d - c})"),
     ])
@@ -247,29 +242,28 @@ def partial_design_closed_form(m: int, d: int, c1: int, c2: int, c1_graph_values
         r = math.sqrt(max(inner, 0.0))
         entries.append((r, mult, f"sqrt({inner:.9g})"))
         entries.append((-r, mult, f"-sqrt({inner:.9g})"))
-    return _form("partial_design", entries)
+    return _form(entries)
 
 
-def cayley_closed_form(orders, generators, family: str = "cayley") -> ClosedForm:
+def cayley_closed_form(orders, generators) -> ClosedForm:
     """Character-sum spectrum of an abelian Cayley graph: one eigenvalue
     sum_{s in S} chi(s) per character chi."""
     orders = tuple(int(m) for m in orders)
     sums = groups.character_sum(orders, generators)
-    return _form(family, [(float(v.real), 1, f"chi{ks}")
-                          for v, ks in zip(sums, groups.elements(orders))])
+    return _form([(float(v.real), 1, f"chi{ks}") for v, ks in zip(sums, groups.elements(orders))])
 
 
-def bicayley_closed_form(orders, subset, family: str = "bicayley") -> ClosedForm:
+def bicayley_closed_form(orders, subset) -> ClosedForm:
     """Spectrum +-|sum_{s in S} chi(s)| of an abelian bi-Cayley graph."""
     orders = tuple(int(m) for m in orders)
     entries = []
     for r, ks in zip(np.abs(groups.character_sum(orders, subset)), groups.elements(orders)):
         entries.append((float(r), 1, f"+|chi{ks}|"))
         entries.append((-float(r), 1, f"-|chi{ks}|"))
-    return _form(family, entries)
+    return _form(entries)
 
 
-def cone_closed_form_adjacency(base: ClosedForm, base_degree: int, family: str) -> ClosedForm:
+def cone_closed_form_adjacency(base: ClosedForm, base_degree: int) -> ClosedForm:
     """Adjacency spectrum of the cone over a regular graph: drop one copy of
     the base's trivial eigenvalue, add the two roots of
     x^2 - d0 x - n0 = 0."""
@@ -279,28 +273,28 @@ def cone_closed_form_adjacency(base: ClosedForm, base_degree: int, family: str) 
                ((base_degree - root) / 2, 1, "cone-")]
     entries += _drop_one(base.entries, base_degree, VALUE_MERGE_TOL,
                          "base spectrum lacks its trivial eigenvalue")
-    return _form(family, entries)
+    return _form(entries)
 
 
-def complement_laplacian_closed_form(base_lap: ClosedForm, n: int, family: str) -> ClosedForm:
+def complement_laplacian_closed_form(base_lap: ClosedForm, n: int) -> ClosedForm:
     """Laplacian of the complement: {0} plus {n - lambda} over the non-trivial
     part of the base laplacian spectrum."""
     base = _drop_one(sorted(base_lap.entries, key=lambda t: t[0]), 0.0, VALUE_MERGE_TOL,
                      "laplacian spectrum lacks the 0 eigenvalue")
     entries = [(0.0, 1, "0")] + [(float(n) - v, m, f"{n}-({lbl})") for v, m, lbl in base]
-    return _form(family, entries, kind="laplacian")
+    return _form(entries, kind="laplacian")
 
 
 def product_closed_form(a: ClosedForm, b: ClosedForm) -> ClosedForm:
     entries = [(va + vb, ma * mb, f"{la}+{lb}")
                for va, ma, la in a.entries for vb, mb, lb in b.entries]
-    return _form("product", entries)
+    return _form(entries)
 
 
 def double_closed_form(a: ClosedForm) -> ClosedForm:
     entries = [(v, m, lbl) for v, m, lbl in a.entries]
     entries += [(-v, m, f"-({lbl})") for v, m, lbl in a.entries]
-    return _form("double", entries)
+    return _form(entries)
 
 
 def radial_tree_eigenvalues(d: int, radius: int) -> tuple[list[float], list[float]]:
@@ -318,7 +312,7 @@ def radial_tree_eigenvalues(d: int, radius: int) -> tuple[list[float], list[floa
 
 
 def _cf_complete(n: int) -> ClosedForm:
-    return _form("complete", [(n - 1.0, 1, "n-1"), (-1.0, n - 1, "-1")])
+    return _form([(n - 1.0, 1, "n-1"), (-1.0, n - 1, "-1")])
 
 
 def _cf_cycle(n: int) -> ClosedForm:
@@ -327,12 +321,11 @@ def _cf_cycle(n: int) -> ClosedForm:
         entries.append((2 * math.cos(2 * math.pi * k / n), 2, f"2cos(2pi{k}/{n})"))
     if n % 2 == 0:
         entries.append((-2.0, 1, "2cos(pi)"))
-    return _form("cycle", entries)
+    return _form(entries)
 
 
 def _cf_cube(n: int) -> ClosedForm:
-    return _form("cube", [(float(n - 2 * k), math.comb(n, k), f"{n}-2*{k}")
-                          for k in range(n + 1)])
+    return _form([(float(n - 2 * k), math.comb(n, k), f"{n}-2*{k}") for k in range(n + 1)])
 
 
 def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
@@ -340,18 +333,18 @@ def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
     entries = [(r, 1, "sqrt(mn)"), (-r, 1, "-sqrt(mn)")]
     if m + n > 2:
         entries.append((0.0, m + n - 2, "0"))
-    return _form("complete_bipartite", entries)
+    return _form(entries)
 
 
 def _cf_path(n: int) -> ClosedForm:
-    return _form("path", [(2 * math.cos(math.pi * k / (n + 1)), 1, f"2cos(pi{k}/{n + 1})")
-                          for k in range(1, n + 1)])
+    return _form([(2 * math.cos(math.pi * k / (n + 1)), 1, f"2cos(pi{k}/{n + 1})")
+                  for k in range(1, n + 1)])
 
 
 def _cf_paley(q: int) -> ClosedForm:
     r = math.sqrt(q)
     half = (q - 1) // 2
-    return _form("paley", [
+    return _form([
         (half, 1, "(q-1)/2"),
         (( r - 1) / 2, half, "(sqrt(q)-1)/2"),
         ((-r - 1) / 2, half, "(-sqrt(q)-1)/2"),
@@ -361,7 +354,7 @@ def _cf_paley(q: int) -> ClosedForm:
 def _cf_bi_paley(q: int) -> ClosedForm:
     half = (q - 1) / 2
     r = math.sqrt(q + 1) / 2
-    return _form("bi_paley", [
+    return _form([
         (half, 1, "(q-1)/2"), (-half, 1, "-(q-1)/2"),
         (r, q - 1, "sqrt(q+1)/2"), (-r, q - 1, "-sqrt(q+1)/2"),
     ])
@@ -371,7 +364,7 @@ def _cf_incidence(n: int, q: int) -> ClosedForm:
     d = (q ** (n - 1) - 1) // (q - 1)
     mid = q ** (n / 2 - 1)
     mult = (q**n - q) // (q - 1)
-    return _form("incidence", [
+    return _form([
         (float(d), 1, "d"), (-float(d), 1, "-d"),
         (mid, mult, "q^(n/2-1)"), (-mid, mult, "-q^(n/2-1)"),
     ])
@@ -379,7 +372,7 @@ def _cf_incidence(n: int, q: int) -> ClosedForm:
 
 def _cf_sum_product(q: int) -> ClosedForm:
     r = math.sqrt(q)
-    return _form("sum_product", [
+    return _form([
         (q - 1.0, 1, "q-1"), (-(q - 1.0), 1, "-(q-1)"),
         (r, (q - 1) * (q - 2), "sqrt(q)"), (-r, (q - 1) * (q - 2), "-sqrt(q)"),
         (1.0, q - 1, "1"), (-1.0, q - 1, "-1"),
@@ -389,7 +382,7 @@ def _cf_sum_product(q: int) -> ClosedForm:
 
 def _cf_full_sum_product(q: int) -> ClosedForm:
     r = math.sqrt(q)
-    return _form("full_sum_product", [
+    return _form([
         (float(q), 1, "q"), (-float(q), 1, "-q"),
         (r, q * (q - 1), "sqrt(q)"), (-r, q * (q - 1), "-sqrt(q)"),
         (0.0, 2 * (q - 1), "0"),
@@ -397,7 +390,7 @@ def _cf_full_sum_product(q: int) -> ClosedForm:
 
 
 def _cf_tutte_coxeter() -> ClosedForm:
-    return _form("tutte_coxeter", [
+    return _form([
         (3.0, 1, "3"), (-3.0, 1, "-3"),
         (2.0, 9, "2"), (-2.0, 9, "-2"),
         (0.0, 10, "0"),
@@ -406,7 +399,7 @@ def _cf_tutte_coxeter() -> ClosedForm:
 
 def _cf_machine(*orders: int) -> ClosedForm:
     size = math.prod(orders)
-    return srg_closed_form(size * size, 3 * size - 3, size, 6, family="machine")
+    return srg_closed_form(size * size, 3 * size - 3, size, 6)
 
 
 def _cf_star(n: int) -> ClosedForm:
@@ -414,12 +407,12 @@ def _cf_star(n: int) -> ClosedForm:
 
 
 def _cf_windmill(k: int) -> ClosedForm:
-    base = _form("kK2", [(1.0, k, "1"), (-1.0, k, "-1")])
-    return cone_closed_form_adjacency(base, 1, "windmill")
+    base = _form([(1.0, k, "1"), (-1.0, k, "-1")])
+    return cone_closed_form_adjacency(base, 1)
 
 
 def _cf_wheel(n: int) -> ClosedForm:
-    return cone_closed_form_adjacency(_cf_cycle(n - 1), 2, "wheel")
+    return cone_closed_form_adjacency(_cf_cycle(n - 1), 2)
 
 
 _CLOSED_FORMS = {
@@ -440,11 +433,11 @@ _CLOSED_FORMS = {
     "machine": _cf_machine,
     "halved_cube": lambda n: closed_form_for_graph(gf.halved_cube(n)),
     "decked_cube": lambda n, extra: closed_form_for_graph(gf.decked_cube(n, extra)),
-    "petersen": lambda: srg_closed_form(10, 3, 0, 1, family="petersen"),
-    "shrikhande": lambda: srg_closed_form(16, 6, 2, 2, family="shrikhande"),
-    "rook_twin": lambda: srg_closed_form(16, 6, 2, 2, family="rook_twin"),
-    "rook": lambda n: srg_closed_form(n * n, 2 * (n - 1), n - 2, 2, family="rook"),
-    "heawood": lambda: design_closed_form(7, 3, 1, family="heawood"),
+    "petersen": lambda: srg_closed_form(10, 3, 0, 1),
+    "shrikhande": lambda: srg_closed_form(16, 6, 2, 2),
+    "rook_twin": lambda: srg_closed_form(16, 6, 2, 2),
+    "rook": lambda n: srg_closed_form(n * n, 2 * (n - 1), n - 2, 2),
+    "heawood": lambda: design_closed_form(7, 3, 1),
 }
 
 
@@ -461,10 +454,10 @@ def closed_form_for_graph(g: Graph) -> ClosedForm:
     bi-Cayley metadata."""
     if "cayley" in g.meta:
         info = g.meta["cayley"]
-        return cayley_closed_form(info["orders"], info["generators"], family=g.name)
+        return cayley_closed_form(info["orders"], info["generators"])
     if "bicayley" in g.meta:
         info = g.meta["bicayley"]
-        return bicayley_closed_form(info["orders"], info["subset"], family=g.name)
+        return bicayley_closed_form(info["orders"], info["subset"])
     raise NoClosedForm(f"graph {g.name!r} carries no group metadata")
 
 
@@ -495,18 +488,18 @@ def verify_closed_form(numeric: Spectrum, cf: ClosedForm, name: str = "") -> dic
 
 # -- classifiers ---------------------------------------------------------------------
 
-def spectrum_classifiers(adj: Spectrum, n: int, lap: Spectrum | None = None) -> dict:
+def spectrum_classifiers(adj: Spectrum, lap: Spectrum) -> dict:
     """Structure read off the spectrum alone: bipartiteness, regularity,
     component count, and the strongly-regular / design converses."""
     tol = EQ_TOL
+    n = adj.n
     values = adj.expanded()
     out: dict = {}
     sym = all(abs(values[i] + values[n - 1 - i]) <= tol for i in range(n))
     out["bipartite"] = sym
     alpha_max = adj.max
     out["regular"] = abs(float((values**2).sum()) - n * alpha_max) <= tol * n * max(1, alpha_max)
-    if lap is not None:
-        out["connected_components"] = lap.multiplicity_near(0.0)
+    out["connected_components"] = lap.multiplicity_near(0.0)
     out.update(srg=None, design=None, extremal_design_degree=None)
     distinct = adj.distinct_values()
     if out["regular"] and len(distinct) == 3:
@@ -552,26 +545,16 @@ def srg_feasibility(n: int, d: int, a: int, c: int):
     if disc <= 0:
         return "infeasible", "non-positive discriminant"
     num = (n - 1) * (a - c) + 2 * d
-
-    def identity_ok() -> bool:
-        return d * (d - a - 1) == (n - d - 1) * c
-
-    if num == 0:
-        if not identity_ok():
-            raise IdentityViolated(f"identity fails for ({n},{d},{a},{c})")
-        return "quadratic", None
     t = math.isqrt(disc)
-    if t * t != disc:
+    if num and t * t != disc:
         return "infeasible", "irrational eigenvalues need equal multiplicities"
     if num % t != 0:
         return "infeasible", f"sqrt(disc) = {t} does not divide {num}"
-    m2 = (n - 1 - num // t)
-    m3 = (n - 1 + num // t)
-    if m2 % 2 or m3 % 2 or m2 < 0 or m3 < 0:
+    # the multiplicities (n - 1 -+ num/t)/2, with num = 0 in the quadratic case
+    if (n - 1 - num // t) % 2 or abs(num // t) > n - 1:
         return "infeasible", "multiplicities not non-negative integers"
-    if not identity_ok():
-        raise IdentityViolated(f"identity fails for ({n},{d},{a},{c})")
-    return "integral", t
+    gf.SrgParams(n, d, a, c)  # raises IdentityViolated
+    return ("integral", t) if num else ("quadratic", None)
 
 
 def moore_graph_enumeration(max_degree: int = 100) -> list[tuple[int, int]]:

@@ -89,7 +89,7 @@ def test_criterion_2_petersen_fixture():
         beta, _ = gc.isoperimetric_constant(g)
         assert beta == Fraction(1)
         adj, lap = sp.graph_spectra(g)
-        recovered = sp.spectrum_classifiers(adj, g.n, lap)["srg"]
+        recovered = sp.spectrum_classifiers(adj, lap)["srg"]
         assert recovered == gf.SrgParams(10, 3, 0, 1)
 
 
@@ -176,7 +176,7 @@ def test_criterion_7_bounds_corpus():
         for cid, _family, _params, g in rows:
             inv = gc.invariant_report(g)
             adj, lap = sp.graph_spectra(g)
-            report = bd.audit_bounds(g, inv, adj, lap)
+            report = bd.audit_bounds(inv, adj, lap)
             assert report.ok, (cid, [(r.name, r.lhs, r.rhs) for r in report.failed])
         # Alon-Milman tight via the +-1 certificate
         for maker in (lambda: gf.cube(3), lambda: gf.cube(4), gf.petersen,

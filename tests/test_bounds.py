@@ -21,7 +21,7 @@ from specgraph.errors import BadWeights, ColorViolation, NotRegular, SpecgraphEr
 def audit(g, **caps):
     inv = gc.invariant_report(g, **caps)
     adj, lap = sp.graph_spectra(g)
-    return bd.audit_bounds(g, inv, adj, lap)
+    return bd.audit_bounds(inv, adj, lap)
 
 
 def record(report, name):

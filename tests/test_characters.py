@@ -169,6 +169,27 @@ def test_singular_eisenstein_relation_gf9_over_gf3():
         assert abs(ch.eisenstein_sum(emb, chi, singular=True)) < 1e-9
 
 
+def _searched_restriction(emb, chi):
+    """The float search over roots of unity that restrict_to_base replaced,
+    kept as its oracle."""
+    g = emb.base.generator()
+    n_base = emb.base.q - 1
+    val = chi(emb.lift(g))
+    for k in range(n_base):
+        if abs(val - ch._roots_of_unity(n_base)[k]) < 1e-6:
+            return ch.MultiplicativeCharacter(emb.base, k)
+    raise AssertionError("restriction is not a character of the base field")
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (5, 3), (7, 2),
+                                 (9, 2), (11, 2)])
+def test_restrict_to_base_matches_the_root_search(q, n):
+    emb, big = emb_for(q, n)
+    for k in range(big.q - 1):
+        chi = ch.MultiplicativeCharacter(big, k)
+        assert ch.restrict_to_base(emb, chi) == _searched_restriction(emb, chi), k
+
+
 def test_gauss_eisenstein_factorization_gf9_over_gf3():
     emb, big = emb_for(3, 2)
     base = emb.base

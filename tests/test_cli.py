@@ -314,6 +314,9 @@ USAGE_ERRORS = {
     "source_is_a_directory": (["spec", "{directory}"], BAD),
     "source_not_utf8": (["spec", "{not_utf8}"], BAD),
     "unwritable_path": (["gen", "paley", "5", "--path", "{directory}/missing/x"], BAD),
+    "unknown_corpus_id": (["verify", "--families", "nosuch"], BAD + "unknown corpus id 'nosuch'"),
+    "unknown_and_known_corpus_ids": (["verify", "--families", "petersen,nosuch"],
+                                     BAD + "unknown corpus id 'nosuch'\n"),
     "caps_on_gen": (["gen", "paley:13", "--caps", "chi=3"], None),
     "caps_on_spec": (["spec", "paley:13", "--caps", "chi=3"], None),
     "caps_on_chars": (["chars", "5", "--caps", "chi=3"], None),

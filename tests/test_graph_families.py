@@ -83,8 +83,10 @@ def test_incidence_point_index_refuses_the_zero_vector():
     (gf.incidence_points(3, 3), (1, 0), 3, "white"),
     (gf.incidence(3, 3), (1, 0, 0), 3, "black"),
     (gf.bi_paley(7), (1, 0, 0), 7, "white"),
+    (gf.incidence(3, 7), (5,), 7, "black"),
+    (gf.incidence_points(3, 5), (1, 2, 3), 7, "black"),
 ], ids=["misspelt_side", "wrong_field", "wrong_coordinate_count", "element_labels",
-        "unlabelled_graph"])
+        "unlabelled_graph", "element_label_text", "point_text_of_another_field"])
 def test_incidence_point_index_refuses_a_point_the_graph_does_not_label(graph, coords, q, side):
     with pytest.raises(BadParameters):
         gf.incidence_point_index(graph, coords, q, side)

@@ -151,6 +151,55 @@ def test_srg_closed_form_twins():
     assert [(round(v), m) for v, m, _ in cf.entries] == [(6, 1), (2, 6), (-2, 9)]
 
 
+def _float_srg_closed_form(n, d, a, c):
+    """The float multiplicity rule that srg_closed_form replaced, kept as its
+    oracle."""
+    gf.SrgParams(n, d, a, c)  # validates the double-counting identity
+    disc = (a - c) ** 2 + 4 * (d - c)
+    root = math.sqrt(disc)
+    alpha2 = (a - c + root) / 2
+    alpha3 = (a - c - root) / 2
+    num = (n - 1) * (a - c) + 2 * d
+    m2 = (n - 1 - num / root) / 2
+    m3 = (n - 1 + num / root) / 2
+    if abs(m2 - round(m2)) > 1e-9 or abs(m3 - round(m3)) > 1e-9:
+        raise IdentityViolated(f"non-integral multiplicities for ({n},{d},{a},{c})")
+    return sp._form([
+        (float(d), 1, "d"),
+        (alpha2, round(m2), f"(a-c+sqrt({disc}))/2"),
+        (alpha3, round(m3), f"(a-c-sqrt({disc}))/2"),
+    ])
+
+
+def test_srg_closed_form_matches_float_oracle():
+    """Every (n, d, a, c) with n < 80, a < d and 1 <= c <= d that satisfies the
+    identity and that the float rule accepts gets the same entries from the
+    exact rule; c follows from the identity, except on K_n, where any c holds."""
+    checked = 0
+    for n, d, a in ((n, d, a) for n in range(80) for d in range(n) for a in range(d)):
+        if d == n - 1:
+            cs = range(1, d + 1) if a == d - 1 else ()
+        else:
+            c, rem = divmod(d * (d - a - 1), n - d - 1)
+            cs = (c,) if rem == 0 and 1 <= c <= d else ()
+        for c in cs:
+            try:
+                expected = _float_srg_closed_form(n, d, a, c)
+            except IdentityViolated:
+                continue
+            assert sp.srg_closed_form(n, d, a, c).entries == expected.entries, (n, d, a, c)
+            checked += 1
+    assert checked == 3404
+
+
+def test_srg_closed_form_refuses_zero_discriminant():
+    """(5, 0, 0, 0) satisfies the identity; its two non-trivial eigenvalues
+    coincide, which the float rule met with a division by zero."""
+    gf.SrgParams(5, 0, 0, 0)
+    with pytest.raises(IdentityViolated, match="non-positive discriminant"):
+        sp.srg_closed_form(5, 0, 0, 0)
+
+
 def test_paley13_closed_form_values():
     cf = sp.closed_form_spectrum("paley", 13)
     values = [v for v, _, _ in cf.entries]
@@ -195,7 +244,7 @@ def test_q4_binomial_multiplicities():
 
 def test_corrupted_multiplicity_mismatch():
     cf = sp.closed_form_spectrum("cube", 3)
-    bad = sp.ClosedForm(cf.family, cf.matrix_kind, tuple(
+    bad = sp.ClosedForm(cf.matrix_kind, tuple(
         (v, (m + 1 if i == 0 else m), lbl) for i, (v, m, lbl) in enumerate(cf.entries)))
     with pytest.raises(Mismatch):
         sp.verify_closed_form(adj_spectrum(gf.cube(3)), bad)
@@ -203,8 +252,7 @@ def test_corrupted_multiplicity_mismatch():
 
 def test_wrong_value_mismatch():
     cf = sp.closed_form_spectrum("complete", 5)
-    bad = sp.ClosedForm(cf.family, cf.matrix_kind,
-                        ((5.0, 1, "n"), (-1.0, 4, "-1")))
+    bad = sp.ClosedForm(cf.matrix_kind, ((5.0, 1, "n"), (-1.0, 4, "-1")))
     with pytest.raises(Mismatch):
         sp.verify_closed_form(adj_spectrum(gf.complete(5)), bad)
 
@@ -212,10 +260,18 @@ def test_wrong_value_mismatch():
 def test_matrix_kind_mismatch():
     """An edgeless graph's two spectra agree, so only their kinds differ."""
     g = gc.Graph(3, [])
-    cf = sp.ClosedForm("edgeless", "laplacian", ((0.0, 3, "0"),))
+    cf = sp.ClosedForm("laplacian", ((0.0, 3, "0"),))
     assert sp.verify_closed_form(sp.spectrum(g, "laplacian"), cf)["ok"]
     with pytest.raises(Mismatch):
         sp.verify_closed_form(sp.spectrum(g), cf)
+
+
+def test_closed_form_registry_agrees_with_the_builders_and_the_corpus():
+    assert set(sp._CLOSED_FORMS) <= set(gf.FAMILY_BUILDERS)
+    assert set(corpus_mod.SMALLEST_THREE) <= set(sp._CLOSED_FORMS)
+    for _cid, family, params in corpus_mod.CORPUS_SPECS:
+        assert family in gf.FAMILY_BUILDERS
+        assert gf.parse_source(family, *params)[0] == family
 
 
 def test_no_closed_form_for_andrasfai():
@@ -279,8 +335,7 @@ def test_cone_and_complement_laplacian_rules():
     # laplacian of a cone: {0, n0+1} + (lambda_k + 1); complement: {0} + (n - lambda)
     base = gf.cycle(6)
     base_lap = sp.eig_symmetric(sp.laplacian_matrix(base), "laplacian")
-    base_cf = sp.ClosedForm("c6lap", "laplacian",
-                            tuple((v, m, "x") for v, m in base_lap.entries))
+    base_cf = sp.ClosedForm("laplacian", tuple((v, m, "x") for v, m in base_lap.entries))
     cone_graph = gc.cone(base)
     entries = [(0.0, 1, "0"), (float(base.n + 1), 1, "n0+1")]
     dropped = False
@@ -290,23 +345,20 @@ def test_cone_and_complement_laplacian_rules():
             dropped = True
         if m > 0:
             entries.append((v + 1, m, lbl))
-    cone_cf = sp._form("cone_c6", entries, kind="laplacian")
+    cone_cf = sp._form(entries, kind="laplacian")
     assert sp.verify_closed_form(sp.spectrum(cone_graph, "laplacian"), cone_cf)["ok"]
 
     comp = gc.complement(gf.petersen())
     pet_lap = sp.eig_symmetric(sp.laplacian_matrix(gf.petersen()), "laplacian")
-    pet_cf = sp.ClosedForm("petlap", "laplacian",
-                           tuple((v, m, "x") for v, m in pet_lap.entries))
-    comp_cf = sp.complement_laplacian_closed_form(pet_cf, 10, "pet_complement")
+    pet_cf = sp.ClosedForm("laplacian", tuple((v, m, "x") for v, m in pet_lap.entries))
+    comp_cf = sp.complement_laplacian_closed_form(pet_cf, 10)
     assert sp.verify_closed_form(sp.spectrum(comp, "laplacian"), comp_cf)["ok"]
 
 
 def test_product_rule_spectra():
     for a, b in [(gf.complete(3), gf.complete(3)), (gf.complete(2), gf.cycle(4))]:
-        cf_a = sp.ClosedForm("a", "adjacency",
-                             tuple((v, m, "x") for v, m in adj_spectrum(a).entries))
-        cf_b = sp.ClosedForm("b", "adjacency",
-                             tuple((v, m, "x") for v, m in adj_spectrum(b).entries))
+        cf_a = sp.ClosedForm("adjacency", tuple((v, m, "x") for v, m in adj_spectrum(a).entries))
+        cf_b = sp.ClosedForm("adjacency", tuple((v, m, "x") for v, m in adj_spectrum(b).entries))
         cf = sp.product_closed_form(cf_a, cf_b)
         assert sp.verify_closed_form(adj_spectrum(gc.product(a, b)), cf)["ok"]
 
@@ -327,10 +379,10 @@ def test_partial_design_closed_form_machinery():
 
 
 @pytest.mark.parametrize("build, missing", [
-    (lambda: sp.cone_closed_form_adjacency(sp.closed_form_spectrum("cycle", 5), 3, "cone"),
+    (lambda: sp.cone_closed_form_adjacency(sp.closed_form_spectrum("cycle", 5), 3),
      "base spectrum lacks its trivial eigenvalue"),
     (lambda: sp.complement_laplacian_closed_form(
-        sp.ClosedForm("no_zero", "laplacian", ((1.0, 2, "a"), (3.0, 1, "b"))), 3, "complement"),
+        sp.ClosedForm("laplacian", ((1.0, 2, "a"), (3.0, 1, "b"))), 3),
      "laplacian spectrum lacks the 0 eigenvalue"),
     (lambda: sp.partial_design_closed_form(15, 3, 0, 1, [(0.0, 5)]),
      "c1-graph spectrum lacks its trivial eigenvalue"),
@@ -347,7 +399,7 @@ def test_closed_form_rule_refuses_base_without_trivial_eigenvalue(build, missing
 def test_classifiers_petersen():
     g = gf.petersen()
     adj, lap = sp.graph_spectra(g)
-    out = sp.spectrum_classifiers(adj, g.n, lap)
+    out = sp.spectrum_classifiers(adj, lap)
     assert out["regular"] and not out["bipartite"]
     assert out["connected_components"] == 1
     assert out["srg"] == gf.SrgParams(10, 3, 0, 1)
@@ -356,7 +408,7 @@ def test_classifiers_petersen():
 def test_classifiers_heawood_extremal_design():
     g = gf.heawood()
     adj, lap = sp.graph_spectra(g)
-    out = sp.spectrum_classifiers(adj, g.n, lap)
+    out = sp.spectrum_classifiers(adj, lap)
     assert out["bipartite"] and out["regular"]
     assert out["design"] == gf.DesignParams(7, 3, 1)
     assert out["extremal_design_degree"] == 3
@@ -365,7 +417,7 @@ def test_classifiers_heawood_extremal_design():
 def test_classifiers_k33():
     g = gf.complete_bipartite(3, 3)
     adj, lap = sp.graph_spectra(g)
-    out = sp.spectrum_classifiers(adj, g.n, lap)
+    out = sp.spectrum_classifiers(adj, lap)
     assert out["bipartite"] and out["regular"]
     assert out["design"] == gf.DesignParams(3, 3, 3)  # c = d
 
@@ -373,14 +425,14 @@ def test_classifiers_k33():
 def test_classifier_counts_components():
     g = gc.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     adj, lap = sp.graph_spectra(g)
-    out = sp.spectrum_classifiers(adj, g.n, lap)
+    out = sp.spectrum_classifiers(adj, lap)
     assert out["connected_components"] == 2
 
 
 def test_classifier_irregular():
     g = gf.star(5)
     adj, lap = sp.graph_spectra(g)
-    out = sp.spectrum_classifiers(adj, g.n, lap)
+    out = sp.spectrum_classifiers(adj, lap)
     assert not out["regular"] and out["bipartite"]
 
 
@@ -401,6 +453,8 @@ def test_srg_feasibility_identity_violation():
         sp.srg_feasibility(18, 6, 2, 2)
     # non-square discriminant dominates: reported infeasible before identity
     assert sp.srg_feasibility(16, 6, 2, 3)[0] == "infeasible"
+    # so does a quadratic case whose multiplicities (n-1)/2 are not integers
+    assert sp.srg_feasibility(4, 3, 0, 2)[0] == "infeasible"
 
 
 def test_moore_enumeration():
