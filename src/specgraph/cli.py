@@ -147,7 +147,7 @@ def _char_rows(q: int, ext: int | None) -> list[dict]:
     for t1, values in enumerate(ch.kloosterman_table(spec).tolist(), 1):
         for t2, val in enumerate(values, 1):
             row("kloosterman", (t1, t2), val, 2 * sq, abs(val) <= 2 * sq + tol)
-    if ext:
+    if ext is not None:
         big = ff.construct_field(spec.p, spec.d * ext)
         for k, val in enumerate(ch.eisenstein_table(ff.subfield_embedding(big, spec)).tolist()):
             if k == 0:

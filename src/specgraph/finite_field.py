@@ -306,25 +306,45 @@ def _tables(spec: FieldSpec):
     and log[exp[j]] = j (log[0] is unused).
 
     g is the unit of least index whose order is q - 1 by the prime-factor
-    test; its powers are walked with polynomial arithmetic.  A walk that does
-    not reach every unit means the modulus is reducible."""
+    test.  Multiplying by g is Z_p-linear on coefficient vectors, so the
+    first b ~ sqrt(q - 1) powers are walked with polynomial arithmetic and
+    each later block of b powers is the block before times g^b.  The walk
+    must hit each of the q - 1 nonzero elements once, which makes every one a
+    unit and so g^(q-1) = 1; a walk that misses one means the modulus is
+    reducible."""
     from array import array  # here, so that processes with no field work skip it
+    import numpy as np
 
-    p, m, n = spec.p, spec.modulus, spec.q - 1
+    p, d, m, n = spec.p, spec.d, spec.modulus, spec.q - 1
     factors = prime_factors(n)
     for i in range(1, spec.q):
         g = _coeffs(spec, i)
         if all(_poly_powmod(g, n // t, m, p) != (1,) for t in factors):
             break
-    exp, log = array("l", [0]) * n, array("l", [0]) * spec.q
-    x: tuple[int, ...] = (1,)
-    for j in range(n):
-        k = sum(c * p**i for i, c in enumerate(x))
-        exp[j], log[k] = k, j
-        x = _poly_mod(_poly_mul(x, g, p), m, p)
-    if x != (1,) or log[1] != 0:
+
+    def vector(c):
+        return c + (0,) * (d - len(c))
+
+    b = math.isqrt(n) + 1
+    powers = [(1,)]
+    for _ in range(b):
+        powers.append(_poly_mod(_poly_mul(powers[-1], g, p), m, p))
+    # row i holds X^i g^b, so that a row vector x maps to x g^b
+    step = np.array([vector(_poly_mod((0,) * i + powers[b], m, p)) for i in range(d)])
+    block = np.array([vector(x) for x in powers[:b]])
+    digits = p ** np.arange(d)
+    exp = np.empty(-(-n // b) * b, dtype="l")  # C longs, as array("l") holds
+    for start in range(0, n, b):
+        exp[start:start + b] = block @ digits
+        block = block @ step % p
+    exp = exp[:n]
+    seen = np.zeros(spec.q, dtype=bool)
+    seen[exp] = True
+    if not seen[1:].all():
         raise SpecMismatch(f"modulus {m} is not irreducible over Z_{p}")
-    return exp, log
+    log = np.zeros(spec.q, dtype="l")
+    log[exp] = np.arange(n)
+    return array("l", exp.tobytes()), array("l", log.tobytes())
 
 
 @lru_cache(maxsize=None)

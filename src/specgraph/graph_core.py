@@ -43,16 +43,31 @@ class Graph:
     def __init__(self, n: int, edges, labels=None, name: str = "", meta: dict | None = None):
         if n < 1:
             raise IndexOutOfRange("graph needs at least one vertex")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise LoopEdge(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
+            rows[u].append(v)
+            rows[v].append(u)
+        self._freeze(rows, labels, name, meta)
+
+    @classmethod
+    def from_rows(cls, rows, labels=None, name: str = "", meta: dict | None = None) -> Graph:
+        """Graph whose vertex v has the neighbours rows[v], which must already be
+        symmetric and loop-free (a Cayley graph's translate table)."""
+        g = cls.__new__(cls)
+        g._freeze(rows, labels, name, meta)
+        return g
+
+    def _freeze(self, rows, labels, name, meta) -> None:
+        # A row's order fixes the iteration order of adj[v], which the exact
+        # engines' search order follows.  set(row) adds in row order;
+        # frozenset(row) alone would size its hash table differently and
+        # reorder some rows.
+        self.n = len(rows)
+        self.adj = tuple(frozenset(set(row)) for row in rows)
         self.labels = tuple(labels) if labels is not None else None
         self.name = name
         self.meta = dict(meta) if meta else {}

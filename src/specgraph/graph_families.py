@@ -24,6 +24,7 @@ from .errors import (
     NotPartialDesign,
     NotRegular,
     NotSymmetric,
+    SizeOverflow,
 )
 from .finite_field import (
     FieldSpec,
@@ -38,17 +39,26 @@ from .graph_core import Graph, common_neighbours, k4_at, product
 # -- Cayley and bi-Cayley graphs over products of cyclic groups ------------------
 
 _ELEMENT_LABELS = object()  # default labels: each vertex's group element
+# Largest group order times set size, the entries of the translate table.  It
+# admits every graph the eigensolver takes (4096 * 4095 < 2**24) and refuses a
+# group such as (Z_2)^25 before its tables are built.
+ADJACENCY_CAP = 2**24
 
 
 def _reduced(orders, elements) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
     """The group orders and the set of elements reduced mod them; BadParameters
-    for an order below 1 or an element without one coordinate per order."""
+    for an order below 1 or an element without one coordinate per order,
+    SizeOverflow for a table of more than ADJACENCY_CAP entries."""
     orders = tuple(int(m) for m in orders)
     if min(orders, default=1) < 1:
         raise BadParameters(f"group orders must be at least 1, got {orders}")
     if any(len(s) != len(orders) for s in elements):
         raise BadParameters(f"each element needs one coordinate per order of {orders}")
-    return orders, {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
+    reduced = {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
+    if math.prod(orders) * max(len(reduced), 1) > ADJACENCY_CAP:
+        raise SizeOverflow(f"group of order {math.prod(orders)} with {len(reduced)} "
+                           f"elements exceeds {ADJACENCY_CAP} adjacency entries")
+    return orders, reduced
 
 
 def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
@@ -64,12 +74,16 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
     table = groups.translate(orders, gen_set).T  # row i: the neighbours of vertex i
-    rows, cols = np.nonzero(np.arange(len(table))[:, None] < table)
-    edges = zip(rows.tolist(), table[rows, cols].tolist())
+    # Each vertex lists its smaller neighbours ascending, then its larger ones
+    # in column order; adj's iteration order, and so the engines' search order
+    # and witnesses, follow it.  A stable sort on min(neighbour, vertex) gives
+    # that order, as every larger neighbour ties at the vertex.
+    order = np.argsort(np.minimum(table, np.arange(len(table))[:, None]), axis=1, kind="stable")
+    rows = np.take_along_axis(table, order, axis=1).tolist()
     if labels is _ELEMENT_LABELS:
         labels = [str(e) for e in groups.elements(orders)]
-    return Graph(len(table), edges, labels=labels, name=name or f"cayley{orders}",
-                 meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
+    return Graph.from_rows(rows, labels=labels, name=name or f"cayley{orders}",
+                           meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
 
 
 def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
@@ -84,14 +98,16 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
             orders, [groups.add(orders, s, shift) for s in sub_set]):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
     table = groups.translate(orders, sub_set).T
-    n = len(table)
-    edges = zip(np.repeat(np.arange(n), table.shape[1]).tolist(),
-                (n + table.ravel()).tolist())
+    n, k = table.shape
+    # Black i lists n + i + S in column order; white h lists the black i with
+    # h in i + S ascending, which a stable sort of the table's entries groups.
+    black = (n + table).tolist()
+    white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
     if labels is _ELEMENT_LABELS:
         elems = groups.elements(orders)
         labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
-    return Graph(2 * n, edges, labels=labels, name=name or f"bicayley{orders}",
-                 meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
+    return Graph.from_rows(black + white, labels=labels, name=name or f"bicayley{orders}",
+                           meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
 
 
 # -- elementary families ----------------------------------------------------------

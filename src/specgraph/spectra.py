@@ -16,12 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentityViolated, Mismatch, NoClosedForm, NotSymmetric, SizeOverflow
+from .errors import (
+    BadParameters,
+    IdentityViolated,
+    Mismatch,
+    NoClosedForm,
+    NotSymmetric,
+    SizeOverflow,
+)
 from .graph_core import Graph
 from . import graph_families as gf
 from . import groups
 
 EIG_SIZE_CAP = 4096
+SYMMETRY_BLOCK = 2**16  # entries in each row slice of the symmetry check
 VALUE_MERGE_TOL = 1e-9
 COMPARE_TOL = 1e-7
 EQ_TOL = 1e-6  # spectral values within this of each other count as equal
@@ -127,9 +135,16 @@ def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
         raise NotSymmetric("matrix must be square")
     if m.shape[0] > EIG_SIZE_CAP:
         raise SizeOverflow(f"n = {m.shape[0]} over eigensolver cap {EIG_SIZE_CAP}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise BadParameters("matrix has a non-finite entry")
+    scale = max(1.0, hi, -lo)
+    # |m - m^T| over row slices of about SYMMETRY_BLOCK entries, so that the
+    # check holds no n x n temporary beside the matrix itself
+    rows = max(1, SYMMETRY_BLOCK // len(m))
+    for i in range(0, m.shape[0], rows):
+        if float(np.abs(m[i:i + rows] - m[:, i:i + rows].T).max()) > 1e-12 * scale:
+            raise NotSymmetric("matrix is not symmetric within 1e-12")
     values = np.linalg.eigvalsh(m)[::-1]
     radius = max(1.0, float(np.abs(values).max()))
     tol = 1e-6 * radius
@@ -137,7 +152,10 @@ def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
 
 
 def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
-    """The clustered spectrum of g's adjacency or laplacian matrix."""
+    """The clustered spectrum of g's adjacency or laplacian matrix; past
+    EIG_SIZE_CAP, SizeOverflow before the n x n matrix is built."""
+    if g.n > EIG_SIZE_CAP:
+        raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
     matrix = adjacency_matrix(g) if kind == "adjacency" else laplacian_matrix(g)
     return eig_symmetric(matrix, kind)
 

@@ -292,6 +292,10 @@ USAGE_ERRORS = {
     "unknown_family": (["gen", "nonesuch"], "error: "),
     "chars_12": (["chars", "12"], "error: "),
     "chars_1": (["chars", "1"], "error: "),
+    "chars_ext_0": (["chars", "5", "--ext", "0"], "error: SpecMismatch: "),
+    "oversized_cube": (["spec", "cube:25"], "error: SizeOverflow: "),
+    "oversized_cayley_group": (["gen", "cayley", "100000000", "1;99999999"],
+                               "error: SizeOverflow: "),
     "caps_not_integer": (["audit", "complete:3", "--caps", "beta=abc"], "error: "),
     "caps_unknown_key": (["audit", "complete:3", "--caps", "gamma=1"], "error: "),
     "empty_edge_list": (["spec", "{empty}"], "error: "),

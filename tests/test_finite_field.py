@@ -138,6 +138,46 @@ def test_reducible_modulus_rejected(p, modulus):
         spec.element(p) * spec.element(p + 1)
 
 
+def polynomial_tables(spec):
+    """The exp/log builder that walked every power of g with one polynomial
+    product, verbatim: the oracle of the block walk in ff._tables."""
+    from array import array  # here, so that processes with no field work skip it
+
+    p, m, n = spec.p, spec.modulus, spec.q - 1
+    factors = ff.prime_factors(n)
+    for i in range(1, spec.q):
+        g = ff._coeffs(spec, i)
+        if all(ff._poly_powmod(g, n // t, m, p) != (1,) for t in factors):
+            break
+    exp, log = array("l", [0]) * n, array("l", [0]) * spec.q
+    x: tuple[int, ...] = (1,)
+    for j in range(n):
+        k = sum(c * p**i for i, c in enumerate(x))
+        exp[j], log[k] = k, j
+        x = ff._poly_mod(ff._poly_mul(x, g, p), m, p)
+    if x != (1,) or log[1] != 0:
+        raise SpecMismatch(f"modulus {m} is not irreducible over Z_{p}")
+    return exp, log
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 49, 125, 31**3, 2**14])
+def test_block_walk_tables_equal_the_polynomial_walk(q):
+    spec = ff.field(q)
+    assert ff._tables(spec) == polynomial_tables(spec)
+
+
+@pytest.mark.parametrize("p,modulus", [(3, (2, 0, 1)), (3, (0, 0, 1)), (2, (1, 0, 1)),
+                                       (2, (1, 0, 1, 0, 1)), (5, (4, 0, 0, 0, 1))])
+def test_block_walk_and_polynomial_walk_refuse_reducible_moduli(p, modulus):
+    """The three moduli above, (X^2 + X + 1)^2 over Z_2 and X^4 - 1 over Z_5,
+    whose walks span several blocks."""
+    d = len(modulus) - 1
+    spec = ff.FieldSpec(p, d, modulus, p**d)
+    for tables in (ff._tables, polynomial_tables):
+        with pytest.raises(SpecMismatch):
+            tables(spec)
+
+
 # -- the polynomial presentation as the oracle of the table arithmetic -----------
 
 def padded(c, d):

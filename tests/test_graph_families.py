@@ -5,6 +5,7 @@ import ast
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from specgraph import corpus as corpus_mod
@@ -16,6 +17,8 @@ from specgraph import groups
 from specgraph.errors import (
     BadParameters,
     ContainsIdentity,
+    IndexOutOfRange,
+    LoopEdge,
     NotDesign,
     NotGenerating,
     NotPartialDesign,
@@ -168,6 +171,83 @@ def test_metadata_is_only_the_group():
     graphs = [g for *_, g in corpus_mod.build_corpus()] + [gf.incidence_points(3, 3)]
     for g in graphs:
         assert set(g.meta) <= {"cayley", "bicayley"}, g.name
+
+
+# -- adjacency rows against the per-edge loop they replaced -----------------------
+
+def edge_loop_adjacency(n, edges):
+    """Graph.__init__'s loop from when every graph, Cayley graphs too, was
+    built one edge at a time, verbatim: the oracle of each vertex's
+    neighbour set and of the order the engines iterate it in."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise LoopEdge(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(s) for s in adj)
+
+
+def cayley_edge_list(table):
+    """The edges cayley took from its table (row i: the neighbours of i), verbatim."""
+    rows, cols = np.nonzero(np.arange(len(table))[:, None] < table)
+    return zip(rows.tolist(), table[rows, cols].tolist())
+
+
+def bi_cayley_edge_list(table):
+    """The edges bi_cayley took from its table, verbatim."""
+    n = len(table)
+    return zip(np.repeat(np.arange(n), table.shape[1]).tolist(),
+               (n + table.ravel()).tolist())
+
+
+def _paley_orders(top, residue):
+    return [q for q in range(5, top + 1)
+            if ff.prime_power_decomposition(q) and q % 4 == residue]
+
+
+ROW_BUILT = list(dict.fromkeys(
+    [(family, params) for _, family, params in corpus_mod.CORPUS_SPECS]
+    + [("paley", (q,)) for q in _paley_orders(200, 1) + [289, 361, 625, 729, 841, 961, 1009]]
+    + [("cube", (n,)) for n in range(1, 12)]
+    + [("halved_cube", (n,)) for n in range(3, 9)]
+    + [("decked_cube", (n, bits)) for n, bits in
+       [(3, "111"), (4, "1101"), (5, "11000"), (6, "111111"), (7, "1010101")]]
+    + [("incidence", (3, q)) for q in range(2, 32) if ff.prime_power_decomposition(q)]
+    + [("incidence", (4, 2)), ("incidence", (4, 3))]
+    + [("bi_paley", (q,)) for q in _paley_orders(100, 3) + [343, 503]]
+))
+
+
+@pytest.mark.parametrize("family,params", ROW_BUILT,
+                         ids=[f"{f}:{','.join(map(str, p))}" for f, p in ROW_BUILT])
+def test_adjacency_iterates_as_the_edge_loop_did(monkeypatch, family, params):
+    """Every graph keeps the neighbour order of the per-edge loop: a Cayley or
+    bi-Cayley graph that of the edge list its translate table gave, any
+    other graph that of the edges its builder passed."""
+    tables, calls = [], []
+    translate, init = groups.translate, gc.Graph.__init__
+
+    def spy_translate(orders, steps):
+        tables.append(translate(orders, steps))
+        return tables[-1]
+
+    def spy_init(self, n, edges, *args, **kwargs):
+        calls.append((n, list(edges)))
+        init(self, n, calls[-1][1], *args, **kwargs)
+
+    monkeypatch.setattr(groups, "translate", spy_translate)
+    monkeypatch.setattr(gc.Graph, "__init__", spy_init)
+    g = gf.build(family, *params)
+    if "cayley" in g.meta:
+        old = edge_loop_adjacency(g.n, cayley_edge_list(tables[-1].T))
+    elif "bicayley" in g.meta:
+        old = edge_loop_adjacency(g.n, bi_cayley_edge_list(tables[-1].T))
+    else:
+        old = edge_loop_adjacency(*calls[-1])
+    assert [tuple(s) for s in g.adj] == [tuple(s) for s in old]
 
 
 def _field_loop_edges(q: int, bipartite: bool) -> set:

@@ -3,6 +3,7 @@ plus the spectral invariants over a sub-corpus."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import spectra as sp
-from specgraph.errors import IdentityViolated, Mismatch, NoClosedForm, NotSymmetric, SizeOverflow
+from specgraph.errors import (
+    IdentityViolated,
+    Mismatch,
+    NoClosedForm,
+    NotSymmetric,
+    SizeOverflow,
+    SpecgraphError,
+)
 
 
 def adj_spectrum(g):
@@ -103,6 +111,64 @@ def test_eig_rejects_asymmetric_and_oversize():
         sp.eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(SizeOverflow):
         sp.eig_symmetric(np.zeros((5000, 5000)))
+
+
+@pytest.mark.parametrize("matrix", [[[math.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [math.nan, 0.0]],
+                                    [[0.0, math.inf], [math.inf, 0.0]]],
+                         ids=["nan_on_diagonal", "nan_off_diagonal", "inf_symmetric"])
+def test_eig_rejects_non_finite_entries(matrix):
+    with pytest.raises(SpecgraphError):
+        sp.eig_symmetric(np.array(matrix))
+
+
+def _whole_matrix_asymmetry_check(m):
+    """The symmetry check that took |m - m^T| over the whole matrix at once,
+    kept as the oracle of the blocked one."""
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
+    return float(np.abs(m - m.T).max()) > 1e-12 * scale
+
+
+@pytest.mark.parametrize("excess", [0.5, 2.0])
+def test_blocked_symmetry_check_agrees_across_block_boundaries(monkeypatch, excess):
+    """Row slices of two rows on a 6 x 6 matrix: each off-diagonal entry,
+    nudged alone by excess times the tolerance, is found exactly when the
+    whole-matrix check finds it, wherever it sits against the slices."""
+    monkeypatch.setattr(sp, "SYMMETRY_BLOCK", 12)
+    base = sp.laplacian_matrix(gf.cycle(6)) * 3.0
+    for i, j in itertools.permutations(range(6), 2):
+        m = base.copy()
+        m[i, j] += excess * 1e-12 * 6.0
+        if _whole_matrix_asymmetry_check(m):
+            with pytest.raises(NotSymmetric):
+                sp.eig_symmetric(m)
+        else:
+            assert sp.eig_symmetric(m).n == 6
+
+
+def test_symmetry_check_holds_no_square_temporary():
+    """The check works over row slices, so the traced peak stays far below
+    one copy of the matrix (the whole-matrix check peaked at two)."""
+    m = sp.adjacency_matrix(gf.cube(11))
+    tracemalloc.start()
+    try:
+        sp.eig_symmetric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4
+
+
+def test_spectrum_refuses_past_the_cap_before_building_the_matrix():
+    """Q_13 has n = 8192, so its dense matrix alone would take 512 MB."""
+    g = gf.cube(13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow):
+            sp.spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_petersen_spectrum():
