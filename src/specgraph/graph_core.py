@@ -126,12 +126,16 @@ class Graph:
     def is_connected(self) -> bool:
         return INF not in self.bfs_distances(0)
 
-    def bfs_distances(self, source: int) -> list[float]:
-        dist = [INF] * self.n
+    def _bfs_layers(self, source: int, dist: list[float]):
+        """Breadth-first search from source, yielding one distance layer at a
+        time. Each vertex reached gets its distance in dist, where INF marks a
+        vertex no search has reached; a layer's own distances are set by the
+        time it is yielded, the next layer's are not."""
         dist[source] = 0
         frontier = [source]
         d = 0
         while frontier:
+            yield frontier
             d += 1
             nxt = []
             for u in frontier:
@@ -140,33 +144,36 @@ class Graph:
                         dist[w] = d
                         nxt.append(w)
             frontier = nxt
+
+    def bfs_distances(self, source: int) -> list[float]:
+        dist = [INF] * self.n
+        for _ in self._bfs_layers(source, dist):
+            pass
         return dist
 
     @cached_property
     def components(self) -> list[frozenset[int]]:
         """Vertex sets of the components, each reached by a BFS from the least
         vertex no earlier BFS reached."""
-        left = set(range(self.n))
-        out = []
-        while left:
-            dist = self.bfs_distances(min(left))
-            out.append(frozenset(v for v in left if dist[v] != INF))
-            left -= out[-1]
-        return out
+        dist = [INF] * self.n
+        return [frozenset(itertools.chain.from_iterable(self._bfs_layers(s, dist)))
+                for s in range(self.n) if dist[s] == INF]
 
     @cached_property
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
         """A 2-coloring (covering all components), or None if an odd cycle
         exists. Black is the even-distance side from each component's least
-        vertex."""
-        parity = [0] * self.n
-        for comp in self.components:
-            dist = self.bfs_distances(min(comp))
-            for v in comp:
-                parity[v] = dist[v] % 2
-        if any(parity[u] == parity[v] for u, v in self.edges()):
-            return None
-        black = frozenset(v for v in range(self.n) if parity[v] == 0)
+        vertex. One BFS per component; the first row with an edge inside a
+        layer ends the search."""
+        dist = [INF] * self.n
+        for s in range(self.n):
+            if dist[s] == INF:
+                for layer in self._bfs_layers(s, dist):
+                    for u in layer:
+                        du = dist[u]
+                        if any(dist[w] == du for w in self.adj[u]):
+                            return None
+        black = frozenset(v for v in range(self.n) if dist[v] % 2 == 0)
         return black, frozenset(range(self.n)) - black
 
     @property

@@ -1,11 +1,19 @@
-"""Adjacency/laplacian matrices, the dense symmetric eigensolver with
-multiplicity clustering, closed-form spectra for the families that have one,
-and the spectrum-based classifiers.
+"""Adjacency/laplacian matrices, the numeric eigensolver with multiplicity
+clustering, closed-form spectra for the families that have one, and the
+spectrum-based classifiers.
 
-The numeric eigensolver is LAPACK's symmetric solver (tridiagonalization plus
-implicit-shift iteration) behind a clustering layer; closed forms are kept as
-exact expressions and evaluated only at comparison time, so the two routes
-stay independent.
+`spectrum(g, kind)` solves the smallest problem that g's facts give exactly:
+- a bipartite graph's adjacency spectrum is +-sigma, the singular values of
+  its |black| x |white| biadjacency block, plus | |black| - |white| | zeros
+  (LAPACK's SVD);
+- a d-regular graph's laplacian spectrum is d - alpha over its adjacency
+  spectrum, so `graph_spectra` solves such a graph once;
+- every other spectrum comes from the full matrix through `eig_symmetric`
+  (LAPACK's symmetric solver: tridiagonalization plus implicit-shift
+  iteration).
+Each route clusters the raw descending values the same way. Closed forms are
+kept as exact expressions and evaluated only at comparison time, so the
+numeric and the closed-form routes stay independent.
 """
 
 from __future__ import annotations
@@ -123,13 +131,28 @@ def _cluster(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
     return tuple(out)
 
 
-def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
-    """All eigenvalues of a real symmetric matrix, multiplicity-clustered.
+def _solve(m: np.ndarray, singular: bool) -> np.ndarray:
+    """The one numeric solve behind every Spectrum: the singular values of m,
+    descending, or the eigenvalues of the symmetric m, ascending."""
+    if singular:
+        return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.eigvalsh(m)
+
+
+def _clustered(values: np.ndarray, kind: str) -> Spectrum:
+    """The Spectrum of raw descending eigenvalues.
 
     Cluster tolerance is 1e-6 * max(1, spectral radius): wide enough to merge
     numerically split multiplicities, narrow enough to keep genuinely distinct
     surds apart.
     """
+    radius = max(1.0, float(np.abs(values).max()))
+    tol = 1e-6 * radius
+    return Spectrum(_cluster(values, tol), kind, tol)
+
+
+def _symmetric_values(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix, descending."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric("matrix must be square")
@@ -145,23 +168,62 @@ def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
     for i in range(0, m.shape[0], rows):
         if float(np.abs(m[i:i + rows] - m[:, i:i + rows].T).max()) > 1e-12 * scale:
             raise NotSymmetric("matrix is not symmetric within 1e-12")
-    values = np.linalg.eigvalsh(m)[::-1]
-    radius = max(1.0, float(np.abs(values).max()))
-    tol = 1e-6 * radius
-    return Spectrum(_cluster(values, tol), kind, tol)
+    return _solve(m, singular=False)[::-1]
+
+
+def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
+    """All eigenvalues of a real symmetric matrix, multiplicity-clustered."""
+    return _clustered(_symmetric_values(matrix), kind)
+
+
+def _bipartite_values(g: Graph, black, white) -> np.ndarray:
+    """Adjacency eigenvalues of a bipartite graph, descending. Its matrix is
+    [[0, B], [B^T, 0]] for the |black| x |white| block B, so they are +-sigma
+    for the singular values sigma of B, and | |black| - |white| | zeros."""
+    column = np.empty(g.n, dtype=np.intp)
+    column[sorted(white)] = np.arange(len(white))
+    b = np.zeros((len(black), len(white)))
+    for i, v in enumerate(sorted(black)):
+        b[i, column[list(g.adj[v])]] = 1.0
+    sigma = _solve(b, singular=True)
+    # 0.0 - sigma rather than -sigma, so that an exact zero stays +0.0
+    return np.concatenate([sigma, np.zeros(abs(len(black) - len(white))), 0.0 - sigma[::-1]])
+
+
+def _values(g: Graph, kind: str) -> np.ndarray:
+    """Eigenvalues of g's adjacency or laplacian matrix, descending, from the
+    smallest problem that g's facts give exactly: a bipartite adjacency
+    spectrum from the biadjacency block, a d-regular laplacian spectrum as
+    d - alpha, and any other from the full matrix."""
+    if g.n > EIG_SIZE_CAP:
+        raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
+    if kind == "adjacency":
+        parts = g.bipartition
+        if parts is None:
+            return _symmetric_values(adjacency_matrix(g))
+        return _bipartite_values(g, *parts)
+    if g.is_regular:
+        return _regular_laplacian(g, _values(g, "adjacency"))
+    return _symmetric_values(laplacian_matrix(g))
+
+
+def _regular_laplacian(g: Graph, adjacency: np.ndarray) -> np.ndarray:
+    """d - alpha, descending, for d-regular g with descending adjacency values."""
+    return g.max_degree - adjacency[::-1]
 
 
 def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
     """The clustered spectrum of g's adjacency or laplacian matrix; past
-    EIG_SIZE_CAP, SizeOverflow before the n x n matrix is built."""
-    if g.n > EIG_SIZE_CAP:
-        raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
-    matrix = adjacency_matrix(g) if kind == "adjacency" else laplacian_matrix(g)
-    return eig_symmetric(matrix, kind)
+    EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
+    return _clustered(_values(g, kind), kind)
 
 
 def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
-    return spectrum(g, "adjacency"), spectrum(g, "laplacian")
+    """(adjacency, laplacian) spectra; a regular graph's laplacian spectrum
+    comes from the same solve as its adjacency spectrum."""
+    adjacency = _values(g, "adjacency")
+    laplacian = _regular_laplacian(g, adjacency) if g.is_regular else _values(g, "laplacian")
+    return _clustered(adjacency, "adjacency"), _clustered(laplacian, "laplacian")
 
 
 # -- closed forms -----------------------------------------------------------------

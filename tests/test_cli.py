@@ -8,7 +8,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from specgraph import bounds as bd
 from specgraph import characters as ch
 from specgraph import cli
 from specgraph import corpus as corpus_mod
@@ -129,19 +128,19 @@ def test_report_bytes_repeat(argv, capsys):
 @pytest.mark.parametrize("argv,calls", [
     (["spec", "paley:29", "--closed-form"], 1),
     (["spec", "cube:4", "--kind", "laplacian", "--closed-form"], 1),
-    (["verify", "--families", "petersen"], 2),
+    (["verify", "--families", "petersen"], 1),
 ], ids=["spec_paley_29", "spec_cube_4_laplacian", "verify_one_graph"])
 def test_each_matrix_is_solved_once(argv, calls, capsys, monkeypatch):
-    """The closed-form check and the audit reuse the spectra already solved."""
-    solve = sp.eig_symmetric
+    """The closed-form check and the audit reuse the spectra already solved,
+    and a regular graph's laplacian spectrum comes from its adjacency solve."""
+    solve = sp._solve
     seen = []
 
-    def counted(*args, **kwargs):
-        seen.append(args[1:])
-        return solve(*args, **kwargs)
+    def counted(m, singular):
+        seen.append((m.shape, singular))
+        return solve(m, singular)
 
-    for module in (sp, bd):
-        monkeypatch.setattr(module, "eig_symmetric", counted)
+    monkeypatch.setattr(sp, "_solve", counted)
     code, out = run(capsys, *argv)
     assert code == 0 and len(seen) == calls, seen
     doc = json.loads(out)
@@ -149,6 +148,15 @@ def test_each_matrix_is_solved_once(argv, calls, capsys, monkeypatch):
         assert doc["closed_form"]["match"]["ok"]
     else:
         assert doc["graphs"][0]["closed_form"]["ok"]
+
+
+@pytest.mark.parametrize("source", ["star:6", "complete_bipartite:3,4", "path:6"])
+def test_bipartite_spectra_carry_no_negative_zero(source, capsys):
+    """The zero padding and exactly-zero singular values come out as +0.0."""
+    code, out = run(capsys, "spec", source)
+    assert code == 0
+    values = [e["value"] for e in json.loads(out)["spectrum"]["entries"]]
+    assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
 
 
 def test_gen_edge_list(capsys):

@@ -171,6 +171,70 @@ def test_spectrum_refuses_past_the_cap_before_building_the_matrix():
     assert peak < 2**20
 
 
+# -- solver choice: the dense path is the oracle -------------------------------------
+
+def _dense_spectrum(g, kind):
+    """The full-matrix solve that served every graph before bipartite and
+    regular graphs got smaller problems."""
+    matrix = sp.adjacency_matrix(g) if kind == "adjacency" else sp.laplacian_matrix(g)
+    return sp.eig_symmetric(matrix, kind)
+
+
+def _assert_spectrum_matches_dense(g):
+    for kind in ("adjacency", "laplacian"):
+        got, want = sp.spectrum(g, kind), _dense_spectrum(g, kind)
+        if not (g.is_bipartite if kind == "adjacency" else g.is_regular):
+            assert got == want  # the dense path itself: same bits
+            continue
+        assert got.matrix_kind == kind
+        assert [m for _, m in got.entries] == [m for _, m in want.entries]
+        tol = 1e-12 * max(1.0, want.max, -want.min)
+        assert all(abs(a - b) <= tol for (a, _), (b, _) in zip(got.entries, want.entries))
+        assert abs(got.cluster_tol - want.cluster_tol) <= 1e-6 * tol
+        assert not any(v == 0 and math.copysign(1.0, v) < 0 for v, _ in got.entries)
+    assert sp.graph_spectra(g) == (sp.spectrum(g, "adjacency"), sp.spectrum(g, "laplacian"))
+
+
+def test_spectrum_matches_dense_on_corpus():
+    for _cid, _family, _params, g in corpus_mod.build_corpus():
+        _assert_spectrum_matches_dense(g)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(gf.cycle(7))
+@example(gf.complete(5))
+def test_spectrum_matches_dense_on_random_graphs(g):
+    _assert_spectrum_matches_dense(g)
+
+
+@st.composite
+def bipartite_graphs(draw, max_side):
+    """Sides of r and c vertices, shuffled among the vertex numbers, each
+    crossing pair an edge with a drawn density: unequal sides, disconnected,
+    edgeless graphs and K_1 included."""
+    r = draw(st.integers(0, max_side))
+    c = draw(st.integers(1 if r == 0 else 0, max_side))
+    density = draw(st.integers(0, 10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    perm = list(range(r + c))
+    rng.shuffle(perm)
+    return gc.Graph(r + c, [(perm[u], perm[v]) for u in range(r) for v in range(r, r + c)
+                            if rng.random() < density])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bipartite_graphs(8))
+@example(gc.Graph(1, []))
+@example(gc.Graph(5, []))
+@example(gf.star(6))
+@example(gf.complete_bipartite(3, 4))
+@example(gf.path(6))
+def test_bipartite_spectrum_matches_dense(g):
+    assert g.is_bipartite
+    _assert_spectrum_matches_dense(g)
+
+
 def test_petersen_spectrum():
     s = adj_spectrum(gf.petersen())
     assert [(round(v), m) for v, m in s.entries] == [(3, 1), (1, 5), (-2, 4)]
