@@ -32,7 +32,6 @@ from .spectra import (
     EQ_TOL,
     Spectrum,
     adjacency_matrix,
-    eig_symmetric,
     graph_spectra,
     laplacian_matrix,
     spectrum,
@@ -318,16 +317,14 @@ def cheeger_pm1(g: Graph):
     bound from above).
 
     Strategy: character eigenfunctions for abelian Cayley / bi-Cayley graphs
-    (real and order-4 characters, taking Re + Im in the latter case), balanced
+    (characters of order dividing 4, as Re + Im: Im is 0 for a real one), balanced
     sign enumeration on at most PM1_ENUMERATION_CAP vertices otherwise.
     """
-    lap = laplacian_matrix(g)
-    spec = eig_symmetric(lap, "laplacian")
-    lam2 = spec.lambda2
+    lam2 = spectrum(g, "laplacian").lambda2
     lam_int = round(lam2)
     if g.n % 2 or abs(lam2 - lam_int) > EQ_TOL or lam_int % 2:
         return None
-    lap_int = lap.astype(np.int64)
+    lap_int = laplacian_matrix(g).astype(np.int64)
 
     def certified(vec) -> dict:
         return {"lambda2": lam_int, "beta": Fraction(lam_int, 2), "vector": vec}
@@ -344,10 +341,7 @@ def cheeger_pm1(g: Graph):
             if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam_int) > EQ_TOL:
                 continue
             chi = groups.character(orders, ks)
-            if all((2 * k) % m == 0 for k, m in zip(ks, orders)):
-                vec = np.round(chi.real).astype(np.int64)
-            else:
-                vec = np.round(chi.real + chi.imag).astype(np.int64)
+            vec = np.round(chi.real + chi.imag).astype(np.int64)
             if set(np.unique(vec)) <= {-1, 1} and _check_pm1(lap_int, lam_int, vec):
                 return certified(vec)
     if "bicayley" in g.meta:
@@ -493,46 +487,39 @@ def perturbation_checks(g: Graph, operation: str, arg) -> dict:
     """Interlacing/Weyl inequalities for vertex removal, edge removal, or
     removing the edges of a subgraph; adjacency eigenvalues are indexed
     descending, laplacian ascending."""
-    adj, lap = graph_spectra(g)
-    alpha = adj.expanded()
-    lam = lap.ascending()
+    if operation == "remove_vertex":
+        h = remove_vertex(g, arg)
+    elif operation == "remove_edge":
+        h = remove_edges(g, [arg])
+    elif operation == "remove_subgraph":
+        sub = Graph(g.n, arg)
+        h = remove_edges(g, sub.edges())
+    else:
+        raise InvalidOperation(f"unknown operation {operation!r}")
+    (adj, lap), (adj2, lap2) = graph_spectra(g), graph_spectra(h)
+    alpha, a2 = adj.expanded(), adj2.expanded()
+    lam, l2 = lap.ascending(), lap2.ascending()
     n = g.n
     checks: list[tuple[str, float, float]] = []  # (name, lhs, rhs) meaning lhs <= rhs
     if operation == "remove_vertex":
-        h = remove_vertex(g, arg)
-        adj2, lap2 = graph_spectra(h)
-        a2 = adj2.expanded()
-        l2 = lap2.ascending()
         for k in range(n - 1):
             checks.append((f"alpha[{k + 1}] upper", a2[k], alpha[k]))
             checks.append((f"alpha[{k + 1}] lower", alpha[k + 1], a2[k]))
             checks.append((f"lambda[{k + 1}] upper", l2[k], lam[k + 1]))
             checks.append((f"lambda[{k + 1}] lower", lam[k] - 1, l2[k]))
     elif operation == "remove_edge":
-        h = remove_edges(g, [arg])
-        adj2, lap2 = graph_spectra(h)
-        a2 = adj2.expanded()
-        l2 = lap2.ascending()
         for k in range(n):
             checks.append((f"alpha[{k + 1}] upper", a2[k], alpha[k] + 1))
             checks.append((f"alpha[{k + 1}] lower", alpha[k] - 1, a2[k]))
             checks.append((f"lambda[{k + 1}] upper", l2[k], lam[k]))
             checks.append((f"lambda[{k + 1}] lower", lam[k] - 2, l2[k]))
-    elif operation == "remove_subgraph":
-        edges = list(arg)
-        sub = Graph(n, edges)
-        h = remove_edges(g, edges)
-        adj2, lap2 = graph_spectra(h)
+    else:
         sub_spec = spectrum(sub)
-        a2 = adj2.expanded()
-        l2 = lap2.ascending()
         for k in range(n):
             checks.append((f"alpha[{k + 1}] upper", a2[k], alpha[k] - sub_spec.min))
             checks.append((f"alpha[{k + 1}] lower", alpha[k] - sub_spec.max, a2[k]))
             checks.append((f"lambda[{k + 1}] spanning", l2[k], lam[k]))
         checks.append(("alpha_max strict drop", a2[0], alpha[0]))
-    else:
-        raise InvalidOperation(f"unknown operation {operation!r}")
     failures = [(name, float(lhs), float(rhs)) for name, lhs, rhs in checks
                 if lhs > rhs + _tol(lhs, rhs)]
     return {"operation": operation, "checks": len(checks),
@@ -563,7 +550,7 @@ def motzkin_straus(g: Graph, weights, omega: int) -> dict:
     w = np.asarray(weights, dtype=float)
     if w.shape != (g.n,) or w.min() < -1e-12 or abs(w.sum() - 1) > 1e-12:
         raise BadWeights("weights must be non-negative and sum to 1")
-    value = 2.0 * sum(w[u] * w[v] for u, v in g.edges())
+    value = 2.0 * sum(w[u] * w[v] for u, v in sorted(g.edges()))
     bound = 1 - 1 / omega
     return {"value": value, "bound": bound,
             "pass": value <= bound + _tol(value, bound)}

@@ -10,6 +10,7 @@ modulo q-1 relative to the canonical generator of the field.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -296,28 +297,19 @@ def _is_mth_power(spec: FieldSpec, poly: list[FieldElement], m: int) -> bool:
         return m == 1
     if deg % m != 0:
         return False
-    dg = deg // m
-    # enumerate monic g of degree dg by its dg lower coefficients
-    idx = [0] * dg
-    while True:
-        g = [spec.element(i) for i in idx] + [spec.one]
-        power = g
+    # every monic g of degree deg / m, by its lower coefficients
+    for low in itertools.product(range(spec.q), repeat=deg // m):
+        g = [spec.element(i) for i in low] + [spec.one]
         acc = [spec.one]
         for _ in range(m):
-            new = [spec.zero] * (len(acc) + len(power) - 1)
+            new = [spec.zero] * (len(acc) + len(g) - 1)
             for i, a in enumerate(acc):
-                for j, b in enumerate(power):
+                for j, b in enumerate(g):
                     new[i + j] = new[i + j] + a * b
             acc = new
         if acc == poly:
             return True
-        for pos in range(dg):
-            idx[pos] += 1
-            if idx[pos] < spec.q:
-                break
-            idx[pos] = 0
-        else:
-            return False
+    return False
 
 
 WEIL_EXHAUSTIVE_Q = 169

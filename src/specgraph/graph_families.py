@@ -73,13 +73,7 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
             raise NotSymmetric(f"generator {s} lacks its inverse")
     if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
-    table = groups.translate(orders, gen_set).T  # row i: the neighbours of vertex i
-    # Each vertex lists its smaller neighbours ascending, then its larger ones
-    # in column order; adj's iteration order, and so the engines' search order
-    # and witnesses, follow it.  A stable sort on min(neighbour, vertex) gives
-    # that order, as every larger neighbour ties at the vertex.
-    order = np.argsort(np.minimum(table, np.arange(len(table))[:, None]), axis=1, kind="stable")
-    rows = np.take_along_axis(table, order, axis=1).tolist()
+    rows = groups.translate(orders, gen_set).T.tolist()  # row i: the neighbours of vertex i
     if labels is _ELEMENT_LABELS:
         labels = [str(e) for e in groups.elements(orders)]
     return Graph.from_rows(rows, labels=labels, name=name or f"cayley{orders}",
@@ -99,8 +93,8 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
     table = groups.translate(orders, sub_set).T
     n, k = table.shape
-    # Black i lists n + i + S in column order; white h lists the black i with
-    # h in i + S ascending, which a stable sort of the table's entries groups.
+    # Black i's neighbours are n + i + S; white h's are the black i with h in
+    # i + S, and the argsort inverts the table to list them.
     black = (n + table).tolist()
     white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
     if labels is _ELEMENT_LABELS:

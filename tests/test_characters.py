@@ -2,6 +2,7 @@
 and magnitude theorems; Weil-type bounds checked empirically."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -284,6 +285,67 @@ def test_weil_mth_power_flagged():
     f = [spec.one, spec.element(2), spec.one]
     with pytest.raises(HypothesisViolated):
         ch.weil_poly_check(spec, f, sigma)
+
+
+def _is_mth_power_by_counter(spec, poly, m):
+    """characters._is_mth_power with its hand-written base-q counter, verbatim:
+    the oracle of the itertools enumeration."""
+    deg = len(poly) - 1
+    if m <= 1:
+        return m == 1
+    if deg % m != 0:
+        return False
+    dg = deg // m
+    # enumerate monic g of degree dg by its dg lower coefficients
+    idx = [0] * dg
+    while True:
+        g = [spec.element(i) for i in idx] + [spec.one]
+        power = g
+        acc = [spec.one]
+        for _ in range(m):
+            new = [spec.zero] * (len(acc) + len(power) - 1)
+            for i, a in enumerate(acc):
+                for j, b in enumerate(power):
+                    new[i + j] = new[i + j] + a * b
+            acc = new
+        if acc == poly:
+            return True
+        for pos in range(dg):
+            idx[pos] += 1
+            if idx[pos] < spec.q:
+                break
+            idx[pos] = 0
+        else:
+            return False
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_mth_power_check_matches_the_counter_loop(q):
+    """Every monic poly of degree <= 3; at degree 4 every square (the fourth
+    powers among them) and a seeded sample of 20 others."""
+    spec = field(q)
+    rnd = random.Random(q)
+
+    def poly(low):
+        return [spec.element(i) for i in low] + [spec.one]
+
+    def square(g):
+        out = [spec.zero] * (2 * len(g) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(g):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    polys = [poly(low) for deg in range(4) for low in itertools.product(range(q), repeat=deg)]
+    polys += [square(poly(low)) for low in itertools.product(range(q), repeat=2)]
+    polys += [poly([rnd.randrange(q) for _ in range(4)]) for _ in range(20)]
+    answers = set()
+    for f in polys:
+        for m in (2, 3, 4):
+            answer = ch._is_mth_power(spec, f, m)
+            assert answer == _is_mth_power_by_counter(spec, f, m)
+            answers.add(answer)
+    assert answers == {False, True}
 
 
 def test_dth_power_counts():

@@ -4,16 +4,19 @@ classification facts stated for them."""
 import ast
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from specgraph import bounds as bd
 from specgraph import corpus as corpus_mod
 from specgraph import finite_field as ff
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import groups
+from specgraph import spectra as sp
 from specgraph.errors import (
     BadParameters,
     ContainsIdentity,
@@ -178,7 +181,7 @@ def test_metadata_is_only_the_group():
 def edge_loop_adjacency(n, edges):
     """Graph.__init__'s loop from when every graph, Cayley graphs too, was
     built one edge at a time, verbatim: the oracle of each vertex's
-    neighbour set and of the order the engines iterate it in."""
+    neighbour set."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -224,9 +227,9 @@ ROW_BUILT = list(dict.fromkeys(
 @pytest.mark.parametrize("family,params", ROW_BUILT,
                          ids=[f"{f}:{','.join(map(str, p))}" for f, p in ROW_BUILT])
 def test_adjacency_iterates_as_the_edge_loop_did(monkeypatch, family, params):
-    """Every graph keeps the neighbour order of the per-edge loop: a Cayley or
-    bi-Cayley graph that of the edge list its translate table gave, any
-    other graph that of the edges its builder passed."""
+    """Every graph keeps the neighbour sets of the per-edge loop: a Cayley or
+    bi-Cayley graph those of the edge list its translate table gave, any
+    other graph those of the edges its builder passed."""
     tables, calls = [], []
     translate, init = groups.translate, gc.Graph.__init__
 
@@ -247,7 +250,43 @@ def test_adjacency_iterates_as_the_edge_loop_did(monkeypatch, family, params):
         old = edge_loop_adjacency(g.n, bi_cayley_edge_list(tables[-1].T))
     else:
         old = edge_loop_adjacency(*calls[-1])
-    assert [tuple(s) for s in g.adj] == [tuple(s) for s in old]
+    assert g.adj == old
+
+
+def _outputs(g):
+    """Every result that a graph's neighbour sets fix, as comparable values."""
+    inv = gc.invariant_report(g)
+    adj, lap = sp.graph_spectra(g)
+    out = [inv.to_json(), bd.audit_bounds(inv, adj, lap).to_json(), adj.to_json(),
+           lap.to_json(), (inv.isoperimetric, inv.iso_witness), gc.to_json_dict(g)]
+    cert = bd.cheeger_pm1(g)
+    out.append(cert and {**cert, "vector": cert["vector"].tolist()})
+    if inv.clique is not None:
+        weights = [(v + 1) / (g.n * (g.n + 1) / 2) for v in range(g.n)]
+        out.append(bd.motzkin_straus(g, weights, inv.clique))
+    if g.n <= gc.ISO_CAP:
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        h = g.relabel(perm)
+        out += [gc.is_isomorphic(g, h), gc.is_isomorphic(h, g), gc.automorphism_count(g)]
+    return out
+
+
+def test_outputs_ignore_neighbour_order():
+    """A twin built from the same rows reversed or shuffled reports the same
+    invariants, audit, spectra, certificates and isomorphisms."""
+    graphs = [g for *_, g in corpus_mod.build_corpus()] + [
+        gf.paley(29), gf.tutte_coxeter(), gf.incidence(3, 3), gf.cube(5), gf.andrasfai(8)]
+    moved = 0
+    for i, g in enumerate(graphs):
+        rnd = random.Random(i)
+        rows = [list(s) for s in g.adj]
+        rows = [row[::-1] if i % 2 else rnd.sample(row, len(row)) for row in rows]
+        twin = gc.Graph.from_rows(rows, g.labels, g.name, g.meta)
+        assert twin.adj == g.adj
+        moved += [tuple(s) for s in twin.adj] != [tuple(s) for s in g.adj]
+        assert _outputs(twin) == _outputs(g), g.name
+    assert moved > 0
 
 
 def _field_loop_edges(q: int, bipartite: bool) -> set:
