@@ -607,11 +607,13 @@ def remove_vertex(g: Graph, v: int) -> Graph:
 
 
 def remove_edges(g: Graph, drop) -> Graph:
-    dropped = {frozenset(e) for e in drop}
-    for e in dropped:
-        u, v = tuple(e)
+    """g less the given edges; IndexOutOfRange for a pair that is not an edge
+    of g, a loop (u, u) included."""
+    drop = list(drop)
+    for u, v in drop:
         if not g.has_edge(u, v):
-            raise IndexOutOfRange(f"edge {tuple(e)} not present")
+            raise IndexOutOfRange(f"edge {(u, v)} not present")
+    dropped = {frozenset(e) for e in drop}
     edges = [e for e in g.edges() if frozenset(e) not in dropped]
     return Graph(g.n, edges, name=g.name)
 

@@ -63,7 +63,7 @@ def character(orders, k) -> np.ndarray:
     """chi_k(x) = exp(2 pi i sum_j k_j x_j / m_j) for every x, in index order.
 
     Since chi_k(x) = chi_x(k), the vector for k = x also lists chi_k(x) over
-    every character k; character_sum relies on that."""
+    every character k."""
     lcm = math.lcm(*orders)
     turns = np.zeros(1, dtype=np.int64)  # phase in units of 1/lcm of a turn
     for m, kj in zip(orders, k):
@@ -73,8 +73,14 @@ def character(orders, k) -> np.ndarray:
 
 def character_sum(orders, subset) -> np.ndarray:
     """sum_{s in S} chi_k(s) for every character k, in index order: the
-    eigenvalues of the Cayley graph on S."""
-    total = np.zeros(math.prod(orders), dtype=complex)
-    for s in subset:
-        total += character(orders, s)
-    return total
+    eigenvalues of the Cayley graph on S.
+
+    One DFT of S's indicator over the shape orders.  The DFT's index k holds
+    sum_s exp(-2 pi i k.s/m), the sum for chi_{-k}; the indicator is real, so
+    the conjugate is the sum for chi_k."""
+    orders = tuple(orders)
+    steps = np.array(list(subset), dtype=np.int64).reshape(-1, len(orders)) % orders
+    indicator = np.zeros(orders)
+    np.add.at(indicator, tuple(steps.T), 1.0)
+    # np.fft is reached here rather than imported: importing numpy does not load it
+    return np.fft.fftn(indicator).conj().ravel()

@@ -3,6 +3,10 @@ clustering, closed-form spectra for the families that have one, and the
 spectrum-based classifiers.
 
 `spectrum(g, kind)` solves the smallest problem that g's facts give exactly:
+- an abelian Cayley graph's adjacency spectrum is its character sums, one
+  DFT of the connection set's indicator over the group (numpy's FFT, which
+  calls no BLAS, so these values do not depend on the BLAS thread count); a
+  bi-Cayley graph's is +-|the character sums|; no matrix is built;
 - a bipartite graph's adjacency spectrum is +-sigma, the singular values of
   its |black| x |white| biadjacency block, plus | |black| - |white| | zeros
   (LAPACK's SVD);
@@ -13,7 +17,9 @@ spectrum-based classifiers.
   iteration).
 Each route clusters the raw descending values the same way. Closed forms are
 kept as exact expressions and evaluated only at comparison time, so the
-numeric and the closed-form routes stay independent.
+numeric and the closed-form routes stay independent; a group graph, whose
+generic closed form reads the same character sums, is checked against
+`edge_spectrum`, the solve of its edges.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ class Spectrum:
     @property
     def n(self) -> int:
         return sum(m for _, m in self.entries)
+
+    def value_mults(self) -> tuple[tuple[float, int], ...]:
+        return self.entries
 
     def expanded(self) -> np.ndarray:
         """All eigenvalues, descending."""
@@ -190,14 +199,34 @@ def _bipartite_values(g: Graph, black, white) -> np.ndarray:
     return np.concatenate([sigma, np.zeros(abs(len(black) - len(white))), 0.0 - sigma[::-1]])
 
 
+def _group_values(g: Graph) -> np.ndarray | None:
+    """Adjacency eigenvalues of an abelian Cayley or bi-Cayley graph,
+    descending, from its group: the character sums alpha_k of the connection
+    set, or +-|alpha_k| on a bi-Cayley graph (Babai 1979); None for a graph
+    without a group."""
+    if "cayley" in g.meta:
+        info = g.meta["cayley"]
+        return np.sort(groups.character_sum(info["orders"], info["generators"]).real)[::-1]
+    if "bicayley" in g.meta:
+        info = g.meta["bicayley"]
+        r = np.sort(np.abs(groups.character_sum(info["orders"], info["subset"])))[::-1]
+        # 0.0 - r rather than -r, so that an exact zero stays +0.0
+        return np.concatenate([r, 0.0 - r[::-1]])
+    return None
+
+
 def _values(g: Graph, kind: str) -> np.ndarray:
     """Eigenvalues of g's adjacency or laplacian matrix, descending, from the
-    smallest problem that g's facts give exactly: a bipartite adjacency
-    spectrum from the biadjacency block, a d-regular laplacian spectrum as
-    d - alpha, and any other from the full matrix."""
+    smallest problem that g's facts give exactly: a group graph's adjacency
+    spectrum from its character sums, a bipartite one from the biadjacency
+    block, a d-regular laplacian spectrum as d - alpha, and any other from
+    the full matrix."""
     if g.n > EIG_SIZE_CAP:
         raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
     if kind == "adjacency":
+        values = _group_values(g)
+        if values is not None:
+            return values
         parts = g.bipartition
         if parts is None:
             return _symmetric_values(adjacency_matrix(g))
@@ -216,6 +245,19 @@ def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
     """The clustered spectrum of g's adjacency or laplacian matrix; past
     EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
     return _clustered(_values(g, kind), kind)
+
+
+def edge_spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
+    """spectrum(g, kind) of g's edges alone, as if g carried no group."""
+    return spectrum(Graph.from_rows(g.adj, name=g.name), kind)
+
+
+def check_group_spectrum(g: Graph, adjacency: Spectrum) -> None:
+    """Mismatch unless a group graph's adjacency spectrum agrees with the
+    solve of its edges.  A group graph's closed form reads the same group as
+    its spectrum, so only the edges check the character sums independently."""
+    if "cayley" in g.meta or "bicayley" in g.meta:
+        verify_closed_form(adjacency, edge_spectrum(g), name=f"{g.name}: edge solve")
 
 
 def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
@@ -494,6 +536,10 @@ def _cf_windmill(k: int) -> ClosedForm:
 def _cf_wheel(n: int) -> ClosedForm:
     return cone_closed_form_adjacency(_cf_cycle(n - 1), 2)
 
+
+# families whose closed form is the generic character sum, which the group
+# route computes too: their closed form is checked against edge_spectrum
+CHARACTER_SUM_FAMILIES = frozenset({"halved_cube", "decked_cube"})
 
 _CLOSED_FORMS = {
     "complete": _cf_complete,

@@ -273,6 +273,11 @@ def test_k5_edge_removal():
     assert bd.perturbation_checks(gf.complete(5), "remove_edge", (0, 1))["ok"]
 
 
+def test_removing_a_loop_is_refused_as_an_absent_edge():
+    with pytest.raises(SpecgraphError, match="not present"):
+        bd.perturbation_checks(gf.petersen(), "remove_edge", (2, 2))
+
+
 def test_petersen_matching_removal_subgraph_bounds():
     g = gf.petersen()
     # a perfect matching: five disjoint edges

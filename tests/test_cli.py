@@ -126,13 +126,18 @@ def test_report_bytes_repeat(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,calls", [
-    (["spec", "paley:29", "--closed-form"], 1),
-    (["spec", "cube:4", "--kind", "laplacian", "--closed-form"], 1),
+    (["spec", "paley:29", "--closed-form"], 0),
+    (["spec", "cube:4", "--kind", "laplacian", "--closed-form"], 0),
+    (["spec", "petersen", "--closed-form"], 1),
     (["verify", "--families", "petersen"], 1),
-], ids=["spec_paley_29", "spec_cube_4_laplacian", "verify_one_graph"])
+    (["verify", "--families", "paley_5"], 1),
+], ids=["spec_paley_29", "spec_cube_4_laplacian", "spec_petersen", "verify_one_graph",
+        "verify_one_group_graph"])
 def test_each_matrix_is_solved_once(argv, calls, capsys, monkeypatch):
     """The closed-form check and the audit reuse the spectra already solved,
-    and a regular graph's laplacian spectrum comes from its adjacency solve."""
+    and a regular graph's laplacian spectrum comes from its adjacency solve.
+    A group graph's spectrum needs no solve; verify solves its edges once, to
+    check the character sums."""
     solve = sp._solve
     seen = []
 

@@ -50,6 +50,13 @@ def test_graph_validation():
         gc.Graph(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("pair", [(1, 1), (0, 2)], ids=["loop", "absent"])
+def test_remove_edges_refuses_a_pair_that_is_not_an_edge(pair):
+    with pytest.raises(IndexOutOfRange):
+        gc.remove_edges(gf.cycle(5), [pair])
+    assert gc.remove_edges(gf.cycle(5), [(1, 0)]).edge_count == 4
+
+
 def test_basic_metrics_table():
     for n in (4, 5, 6):
         diam, gir, bip = gc.basic_metrics(gf.complete(n))

@@ -7,7 +7,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgraph import groups
@@ -66,8 +66,31 @@ def test_characters_match_definition_and_are_orthogonal():
         assert np.abs(table @ table.conj().T - n * np.eye(n)).max() < 1e-9
 
 
+def _loop_character_sum(orders, subset):
+    """The O(n |S|) loop that character_sum was before it became one DFT,
+    kept as its oracle: the characters of the subset's elements, added up."""
+    total = np.zeros(math.prod(orders), dtype=complex)
+    for s in subset:
+        total += groups.character(orders, s)
+    return total
+
+
 def test_character_sum_is_sum_over_subset():
     orders, subset = (4, 6), [(1, 0), (3, 0), (2, 3)]
     expected = [sum(groups.character(orders, k)[groups.index(orders, s)] for s in subset)
                 for k in groups.elements(orders)]
     assert np.abs(groups.character_sum(orders, subset) - expected).max() < 1e-12
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(group_and_steps())
+@example(((5,), [(1,)]))
+@example(((1, 4, 1), [(0, 1, 0), (0, 1, 0), (0, 2, 0)]))
+@example(((3, 1), []))
+def test_character_sum_matches_the_loop(case):
+    """Index by index, on subsets that are mostly not symmetric, so that the
+    sum for chi_-k in the place of chi_k fails."""
+    orders, subset = case
+    got = groups.character_sum(orders, subset)
+    assert got.shape == (math.prod(orders),)
+    assert np.abs(got - _loop_character_sum(orders, subset)).max(initial=0.0) < 1e-9

@@ -7,12 +7,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
+from specgraph import groups
 from specgraph import spectra as sp
 from specgraph.errors import (
     IdentityViolated,
@@ -180,10 +181,15 @@ def _dense_spectrum(g, kind):
     return sp.eig_symmetric(matrix, kind)
 
 
+def _has_group(g):
+    return "cayley" in g.meta or "bicayley" in g.meta
+
+
 def _assert_spectrum_matches_dense(g):
     for kind in ("adjacency", "laplacian"):
         got, want = sp.spectrum(g, kind), _dense_spectrum(g, kind)
-        if not (g.is_bipartite if kind == "adjacency" else g.is_regular):
+        smaller = _has_group(g) or g.is_bipartite if kind == "adjacency" else g.is_regular
+        if not smaller:
             assert got == want  # the dense path itself: same bits
             continue
         assert got.matrix_kind == kind
@@ -206,6 +212,63 @@ def test_spectrum_matches_dense_on_corpus():
 @example(gf.complete(5))
 def test_spectrum_matches_dense_on_random_graphs(g):
     _assert_spectrum_matches_dense(g)
+
+
+def test_group_spectrum_matches_dense_on_corpus():
+    group_graphs = [g for *_, g in corpus_mod.build_corpus() if _has_group(g)]
+    assert len(group_graphs) == 25
+    for g in group_graphs:
+        _assert_spectrum_matches_dense(g)
+        sp.check_group_spectrum(g, sp.spectrum(g))
+
+
+@st.composite
+def group_graphs(draw):
+    """A Cayley graph of a product of up to three cyclic groups (orders of 1
+    included) on a drawn symmetric generating set, or a bi-Cayley graph on a
+    drawn subset, which need not be symmetric."""
+    orders = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    elems = groups.elements(orders)
+    rng = draw(st.randoms(use_true_random=False))
+    picked = [e for e in elems[1:] if rng.random() < 0.4]
+    try:
+        if draw(st.booleans()):
+            return gf.cayley(orders, picked + [groups.neg(orders, e) for e in picked])
+        return gf.bi_cayley(orders, picked + [elems[0]])
+    except SpecgraphError:
+        assume(False)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(group_graphs())
+@example(gf.cayley((4, 1, 3), [(1, 0, 0), (3, 0, 0), (0, 0, 1), (0, 0, 2)]))
+@example(gf.bi_cayley((7,), [(0,), (1,), (3,)]))
+def test_group_spectrum_matches_dense(g):
+    assert _has_group(g)
+    _assert_spectrum_matches_dense(g)
+    sp.check_group_spectrum(g, sp.spectrum(g))
+
+
+def test_group_spectrum_builds_no_matrix(monkeypatch):
+    """cube:11 (n = 2048) and incidence:3,31 (n = 1986): no solve, and far
+    less memory than one dense matrix of 32 MB."""
+    monkeypatch.setattr(sp, "_solve", None)
+    for g in (gf.cube(11), gf.incidence(3, 31)):
+        tracemalloc.start()
+        try:
+            sp.graph_spectra(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def test_group_spectrum_mismatch_is_found():
+    """A Cayley graph whose group entry disagrees with its edges fails the check."""
+    g = gc.Graph.from_rows(gf.cycle(8).adj, meta={
+        "cayley": {"orders": (8,), "generators": [(2,), (6,)]}})
+    with pytest.raises(Mismatch):
+        sp.check_group_spectrum(g, sp.spectrum(g))
 
 
 @st.composite
