@@ -32,6 +32,7 @@ from .spectra import (
     EQ_TOL,
     Spectrum,
     adjacency_matrix,
+    arcs,
     graph_spectra,
     laplacian_matrix,
     spectrum,
@@ -306,29 +307,33 @@ def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
 # -- +-1 eigenfunction certificate ------------------------------------------------
 
 
-def _check_pm1(lap_int: np.ndarray, lam: int, vec: np.ndarray) -> bool:
-    """Exact integer check of L v = lam v for a +-1 vector."""
-    return bool(np.array_equal(lap_int @ vec, lam * vec))
-
-
 def cheeger_pm1(g: Graph):
     """Search for a {+-1}-valued lambda_2 eigenfunction; success certifies
     beta = lambda_2 / 2 exactly (Alon-Milman from below, the +-1 eigenfunction
     bound from above).
 
-    Strategy: character eigenfunctions for abelian Cayley / bi-Cayley graphs
-    (characters of order dividing 4, as Re + Im: Im is 0 for a real one), balanced
-    sign enumeration on at most PM1_ENUMERATION_CAP vertices otherwise.
+    Each vector that _pm1_candidates offers is checked exactly over the
+    neighbour rows: L v = lam v iff (d(x) - lam) v(x) is the sum of v over
+    x's neighbours at every x.  bincount adds in float64, exactly for sums of
+    +-1.
     """
     lam2 = spectrum(g, "laplacian").lambda2
     lam_int = round(lam2)
     if g.n % 2 or abs(lam2 - lam_int) > EQ_TOL or lam_int % 2:
         return None
-    lap_int = laplacian_matrix(g).astype(np.int64)
+    tails, heads = arcs(g)
+    scale = np.array(g.degrees, dtype=np.int64) - lam_int
+    for vec in _pm1_candidates(g, lam_int):
+        if np.array_equal(np.bincount(tails, vec[heads], g.n), scale * vec):
+            return {"lambda2": lam_int, "beta": Fraction(lam_int, 2), "vector": vec}
+    return None
 
-    def certified(vec) -> dict:
-        return {"lambda2": lam_int, "beta": Fraction(lam_int, 2), "vector": vec}
 
+def _pm1_candidates(g: Graph, lam: int):
+    """The +-1 vectors that cheeger_pm1 tries, in order: character
+    eigenfunctions for abelian Cayley / bi-Cayley graphs (characters of order
+    dividing 4, as Re + Im: Im is 0 for a real one) whose eigenvalue is lam,
+    then every balanced sign vector on at most PM1_ENUMERATION_CAP vertices."""
     if "cayley" in g.meta:
         info = g.meta["cayley"]
         orders = info["orders"]
@@ -338,12 +343,12 @@ def cheeger_pm1(g: Graph):
             # order of the character divides 4 iff 4*k = 0 mod m componentwise
             if any((4 * k) % m for k, m in zip(ks, orders)):
                 continue
-            if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam_int) > EQ_TOL:
+            if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam) > EQ_TOL:
                 continue
             chi = groups.character(orders, ks)
             vec = np.round(chi.real + chi.imag).astype(np.int64)
-            if set(np.unique(vec)) <= {-1, 1} and _check_pm1(lap_int, lam_int, vec):
-                return certified(vec)
+            if set(np.unique(vec)) <= {-1, 1}:
+                yield vec
     if "bicayley" in g.meta:
         info = g.meta["bicayley"]
         orders = info["orders"]
@@ -353,13 +358,11 @@ def cheeger_pm1(g: Graph):
             if any((2 * k) % m for k, m in zip(ks, orders)):
                 continue  # need a +-1-valued character
             alpha = round(alpha.real)  # a sum of +-1 values
-            if abs(d - abs(alpha) - lam_int) > EQ_TOL:
+            if abs(d - abs(alpha) - lam) > EQ_TOL:
                 continue
             chi = np.round(groups.character(orders, ks).real).astype(np.int64)
             sign = 1 if alpha >= 0 else -1
-            vec = np.concatenate([chi, sign * chi])
-            if _check_pm1(lap_int, lam_int, vec):
-                return certified(vec)
+            yield np.concatenate([chi, sign * chi])
     if g.n <= PM1_ENUMERATION_CAP:
         n = g.n
         half = n // 2
@@ -367,9 +370,7 @@ def cheeger_pm1(g: Graph):
             vec = -np.ones(n, dtype=np.int64)
             vec[0] = 1
             vec[list(rest)] = 1
-            if _check_pm1(lap_int, lam_int, vec):
-                return certified(vec)
-    return None
+            yield vec
 
 
 # -- mixing lemma -------------------------------------------------------------------

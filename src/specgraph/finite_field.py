@@ -399,9 +399,31 @@ class SubfieldEmbedding:
     @cached_property
     def trace_norm_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(traces, norms): the relative trace and norm index of each big-field
-        element, by index; one trace_norm call per element, on first use."""
-        pairs = [trace_norm(self, a) for a in self.big.elements()]
-        return tuple(tr.index for tr, _ in pairs), tuple(nm.index for _, nm in pairs)
+        element, by index, on first use.  N a = a^((Q-1)/(q-1)) for Q = |K|,
+        q = |F|, read from the exp and log tables; N 0 = Tr 0 = 0."""
+        import numpy as np
+
+        exp, log = (np.frombuffer(t, dtype="l") for t in self.big.tables)
+        logs, order = log[1:], self.big.q - 1
+        norms = exp[logs * (order // (self.base.q - 1)) % order]
+        return (0, *self.power_traces(logs).tolist()), (0, *norms.tolist())
+
+    def power_traces(self, exponents):
+        """The relative trace index of g^e for each e in the integer array
+        exponents, g the big field's generator, in the array's shape: the sum
+        of g^(e q^i) over i below the degree, each read from the exp table and
+        added digit by digit in base p."""
+        import numpy as np
+
+        exp = np.frombuffer(self.big.tables[0], dtype="l")
+        p, order = self.big.p, self.big.q - 1
+        place = p ** np.arange(self.big.d)
+        power = exponents % order
+        digits = np.zeros(power.shape + place.shape, dtype=np.int64)
+        for _ in range(self.degree):
+            digits += exp[power][..., None] // place % p
+            power = power * self.base.q % order
+        return digits % p @ place
 
     def lift(self, a: FieldElement) -> FieldElement:
         if a.spec != self.base:
@@ -457,8 +479,12 @@ def quadratic_signature(spec: FieldSpec, a: FieldElement) -> int:
 
 @lru_cache(maxsize=None)
 def signature_table(spec: FieldSpec) -> tuple[int, ...]:
-    """sigma indexed by canonical element index."""
-    return tuple(quadratic_signature(spec, x) for x in spec.elements())
+    """sigma indexed by canonical element index: +1 on the even powers of the
+    generator, -1 on the odd ones and 0 at zero."""
+    if spec.q % 2 == 0:
+        raise EvenCharacteristic("quadratic signature needs odd q")
+    log = spec.tables[1]
+    return (0, *(1 - 2 * (log[i] % 2) for i in range(1, spec.q)))
 
 
 def convolution_J(spec: FieldSpec, c: FieldElement) -> int:

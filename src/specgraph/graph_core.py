@@ -51,26 +51,42 @@ class Graph:
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             rows[u].append(v)
             rows[v].append(u)
-        self._freeze(rows, labels, name, None)
+        self._describe(n, labels, name, None)
+        self.adj = _frozen(rows)
 
     @classmethod
     def from_rows(cls, rows, labels=None, name: str = "", meta: dict | None = None) -> Graph:
         """Graph whose vertex v has the neighbours rows[v], which must already be
-        symmetric and loop-free (a Cayley graph's translate table).  The order
-        within a row carries no meaning."""
+        symmetric and loop-free.  The order within a row carries no meaning."""
         g = cls.__new__(cls)
-        g._freeze(rows, labels, name, meta)
+        g._describe(len(rows), labels, name, meta)
+        g.adj = _frozen(rows)
         return g
 
-    def _freeze(self, rows, labels, name, meta) -> None:
-        # Row order carries no meaning.  frozenset(set(row)) sizes each table
-        # for its final length; frozenset(row) grows it while reading the list
-        # and holds twice the memory (paley(729): 24 MB against 12 MB).
-        self.n = len(rows)
-        self.adj = tuple(frozenset(set(row)) for row in rows)
+    @classmethod
+    def from_group(cls, n: int, degree: int, rows, labels=None, name: str = "",
+                   meta: dict | None = None) -> Graph:
+        """degree-regular graph on n vertices whose neighbour rows are what
+        rows() returns, as from_rows takes them: a Cayley or bi-Cayley graph,
+        whose group gives n, the degrees and the edge count.  rows is called
+        when the adjacency is first read, and never if it is not."""
+        g = cls.__new__(cls)
+        g._describe(n, labels, name, meta)
+        g._rows = rows
+        g.degrees = (degree,) * n
+        g.edge_count = n * degree // 2
+        return g
+
+    def _describe(self, n, labels, name, meta) -> None:
+        self.n = n
         self.labels = tuple(labels) if labels is not None else None
         self.name = name
         self.meta = dict(meta) if meta else {}
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """The neighbour set of each vertex; a group graph builds them here."""
+        return _frozen(self._rows())
 
     # -- basics ---------------------------------------------------------------
 
@@ -200,6 +216,13 @@ class Graph:
     def __repr__(self) -> str:
         tag = self.name or "graph"
         return f"<{tag}: n={self.n}, m={self.edge_count}>"
+
+
+def _frozen(rows) -> tuple[frozenset[int], ...]:
+    # Row order carries no meaning.  frozenset(set(row)) sizes each table for
+    # its final length; frozenset(row) grows it while reading the list and
+    # holds twice the memory (paley(729): 24 MB against 12 MB).
+    return tuple(frozenset(set(row)) for row in rows)
 
 
 # -- text formats --------------------------------------------------------------

@@ -31,7 +31,6 @@ from .finite_field import (
     field,
     signature_table,
     subfield_embedding,
-    trace_norm,
 )
 from . import groups
 from .graph_core import Graph, common_neighbours, k4_at, product
@@ -73,11 +72,15 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
             raise NotSymmetric(f"generator {s} lacks its inverse")
     if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
-    rows = groups.translate(orders, gen_set).T.tolist()  # row i: the neighbours of vertex i
+
+    def rows():
+        return groups.translate(orders, gen_set).T.tolist()  # row i: the neighbours of i
+
     if labels is _ELEMENT_LABELS:
         labels = [str(e) for e in groups.elements(orders)]
-    return Graph.from_rows(rows, labels=labels, name=name or f"cayley{orders}",
-                           meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
+    return Graph.from_group(math.prod(orders), len(gen_set), rows, labels=labels,
+                            name=name or f"cayley{orders}",
+                            meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
 
 
 def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
@@ -91,17 +94,22 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     if shift is None or not groups.generates(
             orders, [groups.add(orders, s, shift) for s in sub_set]):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-    table = groups.translate(orders, sub_set).T
-    n, k = table.shape
-    # Black i's neighbours are n + i + S; white h's are the black i with h in
-    # i + S, and the argsort inverts the table to list them.
-    black = (n + table).tolist()
-    white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
+
+    def rows():
+        table = groups.translate(orders, sub_set).T
+        n, k = table.shape
+        # Black i's neighbours are n + i + S; white h's are the black i with h
+        # in i + S, and the argsort inverts the table to list them.
+        black = (n + table).tolist()
+        white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
+        return black + white
+
     if labels is _ELEMENT_LABELS:
         elems = groups.elements(orders)
         labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
-    return Graph.from_rows(black + white, labels=labels, name=name or f"bicayley{orders}",
-                           meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
+    return Graph.from_group(2 * math.prod(orders), len(sub_set), rows, labels=labels,
+                            name=name or f"bicayley{orders}",
+                            meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
 
 
 # -- elementary families ----------------------------------------------------------
@@ -309,10 +317,10 @@ def _singer(n: int, q: int):
     group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K."""
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
-    base = field(q)
-    emb = subfield_embedding(field(q**n), base)
-    m, g = (q**n - 1) // (q - 1), emb.big.generator()
-    return emb, m, [(j,) for j in range(m) if trace_norm(emb, g**j)[0].is_zero()]
+    emb = subfield_embedding(field(q**n), field(q))
+    m = (q**n - 1) // (q - 1)
+    traces = emb.power_traces(np.arange(m))
+    return emb, m, [(j,) for j in np.flatnonzero(traces == 0).tolist()]
 
 
 def incidence(n: int, q: int) -> Graph:
@@ -341,8 +349,9 @@ def incidence_points(n: int, q: int) -> Graph:
     emb, m, subset = _singer(n, q)
     spec, g = emb.base, emb.big.generator()
     unlift = {emb.lift(a).index: a.index for a in spec.elements()}
-    black = [_projective(spec, [unlift[trace_norm(emb, g ** (k - i))[0].index]
-                                for k in range(n)]) for i in range(m)]
+    # row i, column k: the trace of g^(k - i)
+    traces = emb.power_traces(np.arange(n) - np.arange(m)[:, None])
+    black = [_projective(spec, [unlift[t] for t in row]) for row in traces.tolist()]
     white = [None] * m
     # the normalised points: zeros, the one (index 1) at the lead, then any tail
     for lead in range(n):

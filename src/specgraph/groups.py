@@ -47,16 +47,23 @@ def translate(orders, steps) -> np.ndarray:
 
 
 def generates(orders, steps) -> bool:
-    """Whether the steps reach every element from 0."""
-    moves = translate(orders, steps)
-    seen = np.zeros(math.prod(orders), dtype=bool)
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        seen[frontier] = True
-        reached = np.zeros_like(seen)
-        reached[moves[:, frontier]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-    return bool(seen.all())
+    """Whether the steps reach every element from 0.
+
+    h grows from {0} as the subgroup H that the steps so far generate.  A step
+    s joins by doubling: after k rounds of h <- h u (h + 2^j s), j < k, h is
+    the union of H + i s over i < 2^k, the first 2^k multiples of s's coset.
+    Once 2^k s lies in h, 2^k is at least that coset's order, so h is
+    <H, s>."""
+    orders = tuple(orders)
+    axes = tuple(range(len(orders)))
+    h = np.zeros(orders, dtype=bool)
+    h[(0,) * len(orders)] = True
+    for s in steps:
+        shift = tuple(x % m for x, m in zip(s, orders))
+        while not h[shift]:
+            h |= np.roll(h, shift, axes)
+            shift = tuple(2 * x % m for x, m in zip(shift, orders))
+    return bool(h.all())
 
 
 def character(orders, k) -> np.ndarray:

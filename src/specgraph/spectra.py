@@ -51,11 +51,16 @@ EQ_TOL = 1e-6  # spectral values within this of each other count as equal
 
 # -- matrices -----------------------------------------------------------------
 
+def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads): each edge in both directions, vertex by vertex."""
+    tails = np.repeat(np.arange(g.n), g.degrees)
+    return tails, np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp,
+                              count=tails.size)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
-    rows = np.repeat(np.arange(g.n), g.degrees)
-    cols = np.fromiter(itertools.chain.from_iterable(g.adj), dtype=np.intp, count=rows.size)
-    a[rows, cols] = 1.0
+    a[arcs(g)] = 1.0
     return a
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgraph import bounds as bd
+from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import spectra as sp
@@ -162,6 +163,39 @@ def test_cheeger_incidence_4_3_both_readings():
     assert cert is not None
     assert cert["beta"] == Fraction(5)
     assert cert["beta"] != 10  # beta = lambda_2 / 2, not lambda_2
+
+
+def _check_pm1(lap_int, lam, vec) -> bool:
+    """The dense check that certified L v = lam v before the neighbour-row
+    check: one product with the integer laplacian."""
+    return bool(np.array_equal(lap_int @ vec, lam * vec))
+
+
+PM1_GRAPHS = [(family, params) for _, family, params in corpus_mod.CORPUS_SPECS] + [
+    ("cube", (5,)), ("cube", (6,)), ("cube", (8,)), ("cube", (11,)), ("halved_cube", (5,)),
+    ("paley", (49,)), ("bi_paley", (27,)), ("incidence", (3, 5)), ("machine", (2, 2, 2))]
+
+
+def test_cheeger_certificates_match_the_dense_check():
+    """cheeger_pm1 returns the first candidate that the dense laplacian
+    product certifies, and None where none does."""
+    found = 0
+    for family, params in PM1_GRAPHS:
+        g = gf.build(family, *params)
+        cert = bd.cheeger_pm1(g)
+        lam2 = sp.spectrum(g, "laplacian").lambda2
+        lam = round(lam2)
+        if g.n % 2 or abs(lam2 - lam) > bd.EQ_TOL or lam % 2:
+            assert cert is None
+            continue
+        lap = sp.laplacian_matrix(g).astype(np.int64)
+        first = next((v for v in bd._pm1_candidates(g, lam) if _check_pm1(lap, lam, v)), None)
+        if first is None:
+            assert cert is None
+        else:
+            found += 1
+            assert cert["lambda2"] == lam and np.array_equal(cert["vector"], first)
+    assert found == 20
 
 
 def test_cheeger_no_certificate_cases():

@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -15,6 +16,7 @@ from specgraph import finite_field as ff
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
+from specgraph import groups
 from specgraph import spectra as sp
 
 _RECORD_SCHEMA = {
@@ -162,6 +164,42 @@ def test_bipartite_spectra_carry_no_negative_zero(source, capsys):
     assert code == 0
     values = [e["value"] for e in json.loads(out)["spectrum"]["entries"]]
     assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in values)
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """The groups.translate calls made: a group graph builds its neighbour
+    rows from one, and nothing else calls it."""
+    calls = []
+    translate = groups.translate
+
+    def counted(orders, steps):
+        calls.append(orders)
+        return translate(orders, steps)
+
+    monkeypatch.setattr(groups, "translate", counted)
+    return calls
+
+
+def test_group_spec_builds_no_rows(capsys, row_builds):
+    """spec of a group graph reads n, the edge count, the degree and the
+    spectrum from its group: no rows and far less memory than cube:11's
+    rows alone (2.7 MB)."""
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "spec", "cube:11", "--kind", "laplacian", "--closed-form")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["closed_form"]["match"]["ok"]
+    assert row_builds == []
+    assert peak < 2**21
+
+
+def test_spec_refuses_a_group_graph_past_the_cap_without_rows(capsys, row_builds):
+    assert cli.main(["spec", "cube:16"]) == 2
+    assert capsys.readouterr().err == "error: SizeOverflow: n = 65536 over eigensolver cap 4096\n"
+    assert row_builds == []
 
 
 def test_gen_edge_list(capsys):

@@ -502,6 +502,29 @@ def test_trace_fibers_uniform(base, ext):
     assert set(fibers.values()) == {small.q ** (ext - 1)}
 
 
+@pytest.mark.parametrize("big,base", [(125, 5), (27, 3), (729, 27), (81, 9), (4096, 16),
+                                      (29791, 31)])
+def test_trace_norm_table_matches_the_scalar_loop(big, base):
+    """The table read from the exp and log tables against one trace_norm call
+    per element, the way it was built before."""
+    emb = ff.subfield_embedding(ff.field(big), ff.field(base))
+    pairs = [ff.trace_norm(emb, a) for a in emb.big.elements()]
+    assert emb.trace_norm_table == (tuple(tr.index for tr, _ in pairs),
+                                    tuple(nm.index for _, nm in pairs))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27, 49, 81, 125, 729, 1009])
+def test_signature_table_matches_the_scalar_loop(q):
+    spec = ff.field(q)
+    expected = tuple(ff.quadratic_signature(spec, x) for x in spec.elements())
+    assert ff.signature_table(spec) == expected
+
+
+def test_signature_table_refuses_even_characteristic():
+    with pytest.raises(EvenCharacteristic):
+        ff.signature_table(GF(2, 3))
+
+
 def test_lift_is_ring_homomorphism():
     big, base = GF(2, 4), GF(2, 2)
     emb = ff.subfield_embedding(big, base)

@@ -135,6 +135,16 @@ def test_incidence_points_is_the_orthogonality_graph(n, q):
     assert g.edges() == singer.edges() and g.meta == singer.meta
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 9), (3, 31),
+                                 (4, 3), (5, 2)])
+def test_singer_set_matches_the_field_element_filter(n, q):
+    """The trace-zero j read from the exp and log tables against the scalar
+    filter over g^j that built the set before."""
+    emb, m, subset = gf._singer(n, q)
+    g = emb.big.generator()
+    assert subset == [(j,) for j in range(m) if ff.trace_norm(emb, g**j)[0].is_zero()]
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 6)], ids=["n_below_3", "q_not_a_prime_power"])
 def test_incidence_points_refuses_bad_parameters(n, q):
     with pytest.raises(BadParameters):
@@ -244,13 +254,14 @@ def test_adjacency_iterates_as_the_edge_loop_did(monkeypatch, family, params):
     monkeypatch.setattr(groups, "translate", spy_translate)
     monkeypatch.setattr(gc.Graph, "__init__", spy_init)
     g = gf.build(family, *params)
+    adj = g.adj  # a group graph builds its rows, and calls translate, on first read
     if "cayley" in g.meta:
         old = edge_loop_adjacency(g.n, cayley_edge_list(tables[-1].T))
     elif "bicayley" in g.meta:
         old = edge_loop_adjacency(g.n, bi_cayley_edge_list(tables[-1].T))
     else:
         old = edge_loop_adjacency(*calls[-1])
-    assert g.adj == old
+    assert adj == old
 
 
 def _outputs(g):

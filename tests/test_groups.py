@@ -37,6 +37,14 @@ def _reaches_all(orders, steps) -> bool:
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(group_and_steps())
+@example(((64,), [(3,)]))
+@example(((64,), [(0,), (40,), (24,)]))
+@example(((64,), [(48,), (40,), (2,)]))
+@example(((2, 32), [(0, 0), (1, 2), (0, 6)]))
+@example(((2, 32), [(1, 2), (0, 6), (1, 1)]))
+@example(((8, 8), [(2, 4), (0, 0), (1, 3), (4, 2)]))
+@example(((4, 4, 4), [(1, 0, 0), (0, 1, 0), (0, 0, 2), (0, 0, 1)]))
+@example(((1, 1), [(0, 0)]))
 def test_generates_matches_search(case):
     orders, steps = case
     assert groups.generates(orders, steps) == _reaches_all(orders, steps)

@@ -263,6 +263,44 @@ def test_group_spectrum_builds_no_matrix(monkeypatch):
         assert peak < 2**20
 
 
+def test_group_spectrum_builds_no_rows():
+    """A group graph's spectrum reads its group, never its neighbour rows:
+    paley:1009's rows alone take 33 MB."""
+    tracemalloc.start()
+    try:
+        g = gf.paley(1009)
+        sp.spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "adj" not in g.__dict__
+    assert peak < 2**21
+
+
+def _assert_group_facts_match_rows(g):
+    """n, the edge count and the degrees that a group graph's group gave
+    equal those of its neighbour rows."""
+    facts = (g.n, g.edge_count, g.degrees, g.is_regular, g.max_degree)
+    rows = gc.Graph.from_rows(g.adj)
+    assert facts == (rows.n, rows.edge_count, rows.degrees, rows.is_regular, rows.max_degree)
+
+
+def test_group_facts_match_rows_on_corpus():
+    built = [gf.build(family, *params) for _, family, params in corpus_mod.CORPUS_SPECS]
+    group_graphs = [g for g in built if _has_group(g)]
+    assert len(group_graphs) == 25
+    for g in group_graphs:
+        _assert_group_facts_match_rows(g)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(group_graphs())
+@example(gf.cayley((1,), []))
+def test_group_facts_match_rows(g):
+    assert "adj" not in g.__dict__
+    _assert_group_facts_match_rows(g)
+
+
 def test_group_spectrum_mismatch_is_found():
     """A Cayley graph whose group entry disagrees with its edges fails the check."""
     g = gc.Graph.from_rows(gf.cycle(8).adj, meta={
