@@ -19,11 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import groups
-from .errors import BadWeights, ColorViolation, InvalidOperation, NotRegular
+from .errors import BadParameters, BadWeights, ColorViolation, InvalidOperation, NotRegular
 from .graph_core import (
     Graph,
     InvariantReport,
     boundary_size,
+    checked_vertices,
     remove_edges,
     remove_vertex,
     triangle_count,
@@ -317,6 +318,8 @@ def cheeger_pm1(g: Graph):
     x's neighbours at every x.  bincount adds in float64, exactly for sums of
     +-1.
     """
+    if g.n < 2:
+        raise BadParameters("+-1 certificate needs at least two vertices")
     lam2 = spectrum(g, "laplacian").lambda2
     lam_int = round(lam2)
     if g.n % 2 or abs(lam2 - lam_int) > EQ_TOL or lam_int % 2:
@@ -331,38 +334,29 @@ def cheeger_pm1(g: Graph):
 
 def _pm1_candidates(g: Graph, lam: int):
     """The +-1 vectors that cheeger_pm1 tries, in order: character
-    eigenfunctions for abelian Cayley / bi-Cayley graphs (characters of order
-    dividing 4, as Re + Im: Im is 0 for a real one) whose eigenvalue is lam,
-    then every balanced sign vector on at most PM1_ENUMERATION_CAP vertices."""
-    if "cayley" in g.meta:
-        info = g.meta["cayley"]
-        orders = info["orders"]
-        d = g.max_degree
-        alphas = groups.character_sum(orders, info["generators"])
+    eigenfunctions whose eigenvalue is lam, of the group's characters of order
+    dividing 4 (as Re + Im: Im is 0 for a real one) on a Cayley graph and of
+    its +-1 characters (on both sides) on a bi-Cayley graph, then every
+    balanced sign vector on at most PM1_ENUMERATION_CAP vertices."""
+    group = g.group
+    if group is not None:
+        orders, d = group.orders, g.max_degree
+        order = 2 if group.bi else 4
+        alphas = groups.character_sum(orders, group.subset)
         for ks, alpha in zip(groups.elements(orders)[1:], alphas[1:]):
-            # order of the character divides 4 iff 4*k = 0 mod m componentwise
-            if any((4 * k) % m for k, m in zip(ks, orders)):
+            # chi_k's order divides order iff order * k = 0 mod m in each coordinate
+            if any((order * k) % m for k, m in zip(ks, orders)):
                 continue
-            if abs(alpha.imag) > 1e-9 or abs(d - alpha.real - lam) > EQ_TOL:
-                continue
-            chi = groups.character(orders, ks)
-            vec = np.round(chi.real + chi.imag).astype(np.int64)
-            if set(np.unique(vec)) <= {-1, 1}:
-                yield vec
-    if "bicayley" in g.meta:
-        info = g.meta["bicayley"]
-        orders = info["orders"]
-        d = g.max_degree
-        alphas = groups.character_sum(orders, info["subset"])
-        for ks, alpha in zip(groups.elements(orders)[1:], alphas[1:]):
-            if any((2 * k) % m for k, m in zip(ks, orders)):
-                continue  # need a +-1-valued character
-            alpha = round(alpha.real)  # a sum of +-1 values
-            if abs(d - abs(alpha) - lam) > EQ_TOL:
-                continue
-            chi = np.round(groups.character(orders, ks).real).astype(np.int64)
-            sign = 1 if alpha >= 0 else -1
-            yield np.concatenate([chi, sign * chi])
+            if group.bi:
+                alpha = round(alpha.real)  # a sum of +-1 values
+                if abs(d - abs(alpha) - lam) <= EQ_TOL:
+                    chi = np.round(groups.character(orders, ks).real).astype(np.int64)
+                    yield np.concatenate([chi, chi if alpha >= 0 else -chi])
+            elif abs(alpha.imag) <= 1e-9 and abs(d - alpha.real - lam) <= EQ_TOL:
+                chi = groups.character(orders, ks)
+                vec = np.round(chi.real + chi.imag).astype(np.int64)
+                if set(np.unique(vec)) <= {-1, 1}:
+                    yield vec
     if g.n <= PM1_ENUMERATION_CAP:
         n = g.n
         half = n // 2
@@ -386,15 +380,15 @@ class MixingQuery:
 def edge_count_between(g: Graph, S, T) -> int:
     """e(S, T): edges with one endpoint in S and one in T; edges inside the
     intersection count twice."""
-    T = set(T)
-    return sum(1 for u in S for w in g.adj[u] if w in T)
+    T = set(checked_vertices(g, T))
+    return sum(1 for u in checked_vertices(g, S) for w in g.adj[u] if w in T)
 
 
 def path_count_between(g: Graph, S, T, ell: int) -> int:
     a = adjacency_matrix(g).astype(np.int64)
     power = np.linalg.matrix_power(a, ell)
-    rows = sorted(S)
-    cols = sorted(T)
+    rows = sorted(checked_vertices(g, S))
+    cols = sorted(checked_vertices(g, T))
     return int(power[np.ix_(rows, cols)].sum())
 
 
@@ -616,7 +610,7 @@ def courant_fischer_check(m: np.ndarray, rng: np.random.Generator) -> bool:
 def step_function_rayleigh(g: Graph, subset) -> tuple[float, float]:
     """(Rayleigh ratio of the +-step function, n |dS| / (|S||S^c|)); the two
     agree identically."""
-    S = sorted(set(subset))
+    S = sorted(set(checked_vertices(g, subset)))
     comp = [v for v in range(g.n) if v not in set(S)]
     if not S or not comp:
         raise InvalidOperation("subset must be proper and non-empty")

@@ -86,15 +86,12 @@ def cmd_spec(args) -> int:
     g = load_graph_source(args.source, *args.params)
     config = {"command": "spec", "source": args.source, "params": list(args.params),
               "kind": args.kind, "seed": args.seed}
-    family, params = (gfam.parse_source(args.source, *args.params) if args.closed_form
-                      else (None, []))
-    # a closed form that restates the character sums is checked against the edges
-    solve = sp.edge_spectrum if family in sp.CHARACTER_SUM_FAMILIES else sp.spectrum
-    spectrum = solve(g, args.kind)
+    spectrum = sp.spectrum(g, args.kind)
     payload: dict = {"graph": {"n": g.n, "edges": g.edge_count, "name": g.name},
                      "spectrum": spectrum.to_json()}
     if args.closed_form:
         try:
+            family, params = gfam.parse_source(args.source, *args.params)
             cf = sp.closed_form_spectrum(family, *params)
             if args.kind == "laplacian":
                 if not g.is_regular:

@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     LoopEdge,
 )
+from .groups import Group
 
 INF = math.inf
 
@@ -36,8 +37,8 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Disconnected graphs are allowed as values (complements, derived graphs);
-    operations that need connectivity raise Disconnected themselves. ``meta``
-    holds the group of a Cayley ("cayley") or bi-Cayley ("bicayley") graph.
+    operations that need connectivity raise Disconnected themselves. ``group``
+    is the groups.Group of a Cayley or bi-Cayley graph, else None.
     """
 
     def __init__(self, n: int, edges, labels=None, name: str = ""):
@@ -55,38 +56,35 @@ class Graph:
         self.adj = _frozen(rows)
 
     @classmethod
-    def from_rows(cls, rows, labels=None, name: str = "", meta: dict | None = None) -> Graph:
+    def from_rows(cls, rows, labels=None, name: str = "", group: Group | None = None) -> Graph:
         """Graph whose vertex v has the neighbours rows[v], which must already be
         symmetric and loop-free.  The order within a row carries no meaning."""
         g = cls.__new__(cls)
-        g._describe(len(rows), labels, name, meta)
+        g._describe(len(rows), labels, name, group)
         g.adj = _frozen(rows)
         return g
 
     @classmethod
-    def from_group(cls, n: int, degree: int, rows, labels=None, name: str = "",
-                   meta: dict | None = None) -> Graph:
-        """degree-regular graph on n vertices whose neighbour rows are what
-        rows() returns, as from_rows takes them: a Cayley or bi-Cayley graph,
-        whose group gives n, the degrees and the edge count.  rows is called
-        when the adjacency is first read, and never if it is not."""
+    def from_group(cls, group: Group, labels=None, name: str = "") -> Graph:
+        """The Cayley or bi-Cayley graph of group, which gives n, the degrees
+        and the edge count.  Its neighbour rows are built when the adjacency is
+        first read, and never if it is not."""
         g = cls.__new__(cls)
-        g._describe(n, labels, name, meta)
-        g._rows = rows
-        g.degrees = (degree,) * n
-        g.edge_count = n * degree // 2
+        g._describe(group.n, labels, name, group)
+        g.degrees = (len(group.subset),) * group.n
+        g.edge_count = group.n * len(group.subset) // 2
         return g
 
-    def _describe(self, n, labels, name, meta) -> None:
+    def _describe(self, n, labels, name, group) -> None:
         self.n = n
         self.labels = tuple(labels) if labels is not None else None
         self.name = name
-        self.meta = dict(meta) if meta else {}
+        self.group = group
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         """The neighbour set of each vertex; a group graph builds them here."""
-        return _frozen(self._rows())
+        return _frozen(self.group.rows())
 
     # -- basics ---------------------------------------------------------------
 
@@ -223,6 +221,16 @@ def _frozen(rows) -> tuple[frozenset[int], ...]:
     # its final length; frozenset(row) grows it while reading the list and
     # holds twice the memory (paley(729): 24 MB against 12 MB).
     return tuple(frozenset(set(row)) for row in rows)
+
+
+def checked_vertices(g: Graph, vertices) -> list[int]:
+    """vertices as a list; IndexOutOfRange for any that is not one of g's
+    0..n-1, where a negative index would wrap and n or more would escape."""
+    vs = list(vertices)
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise IndexOutOfRange(f"no vertex {v} in 0..{g.n - 1}")
+    return vs
 
 
 # -- text formats --------------------------------------------------------------
@@ -566,7 +574,7 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
 
 
 def boundary_size(g: Graph, subset) -> int:
-    s = set(subset)
+    s = set(checked_vertices(g, subset))
     return sum(1 for u in s for w in g.adj[u] if w not in s)
 
 
@@ -610,9 +618,7 @@ def cone(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
-    vs = sorted(set(vertices))
-    if any(not 0 <= v < g.n for v in vs):
-        raise IndexOutOfRange("vertex outside graph")
+    vs = sorted(set(checked_vertices(g, vertices)))
     pos = {v: i for i, v in enumerate(vs)}
     edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
     labels = [g.labels[v] for v in vs] if g.labels is not None else None
@@ -620,12 +626,12 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 
 
 def link_graph(g: Graph, v: int) -> Graph:
-    if not 0 <= v < g.n:
-        raise IndexOutOfRange(f"no vertex {v}")
+    checked_vertices(g, [v])
     return induced_subgraph(g, g.adj[v])
 
 
 def remove_vertex(g: Graph, v: int) -> Graph:
+    checked_vertices(g, [v])
     return induced_subgraph(g, [u for u in range(g.n) if u != v])
 
 
@@ -633,6 +639,7 @@ def remove_edges(g: Graph, drop) -> Graph:
     """g less the given edges; IndexOutOfRange for a pair that is not an edge
     of g, a loop (u, u) included."""
     drop = list(drop)
+    checked_vertices(g, itertools.chain.from_iterable(drop))
     for u, v in drop:
         if not g.has_edge(u, v):
             raise IndexOutOfRange(f"edge {(u, v)} not present")

@@ -72,15 +72,10 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
             raise NotSymmetric(f"generator {s} lacks its inverse")
     if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
-
-    def rows():
-        return groups.translate(orders, gen_set).T.tolist()  # row i: the neighbours of i
-
     if labels is _ELEMENT_LABELS:
         labels = [str(e) for e in groups.elements(orders)]
-    return Graph.from_group(math.prod(orders), len(gen_set), rows, labels=labels,
-                            name=name or f"cayley{orders}",
-                            meta={"cayley": {"orders": orders, "generators": sorted(gen_set)}})
+    return Graph.from_group(groups.Group(orders, tuple(sorted(gen_set))), labels=labels,
+                            name=name or f"cayley{orders}")
 
 
 def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
@@ -94,22 +89,11 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     if shift is None or not groups.generates(
             orders, [groups.add(orders, s, shift) for s in sub_set]):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-
-    def rows():
-        table = groups.translate(orders, sub_set).T
-        n, k = table.shape
-        # Black i's neighbours are n + i + S; white h's are the black i with h
-        # in i + S, and the argsort inverts the table to list them.
-        black = (n + table).tolist()
-        white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
-        return black + white
-
     if labels is _ELEMENT_LABELS:
         elems = groups.elements(orders)
         labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
-    return Graph.from_group(2 * math.prod(orders), len(sub_set), rows, labels=labels,
-                            name=name or f"bicayley{orders}",
-                            meta={"bicayley": {"orders": orders, "subset": sorted(sub_set)}})
+    return Graph.from_group(groups.Group(orders, tuple(sorted(sub_set)), bi=True),
+                            labels=labels, name=name or f"bicayley{orders}")
 
 
 # -- elementary families ----------------------------------------------------------
@@ -185,15 +169,22 @@ def halved_cube(n: int) -> Graph:
     return cayley((2,) * m, gens, name=f"halfQ_{n}")
 
 
+def decked_cube_extra(n: int, extra: tuple[int, ...] | str) -> tuple[int, ...]:
+    """The extra generator of decked_cube(n, extra) as a bit tuple;
+    BadParameters unless it is n bits of weight >= 2."""
+    try:
+        bits = tuple(int(b) % 2 for b in extra)
+    except ValueError:
+        raise BadParameters(f"extra generator must be bits, got {extra!r}") from None
+    if len(bits) != n or sum(bits) < 2:
+        raise BadParameters("extra generator must have length n and weight >= 2")
+    return bits
+
+
 def decked_cube(n: int, extra: tuple[int, ...] | str) -> Graph:
     """Q_n plus the extra generator, given as bits or as a bit string such as
     "011"; the generator must have weight >= 2."""
-    try:
-        extra = tuple(int(b) % 2 for b in extra)
-    except ValueError:
-        raise BadParameters(f"extra generator must be bits, got {extra!r}") from None
-    if len(extra) != n or sum(extra) < 2:
-        raise BadParameters("extra generator must have length n and weight >= 2")
+    extra = decked_cube_extra(n, extra)
     basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return cayley((2,) * n, basis + [extra], name=f"DQ_{n}{''.join(map(str, extra))}")
 

@@ -1,16 +1,18 @@
-"""Finite abelian groups Z_m1 x ... x Z_mk and their characters.
+"""Finite abelian groups Z_m1 x ... x Z_mk, their characters, and the group
+record of a Cayley or bi-Cayley graph.
 
 Elements are int tuples, numbered in mixed-radix order with the first
 coordinate most significant: element i is the i-th tuple of
 ``itertools.product(range(m1), ..., range(mk))``.  Cayley and bi-Cayley
-builders, the character-sum closed forms and the +-1 certificates all index
-vertices and characters this way.
+graphs, their spectra and the +-1 certificates all index vertices and
+characters this way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,3 +93,31 @@ def character_sum(orders, subset) -> np.ndarray:
     np.add.at(indicator, tuple(steps.T), 1.0)
     # np.fft is reached here rather than imported: importing numpy does not load it
     return np.fft.fftn(indicator).conj().ravel()
+
+
+@dataclass(frozen=True)
+class Group:
+    """The group of an abelian Cayley graph Cay(G, S) on G = Z_m1 x ... x Z_mk,
+    or with bi set of the bi-Cayley graph on two copies of G, where black g
+    ~ white h iff h - g lies in S.  subset holds S reduced mod the orders.
+    Vertex i is element i; on a bi-Cayley graph, vertices i and |G| + i are."""
+
+    orders: tuple[int, ...]
+    subset: tuple[tuple[int, ...], ...]
+    bi: bool = False
+
+    @property
+    def n(self) -> int:
+        return math.prod(self.orders) * (2 if self.bi else 1)
+
+    def rows(self) -> list[list[int]]:
+        """Each vertex's neighbours, from the translate table of S."""
+        table = translate(self.orders, self.subset).T  # row i: i + S
+        if not self.bi:
+            return table.tolist()
+        n, k = table.shape
+        # Black i's neighbours are n + i + S; white h's are the black i with h
+        # in i + S, and the argsort inverts the table to list them.
+        black = (n + table).tolist()
+        white = (np.argsort(table, axis=None, kind="stable") // k).reshape(n, k).tolist()
+        return black + white

@@ -16,10 +16,10 @@ spectrum-based classifiers.
   (LAPACK's symmetric solver: tridiagonalization plus implicit-shift
   iteration).
 Each route clusters the raw descending values the same way. Closed forms are
-kept as exact expressions and evaluated only at comparison time, so the
-numeric and the closed-form routes stay independent; a group graph, whose
-generic closed form reads the same character sums, is checked against
-`edge_spectrum`, the solve of its edges.
+kept as exact expressions in the family's parameters and evaluated only at
+comparison time, so the numeric and the closed-form routes stay independent;
+`check_group_spectrum` checks a group graph's character sums against the
+solve of its edges.
 """
 
 from __future__ import annotations
@@ -209,15 +209,15 @@ def _group_values(g: Graph) -> np.ndarray | None:
     descending, from its group: the character sums alpha_k of the connection
     set, or +-|alpha_k| on a bi-Cayley graph (Babai 1979); None for a graph
     without a group."""
-    if "cayley" in g.meta:
-        info = g.meta["cayley"]
-        return np.sort(groups.character_sum(info["orders"], info["generators"]).real)[::-1]
-    if "bicayley" in g.meta:
-        info = g.meta["bicayley"]
-        r = np.sort(np.abs(groups.character_sum(info["orders"], info["subset"])))[::-1]
-        # 0.0 - r rather than -r, so that an exact zero stays +0.0
-        return np.concatenate([r, 0.0 - r[::-1]])
-    return None
+    group = g.group
+    if group is None:
+        return None
+    alphas = groups.character_sum(group.orders, group.subset)
+    if not group.bi:
+        return np.sort(alphas.real)[::-1]
+    r = np.sort(np.abs(alphas))[::-1]
+    # 0.0 - r rather than -r, so that an exact zero stays +0.0
+    return np.concatenate([r, 0.0 - r[::-1]])
 
 
 def _values(g: Graph, kind: str) -> np.ndarray:
@@ -252,17 +252,12 @@ def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
     return _clustered(_values(g, kind), kind)
 
 
-def edge_spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
-    """spectrum(g, kind) of g's edges alone, as if g carried no group."""
-    return spectrum(Graph.from_rows(g.adj, name=g.name), kind)
-
-
 def check_group_spectrum(g: Graph, adjacency: Spectrum) -> None:
     """Mismatch unless a group graph's adjacency spectrum agrees with the
-    solve of its edges.  A group graph's closed form reads the same group as
-    its spectrum, so only the edges check the character sums independently."""
-    if "cayley" in g.meta or "bicayley" in g.meta:
-        verify_closed_form(adjacency, edge_spectrum(g), name=f"{g.name}: edge solve")
+    solve of its edges alone, as if g carried no group."""
+    if g.group is not None:
+        edges = spectrum(Graph.from_rows(g.adj, name=g.name))
+        verify_closed_form(adjacency, edges, name=f"{g.name}: edge solve")
 
 
 def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
@@ -372,24 +367,6 @@ def partial_design_closed_form(m: int, d: int, c1: int, c2: int, c1_graph_values
     return _form(entries)
 
 
-def cayley_closed_form(orders, generators) -> ClosedForm:
-    """Character-sum spectrum of an abelian Cayley graph: one eigenvalue
-    sum_{s in S} chi(s) per character chi."""
-    orders = tuple(int(m) for m in orders)
-    sums = groups.character_sum(orders, generators)
-    return _form([(float(v.real), 1, f"chi{ks}") for v, ks in zip(sums, groups.elements(orders))])
-
-
-def bicayley_closed_form(orders, subset) -> ClosedForm:
-    """Spectrum +-|sum_{s in S} chi(s)| of an abelian bi-Cayley graph."""
-    orders = tuple(int(m) for m in orders)
-    entries = []
-    for r, ks in zip(np.abs(groups.character_sum(orders, subset)), groups.elements(orders)):
-        entries.append((float(r), 1, f"+|chi{ks}|"))
-        entries.append((-float(r), 1, f"-|chi{ks}|"))
-    return _form(entries)
-
-
 def cone_closed_form_adjacency(base: ClosedForm, base_degree: int) -> ClosedForm:
     """Adjacency spectrum of the cone over a regular graph: drop one copy of
     the base's trivial eigenvalue, add the two roots of
@@ -453,6 +430,23 @@ def _cf_cycle(n: int) -> ClosedForm:
 
 def _cf_cube(n: int) -> ClosedForm:
     return _form([(float(n - 2 * k), math.comb(n, k), f"{n}-2*{k}") for k in range(n + 1)])
+
+
+def _cf_halved_cube(n: int) -> ClosedForm:
+    """A character of weight w on (Z_2)^(n-1) sums the n - 1 unit generators to
+    s = n - 1 - 2w and the pairs e_i + e_j to (s^2 - n + 1)/2, which add up
+    to ((n - 2w)^2 - n)/2."""
+    return _form([(((n - 2 * w) ** 2 - n) / 2, math.comb(n - 1, w), f"(({n}-2*{w})^2-{n})/2")
+                  for w in range(n)])
+
+
+def _cf_decked_cube(n: int, extra) -> ClosedForm:
+    """A character of (Z_2)^n that is 1 on i of the r bits of extra and on j of
+    the other n - r sums the basis to n - 2(i + j) and extra to (-1)^i."""
+    r = sum(gf.decked_cube_extra(n, extra))
+    return _form([(float(n - 2 * (i + j) + (-1) ** i), math.comb(r, i) * math.comb(n - r, j),
+                   f"{n}-2*({i}+{j})+(-1)^{i}")
+                  for i in range(r + 1) for j in range(n - r + 1)])
 
 
 def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
@@ -542,10 +536,6 @@ def _cf_wheel(n: int) -> ClosedForm:
     return cone_closed_form_adjacency(_cf_cycle(n - 1), 2)
 
 
-# families whose closed form is the generic character sum, which the group
-# route computes too: their closed form is checked against edge_spectrum
-CHARACTER_SUM_FAMILIES = frozenset({"halved_cube", "decked_cube"})
-
 _CLOSED_FORMS = {
     "complete": _cf_complete,
     "cycle": _cf_cycle,
@@ -562,8 +552,8 @@ _CLOSED_FORMS = {
     "full_sum_product": _cf_full_sum_product,
     "tutte_coxeter": _cf_tutte_coxeter,
     "machine": _cf_machine,
-    "halved_cube": lambda n: closed_form_for_graph(gf.halved_cube(n)),
-    "decked_cube": lambda n, extra: closed_form_for_graph(gf.decked_cube(n, extra)),
+    "halved_cube": _cf_halved_cube,
+    "decked_cube": _cf_decked_cube,
     "petersen": lambda: srg_closed_form(10, 3, 0, 1),
     "shrikhande": lambda: srg_closed_form(16, 6, 2, 2),
     "rook_twin": lambda: srg_closed_form(16, 6, 2, 2),
@@ -578,18 +568,6 @@ def closed_form_spectrum(family: str, *params) -> ClosedForm:
     if fn is None:
         raise NoClosedForm(f"no closed-form spectrum for family {family!r}")
     return fn(*params)
-
-
-def closed_form_for_graph(g: Graph) -> ClosedForm:
-    """Generic character-sum closed form for graphs carrying Cayley or
-    bi-Cayley metadata."""
-    if "cayley" in g.meta:
-        info = g.meta["cayley"]
-        return cayley_closed_form(info["orders"], info["generators"])
-    if "bicayley" in g.meta:
-        info = g.meta["bicayley"]
-        return bicayley_closed_form(info["orders"], info["subset"])
-    raise NoClosedForm(f"graph {g.name!r} carries no group metadata")
 
 
 # -- verification ------------------------------------------------------------------

@@ -16,7 +16,14 @@ from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import spectra as sp
-from specgraph.errors import BadWeights, ColorViolation, NotRegular, SpecgraphError
+from specgraph.errors import (
+    BadParameters,
+    BadWeights,
+    ColorViolation,
+    IndexOutOfRange,
+    NotRegular,
+    SpecgraphError,
+)
 
 
 def audit(g, **caps):
@@ -205,6 +212,11 @@ def test_cheeger_no_certificate_cases():
     assert bd.cheeger_pm1(gf.complete(4))["beta"] == Fraction(2)
 
 
+def test_cheeger_pm1_refuses_one_vertex():
+    with pytest.raises(BadParameters, match="at least two vertices"):
+        bd.cheeger_pm1(gc.Graph(1, []))
+
+
 # -- mixing lemma --------------------------------------------------------------------
 
 def test_mixing_whole_sides_of_complete_bipartite():
@@ -310,6 +322,31 @@ def test_k5_edge_removal():
 def test_removing_a_loop_is_refused_as_an_absent_edge():
     with pytest.raises(SpecgraphError, match="not present"):
         bd.perturbation_checks(gf.petersen(), "remove_edge", (2, 2))
+
+
+C6 = gf.cycle(6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gc.remove_edges(C6, [(-1, 0)]),
+    lambda: gc.remove_vertex(C6, 99),
+    lambda: gc.remove_vertex(C6, -1),
+    lambda: bd.perturbation_checks(C6, "remove_vertex", 99),
+    lambda: gc.induced_subgraph(C6, [0, 6]),
+    lambda: gc.link_graph(C6, -1),
+    lambda: gc.boundary_size(C6, [99]),
+    lambda: gc.boundary_size(C6, [-1]),
+    lambda: bd.edge_count_between(C6, [99], [0]),
+    lambda: bd.edge_count_between(C6, [0], [-1]),
+    lambda: bd.step_function_rayleigh(C6, [99]),
+    lambda: bd.step_function_rayleigh(C6, [-1]),
+], ids=["remove_edges_-1", "remove_vertex_99", "remove_vertex_-1", "perturbation_99",
+        "induced_subgraph_6", "link_graph_-1", "boundary_99", "boundary_-1",
+        "edge_count_S_99", "edge_count_T_-1", "step_function_99", "step_function_-1"])
+def test_vertex_arguments_out_of_range_are_refused(call):
+    """A vertex outside 0..n-1 is refused, never wrapped nor left out."""
+    with pytest.raises(IndexOutOfRange, match="no vertex"):
+        call()
 
 
 def test_petersen_matching_removal_subgraph_bounds():

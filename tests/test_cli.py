@@ -196,6 +196,18 @@ def test_group_spec_builds_no_rows(capsys, row_builds):
     assert peak < 2**21
 
 
+@pytest.mark.parametrize("source", ["halved_cube:11", "decked_cube:11,11100000000"])
+def test_cube_family_closed_form_needs_no_rows_or_solve(source, capsys, row_builds,
+                                                        monkeypatch):
+    """spec --closed-form of a halved or decked cube checks the group's
+    character sums against the family's closed form, exactly."""
+    monkeypatch.setattr(sp, "_solve", None)
+    code, out = run(capsys, "spec", source, "--closed-form")
+    match = json.loads(out)["closed_form"]["match"]
+    assert code == 0 and match["ok"] and match["max_error"] == 0.0
+    assert row_builds == []
+
+
 def test_spec_refuses_a_group_graph_past_the_cap_without_rows(capsys, row_builds):
     assert cli.main(["spec", "cube:16"]) == 2
     assert capsys.readouterr().err == "error: SizeOverflow: n = 65536 over eigensolver cap 4096\n"

@@ -132,7 +132,7 @@ def test_incidence_points_is_the_orthogonality_graph(n, q):
         return {(h.labels[u], h.labels[v]) for u, v in h.edges()}
 
     assert by_label(g) == by_label(oracle)
-    assert g.edges() == singer.edges() and g.meta == singer.meta
+    assert g.edges() == singer.edges() and g.group == singer.group
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (3, 9), (3, 31),
@@ -169,21 +169,17 @@ def test_bi_cayley_heawood():
 def test_group_metadata_matches_edges(g):
     """Vertex 0 is the identity, so its neighbours are the generators (the
     subset, on the white side, for a bi-Cayley graph) at their group index."""
-    if "cayley" in g.meta:
-        info, offset = g.meta["cayley"], 0
-        steps = info["generators"]
-    else:
-        info, offset = g.meta["bicayley"], g.n // 2
-        steps = info["subset"]
-    assert g.adj[0] == {offset + groups.index(info["orders"], s) for s in steps}
+    group = g.group
+    offset = g.n // 2 if group.bi else 0
+    assert g.adj[0] == {offset + groups.index(group.orders, s) for s in group.subset}
 
 
 def test_metadata_is_only_the_group():
-    """The closed forms and the +-1 certificates read a graph's "cayley" or
-    "bicayley" entry; a graph carries no other metadata."""
+    """The spectra and the +-1 certificates read a graph's group record, and a
+    graph carries no other metadata."""
     graphs = [g for *_, g in corpus_mod.build_corpus()] + [gf.incidence_points(3, 3)]
     for g in graphs:
-        assert set(g.meta) <= {"cayley", "bicayley"}, g.name
+        assert g.group is None or isinstance(g.group, groups.Group), g.name
 
 
 # -- adjacency rows against the per-edge loop they replaced -----------------------
@@ -255,12 +251,11 @@ def test_adjacency_iterates_as_the_edge_loop_did(monkeypatch, family, params):
     monkeypatch.setattr(gc.Graph, "__init__", spy_init)
     g = gf.build(family, *params)
     adj = g.adj  # a group graph builds its rows, and calls translate, on first read
-    if "cayley" in g.meta:
-        old = edge_loop_adjacency(g.n, cayley_edge_list(tables[-1].T))
-    elif "bicayley" in g.meta:
-        old = edge_loop_adjacency(g.n, bi_cayley_edge_list(tables[-1].T))
-    else:
+    if g.group is None:
         old = edge_loop_adjacency(*calls[-1])
+    else:
+        edge_list = bi_cayley_edge_list if g.group.bi else cayley_edge_list
+        old = edge_loop_adjacency(g.n, edge_list(tables[-1].T))
     assert adj == old
 
 
@@ -293,7 +288,7 @@ def test_outputs_ignore_neighbour_order():
         rnd = random.Random(i)
         rows = [list(s) for s in g.adj]
         rows = [row[::-1] if i % 2 else rnd.sample(row, len(row)) for row in rows]
-        twin = gc.Graph.from_rows(rows, g.labels, g.name, g.meta)
+        twin = gc.Graph.from_rows(rows, g.labels, g.name, g.group)
         assert twin.adj == g.adj
         moved += [tuple(s) for s in twin.adj] != [tuple(s) for s in g.adj]
         assert _outputs(twin) == _outputs(g), g.name
@@ -643,7 +638,7 @@ def test_corpus_row_builds_from_packed_text(cid, family, params):
     built = gf.build(family, *params)
     packed = gf.build(f"{family}:{','.join(map(str, params))}")
     assert packed == built
-    assert (packed.name, packed.labels, packed.meta) == (built.name, built.labels, built.meta)
+    assert (packed.name, packed.labels, packed.group) == (built.name, built.labels, built.group)
 
 
 def test_raw_group_text_refused():

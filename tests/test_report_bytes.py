@@ -16,11 +16,8 @@ COMMANDS = [
     pytest.param(["spec", "paley:1009", "--closed-form"], id="paley_1009"),
     pytest.param(["spec", "cube:11", "--kind", "laplacian", "--closed-form"],
                  id="cube_11_laplacian"),
-    pytest.param(["spec", "halved_cube:11", "--closed-form"], id="halved_cube_11",
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "the generic character-sum closed form is still checked against "
-                     "the dense LAPACK solve, whose last bits follow the thread count, "
-                     "until the closed forms are certified in the group algebra"))),
+    pytest.param(["spec", "halved_cube:11", "--closed-form"], id="halved_cube_11"),
+    pytest.param(["spec", "decked_cube:11,11100000000", "--closed-form"], id="decked_cube_11"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Eigensolver contracts, closed-form spectra, classifiers and feasibility,
 plus the spectral invariants over a sub-corpus."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from specgraph import graph_families as gf
 from specgraph import groups
 from specgraph import spectra as sp
 from specgraph.errors import (
+    BadParameters,
     IdentityViolated,
     Mismatch,
     NoClosedForm,
@@ -182,7 +184,7 @@ def _dense_spectrum(g, kind):
 
 
 def _has_group(g):
-    return "cayley" in g.meta or "bicayley" in g.meta
+    return g.group is not None
 
 
 def _assert_spectrum_matches_dense(g):
@@ -243,6 +245,16 @@ def group_graphs(draw):
 @given(group_graphs())
 @example(gf.cayley((4, 1, 3), [(1, 0, 0), (3, 0, 0), (0, 0, 1), (0, 0, 2)]))
 @example(gf.bi_cayley((7,), [(0,), (1,), (3,)]))
+@example(gf.decked_cube(4, (1, 1, 1, 0)))
+@example(gf.cayley((5, 3), [(1, 0), (4, 0), (0, 1), (0, 2), (2, 1), (3, 2)]))
+@example(gf.cayley((4, 6), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)]))
+@example(gf.cayley((9,), [(1,), (8,), (3,), (6,)]))
+@example(gf.paley(25))
+@example(gf.incidence(3, 3))
+@example(gf.bi_cayley((5, 3), [(0, 0), (1, 0), (2, 1)]))
+@example(gf.bi_cayley((4, 6), [(0, 0), (1, 2), (3, 1)]))
+@example(gf.bi_cayley((9,), [(0,), (1,), (3,)]))
+@example(gf.bi_paley(27))
 def test_group_spectrum_matches_dense(g):
     assert _has_group(g)
     _assert_spectrum_matches_dense(g)
@@ -303,8 +315,7 @@ def test_group_facts_match_rows(g):
 
 def test_group_spectrum_mismatch_is_found():
     """A Cayley graph whose group entry disagrees with its edges fails the check."""
-    g = gc.Graph.from_rows(gf.cycle(8).adj, meta={
-        "cayley": {"orders": (8,), "generators": [(2,), (6,)]}})
+    g = gc.Graph.from_rows(gf.cycle(8).adj, group=groups.Group((8,), ((2,), (6,))))
     with pytest.raises(Mismatch):
         sp.check_group_spectrum(g, sp.spectrum(g))
 
@@ -473,6 +484,33 @@ def test_q4_binomial_multiplicities():
     assert sp.verify_closed_form(adj_spectrum(gf.cube(4)), cf)["ok"]
 
 
+def _edge_solve(g):
+    """g's spectrum from its edges alone, as if it carried no group."""
+    return sp.spectrum(gc.Graph.from_rows(g.adj))
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_halved_cube_closed_form_matches_edge_solve(n):
+    cf = sp.closed_form_spectrum("halved_cube", n)
+    assert sp.verify_closed_form(_edge_solve(gf.halved_cube(n)), cf)["ok"]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decked_cube_closed_form_matches_edge_solve(n):
+    """Every extra generator of weight >= 2, in every position."""
+    for extra in itertools.product((0, 1), repeat=n):
+        if sum(extra) >= 2:
+            cf = sp.closed_form_spectrum("decked_cube", n, extra)
+            assert sp.verify_closed_form(_edge_solve(gf.decked_cube(n, extra)), cf)["ok"]
+
+
+@pytest.mark.parametrize("extra", ["100", "0x1", "0110"])
+def test_decked_cube_closed_form_refuses_what_the_builder_refuses(extra):
+    for make in (gf.decked_cube, functools.partial(sp.closed_form_spectrum, "decked_cube")):
+        with pytest.raises(BadParameters):
+            make(3, extra)
+
+
 def test_corrupted_multiplicity_mismatch():
     cf = sp.closed_form_spectrum("cube", 3)
     bad = sp.ClosedForm(cf.matrix_kind, tuple(
@@ -542,24 +580,6 @@ def test_paley_eigenvalues_via_field_characters():
     cf = sp.closed_form_spectrum("paley", q)
     assert sorted(v for v, m, _ in cf.entries for _ in range(m))[:-1] == \
         pytest.approx(sorted(seen))
-
-
-def test_cayley_generic_closed_form_from_meta():
-    graphs = [
-        gf.decked_cube(4, (1, 1, 1, 0)),
-        gf.cayley((5, 3), [(1, 0), (4, 0), (0, 1), (0, 2), (2, 1), (3, 2)]),
-        gf.cayley((4, 6), [(1, 0), (3, 0), (0, 1), (0, 5), (2, 3)]),
-        gf.cayley((9,), [(1,), (8,), (3,), (6,)]),
-        gf.paley(25),
-        gf.incidence(3, 3),  # bi-Cayley route from here on
-        gf.bi_cayley((5, 3), [(0, 0), (1, 0), (2, 1)]),
-        gf.bi_cayley((4, 6), [(0, 0), (1, 2), (3, 1)]),
-        gf.bi_cayley((9,), [(0,), (1,), (3,)]),
-        gf.bi_paley(27),
-    ]
-    for g in graphs:
-        cf = sp.closed_form_for_graph(g)
-        assert sp.verify_closed_form(adj_spectrum(g), cf)["ok"], g.name
 
 
 def test_cone_and_complement_laplacian_rules():
