@@ -29,15 +29,7 @@ from .graph_core import (
     remove_vertex,
     triangle_count,
 )
-from .spectra import (
-    EQ_TOL,
-    Spectrum,
-    adjacency_matrix,
-    arcs,
-    graph_spectra,
-    laplacian_matrix,
-    spectrum,
-)
+from .spectra import EQ_TOL, Spectrum, arcs, graph_spectra, spectrum
 
 REL_TOL = 1e-7
 ABS_FLOOR = 1e-9
@@ -380,20 +372,28 @@ class MixingQuery:
 def edge_count_between(g: Graph, S, T) -> int:
     """e(S, T): edges with one endpoint in S and one in T; edges inside the
     intersection count twice."""
-    T = set(checked_vertices(g, T))
-    return sum(1 for u in checked_vertices(g, S) for w in g.adj[u] if w in T)
+    return path_count_between(g, S, T, 1)
 
 
 def path_count_between(g: Graph, S, T, ell: int) -> int:
-    a = adjacency_matrix(g).astype(np.int64)
-    power = np.linalg.matrix_power(a, ell)
-    rows = sorted(checked_vertices(g, S))
-    cols = sorted(checked_vertices(g, T))
-    return int(power[np.ix_(rows, cols)].sum())
+    """1_S^T A^ell 1_T, the walks of length ell from S to T, exactly in Python
+    ints over the neighbour rows: ell - 1 neighbour sums of a count that starts
+    at one walk on each vertex of S, then the last step over the smaller set's
+    rows alone. S and T are vertex sets (a repeat counts once); ell = 0 gives
+    |S & T|."""
+    S, T = set(checked_vertices(g, S)), set(checked_vertices(g, T))
+    if ell < 0:
+        raise InvalidOperation("path length must be >= 0")
+    if len(T) > len(S):  # A is symmetric, so the count is the same from T to S
+        S, T = T, S
+    walks = [int(v in S) for v in range(g.n)]
+    for _ in range(ell - 1):
+        walks = [sum(map(walks.__getitem__, row)) for row in g.adj]
+    return sum(sum(map(walks.__getitem__, g.adj[t])) for t in T) if ell else len(S & T)
 
 
 def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> dict:
-    """Exact e(S,T) (or path count) against the expander mixing bound."""
+    """The exact walk count (e(S, T) at ell = 1) against the expander mixing bound."""
     if not g.is_regular:
         raise NotRegular("mixing lemma needs a regular graph")
     if query.ell < 1:
@@ -402,8 +402,7 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
     if adj is None:
         adj = spectrum(g)
     d = g.max_degree
-    count = (edge_count_between(g, S, T) if ell == 1
-             else path_count_between(g, S, T, ell))
+    count = path_count_between(g, S, T, ell)
     if g.is_bipartite:
         black, white = g.bipartition
         sides = []
@@ -617,7 +616,7 @@ def step_function_rayleigh(g: Graph, subset) -> tuple[float, float]:
     f = np.empty(g.n)
     f[S] = len(comp)
     f[comp] = -len(S)
-    lap = laplacian_matrix(g)
-    ratio = float(f @ lap @ f) / float(f @ f)
+    tails, heads = arcs(g)  # f^T L f sums (f(u) - f(v))^2 over the edges, each arc half
+    ratio = float(((f[tails] - f[heads]) ** 2).sum() / 2) / float(f @ f)
     expected = g.n * boundary_size(g, S) / (len(S) * len(comp))
     return ratio, expected

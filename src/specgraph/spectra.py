@@ -16,8 +16,8 @@ spectrum-based classifiers.
   (LAPACK's symmetric solver: tridiagonalization plus implicit-shift
   iteration).
 Each route clusters the raw descending values the same way. Closed forms are
-kept as exact expressions in the family's parameters and evaluated only at
-comparison time, so the numeric and the closed-form routes stay independent;
+derived from the family's parameters alone and evaluated to doubles when they
+are built, so the numeric and the closed-form routes stay independent;
 `check_group_spectrum` checks a group graph's character sums against the
 solve of its edges.
 """
@@ -47,6 +47,7 @@ SYMMETRY_BLOCK = 2**16  # entries in each row slice of the symmetry check
 VALUE_MERGE_TOL = 1e-9
 COMPARE_TOL = 1e-7
 EQ_TOL = 1e-6  # spectral values within this of each other count as equal
+MOORE_MAX_DEGREE = 100  # any bound >= 57 gives the same four (n, d) pairs
 
 
 # -- matrices -----------------------------------------------------------------
@@ -666,11 +667,11 @@ def srg_feasibility(n: int, d: int, a: int, c: int):
     return ("integral", t) if num else ("quadratic", None)
 
 
-def moore_graph_enumeration(max_degree: int = 100) -> list[tuple[int, int]]:
+def moore_graph_enumeration() -> list[tuple[int, int]]:
     """Feasible (n, d) for strongly regular parameters with a = 0, c = 1
-    (diameter-2, girth-5 graphs); n is forced to d^2 + 1."""
+    (diameter-2, girth-5 graphs) to d = MOORE_MAX_DEGREE; n is d^2 + 1."""
     out = []
-    for d in range(2, max_degree + 1):
+    for d in range(2, MOORE_MAX_DEGREE + 1):
         n = d * d + 1
         kind, _ = srg_feasibility(n, d, 0, 1)
         if kind != "infeasible":

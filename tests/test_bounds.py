@@ -4,6 +4,7 @@ interlacing, Motzkin-Straus, and the symmetric-matrix principles."""
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from specgraph.errors import (
     BadWeights,
     ColorViolation,
     IndexOutOfRange,
+    InvalidOperation,
     NotRegular,
     SpecgraphError,
 )
@@ -280,6 +282,70 @@ def test_mixing_path_count_against_walk_enumeration():
     assert res["pass"]
 
 
+def _int64_walk_count(g, S, T, ell) -> int:
+    """The dense count that path_count_between replaced: the S x T block of
+    the int64 power A^ell, which wraps once an entry passes 2^63."""
+    power = np.linalg.matrix_power(sp.adjacency_matrix(g).astype(np.int64), ell)
+    return int(power[np.ix_(sorted(S), sorted(T))].sum())
+
+
+def _check_walk_counts(g, rng):
+    for _ in range(3):
+        S = rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=False).tolist()
+        T = rng.choice(g.n, size=int(rng.integers(0, g.n + 1)), replace=False).tolist()
+        for ell in range(5):  # entries stay below n^4 < 2^63: the oracle cannot wrap
+            assert bd.path_count_between(g, S, T, ell) == _int64_walk_count(g, S, T, ell)
+        assert bd.edge_count_between(g, S, T) == bd.path_count_between(g, S, T, 1)
+
+
+@pytest.mark.parametrize("cid, family, params", corpus_mod.CORPUS_SPECS,
+                         ids=[cid for cid, _, _ in corpus_mod.CORPUS_SPECS])
+def test_walk_counts_match_the_int64_power_on_the_corpus(cid, family, params):
+    _check_walk_counts(gf.build(family, *params), np.random.default_rng(len(cid)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_graphs(), st.integers(0, 2**32 - 1))
+def test_walk_counts_match_the_int64_power(g, seed):
+    _check_walk_counts(g, np.random.default_rng(seed))
+
+
+def test_walk_counts_stay_exact_past_int64():
+    """From 0 to 1 in K_10 there are (9^ell - (-1)^ell)/10 walks of length
+    ell; at ell = 21 that passes 2^63, where the int64 power wrapped."""
+    k10 = gf.complete(10)
+    assert bd.path_count_between(k10, [0], [1], 20) == (9**20 - 1) // 10
+    assert bd.path_count_between(k10, [0], [1], 21) == 10941898913151235921
+    assert 10941898913151235921 == (9**21 + 1) // 10 > 2**63
+
+
+def test_walk_count_sets_and_refusals():
+    c6 = gf.cycle(6)
+    assert bd.path_count_between(c6, [0, 1, 2], [2, 3], 0) == 1  # |S & T|
+    assert bd.path_count_between(c6, [0, 0], [1], 1) == bd.path_count_between(c6, [0], [1], 1)
+    with pytest.raises(InvalidOperation, match=">= 0"):
+        bd.path_count_between(c6, [0], [1], -1)
+    with pytest.raises(IndexOutOfRange, match="no vertex"):
+        bd.path_count_between(c6, [0], [6], 2)
+
+
+def test_walk_count_builds_no_dense_matrix():
+    """Two steps on paley(1009) trace far less memory than the 8 MB of a
+    dense 1009 x 1009 int64 matrix."""
+    g = gf.paley(1009)
+    g.adj  # the neighbour rows are built on first use, before the trace starts
+    rng = np.random.default_rng(1009)
+    S = rng.choice(g.n, size=300, replace=False).tolist()
+    T = rng.choice(g.n, size=400, replace=False).tolist()
+    tracemalloc.start()
+    try:
+        bd.path_count_between(g, S, T, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_sum_product_window_small():
     g = gf.incidence_points(3, 7)
     res = bd.sum_product_window_check(g, 7, ([0, 1, 2], [1, 3], [2, 4, 5], [6]), "a+b=cd")
@@ -447,6 +513,19 @@ def test_step_function_identity():
             subset = rng.choice(g.n, size=size, replace=False).tolist()
             ratio, expected = bd.step_function_rayleigh(g, subset)
             assert ratio == pytest.approx(expected, abs=1e-8)
+
+
+def test_step_function_numerator_matches_the_dense_laplacian():
+    """f^T L f summed over the arcs equals the product with the dense
+    laplacian that step_function_rayleigh used to build."""
+    rng = np.random.default_rng(100)
+    for g in [gf.petersen(), gf.cube(3), gf.paley(13), gf.wheel(6), gc.Graph(5, [(0, 1)])]:
+        for _ in range(20):
+            subset = rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False).tolist()
+            f = np.full(g.n, -float(len(subset)))
+            f[subset] = g.n - len(subset)
+            dense = float(f @ sp.laplacian_matrix(g) @ f) / float(f @ f)
+            assert bd.step_function_rayleigh(g, subset)[0] == pytest.approx(dense, rel=1e-12)
 
 
 # -- Alon-Boppana qualitative ----------------------------------------------------------

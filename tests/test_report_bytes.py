@@ -1,15 +1,32 @@
-"""Report bytes that must not depend on the BLAS thread count: each command
-runs cold, once under one OpenBLAS/OpenMP thread and once under two, and
-must print the same bytes both times."""
+"""Report bytes pinned two ways.
 
+- Each command in COMMANDS runs cold, once under one OpenBLAS/OpenMP thread
+  and once under two, and must print the same bytes both times.
+- Each command in DIGEST_COMMANDS runs in-process through `cli.main`, and the
+  sha256 of its stdout and of its stderr, and its exit code, must equal those
+  in `report_digests.json`. The digests belong to the numpy and BLAS build
+  recorded there; under another build the test skips. A change that moves
+  report bytes on purpose re-records them with
+  `PYTHONPATH=src python tests/test_report_bytes.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
 
+from specgraph import cli
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DIGEST_FILE = pathlib.Path(__file__).with_name("report_digests.json")
 
 COMMANDS = [
     pytest.param(["spec", "paley:729", "--closed-form"], id="paley_729"),
@@ -32,3 +49,78 @@ def _stdout(argv, threads: int) -> bytes:
 @pytest.mark.parametrize("argv", COMMANDS)
 def test_report_bytes_ignore_blas_threads(argv):
     assert _stdout(argv, 1) == _stdout(argv, 2)
+
+
+# -- digests of every command kind --------------------------------------------
+
+# written into the working directory, so that the echoed source is the bare name
+EDGE_LISTS = {"k1.txt": "1 0\n", "edgeless.txt": "4 0\n"}
+
+DIGEST_COMMANDS = {
+    "verify": ["verify"],
+    "chars_7": ["chars", "7"],
+    "chars_9": ["chars", "9"],
+    "chars_5_ext_2": ["chars", "5", "--ext", "2"],
+    "spec_paley_13_closed_form": ["spec", "paley:13", "--closed-form"],
+    "spec_petersen": ["spec", "petersen"],
+    "spec_tutte_coxeter_laplacian": ["spec", "tutte_coxeter", "--kind", "laplacian"],
+    "spec_sum_product_5_closed_form": ["spec", "sum_product:5", "--closed-form"],
+    "spec_cube_4_laplacian_closed_form": ["spec", "cube:4", "--kind", "laplacian",
+                                          "--closed-form"],
+    "spec_halved_cube_5_closed_form": ["spec", "halved_cube:5", "--closed-form"],
+    "spec_frucht_no_closed_form": ["spec", "frucht", "--closed-form"],
+    "audit_petersen": ["audit", "petersen"],
+    "audit_bi_paley_19_beta_16": ["audit", "bi_paley:19", "--caps", "beta=16"],
+    "audit_k1_edge_list": ["audit", "k1.txt"],
+    "audit_edgeless_edge_list": ["audit", "edgeless.txt"],
+    "iso_heawood_bi_paley_7": ["iso", "heawood", "bi_paley:7"],
+    "iso_shrikhande_rook_twin": ["iso", "shrikhande", "rook_twin"],
+    "gen_paley_13": ["gen", "paley:13"],
+    "gen_shrikhande_dot": ["gen", "shrikhande", "--out", "dot"],
+    "gen_cayley_json": ["gen", "cayley", "4,4", "1,0;3,0;0,1;0,3;1,1;3,3", "--out", "json"],
+    "refuse_spec_cube_16": ["spec", "cube:16"],
+    "refuse_gen_paley_15": ["gen", "paley:15"],
+}
+
+
+def build() -> dict:
+    """The numpy version and the BLAS that numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
+
+
+def digest(argv) -> dict:
+    """sha256 of stdout and of stderr, and the exit code, of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            "exit": code}
+
+
+def write_edge_lists(directory) -> None:
+    for name, text in EDGE_LISTS.items():
+        pathlib.Path(directory, name).write_text(text)
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
+def test_report_digest(name, tmp_path, monkeypatch):
+    recorded = json.loads(DIGEST_FILE.read_text())
+    if build() != recorded["build"]:
+        pytest.skip(f"digests were recorded under {recorded['build']}, this is {build()}")
+    write_edge_lists(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert digest(DIGEST_COMMANDS[name]) == recorded["commands"][name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        write_edge_lists(workdir)
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            commands = {name: digest(argv) for name, argv in sorted(DIGEST_COMMANDS.items())}
+        finally:
+            os.chdir(here)
+    DIGEST_FILE.write_text(json.dumps({"build": build(), "commands": commands}, indent=2) + "\n")

@@ -709,7 +709,7 @@ def test_srg_feasibility_identity_violation():
 
 
 def test_moore_enumeration():
-    assert sp.moore_graph_enumeration(100) == [(5, 2), (10, 3), (50, 7), (3250, 57)]
+    assert sp.moore_graph_enumeration() == [(5, 2), (10, 3), (50, 7), (3250, 57)]
 
 
 # -- spectral invariants over a sub-corpus ----------------------------------------------
