@@ -399,10 +399,8 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
     if query.ell < 1:
         raise InvalidOperation("path length must be >= 1")
     S, T, ell = query.S, query.T, query.ell
-    if adj is None:
-        adj = spectrum(g)
-    d = g.max_degree
-    count = path_count_between(g, S, T, ell)
+    # the query is checked before the spectrum and the walk count are paid for
+    checked_vertices(g, itertools.chain(S, T))
     if g.is_bipartite:
         black, white = g.bipartition
         sides = []
@@ -417,6 +415,11 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
             raise ColorViolation("odd-length paths need opposite colours")
         if ell % 2 == 0 and sides[0] != sides[1]:
             raise ColorViolation("even-length paths need equal colours")
+    if adj is None:
+        adj = spectrum(g)
+    d = g.max_degree
+    count = path_count_between(g, S, T, ell)
+    if g.is_bipartite:
         m = g.n // 2
         alpha2 = adj.kth_largest(2)
         main = d**ell / m * len(S) * len(T)

@@ -183,6 +183,15 @@ def cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
+def _group_error(g: gc.Graph, adjacency: sp.Spectrum) -> str | None:
+    """The Mismatch text of g's group-spectrum check, or None if it passes."""
+    try:
+        sp.check_group_spectrum(g, adjacency)
+    except Mismatch as exc:
+        return str(exc)
+    return None
+
+
 def cmd_verify(args) -> int:
     caps = _parse_caps(args.caps)
     ids = args.families.split(",") if args.families else None
@@ -191,15 +200,27 @@ def cmd_verify(args) -> int:
     graphs = []
     total_fail = 0
     closed_forms = []
+    rows = []
+    for cid, family, params, g in corpus_mod.build_corpus(ids):
+        spectra = sp.graph_spectra(g)  # (adjacency, laplacian), shared with the audit
+        rows.append((cid, family, params, g, spectra, _group_error(g, spectra[0])))
+    # (graph, adjacency spectrum, group-check error) by (family, params): the
+    # sweep reuses the corpus graph's and solves only the graphs it adds
+    solved = {(family, params): (g, spectra[0], error)
+              for _, family, params, g, spectra, error in rows}
     if ids is None:
         # smallest-three closed-form sweep across every family with a formula
         for family, instances in sorted(corpus_mod.SMALLEST_THREE.items()):
             for params in instances:
-                g = gfam.build(family, *params)
                 try:
                     cf = sp.closed_form_spectrum(family, *params)
-                    spectrum = sp.spectrum(g)
-                    sp.check_group_spectrum(g, spectrum)
+                    if (family, params) not in solved:
+                        g = gfam.build(family, *params)
+                        spectrum = sp.spectrum(g)
+                        solved[family, params] = g, spectrum, _group_error(g, spectrum)
+                    g, spectrum, error = solved[family, params]
+                    if error is not None:
+                        raise Mismatch(error)
                     result = sp.verify_closed_form(spectrum, cf, name=g.name)
                     closed_forms.append({"family": family, "params": list(params),
                                          "ok": result["ok"]})
@@ -207,13 +228,10 @@ def cmd_verify(args) -> int:
                     closed_forms.append({"family": family, "params": list(params),
                                          "ok": False, "error": str(exc)})
                     total_fail += 1
-    for cid, family, params, g in corpus_mod.build_corpus(ids):
+    for cid, family, params, g, spectra, error in rows:
         entry: dict = {"id": cid, "n": g.n, "edges": g.edge_count}
-        spectra = sp.graph_spectra(g)  # (adjacency, laplacian), shared with the audit
-        try:
-            sp.check_group_spectrum(g, spectra[0])
-        except Mismatch as exc:
-            entry["group_spectrum"] = {"ok": False, "error": str(exc)}
+        if error is not None:
+            entry["group_spectrum"] = {"ok": False, "error": error}
             total_fail += 1
         try:
             cf = sp.closed_form_spectrum(family, *params)

@@ -31,6 +31,7 @@ CHI_CAP = 64
 BETA_CAP = 24
 ISO_CAP = 32
 EXACT_BUDGET_SECONDS = 10.0
+GROUP_LABELS = object()  # a group graph's default labels: each vertex's element
 
 
 class Graph:
@@ -65,10 +66,11 @@ class Graph:
         return g
 
     @classmethod
-    def from_group(cls, group: Group, labels=None, name: str = "") -> Graph:
+    def from_group(cls, group: Group, labels=GROUP_LABELS, name: str = "") -> Graph:
         """The Cayley or bi-Cayley graph of group, which gives n, the degrees
-        and the edge count.  Its neighbour rows are built when the adjacency is
-        first read, and never if it is not."""
+        and the edge count.  Its neighbour rows, and its element labels unless
+        labels is given (None: unlabelled), are built when first read, and
+        never if they are not."""
         g = cls.__new__(cls)
         g._describe(group.n, labels, name, group)
         g.degrees = (len(group.subset),) * group.n
@@ -77,7 +79,8 @@ class Graph:
 
     def _describe(self, n, labels, name, group) -> None:
         self.n = n
-        self.labels = tuple(labels) if labels is not None else None
+        if labels is not GROUP_LABELS:
+            self.labels = tuple(labels) if labels is not None else None
         self.name = name
         self.group = group
 
@@ -85,6 +88,12 @@ class Graph:
     def adj(self) -> tuple[frozenset[int], ...]:
         """The neighbour set of each vertex; a group graph builds them here."""
         return _frozen(self.group.rows())
+
+    @cached_property
+    def labels(self) -> tuple[str, ...] | None:
+        """Each vertex's label, or None; a group graph built with GROUP_LABELS
+        builds its element labels here."""
+        return self.group.labels()
 
     # -- basics ---------------------------------------------------------------
 
@@ -281,12 +290,27 @@ def to_json_dict(g: Graph) -> dict:
 # -- metrics -------------------------------------------------------------------
 
 def diameter(g: Graph) -> int:
+    """The largest eccentricity, from one BFS per vertex over the bitmasks:
+    each layer is the union of its predecessor's neighbour masks less the
+    vertices already reached."""
     if not g.is_connected:
         raise Disconnected("diameter undefined for disconnected graphs")
+    masks, full = g.masks, (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        best = max(best, max(g.bfs_distances(v)))
-    return int(best)
+        seen = frontier = 1 << v
+        depth = 0
+        while seen != full:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= masks[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & ~seen
+            seen |= frontier
+            depth += 1
+        best = max(best, depth)
+    return best
 
 
 def girth(g: Graph):
@@ -432,13 +456,20 @@ def independence_number(g: Graph, cap: int = CHI_CAP) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: clique lower bound, DSATUR upper bound, then
-    k-colourability backtracking for the gap."""
-    return _chromatic_number(g, CHI_CAP, None)
+    """Exact chromatic number: the larger of the clique number and ceil(n/alpha)
+    as lower bound, DSATUR upper bound, then k-colourability backtracking for
+    the gap; ceil(n/alpha) is left out when alpha is refused."""
+    try:
+        alpha = independence_number(g)
+    except CapExceeded:
+        alpha = None
+    return _chromatic_number(g, CHI_CAP, None, alpha)
 
 
-def _chromatic_number(g: Graph, cap: int, omega: int | None) -> int:
-    """chromatic_number, with the clique number omega as lower bound when known."""
+def _chromatic_number(g: Graph, cap: int, omega: int | None, alpha: int | None) -> int:
+    """chromatic_number, with the clique number omega and the independence
+    number alpha when known.  Each colour class is an independent set, so
+    chi >= ceil(n/alpha)."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over chromatic cap {cap}")
     if g.edge_count == 0:
@@ -476,6 +507,8 @@ def _chromatic_number(g: Graph, cap: int, omega: int | None) -> int:
         return max(colours) + 1 if rec(0) else None
 
     lower = clique_number(g, cap=cap) if omega is None else omega
+    if alpha is not None:
+        lower = max(lower, -(-g.n // alpha))
     upper = colour(g.n)
     for k in range(lower, upper):
         if colour(k) is not None:
@@ -488,19 +521,40 @@ def _chromatic_number(g: Graph, cap: int, omega: int | None) -> int:
 BETA_CHUNK_BITS = 14
 
 
+@cache
+def _beta_tables(k: int):
+    """The graph-free tables of isoperimetric_constant's sweep over the 2^k low
+    subsets, built once per k on first use: the masks, |L| for each subset L,
+    the Gray ranks sorted stably by the size of the subset of that rank
+    (ranks), those subsets (order), and where each size's group starts in
+    them (bounds).  The subset of Gray rank r is r ^ r >> 1."""
+    low = np.arange(1 << k, dtype=np.int32)
+    size = np.zeros(1, np.int16)
+    for _ in range(k):
+        size = np.concatenate([size, size + 1])
+    gray = low ^ low >> 1
+    ranks = np.argsort(size[gray], kind="stable")
+    order = gray[ranks]
+    bounds = np.searchsorted(size[order], np.arange(k + 2))
+    for table in (low, size, ranks, order, bounds):
+        table.flags.writeable = False
+    return low, size, ranks, order, bounds
+
+
 def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     """Exact min over non-empty S with |S| <= n/2 of |boundary S| / |S|,
     as a Fraction, together with one minimizing subset: the first minimizer
     in the Gray-code order of the subset masks (vertex v is bit v).
 
     Chunked exhaustive sweep. The low k = min(n, BETA_CHUNK_BITS) vertices
-    get int16 tables over all 2^k subsets L, built by doubling: |L|, cut(L),
-    and for each high vertex v, |N(v) & L|. The subsets H of the high vertices
-    are walked in Gray order; flipping v moves the cut of every L | H at once
-    by -+2|N(v) & L| plus a scalar. Each step takes the least cut for each
-    |S|, compares ratios by integer cross-multiplication and breaks ties by
-    Gray rank, so the witness is the subset a one-vertex-at-a-time Gray sweep
-    keeps. The time budget is checked once per high subset.
+    get int16 tables over all 2^k subsets L, built by doubling: |L| (once per
+    k), cut(L), and for each high vertex v, |N(v) & L|. The subsets H of the
+    high vertices are walked in Gray order; flipping v moves the cut of every
+    L | H at once by -+2|N(v) & L| plus a scalar. Each step takes the least
+    cut for each |S|, compares ratios by integer cross-multiplication and
+    breaks ties by Gray rank, so the witness is the subset a
+    one-vertex-at-a-time Gray sweep keeps. The time budget is checked once
+    per high subset.
 
     On one vertex no S has 0 < |S| <= n/2, so beta is undefined there and the
     call raises BadParameters.
@@ -516,19 +570,11 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     half = n // 2
     k = min(n, BETA_CHUNK_BITS)
     low_all = (1 << k) - 1
-    low = np.arange(1 << k, dtype=np.int32)
-    size = np.zeros(1, np.int16)
+    low, size, ranks, order, bounds = _beta_tables(k)
     cut = np.zeros(1, np.int16)
     for j in range(k):
         inner = size[low[:1 << j] & (masks[j] & low_all)]
         cut = np.concatenate([cut, cut + (degs[j] - 2 * inner)])
-        size = np.concatenate([size, size + 1])
-    # The subset of Gray rank r is r ^ r >> 1. Sort the ranks stably by the
-    # subset's size, so that each size is one contiguous group in rank order.
-    gray = low ^ low >> 1
-    ranks = np.argsort(size[gray], kind="stable")
-    order = gray[ranks]
-    bounds = np.searchsorted(size[order], np.arange(k + 2))
     cut = cut[order]
     nbr2 = [2 * size[order & (masks[v] & low_all)] for v in range(k, n)]
     high_masks = [masks[v] >> k for v in range(k, n)]
@@ -895,10 +941,11 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP)
 
     diam = diameter(g) if g.is_connected else None
     gir = girth(g)
-    # one clique search gives omega and chi's lower bound; skips keep report order
+    # omega and alpha, each searched once, give chi's lower bound; skips keep
+    # report order
     omega = guarded("clique", lambda: clique_number(g, cap=chi_cap))
-    chi = guarded("chromatic", lambda: _chromatic_number(g, chi_cap, omega))
     iota = guarded("independence", lambda: independence_number(g, cap=chi_cap))
+    chi = guarded("chromatic", lambda: _chromatic_number(g, chi_cap, omega, iota))
     skipped.sort(key=("chromatic", "independence", "clique").index)
     beta_pair = None
     if g.n < 2:

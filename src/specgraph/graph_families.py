@@ -12,6 +12,7 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from .finite_field import (
     subfield_embedding,
 )
 from . import groups
-from .graph_core import Graph, common_neighbours, k4_at, product
+from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at, product
 
 # -- Cayley and bi-Cayley graphs over products of cyclic groups ------------------
 
-_ELEMENT_LABELS = object()  # default labels: each vertex's group element
 # Largest group order times set size, the entries of the translate table.  It
 # admits every graph the eigensolver takes (4096 * 4095 < 2**24) and refuses a
 # group such as (Z_2)^25 before its tables are built.
@@ -60,7 +60,7 @@ def _reduced(orders, elements) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
     return orders, reduced
 
 
-def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
+def cayley(orders, generators, name: str = "", labels=GROUP_LABELS) -> Graph:
     """Cayley graph of a product of cyclic groups w.r.t. a symmetric,
     identity-free, generating subset.  Vertex i is group element i, labelled
     with its tuple unless ``labels`` is given (None: unlabelled)."""
@@ -72,13 +72,11 @@ def cayley(orders, generators, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
             raise NotSymmetric(f"generator {s} lacks its inverse")
     if not groups.generates(orders, gen_set):
         raise NotGenerating("subset does not generate the group")
-    if labels is _ELEMENT_LABELS:
-        labels = [str(e) for e in groups.elements(orders)]
     return Graph.from_group(groups.Group(orders, tuple(sorted(gen_set))), labels=labels,
                             name=name or f"cayley{orders}")
 
 
-def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
+def bi_cayley(orders, subset, name: str = "", labels=GROUP_LABELS) -> Graph:
     """Bi-Cayley graph: two copies of the group, g_black ~ h_white iff
     h - g lies in the subset.  Connected iff the difference set generates.
     Vertices i and n + i are group element i; ``labels`` works as in
@@ -89,53 +87,67 @@ def bi_cayley(orders, subset, name: str = "", labels=_ELEMENT_LABELS) -> Graph:
     if shift is None or not groups.generates(
             orders, [groups.add(orders, s, shift) for s in sub_set]):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-    if labels is _ELEMENT_LABELS:
-        elems = groups.elements(orders)
-        labels = [f"{e}b" for e in elems] + [f"{e}w" for e in elems]
     return Graph.from_group(groups.Group(orders, tuple(sorted(sub_set)), bi=True),
                             labels=labels, name=name or f"bicayley{orders}")
 
 
 # -- elementary families ----------------------------------------------------------
 
+# family: (the least value of each size parameter, the refusal below it); the
+# builder and the family's closed form in spectra both check it
+LEAST_SIZE = {
+    "complete": (2, "complete graph needs n >= 2"),
+    "cycle": (3, "cycle needs n >= 3"),
+    "path": (2, "path needs n >= 2"),
+    "star": (3, "star needs n >= 3"),
+    "wheel": (4, "wheel needs n >= 4"),
+    "windmill": (1, "windmill needs k >= 1"),
+    "complete_bipartite": (1, "complete bipartite needs m, n >= 1"),
+    "cube": (1, "cube needs n >= 1"),
+    "halved_cube": (3, "halved cube needs n >= 3"),
+    "sum_product": (3, "sum-product graph needs q >= 3"),
+    "full_sum_product": (2, "full sum-product graph needs q >= 2"),
+}
+
+
+def check_size(family: str, *sizes: int) -> None:
+    """BadParameters unless each size reaches the family's least value."""
+    least, refusal = LEAST_SIZE[family]
+    if min(sizes) < least:
+        raise BadParameters(refusal)
+
 
 def complete(n: int) -> Graph:
-    if n < 2:
-        raise BadParameters("complete graph needs n >= 2")
+    check_size("complete", n)
     return Graph(n, itertools.combinations(range(n), 2), name=f"K_{n}")
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise BadParameters("cycle needs n >= 3")
+    check_size("cycle", n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C_{n}")
 
 
 def path(n: int) -> Graph:
-    if n < 2:
-        raise BadParameters("path needs n >= 2")
+    check_size("path", n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P_{n}")
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: centre 0 plus n-1 leaves."""
-    if n < 3:
-        raise BadParameters("star needs n >= 3")
+    check_size("star", n)
     return Graph(n, [(0, i) for i in range(1, n)], name=f"star_{n}")
 
 
 def wheel(n: int) -> Graph:
     """Wheel on n vertices: hub 0 joined to the cycle 1..n-1."""
-    if n < 4:
-        raise BadParameters("wheel needs n >= 4")
+    check_size("wheel", n)
     rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
     return Graph(n, rim + [(0, i) for i in range(1, n)], name=f"wheel_{n}")
 
 
 def windmill(k: int) -> Graph:
     """k triangle blades glued at the hub 0."""
-    if k < 1:
-        raise BadParameters("windmill needs k >= 1")
+    check_size("windmill", k)
     edges = []
     for i in range(k):
         a, b = 2 * i + 1, 2 * i + 2
@@ -144,15 +156,13 @@ def windmill(k: int) -> Graph:
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
-    if m < 1 or n < 1:
-        raise BadParameters("complete bipartite needs m, n >= 1")
+    check_size("complete_bipartite", m, n)
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return Graph(m + n, edges, name=f"K_{m},{n}")
 
 
 def cube(n: int) -> Graph:
-    if n < 1:
-        raise BadParameters("cube needs n >= 1")
+    check_size("cube", n)
     basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     return cayley((2,) * n, basis, name=f"Q_{n}")
 
@@ -160,8 +170,7 @@ def cube(n: int) -> Graph:
 def halved_cube(n: int) -> Graph:
     """Even-weight binary strings of length n, joined when they differ in two
     slots; realized on (Z_2)^(n-1) by dropping the parity coordinate."""
-    if n < 3:
-        raise BadParameters("halved cube needs n >= 3")
+    check_size("halved_cube", n)
     m = n - 1
     gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
     gens += [tuple(1 if t in (i, j) else 0 for t in range(m))
@@ -285,30 +294,47 @@ def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], list]:
     return orders, [elems[i] for i in range(1, spec.q) if sig[i] == 1]
 
 
-def paley(q: int) -> Graph:
-    """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
+def paley_field(q: int) -> FieldSpec:
+    """GF(q) for paley(q); BadParameters unless q = 1 mod 4 is a prime power."""
     if q % 4 != 1:
         raise BadParameters("Paley graph needs q = 1 mod 4")
-    orders, squares = _nonzero_squares(field(q))
+    return field(q)
+
+
+def paley(q: int) -> Graph:
+    """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
+    orders, squares = _nonzero_squares(paley_field(q))
     return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)])
 
 
-def bi_paley(q: int) -> Graph:
-    """Bi-Cayley graph of (F, +) on the non-zero squares; q = 3 mod 4."""
+def bi_paley_field(q: int) -> FieldSpec:
+    """GF(q) for bi_paley(q); BadParameters unless q = 3 mod 4 is a prime
+    power above 3."""
     if q % 4 != 3:
         raise BadParameters("bi-Paley graph needs q = 3 mod 4")
     if q == 3:
         raise BadParameters("BP(3) is a degenerate disjoint union")
-    orders, squares = _nonzero_squares(field(q))
+    return field(q)
+
+
+def bi_paley(q: int) -> Graph:
+    """Bi-Cayley graph of (F, +) on the non-zero squares; q = 3 mod 4."""
+    orders, squares = _nonzero_squares(bi_paley_field(q))
     return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None)
+
+
+def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
+    """GF(q^n) and GF(q) for incidence(n, q); BadParameters unless n >= 3 and
+    q is a prime power."""
+    if n < 3:
+        raise BadParameters("incidence graph needs n >= 3")
+    return field(q**n), field(q)
 
 
 def _singer(n: int, q: int):
     """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
     group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K."""
-    if n < 3:
-        raise BadParameters("incidence graph needs n >= 3")
-    emb = subfield_embedding(field(q**n), field(q))
+    emb = subfield_embedding(*incidence_fields(n, q))
     m = (q**n - 1) // (q - 1)
     traces = emb.power_traces(np.arange(m))
     return emb, m, [(j,) for j in np.flatnonzero(traces == 0).tolist()]
@@ -391,15 +417,13 @@ def _sum_product(q: int, lo: int, name: str) -> Graph:
 
 def sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F*: (a,x) ~ (b,y) iff a + b = xy."""
-    if q < 3:
-        raise BadParameters("sum-product graph needs q >= 3")
+    check_size("sum_product", q)
     return _sum_product(q, 1, f"SP_{q}")
 
 
 def full_sum_product(q: int) -> Graph:
     """Bipartite graph on two copies of F x F: (a,x) ~ (b,y) iff a + b = xy."""
-    if q < 2:
-        raise BadParameters("full sum-product graph needs q >= 2")
+    check_size("full_sum_product", q)
     return _sum_product(q, 0, f"FSP_{q}")
 
 
@@ -454,14 +478,22 @@ def frucht() -> Graph:
     return Graph(12, edges, name="frucht")
 
 
+def machine_orders(orders) -> tuple[int, ...]:
+    """The group orders of machine(orders) as ints; BadParameters unless each
+    is at least 1 and |G| >= 3."""
+    orders = tuple(int(m) for m in orders)
+    if min(orders, default=1) < 1:
+        raise BadParameters(f"group orders must be at least 1, got {orders}")
+    if math.prod(orders) < 3:
+        raise BadParameters("machine construction needs |G| >= 3")
+    return orders
+
+
 def machine(orders) -> Graph:
     """The strongly-regular 'machine': Cayley graph of G x G over
     {(s,0), (0,s), (s,s) : s != 0} for an abelian G of size n; parameters are
     (n^2, 3n-3, n, 6)."""
-    orders = tuple(int(m) for m in orders)
-    size = math.prod(orders)
-    if size < 3:
-        raise BadParameters("machine construction needs |G| >= 3")
+    orders = machine_orders(orders)
     zero, *nonzero = groups.elements(orders)
     gens = []
     for s in nonzero:
@@ -694,6 +726,11 @@ def _as_int(value, family: str, name: str) -> int:
     raise BadParameters(f"{family}: {name} must be an integer, got {value!r}")
 
 
+@cache
+def _signature(builder) -> inspect.Signature:
+    return inspect.signature(builder, eval_str=True)
+
+
 def parse_source(source: str, *params) -> tuple[str, list]:
     """Split a family spec "family:a,b" into the family name and its
     arguments, the packed ones first and then params.  Arguments are typed by
@@ -706,7 +743,7 @@ def parse_source(source: str, *params) -> tuple[str, list]:
     builder = FAMILY_BUILDERS.get(family)
     if builder is None:
         return family, args
-    sig = inspect.signature(builder, eval_str=True)
+    sig = _signature(builder)
     try:
         bound = sig.bind(*args)
     except TypeError as exc:

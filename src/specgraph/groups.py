@@ -110,6 +110,14 @@ class Group:
     def n(self) -> int:
         return math.prod(self.orders) * (2 if self.bi else 1)
 
+    def labels(self) -> tuple[str, ...]:
+        """Each vertex's element as text, suffixed "b" or "w" on the black
+        and the white side of a bi-Cayley graph."""
+        names = [str(e) for e in elements(self.orders)]
+        if not self.bi:
+            return tuple(names)
+        return tuple(f"{e}b" for e in names) + tuple(f"{e}w" for e in names)
+
     def rows(self) -> list[list[int]]:
         """Each vertex's neighbours, from the translate table of S."""
         table = translate(self.orders, self.subset).T  # row i: i + S

@@ -38,6 +38,7 @@ from .errors import (
     NotSymmetric,
     SizeOverflow,
 )
+from .finite_field import field
 from .graph_core import Graph
 from . import graph_families as gf
 from . import groups
@@ -417,10 +418,12 @@ def radial_tree_eigenvalues(d: int, radius: int) -> tuple[list[float], list[floa
 
 
 def _cf_complete(n: int) -> ClosedForm:
+    gf.check_size("complete", n)
     return _form([(n - 1.0, 1, "n-1"), (-1.0, n - 1, "-1")])
 
 
 def _cf_cycle(n: int) -> ClosedForm:
+    gf.check_size("cycle", n)
     entries = [(2.0, 1, "2cos(0)")]
     for k in range(1, (n + 1) // 2):
         entries.append((2 * math.cos(2 * math.pi * k / n), 2, f"2cos(2pi{k}/{n})"))
@@ -430,6 +433,7 @@ def _cf_cycle(n: int) -> ClosedForm:
 
 
 def _cf_cube(n: int) -> ClosedForm:
+    gf.check_size("cube", n)
     return _form([(float(n - 2 * k), math.comb(n, k), f"{n}-2*{k}") for k in range(n + 1)])
 
 
@@ -437,6 +441,7 @@ def _cf_halved_cube(n: int) -> ClosedForm:
     """A character of weight w on (Z_2)^(n-1) sums the n - 1 unit generators to
     s = n - 1 - 2w and the pairs e_i + e_j to (s^2 - n + 1)/2, which add up
     to ((n - 2w)^2 - n)/2."""
+    gf.check_size("halved_cube", n)
     return _form([(((n - 2 * w) ** 2 - n) / 2, math.comb(n - 1, w), f"(({n}-2*{w})^2-{n})/2")
                   for w in range(n)])
 
@@ -451,6 +456,7 @@ def _cf_decked_cube(n: int, extra) -> ClosedForm:
 
 
 def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
+    gf.check_size("complete_bipartite", m, n)
     r = math.sqrt(m * n)
     entries = [(r, 1, "sqrt(mn)"), (-r, 1, "-sqrt(mn)")]
     if m + n > 2:
@@ -459,11 +465,13 @@ def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
 
 
 def _cf_path(n: int) -> ClosedForm:
+    gf.check_size("path", n)
     return _form([(2 * math.cos(math.pi * k / (n + 1)), 1, f"2cos(pi{k}/{n + 1})")
                   for k in range(1, n + 1)])
 
 
 def _cf_paley(q: int) -> ClosedForm:
+    gf.paley_field(q)
     r = math.sqrt(q)
     half = (q - 1) // 2
     return _form([
@@ -474,6 +482,7 @@ def _cf_paley(q: int) -> ClosedForm:
 
 
 def _cf_bi_paley(q: int) -> ClosedForm:
+    gf.bi_paley_field(q)
     half = (q - 1) / 2
     r = math.sqrt(q + 1) / 2
     return _form([
@@ -483,6 +492,7 @@ def _cf_bi_paley(q: int) -> ClosedForm:
 
 
 def _cf_incidence(n: int, q: int) -> ClosedForm:
+    gf.incidence_fields(n, q)
     d = (q ** (n - 1) - 1) // (q - 1)
     mid = q ** (n / 2 - 1)
     mult = (q**n - q) // (q - 1)
@@ -493,6 +503,8 @@ def _cf_incidence(n: int, q: int) -> ClosedForm:
 
 
 def _cf_sum_product(q: int) -> ClosedForm:
+    gf.check_size("sum_product", q)
+    field(q)
     r = math.sqrt(q)
     return _form([
         (q - 1.0, 1, "q-1"), (-(q - 1.0), 1, "-(q-1)"),
@@ -503,6 +515,8 @@ def _cf_sum_product(q: int) -> ClosedForm:
 
 
 def _cf_full_sum_product(q: int) -> ClosedForm:
+    gf.check_size("full_sum_product", q)
+    field(q)
     r = math.sqrt(q)
     return _form([
         (float(q), 1, "q"), (-float(q), 1, "-q"),
@@ -520,21 +534,29 @@ def _cf_tutte_coxeter() -> ClosedForm:
 
 
 def _cf_machine(*orders: int) -> ClosedForm:
-    size = math.prod(orders)
+    size = math.prod(gf.machine_orders(orders))
     return srg_closed_form(size * size, 3 * size - 3, size, 6)
 
 
 def _cf_star(n: int) -> ClosedForm:
+    gf.check_size("star", n)
     return _cf_complete_bipartite(1, n - 1)
 
 
 def _cf_windmill(k: int) -> ClosedForm:
+    gf.check_size("windmill", k)
     base = _form([(1.0, k, "1"), (-1.0, k, "-1")])
     return cone_closed_form_adjacency(base, 1)
 
 
 def _cf_wheel(n: int) -> ClosedForm:
+    gf.check_size("wheel", n)
     return cone_closed_form_adjacency(_cf_cycle(n - 1), 2)
+
+
+def _cf_rook(n: int = 4) -> ClosedForm:
+    gf.check_size("complete", n)  # rook(n) is K_n x K_n
+    return srg_closed_form(n * n, 2 * (n - 1), n - 2, 2)
 
 
 _CLOSED_FORMS = {
@@ -558,7 +580,7 @@ _CLOSED_FORMS = {
     "petersen": lambda: srg_closed_form(10, 3, 0, 1),
     "shrikhande": lambda: srg_closed_form(16, 6, 2, 2),
     "rook_twin": lambda: srg_closed_form(16, 6, 2, 2),
-    "rook": lambda n: srg_closed_form(n * n, 2 * (n - 1), n - 2, 2),
+    "rook": _cf_rook,
     "heawood": lambda: design_closed_form(7, 3, 1),
 }
 

@@ -243,6 +243,23 @@ def test_mixing_color_violation():
         bd.mixing_lemma(gf.star(5), bd.MixingQuery(frozenset({0}), frozenset({1})))
 
 
+@pytest.mark.parametrize("s,t", [
+    (frozenset(range(0, 1006, 2)), frozenset(range(1, 1006, 2))),
+    (frozenset(range(503)), frozenset(range(503, 1006))),
+], ids=["straddling", "even_length_across"])
+def test_mixing_lemma_checks_the_query_first(s, t, monkeypatch):
+    """A query refused for its sides is refused before the spectrum and the
+    walk count are computed. bi_paley(503) is black 0..502 and white
+    503..1005: the even and the odd vertices straddle it, and walks of even
+    length cannot go from black to white."""
+    calls = []
+    monkeypatch.setattr(bd, "spectrum", lambda *args: calls.append("spectrum"))
+    monkeypatch.setattr(bd, "path_count_between", lambda *args: calls.append("walks"))
+    with pytest.raises(ColorViolation):
+        bd.mixing_lemma(gf.bi_paley(503), bd.MixingQuery(s, t, ell=6))
+    assert calls == []
+
+
 def test_mixing_random_queries_incidence():
     g = gf.incidence(3, 5)
     adj = sp.eig_symmetric(sp.adjacency_matrix(g))

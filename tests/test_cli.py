@@ -209,9 +209,44 @@ def test_cube_family_closed_form_needs_no_rows_or_solve(source, capsys, row_buil
 
 
 def test_spec_refuses_a_group_graph_past_the_cap_without_rows(capsys, row_builds):
-    assert cli.main(["spec", "cube:16"]) == 2
+    """Neither the rows nor the element labels of cube:16 are built, so the
+    refusal holds far less memory than its 65,536 labels (about 18 MB)."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["spec", "cube:16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
     assert capsys.readouterr().err == "error: SizeOverflow: n = 65536 over eigensolver cap 4096\n"
     assert row_builds == []
+    assert peak < 2**21
+
+
+def test_group_graph_labels_are_built_on_first_read(monkeypatch):
+    calls = []
+    labels = groups.Group.labels
+    monkeypatch.setattr(groups.Group, "labels", lambda group: calls.append(group) or labels(group))
+    g, h = gf.cube(3), gf.heawood()
+    assert calls == []
+    assert g.labels[:2] == ("(0, 0, 0)", "(0, 0, 1)") and len(g.labels) == 8
+    assert h.labels[0] == "(0,)b" and h.labels[7] == "(0,)w"
+    assert calls == [g.group, h.group]
+    assert gf.paley(5).labels == ("0", "1", "2", "3", "4") and gf.bi_paley(7).labels is None
+
+
+def test_verify_builds_and_solves_each_graph_once(capsys, monkeypatch):
+    """The closed-form sweep reuses the 36 corpus graphs it shares, with
+    their spectra and group checks, and builds only the 14 it adds."""
+    builds, solves = [], []
+    build, solve = gf.build, sp._solve
+    monkeypatch.setattr(gf, "build", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(sp, "_solve",
+                        lambda m, singular: solves.append(m.shape) or solve(m, singular))
+    code, _ = run(capsys, "verify")
+    assert code == 0
+    assert len(builds) == len(set(builds)) == 66
+    assert len(solves) <= 82
 
 
 def test_gen_edge_list(capsys):
@@ -375,6 +410,7 @@ USAGE_ERRORS = {
     "zero_group_order": (["gen", "cayley", "0", "1"], BAD),
     "zero_bi_cayley_group_order": (["gen", "bi_cayley", "0", "0"], BAD),
     "negative_group_order": (["gen", "cayley", "-3", "1"], BAD),
+    "negative_machine_orders": (["gen", "machine:-1,-3"], BAD + "group orders must be at least 1"),
     "generator_shorter_than_group": (["gen", "cayley", "4,4", "1"], BAD),
     "generator_longer_than_group": (["gen", "cayley", "4", "1,0"], BAD),
     "non_integer_closed_form_parameter": (["spec", "paley:x", "--closed-form"], BAD),
@@ -422,6 +458,12 @@ def test_decked_cube_bit_string_keeps_leading_zero(argv, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["graph"]["name"] == "DQ_3011"
     assert doc["closed_form"]["match"]["ok"]
+
+
+def test_spec_closed_form_takes_the_builders_default(capsys):
+    """rook's builder defaults to n = 4, and so does its closed form."""
+    code, out = run(capsys, "spec", "rook", "--closed-form")
+    assert code == 0 and json.loads(out)["closed_form"]["match"]["ok"]
 
 
 def test_verify_checks_a_closed_form_exactly_for_families_with_one(capsys):

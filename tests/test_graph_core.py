@@ -618,11 +618,22 @@ def _chromatic_number(g: Graph, cap: int = gc.CHI_CAP) -> int:
     return upper
 
 
+def _assert_chromatic_number_matches_oracle(g: Graph):
+    """The public search, which starts at max(omega, ceil(n/alpha)); the
+    search invariant_report runs with omega and alpha known; and its
+    fallback when alpha is refused, which starts at omega."""
+    chi = _chromatic_number(g)
+    assert gc.chromatic_number(g) == chi
+    omega, alpha = gc.clique_number(g), gc.independence_number(g)
+    assert gc._chromatic_number(g, gc.CHI_CAP, omega, alpha) == chi
+    assert gc._chromatic_number(g, gc.CHI_CAP, None, None) == chi
+
+
 def test_chromatic_number_matches_two_search_oracle_on_corpus():
     checked = 0
     for cid, _fam, _params, g in corpus_mod.build_corpus():
         if g.n <= gc.CHI_CAP:
-            assert gc.chromatic_number(g) == _chromatic_number(g), cid
+            _assert_chromatic_number_matches_oracle(g)
             checked += 1
     assert checked == 52
 
@@ -636,7 +647,41 @@ def test_chromatic_number_matches_two_search_oracle_on_corpus():
 @example(gc.Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]))
 def test_chromatic_number_matches_two_search_oracle(g):
     """Edgeless, disconnected and odd-cycle unions included."""
-    assert gc.chromatic_number(g) == _chromatic_number(g)
+    _assert_chromatic_number_matches_oracle(g)
+
+
+@pytest.mark.parametrize("q,chi", [(29, 8), (37, 10), (41, 9), (53, 11), (61, 13)])
+def test_chromatic_number_of_paley_graphs(q, chi):
+    """chi = ceil(q/alpha) on each, so the search from that bound ends at its
+    first colouring, inside the default budget; from omega it has to refute
+    every k in between."""
+    g = gf.paley(q)
+    assert chi == -(-q // gc.independence_number(g)) > gc.clique_number(g)
+    assert gc.chromatic_number(g) == chi
+    assert gc.invariant_report(g, beta_cap=0).chromatic == chi
+
+
+def _diameter(g: Graph) -> int:
+    """The diameter as it was computed before the bitmask BFS: the largest
+    distance of a breadth-first search from each vertex."""
+    return int(max(max(g.bfs_distances(v)) for v in range(g.n)))
+
+
+def test_diameter_matches_bfs_oracle_on_corpus():
+    checked = 0
+    for cid, _fam, _params, g in corpus_mod.build_corpus():
+        if g.is_connected:
+            assert gc.diameter(g) == _diameter(g), cid
+            checked += 1
+    assert checked == 52
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(connected_graphs(20))
+@example(Graph(1, []))
+@example(gf.path(20))
+def test_diameter_matches_bfs_oracle(g):
+    assert gc.diameter(g) == _diameter(g)
 
 
 def test_is_isomorphic_matches_enumeration():

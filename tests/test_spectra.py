@@ -2,6 +2,7 @@
 plus the spectral invariants over a sub-corpus."""
 
 import functools
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -541,6 +542,42 @@ def test_closed_form_registry_agrees_with_the_builders_and_the_corpus():
     for _cid, family, params in corpus_mod.CORPUS_SPECS:
         assert family in gf.FAMILY_BUILDERS
         assert gf.parse_source(family, *params)[0] == family
+
+
+def _parameter_grid(family: str) -> list[tuple]:
+    """Small parameters around each refusal of the family's builder, and one
+    argument too many."""
+    if family == "decked_cube":
+        return [(n, extra) for n in range(5)
+                for extra in ("", "1", "11", "011", "110", "0110", "0x1")]
+    if family == "machine":
+        return [orders for k in range(3) for orders in itertools.product(range(-3, 4), repeat=k)]
+    params = inspect.signature(gf.FAMILY_BUILDERS[family]).parameters.values()
+    grid = list(itertools.product(range(-1, 12 if len(params) == 1 else 6), repeat=len(params)))
+    if any(p.default is not p.empty for p in params):
+        grid.append(())
+    return grid + [(1,) * (len(params) + 1)]
+
+
+def _outcome(make, params):
+    try:
+        make(*params)
+    except Exception as exc:  # noqa: BLE001 - the kind of refusal is compared
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("family", sorted(sp._CLOSED_FORMS))
+def test_closed_form_refuses_what_the_builder_refuses(family):
+    """Family by family, the closed form accepts the parameters the builder
+    accepts and refuses the others the same way."""
+    grid = _parameter_grid(family)
+    builder = gf.FAMILY_BUILDERS[family]
+    closed_form = functools.partial(sp.closed_form_spectrum, family)
+    refusals = [_outcome(builder, params) for params in grid]
+    assert [_outcome(closed_form, params) for params in grid] == refusals
+    # the grid reaches a refusal of each family that takes parameters
+    assert BadParameters in refusals or not inspect.signature(builder).parameters
 
 
 def test_no_closed_form_for_andrasfai():
