@@ -1,6 +1,12 @@
 """Batch command-line front end: generation, spectra, character tables,
 bound audits, corpus verification, and isomorphism comparison, all emitting
 strict JSON with the seed and configuration echoed for reproducibility.
+
+Importing this module pins OpenBLAS and OpenMP to one thread, overriding any
+value in the environment, because a dense solve's last bits depend on the
+thread count and reports must not.  The pin takes effect only if numpy is not
+loaded yet: the CLI and the ``specgraph`` script are pinned, an in-process
+caller that imported numpy first is not.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ import json
 import math
 import os
 import sys
+
+# before the package imports below load numpy
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 from . import __version__
 from . import bounds as bd
@@ -51,10 +60,13 @@ def _parse_caps(text: str | None) -> dict:
         if key not in caps:
             raise BadParameters(f"unknown cap {key!r}; expected chi, beta, iso")
         try:
-            # caps may only be lowered below the defaults, never raised
-            caps[key] = min(caps[key], int(value))
+            cap = int(value)
         except ValueError:
             raise BadParameters(f"cap {key} needs an integer, got {value!r}") from None
+        if cap < 0:
+            raise BadParameters(f"cap {key} must be at least 0, got {cap}")
+        # caps may only be lowered below the defaults, never raised; 0 skips the engine
+        caps[key] = min(caps[key], cap)
     return caps
 
 

@@ -39,7 +39,9 @@ class Graph:
 
     Disconnected graphs are allowed as values (complements, derived graphs);
     operations that need connectivity raise Disconnected themselves. ``group``
-    is the groups.Group of a Cayley or bi-Cayley graph, else None.
+    is the groups.Group of a Cayley or bi-Cayley graph, else None; vertex i
+    is then the group's element i (on a bi-Cayley graph, i and |G| + i are),
+    so the group's translations are automorphisms.
     """
 
     def __init__(self, n: int, edges, labels=None, name: str = ""):
@@ -59,7 +61,8 @@ class Graph:
     @classmethod
     def from_rows(cls, rows, labels=None, name: str = "", group: Group | None = None) -> Graph:
         """Graph whose vertex v has the neighbours rows[v], which must already be
-        symmetric and loop-free.  The order within a row carries no meaning."""
+        symmetric and loop-free.  The order within a row carries no meaning.
+        A group, if given, must be the one whose graph has these rows."""
         g = cls.__new__(cls)
         g._describe(len(rows), labels, name, group)
         g.adj = _frozen(rows)
@@ -289,15 +292,24 @@ def to_json_dict(g: Graph) -> dict:
 
 # -- metrics -------------------------------------------------------------------
 
+def _orbit_roots(g: Graph):
+    """One vertex of each orbit of g's translations, which are automorphisms:
+    vertex 0 of a Cayley graph, vertices 0 and |G| of a bi-Cayley graph (its
+    black and white sides), and every vertex of a graph without a group."""
+    if g.group is None:
+        return range(g.n)
+    return (0, g.n // 2) if g.group.bi else (0,)
+
+
 def diameter(g: Graph) -> int:
-    """The largest eccentricity, from one BFS per vertex over the bitmasks:
-    each layer is the union of its predecessor's neighbour masks less the
-    vertices already reached."""
+    """The largest eccentricity, from one BFS per orbit root over the
+    bitmasks: each layer is the union of its predecessor's neighbour masks
+    less the vertices already reached."""
     if not g.is_connected:
         raise Disconnected("diameter undefined for disconnected graphs")
     masks, full = g.masks, (1 << g.n) - 1
     best = 0
-    for v in range(g.n):
+    for v in _orbit_roots(g):
         seen = frontier = 1 << v
         depth = 0
         while seen != full:
@@ -314,34 +326,40 @@ def diameter(g: Graph) -> int:
 
 
 def girth(g: Graph):
-    """Length of a shortest cycle; math.inf for forests."""
+    """Length of a shortest cycle; math.inf for forests.
+
+    One bitmask BFS per orbit root, as in diameter. At layer d, an edge
+    inside the layer closes a cycle of length at most 2d + 1, and a vertex
+    of the next layer with two neighbours in this one closes a cycle of
+    length at most 2d + 2. From a root on a shortest cycle the first of
+    these is that cycle's length, so the least over the roots is the girth.
+    """
+    masks = g.masks
     best = INF
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best < INF and dist[u] >= best / 2:
-                break
-            for w in g.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
+    for root in _orbit_roots(g):
+        seen = frontier = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            reach = twice = 0
+            rest = frontier
+            while rest:
+                bit = rest & -rest
+                m = masks[bit.bit_length() - 1]
+                if m & frontier:  # an edge inside layer d
+                    best = 2 * d + 1
+                    break
+                twice |= reach & m
+                reach |= m
+                rest ^= bit
+            else:
+                frontier = reach & ~seen
+                if twice & frontier:
+                    best = 2 * d + 2
+                seen |= frontier
+                d += 1
         if best == 3:
             break
     return best
-
-
-def basic_metrics(g: Graph):
-    """(diameter, girth, bipartition-or-None)."""
-    return diameter(g), girth(g), g.bipartition
 
 
 # -- triangle counting ----------------------------------------------------------
@@ -386,9 +404,13 @@ def clique_number(g: Graph, cap: int = CHI_CAP) -> int:
     """Exact clique number by branch and bound with a greedy-colouring bound."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over clique cap {cap}")
+    return _max_clique(g.n, g.masks)
+
+
+def _max_clique(n: int, masks) -> int:
+    """The largest clique of the graph on 0..n-1 with adjacency bitmasks masks."""
     deadline = _Deadline()
-    masks = g.masks
-    best = [1 if g.n else 0]
+    best = [1]
 
     def colour_bound(cand: int) -> int:
         # greedy colouring of candidate set; number of classes bounds the clique
@@ -419,8 +441,7 @@ def clique_number(g: Graph, cap: int = CHI_CAP) -> int:
             cand &= ~(1 << v)
             expand(size + 1, cand & masks[v])
 
-    full = (1 << g.n) - 1
-    expand(0, full)
+    expand(0, (1 << n) - 1)
     return best[0]
 
 
@@ -447,12 +468,13 @@ def _max_matching_bipartite(g: Graph) -> int:
 
 def independence_number(g: Graph, cap: int = CHI_CAP) -> int:
     """Exact independence number: Koenig's theorem on bipartite graphs,
-    clique search on the complement otherwise."""
+    clique search on the complement's bitmasks otherwise."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over independence cap {cap}")
     if g.is_bipartite:
         return g.n - _max_matching_bipartite(g)
-    return clique_number(complement(g), cap=cap)
+    full = (1 << g.n) - 1
+    return _max_clique(g.n, [full ^ m ^ 1 << v for v, m in enumerate(g.masks)])
 
 
 def chromatic_number(g: Graph) -> int:
@@ -477,43 +499,54 @@ def _chromatic_number(g: Graph, cap: int, omega: int | None, alpha: int | None) 
     if g.is_bipartite:
         return 2
     deadline = _Deadline()
-
-    def colour(k: int) -> int | None:
-        """The number of colours of the first colouring with at most k
-        colours found by DSATUR-ordered backtracking, or None.  With k = n no
-        step ever lacks a colour, so the search never backtracks and gives
-        the greedy DSATUR colouring."""
-        colours = [-1] * g.n
-
-        def rec(done: int) -> bool:
-            deadline.check()
-            if done == g.n:
-                return True
-            v = max(
-                (u for u in range(g.n) if colours[u] < 0),
-                key=lambda u: (len({colours[w] for w in g.adj[u] if colours[w] >= 0}), g.degree(u)),
-            )
-            used = {colours[w] for w in g.adj[v] if colours[w] >= 0}
-            top = min(k, (max((colours[u] for u in range(g.n)), default=-1) + 2))
-            for c in range(top):
-                if c in used:
-                    continue
-                colours[v] = c
-                if rec(done + 1):
-                    return True
-                colours[v] = -1
-            return False
-
-        return max(colours) + 1 if rec(0) else None
-
     lower = clique_number(g, cap=cap) if omega is None else omega
     if alpha is not None:
         lower = max(lower, -(-g.n // alpha))
-    upper = colour(g.n)
+    upper = max(_dsatur_colouring(g, g.n, deadline)) + 1
     for k in range(lower, upper):
-        if colour(k) is not None:
+        if _dsatur_colouring(g, k, deadline) is not None:
             return k
     return upper
+
+
+def _dsatur_colouring(g: Graph, k: int, deadline: _Deadline) -> list[int] | None:
+    """The first colouring of g with at most k colours that DSATUR-ordered
+    backtracking finds, or None.  Each step colours the first uncoloured
+    vertex of most distinct neighbour colours, then of most neighbours, and
+    tries the colours in use and one new one, least first.  With k = n no step
+    ever lacks a colour, so the search never backtracks and gives the greedy
+    DSATUR colouring.  near[c] is the bitmask of the vertices with a
+    neighbour of colour c; a success colours every vertex, so what a failed
+    branch leaves in colours is overwritten."""
+    masks, degs = g.masks, g.degrees
+    colours = [-1] * g.n
+    near = [0] * g.n
+
+    def rec(uncoloured: int, used: int) -> bool:
+        deadline.check()
+        if not uncoloured:
+            return True
+        key = (-1, -1)
+        rest = uncoloured
+        while rest:
+            bit = rest & -rest
+            u = bit.bit_length() - 1
+            rest ^= bit
+            here = (sum(near[c] >> u & 1 for c in range(used)), degs[u])
+            if here > key:
+                key, v = here, u
+        for c in range(min(k, used + 1)):
+            if near[c] >> v & 1:
+                continue
+            colours[v] = c
+            saved = near[c]
+            near[c] |= masks[v]
+            if rec(uncoloured ^ 1 << v, max(used, c + 1)):
+                return True
+            near[c] = saved
+        return False
+
+    return colours if rec((1 << g.n) - 1, 0) else None
 
 
 # -- isoperimetric constant ------------------------------------------------------
@@ -551,8 +584,10 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     k), cut(L), and for each high vertex v, |N(v) & L|. The subsets H of the
     high vertices are walked in Gray order; flipping v moves the cut of every
     L | H at once by -+2|N(v) & L| plus a scalar. Each step takes the least
-    cut for each |S|, compares ratios by integer cross-multiplication and
-    breaks ties by Gray rank, so the witness is the subset a
+    cut of each size group of L, in one np.minimum.reduceat over the groups
+    up to the largest with |S| <= n/2, and compares the ratios of those with
+    |S| > 0 in Python ints by cross-multiplication; a gain's tie search by
+    Gray rank runs in numpy, so the witness is the subset a
     one-vertex-at-a-time Gray sweep keeps. The time budget is checked once
     per high subset.
 
@@ -578,9 +613,9 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     cut = cut[order]
     nbr2 = [2 * size[order & (masks[v] & low_all)] for v in range(k, n)]
     high_masks = [masks[v] >> k for v in range(k, n)]
-    group_sizes = np.arange(k + 1)
+    stops = bounds.tolist()
 
-    best, best_mask = Fraction(degs[0]), 1  # S = {0}, the first subset in Gray order
+    best_num, best_den, best_mask = degs[0], 1, 1  # S = {0}, the first subset in Gray order
     h_set = h_size = h_cut = 0
     for step in range(1 << (n - k)):
         deadline.check()
@@ -597,26 +632,27 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
         lo_t, hi_t = max(0, 1 - h_size), min(k, half - h_size)
         if lo_t > hi_t:
             continue
-        mins = np.minimum.reduceat(cut, bounds[:-1])[lo_t:hi_t + 1].astype(np.int64) + h_cut
-        dens = group_sizes[lo_t:hi_t + 1] + h_size
-        better = np.flatnonzero(mins * best.denominator < best.numerator * dens)
-        if not better.size:
+        # the least low cut of each size group that fits, as Python ints
+        mins = np.minimum.reduceat(cut[:stops[hi_t + 1]], bounds[:hi_t + 1]).tolist()
+        better = [t for t in range(lo_t, hi_t + 1)
+                  if (mins[t] + h_cut) * best_den < best_num * (t + h_size)]
+        if not better:
             continue
         # H's ranks all follow the earlier H's, so only a strict gain counts
         # across steps; within H, ties in the ratio go to the least rank. With
         # |H| odd the low rank is complemented, so the last L of a group wins.
         odd = h_size & 1
         candidates = []
-        for j in better.tolist():
-            c, t = int(mins[j]), lo_t + j
-            hits = np.flatnonzero(cut[bounds[t]:bounds[t + 1]] == c - h_cut)
-            pos = bounds[t] + hits[-1 if odd else 0]
-            candidates.append((Fraction(c, t + h_size), int(ranks[pos]) ^ (low_all * odd),
-                               int(order[pos])))
+        for t in better:
+            hits = np.flatnonzero(cut[stops[t]:stops[t + 1]] == mins[t])
+            pos = stops[t] + int(hits[-1 if odd else 0])
+            candidates.append((Fraction(mins[t] + h_cut, t + h_size),
+                               int(ranks[pos]) ^ (low_all * odd), int(order[pos])))
         best, _, lo_mask = min(candidates)
+        best_num, best_den = best.numerator, best.denominator
         best_mask = h_set << k | lo_mask
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return best, witness
+    return Fraction(best_num, best_den), witness
 
 
 def boundary_size(g: Graph, subset) -> int:

@@ -336,6 +336,17 @@ def test_caps_cannot_be_raised():
     assert caps["beta"] == gc.BETA_CAP and caps["chi"] == gc.CHI_CAP
 
 
+def test_cap_of_zero_skips_its_engines(capsys):
+    """A cap of 0 is accepted, and echoed, and skips its engines; a negative
+    cap is a usage error (USAGE_ERRORS)."""
+    code, out = run(capsys, "audit", "petersen", "--caps", "chi=0")
+    doc = json.loads(out)
+    assert code == 0 and doc["config"]["caps"]["chi"] == 0
+    notes = {r["note"] for r in doc["audit"]["records"] if r["status"] == "skipped"}
+    assert notes == {"chromatic number capped", "independence number capped",
+                     "clique number capped"}
+
+
 def test_iso_isospectral_pair(tmp_path, capsys):
     target = tmp_path / "shri.el"
     target.write_text(gc.to_edge_list(fx.shrikhande_fixture()))
@@ -396,6 +407,8 @@ USAGE_ERRORS = {
                                "error: SizeOverflow: "),
     "caps_not_integer": (["audit", "complete:3", "--caps", "beta=abc"], "error: "),
     "caps_unknown_key": (["audit", "complete:3", "--caps", "gamma=1"], "error: "),
+    "caps_negative": (["audit", "petersen", "--caps", "chi=-3"],
+                      BAD + "cap chi must be at least 0, got -3\n"),
     "empty_edge_list": (["spec", "{empty}"], "error: "),
     "non_integer_edge_list": (["spec", "{non_integer}"], "error: "),
     "duplicate_edge": (["spec", "{duplicate}"], "error: "),

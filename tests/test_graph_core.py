@@ -13,6 +13,7 @@ from specgraph import corpus as corpus_mod
 from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
+from specgraph import groups
 from specgraph.errors import (
     BadParameters,
     CapExceeded,
@@ -57,18 +58,22 @@ def test_remove_edges_refuses_a_pair_that_is_not_an_edge(pair):
     assert gc.remove_edges(gf.cycle(5), [(1, 0)]).edge_count == 4
 
 
+def _metrics(g):
+    return gc.diameter(g), gc.girth(g), g.bipartition
+
+
 def test_basic_metrics_table():
     for n in (4, 5, 6):
-        diam, gir, bip = gc.basic_metrics(gf.complete(n))
+        diam, gir, bip = _metrics(gf.complete(n))
         assert (diam, gir) == (1, 3) and bip is None
-    diam, gir, bip = gc.basic_metrics(gf.cube(3))
+    diam, gir, bip = _metrics(gf.cube(3))
     assert (diam, gir) == (3, 4) and bip is not None
-    diam, gir, _ = gc.basic_metrics(gf.petersen())
+    diam, gir, _ = _metrics(gf.petersen())
     assert (diam, gir) == (2, 5)
     for n in (5, 8):
-        diam, gir, _ = gc.basic_metrics(gf.cycle(n))
+        diam, gir, _ = _metrics(gf.cycle(n))
         assert diam == n // 2 and gir == n
-    diam, gir, bip = gc.basic_metrics(gf.complete_bipartite(3, 3))
+    diam, gir, bip = _metrics(gf.complete_bipartite(3, 3))
     assert (diam, gir) == (2, 4) and bip is not None
 
 
@@ -682,6 +687,119 @@ def test_diameter_matches_bfs_oracle_on_corpus():
 @example(gf.path(20))
 def test_diameter_matches_bfs_oracle(g):
     assert gc.diameter(g) == _diameter(g)
+
+
+# The engines that the orbit-root and bitmask ones replaced, kept as their
+# oracles: the list BFS girth from every root, the all-roots diameter above,
+# alpha as the clique number of a built complement, and the set-based DSATUR.
+
+def _girth(g: Graph):
+    best = math.inf
+    for root in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if best < math.inf and dist[u] >= best / 2:
+                break
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    best = min(best, dist[u] + dist[w] + 1)
+        if best == 3:
+            break
+    return best
+
+
+def _dsatur_colouring(g: Graph, k: int) -> list[int] | None:
+    colours = [-1] * g.n
+
+    def rec(done: int) -> bool:
+        if done == g.n:
+            return True
+        v = max(
+            (u for u in range(g.n) if colours[u] < 0),
+            key=lambda u: (len({colours[w] for w in g.adj[u] if colours[w] >= 0}), g.degree(u)),
+        )
+        used = {colours[w] for w in g.adj[v] if colours[w] >= 0}
+        top = min(k, (max((colours[u] for u in range(g.n)), default=-1) + 2))
+        for c in range(top):
+            if c in used:
+                continue
+            colours[v] = c
+            if rec(done + 1):
+                return True
+            colours[v] = -1
+        return False
+
+    return colours if rec(0) else None
+
+
+def _assert_engines_match_oracles(g: Graph):
+    """girth, diameter, alpha, and every colouring search that chi runs, from
+    max(omega, ceil(n/alpha)) up to the greedy DSATUR colouring's size."""
+    assert gc.girth(g) == _girth(g)
+    if g.is_connected:
+        assert gc.diameter(g) == _diameter(g)
+    alpha = gc.independence_number(g)
+    assert alpha == gc.clique_number(gc.complement(g))
+    greedy = _dsatur_colouring(g, g.n)
+    assert gc._dsatur_colouring(g, g.n, gc._Deadline()) == greedy
+    for k in range(max(gc.clique_number(g), -(-g.n // alpha)), max(greedy) + 1):
+        assert gc._dsatur_colouring(g, k, gc._Deadline()) == _dsatur_colouring(g, k)
+
+
+def test_engines_match_oracles_on_corpus_and_sweep():
+    """Every corpus graph and every graph of verify's closed-form sweep, which
+    hold 17 Cayley and 8 bi-Cayley corpus graphs: each one's orbit roots give
+    what every root gives."""
+    corpus = [g for *_, g in corpus_mod.build_corpus()]
+    sweep = [gf.build(family, *params)
+             for family, instances in corpus_mod.SMALLEST_THREE.items() for params in instances]
+    for g in corpus + sweep:
+        _assert_engines_match_oracles(g)
+    bi = [g.group.bi for g in corpus if g.group is not None]
+    assert (bi.count(False), bi.count(True)) == (17, 8)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(any_graphs(14))
+@example(Graph(1, []))
+@example(K3_C4)
+@example(_cycles(5, 7))
+@example(_cycles(4, 6))
+@example(gf.tree(2, 3))
+def test_engines_match_oracles(g):
+    """Forests, disconnected and odd-cycle unions included."""
+    _assert_engines_match_oracles(g)
+
+
+@st.composite
+def group_graphs(draw):
+    """A Cayley graph on a random symmetric subset, or a bi-Cayley graph on a
+    random subset, of Z_m or Z_a x Z_b: connected or not."""
+    orders = draw(st.sampled_from([(m,) for m in range(2, 11)] + [(2, 2), (2, 3), (2, 4), (3, 3)]))
+    elems = groups.elements(orders)[1:]
+    bi = draw(st.booleans())
+    picked = draw(st.lists(st.sampled_from(elems), min_size=1, unique=True))
+    if not bi:
+        picked += [groups.neg(orders, s) for s in picked]
+    return Graph.from_group(groups.Group(orders, tuple(sorted(set(picked))), bi))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(group_graphs())
+def test_orbit_roots_match_all_roots_on_group_graphs(g):
+    assert gc.girth(g) == _girth(g)
+    if g.is_connected:
+        assert gc.diameter(g) == _diameter(g)
 
 
 def test_is_isomorphic_matches_enumeration():

@@ -1,7 +1,9 @@
 """Report bytes pinned two ways.
 
-- Each command in COMMANDS runs cold, once under one OpenBLAS/OpenMP thread
-  and once under two, and must print the same bytes both times.
+- Each command in COMMANDS runs cold, once with OpenBLAS/OpenMP set to one
+  thread and once to two, and must print the same bytes both times: the group
+  graphs' spectra call no BLAS, and the CLI pins the dense solves of the
+  others to one thread whatever the environment says.
 - Each command in DIGEST_COMMANDS runs in-process through `cli.main`, and the
   sha256 of its stdout and of its stderr, and its exit code, must equal those
   in `report_digests.json`. The digests belong to the numpy and BLAS build
@@ -35,6 +37,10 @@ COMMANDS = [
                  id="cube_11_laplacian"),
     pytest.param(["spec", "halved_cube:11", "--closed-form"], id="halved_cube_11"),
     pytest.param(["spec", "decked_cube:11,11100000000", "--closed-form"], id="decked_cube_11"),
+    # graphs without a group: a dense solve, which the CLI pins to one thread
+    pytest.param(["spec", "sum_product:31", "--closed-form"], id="sum_product_31"),
+    pytest.param(["spec", "full_sum_product:23", "--closed-form"], id="full_sum_product_23"),
+    pytest.param(["spec", "wheel:2000", "--closed-form"], id="wheel_2000"),
 ]
 
 
@@ -73,6 +79,9 @@ DIGEST_COMMANDS = {
     "audit_bi_paley_19_beta_16": ["audit", "bi_paley:19", "--caps", "beta=16"],
     "audit_k1_edge_list": ["audit", "k1.txt"],
     "audit_edgeless_edge_list": ["audit", "edgeless.txt"],
+    "audit_sum_product_4": ["audit", "sum_product:4"],
+    "audit_paley_17": ["audit", "paley:17"],
+    "audit_incidence_3_3": ["audit", "incidence:3,3"],
     "iso_heawood_bi_paley_7": ["iso", "heawood", "bi_paley:7"],
     "iso_shrikhande_rook_twin": ["iso", "shrikhande", "rook_twin"],
     "gen_paley_13": ["gen", "paley:13"],
