@@ -12,13 +12,17 @@ caller that imported numpy first is not.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 # before the package imports below load numpy
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+
+import numpy as np
 
 from . import __version__
 from . import bounds as bd
@@ -28,26 +32,57 @@ from . import finite_field as ff
 from . import graph_core as gc
 from . import graph_families as gfam
 from . import spectra as sp
-from .errors import BadParameters, CapExceeded, Mismatch, NoClosedForm, SpecgraphError
+from .errors import (BadParameters, CapExceeded, Mismatch, NoClosedForm, SizeOverflow,
+                     SpecgraphError)
 
 DEFAULT_CAPS = {"chi": gc.CHI_CAP, "beta": gc.BETA_CAP, "iso": gc.ISO_CAP}
 DEFAULT_SEED = 20150901
+# the most entries of one `chars` table: q(q - 1) Gauss sums, (q - 1)^2 Jacobi
+# and Kloosterman sums, (q^ext - 1) q^(ext - 1) Eisenstein terms; q <= 1024
+CHARS_TABLE_CAP = 1 << 20
+CHARS_BLOCK_ROWS = 1024  # `chars` rows rendered and written at a time
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The report's stream: the file at path, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise BadParameters(f"cannot write {path}: {exc}") from None
+
 
 def _write(text: str, path: str | None) -> None:
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise BadParameters(f"cannot write {path}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _output(path) as out:
+        out.write(text)
 
 
-def _emit(payload: dict, config: dict, path: str | None) -> None:
+def _emit(payload: dict, config: dict, path: str | None, rows=None) -> None:
+    """Write the report: the payload with the version and the config, as
+    strict JSON indented by 2 with sorted keys.  ``rows``, an iterable of
+    blocks of rendered list items, becomes the report's "rows" list: the
+    envelope around it comes from json.dumps, and each block is written as
+    it is rendered."""
     doc = {"version": __version__, "config": config}
     doc.update(payload)
-    _write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+    if rows is None:
+        _write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+        return
+    doc["rows"] = []
+    # JSON escapes the quotes inside a string, so only the key itself matches
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True,
+                               allow_nan=False).partition('"rows": []')
+    with _output(path) as out:
+        out.write(head + '"rows": [\n')
+        sep = ""
+        for block in rows:
+            out.write(sep + block)
+            sep = ",\n"
+        out.write("\n  ]" + tail + "\n")
 
 
 def _parse_caps(text: str | None) -> dict:
@@ -120,63 +155,105 @@ def cmd_spec(args) -> int:
     return 0
 
 
-def _char_rows(q: int, ext: int | None) -> list[dict]:
+def _chars_size(q: int, ext: int | None) -> None:
+    """SizeOverflow if a table of `chars q [--ext ext]` would hold more than
+    CHARS_TABLE_CAP entries; a q or ext that the fields refuse is left to them."""
+    if q < 2:
+        return
+    entries = q * (q - 1)
+    if ext is not None and ext >= 1:
+        e = min(ext, 21)  # from e = 21 on, even q = 2 is over the cap
+        entries = max(entries, (q ** e - 1) * q ** (e - 1))
+    if entries > CHARS_TABLE_CAP:
+        raise SizeOverflow(f"chars {q}" + (f" --ext {ext}" if ext else "")
+                           + f" needs a table of over {CHARS_TABLE_CAP} entries")
+
+
+def _render(q: int, tables):
+    """Blocks of CHARS_BLOCK_ROWS rendered rows of the tables, each a (sum
+    type, first index, values, magnitudes, bounds, pass flags) of same-shaped
+    arrays.  A row is one % format of its table's template, the row as
+    json.dumps(indent=2, sort_keys=True) prints it in the report's "rows"
+    list; floats go through %r, float.__repr__, as in json."""
+    field = encode_basestring_ascii(f"GF({q})")
+    for sum_type, first, values, magnitude, bound, ok in tables:
+        template = ('    {\n      "bound": %r,\n      "field": ' + field + ',\n      "im": %r,\n'
+                    '      "indices": [\n' + ",\n".join(["        %d"] * values.ndim)
+                    + '\n      ],\n      "magnitude": %r,\n      "pass": %s,\n      "re": %r,\n'
+                    '      "sum_type": ' + encode_basestring_ascii(sum_type) + '\n    }')
+        index = np.indices(values.shape).reshape(values.ndim, -1) + first
+        columns = (bound.ravel(), values.imag.ravel(), *index, magnitude.ravel(),
+                   np.where(ok, "true", "false").ravel(), values.real.ravel())
+        for start in range(0, values.size, CHARS_BLOCK_ROWS):
+            block = (c[start:start + CHARS_BLOCK_ROWS].tolist() for c in columns)
+            yield ",\n".join([template % row for row in zip(*block)])
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as abs() of a Python complex, libm's hypot; np.abs may
+    differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _char_rows(q: int, ext: int | None):
+    """The rows of `chars q [--ext ext]`, as an iterator of blocks of
+    rendered JSON text, and whether every row passes.  The tables are built,
+    and every float the rows print is checked finite, before this returns,
+    so a refusal comes before the first byte of the report."""
+    _chars_size(q, ext)
     spec = ff.field(q)
-    rows = []
-    # one name string shared by every row
-    name, sq, tol = f"GF({q})", math.sqrt(q), ch.MAGNITUDE_TOL
+    sq, tol = math.sqrt(q), ch.MAGNITUDE_TOL
+    tables = []  # as _render takes them
 
-    def row(sum_type, indices, value, bound, ok):
-        rows.append({
-            "field": name, "sum_type": sum_type, "indices": list(indices),
-            "re": value.real, "im": value.imag, "magnitude": abs(value),
-            "bound": bound, "pass": bool(ok),
-        })
+    gauss = ch.gauss_table(spec)  # [t, k]
+    mag = _abs(gauss)
+    bound, ok = np.full(gauss.shape, sq), np.abs(mag - sq) <= tol
+    bound[0], ok[0] = 0.0, mag[0] <= tol
+    bound[:, 0], ok[:, 0] = 1.0, _abs(gauss[:, 0] + 1) <= tol
+    bound[0, 0], ok[0, 0] = q - 1, _abs(gauss[0, 0] - (q - 1)) <= tol
+    tables.append(("gauss", 0, gauss, mag, bound, ok))
 
-    # tolist() gives Python complexes, whose abs() the rows have always used
-    for t, values in enumerate(ch.gauss_table(spec).tolist()):
-        for k, val in enumerate(values):
-            if t == 0 and k == 0:
-                expected, ok = float(q - 1), abs(val - (q - 1)) <= tol
-            elif t == 0:
-                expected, ok = 0.0, abs(val) <= tol
-            elif k == 0:
-                expected, ok = 1.0, abs(val + 1) <= tol
-            else:
-                expected, ok = sq, abs(abs(val) - sq) <= tol
-            row("gauss", (t, k), val, expected, ok)
-    for k1, values in enumerate(ch.jacobi_table(spec).tolist()):
-        for k2, val in enumerate(values):
-            if k1 == 0 and k2 == 0:
-                expected, ok = float(q), abs(val - q) <= tol
-            elif k1 == 0 or k2 == 0:
-                expected, ok = 0.0, abs(val) <= tol
-            elif (k1 + k2) % (q - 1) == 0:
-                expected, ok = 1.0, abs(abs(val) - 1) <= tol
-            else:
-                expected, ok = sq, abs(abs(val) - sq) <= tol
-            row("jacobi", (k1, k2), val, expected, ok)
-    for t1, values in enumerate(ch.kloosterman_table(spec).tolist(), 1):
-        for t2, val in enumerate(values, 1):
-            row("kloosterman", (t1, t2), val, 2 * sq, abs(val) <= 2 * sq + tol)
+    jacobi = ch.jacobi_table(spec)  # [k1, k2]
+    mag = _abs(jacobi)
+    bound, ok = np.full(jacobi.shape, sq), np.abs(mag - sq) <= tol
+    k = np.arange(q - 1)
+    inverse = np.add.outer(k, k) % (q - 1) == 0
+    bound[inverse], ok[inverse] = 1.0, (np.abs(mag - 1) <= tol)[inverse]
+    bound[0], ok[0] = 0.0, mag[0] <= tol
+    bound[:, 0], ok[:, 0] = 0.0, mag[:, 0] <= tol
+    bound[0, 0], ok[0, 0] = q, _abs(jacobi[0, 0] - q) <= tol
+    tables.append(("jacobi", 0, jacobi, mag, bound, ok))
+
+    kloosterman = ch.kloosterman_table(spec)  # [t1 - 1, t2 - 1]
+    mag = _abs(kloosterman)
+    tables.append(("kloosterman", 1, kloosterman, mag, np.full(mag.shape, 2 * sq),
+                   mag <= 2 * sq + tol))
+
     if ext is not None:
         big = ff.construct_field(spec.p, spec.d * ext)
-        for k, val in enumerate(ch.eisenstein_table(ff.subfield_embedding(big, spec)).tolist()):
-            if k == 0:
-                expected = float(q ** (ext - 1))
-                ok = abs(val - expected) <= tol
-            else:
-                expected = q ** (ext / 2 - 1) if k % (q - 1) == 0 else q ** ((ext - 1) / 2)
-                ok = abs(abs(val) - expected) <= tol
-            row("eisenstein", (k,), val, expected, ok)
-    return rows
+        eisenstein = ch.eisenstein_table(ff.subfield_embedding(big, spec))  # [k]
+        mag = _abs(eisenstein)
+        bound = np.where(np.arange(eisenstein.size) % (q - 1) == 0,
+                         q ** (ext / 2 - 1), q ** ((ext - 1) / 2))
+        bound[0] = float(q ** (ext - 1))
+        ok = np.abs(mag - bound) <= tol
+        ok[0] = _abs(eisenstein[0] - bound[0]) <= tol
+        tables.append(("eisenstein", 0, eisenstein, mag, bound, ok))
+
+    for sum_type, _, values, mag, bound, _ in tables:
+        if not (np.isfinite(values).all() and np.isfinite(mag).all()
+                and np.isfinite(bound).all()):
+            raise ValueError(f"a {sum_type} row is not finite; "
+                             "out of range float values are not JSON compliant")
+    passed = all(ok.all() for *_, ok in tables)
+    return _render(q, tables), passed
 
 
 def cmd_chars(args) -> int:
     config = {"command": "chars", "q": args.q, "ext": args.ext, "seed": args.seed}
-    rows = _char_rows(args.q, args.ext)
-    _emit({"rows": rows}, config, args.path)
-    return 0 if all(r["pass"] for r in rows) else 1
+    rows, passed = _char_rows(args.q, args.ext)
+    _emit({}, config, args.path, rows)
+    return 0 if passed else 1
 
 
 def _audit_graph(g: gc.Graph, caps: dict, seed: int, spectra) -> bd.AuditReport:

@@ -293,12 +293,12 @@ def to_json_dict(g: Graph) -> dict:
 # -- metrics -------------------------------------------------------------------
 
 def _orbit_roots(g: Graph):
-    """One vertex of each orbit of g's translations, which are automorphisms:
-    vertex 0 of a Cayley graph, vertices 0 and |G| of a bi-Cayley graph (its
-    black and white sides), and every vertex of a graph without a group."""
-    if g.group is None:
-        return range(g.n)
-    return (0, g.n // 2) if g.group.bi else (0,)
+    """One vertex of each orbit of g's automorphism group, as far as g's group
+    shows it: every vertex of a graph without a group, and vertex 0 of a group
+    graph, which is vertex-transitive.  The translations are automorphisms,
+    and on a bi-Cayley graph so is black g -> white -g, white h -> black -h,
+    which keeps h - g in S and swaps the sides."""
+    return range(g.n) if g.group is None else (0,)
 
 
 def diameter(g: Graph) -> int:

@@ -7,8 +7,12 @@ import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from specgraph import __version__
 from specgraph import characters as ch
 from specgraph import cli
 from specgraph import corpus as corpus_mod
@@ -430,6 +434,11 @@ USAGE_ERRORS = {
     "source_is_a_directory": (["spec", "{directory}"], BAD),
     "source_not_utf8": (["spec", "{not_utf8}"], BAD),
     "unwritable_path": (["gen", "paley", "5", "--path", "{directory}/missing/x"], BAD),
+    "unwritable_chars_path": (["chars", "5", "--path", "{directory}/missing/x"], BAD),
+    "oversized_chars": (["chars", "65536"], "error: SizeOverflow: "),
+    "oversized_prime_chars": (["chars", "1000000007"], "error: SizeOverflow: "),
+    "oversized_chars_ext": (["chars", "2", "--ext", "24"], "error: SizeOverflow: "),
+    "oversized_eisenstein": (["chars", "81", "--ext", "3"], "error: SizeOverflow: "),
     "unknown_corpus_id": (["verify", "--families", "nosuch"], BAD + "unknown corpus id 'nosuch'"),
     "unknown_and_known_corpus_ids": (["verify", "--families", "petersen,nosuch"],
                                      BAD + "unknown corpus id 'nosuch'\n"),
@@ -565,26 +574,104 @@ def _char_rows_by_scalar_sums(q: int, ext: int | None) -> list[dict]:
     return rows
 
 
+def _rows_text(rows: list[dict]) -> str:
+    """The items of a report's "rows" list as json.dumps prints them."""
+    text = json.dumps({"rows": rows}, indent=2, sort_keys=True, allow_nan=False)
+    return text[len('{\n  "rows": [\n'):-len('\n  ]\n}')]
+
+
 @pytest.mark.parametrize("q,ext", [(5, None), (9, None), (16, None), (27, None), (5, 3), (9, 2)])
 def test_char_rows_bytes_equal_scalar_sums(q, ext):
-    def dumps(rows):
-        return json.dumps(rows, indent=2, sort_keys=True)
+    rows, passed = cli._char_rows(q, ext)
+    oracle = _char_rows_by_scalar_sums(q, ext)
+    assert ",\n".join(rows) == _rows_text(oracle)
+    assert passed == all(r["pass"] for r in oracle)
 
-    assert dumps(cli._char_rows(q, ext)) == dumps(_char_rows_by_scalar_sums(q, ext))
+
+@pytest.mark.parametrize("q,ext", [(2, None), (3, None), (4, None), (8, None), (9, None),
+                                   (27, None), (5, 3), (3, 2)])
+def test_chars_report_equals_json_dumps(q, ext, tmp_path, capsys):
+    """The streamed report, on stdout and at --path, is json.dumps of the
+    scalar-sum rows, byte for byte."""
+    doc = {"version": __version__, "rows": _char_rows_by_scalar_sums(q, ext),
+           "config": {"command": "chars", "q": q, "ext": ext, "seed": cli.DEFAULT_SEED}}
+    oracle = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    argv = ["chars", str(q)] + (["--ext", str(ext)] if ext else [])
+    assert run(capsys, *argv) == (0, oracle)
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--path", str(path)) == (0, "")
+    assert path.read_text() == oracle
+
+
+# repr's exponent-notation edges, the signed zero and the subnormals
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.225073858507201e-308, 1e16, 9999999999999998.0,
+               1e-5, 0.0001, -1e-05, 1.7976931348623157e308]
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def synthetic_tables(draw):
+    """A table of sums of any kind, with arbitrary finite floats."""
+    sum_type = draw(st.sampled_from(["gauss", "jacobi", "kloosterman", "eisenstein"]))
+    shape = draw(st.sampled_from([(1,), (3,), (1, 1), (2, 3)]))
+    size = math.prod(shape)
+    columns = [np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+               for _ in range(4)]
+    ok = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    values = np.empty(shape, complex)  # re + 1j * im would turn a re of -0.0 into 0.0
+    values.real, values.imag, magnitude, bound = columns
+    return sum_type, draw(st.integers(0, 1)), values, magnitude, bound, ok
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 1024), synthetic_tables())
+@example(2, ("gauss", 0, np.array([complex(-0.0, 5e-324)]), np.array([1e16]),
+             np.array([1e-5]), np.array([True])))
+def test_row_template_renders_as_json_dumps(q, table):
+    sum_type, first, values, magnitude, bound, ok = table
+    rows = [{"field": f"GF({q})", "sum_type": sum_type,
+             "indices": [i + first for i in index], "re": float(values[index].real),
+             "im": float(values[index].imag), "magnitude": float(magnitude[index]),
+             "bound": float(bound[index]), "pass": bool(ok[index])}
+            for index in np.ndindex(values.shape)]
+    assert ",\n".join(cli._render(q, [table])) == _rows_text(rows)
+
+
+@pytest.mark.parametrize("argv,last", [(["chars", "5"], "kloosterman_table"),
+                                       (["chars", "3", "--ext", "2"], "eisenstein_table")],
+                         ids=["kloosterman", "eisenstein"])
+def test_chars_refuses_a_non_finite_sum_before_writing(argv, last, tmp_path, capsys,
+                                                       monkeypatch):
+    table = getattr(ch, last)
+
+    def with_nan(*args):
+        values = table(*args)
+        values.flat[-1] = complex(math.nan, 0.0)
+        return values
+
+    monkeypatch.setattr(ch, last, with_nan)
+    with pytest.raises(ValueError):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        cli.main([*argv, "--path", str(path)])
+    assert not path.exists()
 
 
 def test_chars_takes_one_trace_per_element(monkeypatch):
-    """`chars 9 --ext 3` takes the trace of each element of GF(729) and of
-    GF(9) once: 738 trace_norm calls, where one per element and character
-    made 530,721."""
-    trace_norm = ff.trace_norm
-    calls = []
+    """`chars 9 --ext 3` takes the trace of each non-zero element of GF(729)
+    and of GF(9) once, 736 in all, where one per element and character made
+    530,721."""
+    power_traces = ff.SubfieldEmbedding.power_traces
+    traced = []
 
-    def counted(emb, a):
-        calls.append(a)
-        return trace_norm(emb, a)
+    def counted(emb, exponents):
+        traced.append(np.size(exponents))
+        return power_traces(emb, exponents)
 
-    monkeypatch.setattr(ff, "trace_norm", counted)
+    monkeypatch.setattr(ff.SubfieldEmbedding, "power_traces", counted)
     ff.subfield_embedding.cache_clear()  # drop the trace tables of earlier tests
-    cli._char_rows(9, 3)
-    assert len(calls) <= 738
+    rows, _ = cli._char_rows(9, 3)
+    assert sum(1 for _ in rows) > 0
+    assert sum(traced) == 728 + 8

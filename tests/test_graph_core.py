@@ -782,12 +782,12 @@ def test_engines_match_oracles(g):
 
 
 @st.composite
-def group_graphs(draw):
+def group_graphs(draw, bi=st.booleans()):
     """A Cayley graph on a random symmetric subset, or a bi-Cayley graph on a
     random subset, of Z_m or Z_a x Z_b: connected or not."""
     orders = draw(st.sampled_from([(m,) for m in range(2, 11)] + [(2, 2), (2, 3), (2, 4), (3, 3)]))
     elems = groups.elements(orders)[1:]
-    bi = draw(st.booleans())
+    bi = draw(bi)
     picked = draw(st.lists(st.sampled_from(elems), min_size=1, unique=True))
     if not bi:
         picked += [groups.neg(orders, s) for s in picked]
@@ -800,6 +800,18 @@ def test_orbit_roots_match_all_roots_on_group_graphs(g):
     assert gc.girth(g) == _girth(g)
     if g.is_connected:
         assert gc.diameter(g) == _diameter(g)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(group_graphs(bi=st.just(True)))
+def test_bi_cayley_side_swap_is_an_automorphism(g):
+    """Black g -> white -g, white h -> black -h keeps h - g in S, so with the
+    translations it makes a bi-Cayley graph vertex-transitive: the reason
+    one orbit root serves every group graph."""
+    orders, half = g.group.orders, g.n // 2
+    neg = [groups.index(orders, groups.neg(orders, e)) for e in groups.elements(orders)]
+    swap = [half + neg[v] if v < half else neg[v - half] for v in range(g.n)]
+    assert g.relabel(swap) == g
 
 
 def test_is_isomorphic_matches_enumeration():
