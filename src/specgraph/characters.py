@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import groups
 from .errors import HypothesisViolated, SpecMismatch, ZeroElement
 from .finite_field import (
     FieldElement,
@@ -197,72 +198,55 @@ def norm_restricted_sum(emb: SubfieldEmbedding, psi: AdditiveCharacter) -> tuple
     return total, bound, abs(total) <= bound + MAGNITUDE_TOL
 
 
-# -- character tables: every sum of one kind, each bit for bit the scalar sum ----
+# -- character tables: every sum of one kind as one DFT over the log group -------
+# Writing g for the generator and n = q - 1, a multiplicative character is a
+# character of Z_n through s = g^j, so each table is groups.character_sum of
+# the points its sum runs over.  The entries agree with the scalar sums to
+# rounding.
 
-def _roots(n: int, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of _roots_of_unity(n) at the given exponents."""
-    roots = np.array(_roots_of_unity(n))
-    return roots.real[exponents], roots.imag[exponents]
-
-
-def _sums(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Row sums of the terms re + i im, added left to right from 0.0 as sum()
-    adds them (np.sum adds pairwise)."""
-    start = np.zeros((len(re), 1))
-    out = np.empty(len(re), complex)
-    out.real, out.imag = (np.cumsum(np.hstack((start, x)), axis=1)[:, -1] for x in (re, im))
-    return out
-
-
-def _pair_sums(a, b) -> np.ndarray:
-    """[i, j]: the sum of the terms a[i] b[j], over the last axis of (re, im)
-    arrays.  Products in real arithmetic round as Python's complex product
-    (numpy's may not); a row of a at a time keeps the arrays at b's size."""
-    (ar, ai), (br, bi) = a, b
-    return np.array([_sums(x * br - y * bi, x * bi + y * br) for x, y in zip(ar, ai)])
-
-
-def _twisted_units(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """psi_t(s) as (re, im), over twists t (rows) and units s (columns)."""
-    exp, log = (np.asarray(a) for a in spec.tables)
-    product = np.zeros((spec.q, spec.q - 1), dtype=np.int64)  # index of t s; 0 for t = 0
-    product[1:] = exp[np.add.outer(log[1:], log[1:]) % (spec.q - 1)]
-    return _roots(spec.p, np.asarray(_absolute_traces(spec))[product])
-
-
-def _multiplicative(spec: FieldSpec, indices) -> tuple[np.ndarray, np.ndarray]:
-    """chi_k(s) as (re, im), over exponents k (rows) and the elements of the
-    given indices (columns); a column for 0 is left for the caller to set."""
+def _gauss_rows(spec: FieldSpec) -> np.ndarray:
+    """G(psi_0, chi_k) and G(psi_1, chi_k) over k: the sums of the points
+    (AbsTr g^j, j) over Z_p x Z_n, read at the characters (0, k) and (1, k)."""
     n = spec.q - 1
-    return _roots(n, np.multiply.outer(np.arange(n), np.asarray(spec.tables[1])[indices]) % n)
+    traces = np.asarray(_absolute_traces(spec))[np.asarray(spec.tables[0])]
+    return groups.character_sum((spec.p, n), zip(traces, range(n))).reshape(spec.p, n)[:2]
 
 
 def gauss_table(spec: FieldSpec) -> np.ndarray:
-    """G(psi_t, chi_k) at [t, k], as gauss_sum gives it."""
-    return _pair_sums(_twisted_units(spec), _multiplicative(spec, np.arange(1, spec.q)))
+    """G(psi_t, chi_k) at [t, k]: psi_t(s) = psi_1(ts) gives
+    G(psi_t, chi_k) = conj(chi_k(t)) G(psi_1, chi_k) for t != 0."""
+    n = spec.q - 1
+    (trivial, first), log = _gauss_rows(spec), np.asarray(spec.tables[1])
+    roots = groups.character((n,), (1,))
+    return np.vstack((trivial, first * roots[np.multiply.outer(-log[1:], np.arange(n)) % n]))
 
 
 def jacobi_table(spec: FieldSpec) -> np.ndarray:
-    """J(chi_k1, chi_k2) at [k1, k2], as jacobi_sum gives it."""
-    re, im = _multiplicative(spec, np.arange(spec.q))
-    re[:, 0], im[:, 0] = 0.0, 0.0  # chi_k(0) = 0, but chi_0(0) = 1
-    re[0, 0] = 1.0
-    one_minus = [(spec.one - s).index for s in spec.elements()]
-    return _pair_sums((re, im), (re[:, one_minus], im[:, one_minus]))
+    """J(chi_k1, chi_k2) at [k1, k2]: the points (log s, log(1 - s)) over
+    Z_n^2 for s not 0 or 1, and then s = 0 and s = 1, which add
+    chi_k1(0) chi_k2(1) = [k1 = 0] and chi_k1(1) chi_k2(0) = [k2 = 0]."""
+    n, log = spec.q - 1, spec.tables[1]
+    points = [(log[i], log[(spec.one - spec.element(i)).index]) for i in range(2, spec.q)]
+    table = groups.character_sum((n, n), points).reshape(n, n)
+    table[0] += 1
+    table[:, 0] += 1
+    return table
 
 
 def kloosterman_table(spec: FieldSpec) -> np.ndarray:
-    """K(psi_t1, psi_t2) at [t1 - 1, t2 - 1], as kloosterman_sum gives it."""
-    exp, log = (np.asarray(a) for a in spec.tables)
-    re, im = _twisted_units(spec)
-    inverse = exp[-log[1:] % (spec.q - 1)] - 1  # column of 1/s
-    return _pair_sums((re[1:], im[1:]), (re[1:, inverse], im[1:, inverse]))
+    """K(psi_t1, psi_t2) at [t1 - 1, t2 - 1].  K(psi_a, psi_b) = K(psi_1,
+    psi_ab), and K(psi_1, psi_{g^m}) is the cyclic self-convolution of
+    psi_1(g^j) at m, so entry m of the DFT of G(psi_1, chi_k)^2 over k, by n."""
+    n, log = spec.q - 1, np.asarray(spec.tables[1])
+    by_log = np.fft.fft(_gauss_rows(spec)[1] ** 2) / n
+    return by_log[np.add.outer(log[1:], log[1:]) % n]
 
 
 def eisenstein_table(emb: SubfieldEmbedding) -> np.ndarray:
-    """E(chi_k) of the big field's characters at [k], as eisenstein_sum gives it."""
-    fibre = np.flatnonzero(np.asarray(emb.trace_norm_table[0]) == 1)
-    return _sums(*_multiplicative(emb.big, fibre))
+    """E(chi_k) of the big field's characters at [k]: the logs of the fibre
+    Tr = 1 over Z_(Q-1)."""
+    logs = np.asarray(emb.big.tables[1])[np.asarray(emb.trace_norm_table[0]) == 1]
+    return groups.character_sum((emb.big.q - 1,), logs)
 
 
 # -- Weil bound on polynomial character sums -----------------------------------

@@ -510,8 +510,10 @@ def test_readme_cli_examples_run(line, capsys):
 
 
 def _char_rows_by_scalar_sums(q: int, ext: int | None) -> list[dict]:
-    """`cli._char_rows` as it was before the character tables: every sum
-    evaluated term by term through the character objects."""
+    """The rows of `chars q [--ext ext]` with every sum evaluated term by term
+    through the character objects.  Their indices, bounds and pass flags are
+    the report's; their re, im and magnitude agree with the character tables'
+    to rounding (see _table_valued)."""
     spec = ff.field(q)
     rows = []
     sq = math.sqrt(q)
@@ -580,20 +582,40 @@ def _rows_text(rows: list[dict]) -> str:
     return text[len('{\n  "rows": [\n'):-len('\n  ]\n}')]
 
 
-@pytest.mark.parametrize("q,ext", [(5, None), (9, None), (16, None), (27, None), (5, 3), (9, 2)])
+def _table_valued(rows: list[dict], q: int, ext: int | None) -> list[dict]:
+    """The scalar-sum rows with re, im and magnitude read from the character
+    tables, after checking that the two agree to 1e-12."""
+    spec = ff.field(q)
+    tables = [ch.gauss_table(spec), ch.jacobi_table(spec), ch.kloosterman_table(spec)]
+    if ext:
+        big = ff.construct_field(spec.p, spec.d * ext)
+        tables.append(ch.eisenstein_table(ff.subfield_embedding(big, spec)))
+    values = np.concatenate([t.ravel() for t in tables])
+    columns = {"re": values.real, "im": values.imag, "magnitude": np.abs(values)}
+    for key, column in columns.items():
+        assert np.abs(column - [r[key] for r in rows]).max() <= 1e-12
+    return [dict(row, re=re, im=im, magnitude=magnitude) for row, re, im, magnitude
+            in zip(rows, *(c.tolist() for c in columns.values()), strict=True)]
+
+
+@pytest.mark.parametrize("q,ext", [(5, None), (9, None), (16, None), (27, None), (32, None),
+                                   (49, None), (5, 3), (9, 2)])
 def test_char_rows_bytes_equal_scalar_sums(q, ext):
+    """The rendered rows are the scalar-sum rows byte for byte, but for the
+    last bits of re, im and magnitude, which come from the tables."""
     rows, passed = cli._char_rows(q, ext)
     oracle = _char_rows_by_scalar_sums(q, ext)
-    assert ",\n".join(rows) == _rows_text(oracle)
+    assert ",\n".join(rows) == _rows_text(_table_valued(oracle, q, ext))
     assert passed == all(r["pass"] for r in oracle)
 
 
 @pytest.mark.parametrize("q,ext", [(2, None), (3, None), (4, None), (8, None), (9, None),
-                                   (27, None), (5, 3), (3, 2)])
+                                   (27, None), (32, None), (49, None), (5, 3), (3, 2)])
 def test_chars_report_equals_json_dumps(q, ext, tmp_path, capsys):
     """The streamed report, on stdout and at --path, is json.dumps of the
-    scalar-sum rows, byte for byte."""
-    doc = {"version": __version__, "rows": _char_rows_by_scalar_sums(q, ext),
+    table-valued scalar-sum rows, byte for byte."""
+    rows = _table_valued(_char_rows_by_scalar_sums(q, ext), q, ext)
+    doc = {"version": __version__, "rows": rows,
            "config": {"command": "chars", "q": q, "ext": ext, "seed": cli.DEFAULT_SEED}}
     oracle = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     argv = ["chars", str(q)] + (["--ext", str(ext)] if ext else [])
@@ -601,6 +623,14 @@ def test_chars_report_equals_json_dumps(q, ext, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert run(capsys, *argv, "--path", str(path)) == (0, "")
     assert path.read_text() == oracle
+
+
+@pytest.mark.parametrize("q,ext", [(q, None) for q in range(2, 129)
+                                   if ff.prime_power_decomposition(q)]
+                         + [(2, 10), (3, 6), (4, 5), (9, 3)])
+def test_every_char_row_passes(q, ext):
+    _, passed = cli._char_rows(q, ext)
+    assert passed
 
 
 # repr's exponent-notation edges, the signed zero and the subnormals
