@@ -181,12 +181,12 @@ def _render(q: int, tables):
                     '      "indices": [\n' + ",\n".join(["        %d"] * values.ndim)
                     + '\n      ],\n      "magnitude": %r,\n      "pass": %s,\n      "re": %r,\n'
                     '      "sum_type": ' + encode_basestring_ascii(sum_type) + '\n    }')
-        index = np.indices(values.shape).reshape(values.ndim, -1) + first
-        columns = (bound.ravel(), values.imag.ravel(), *index, magnitude.ravel(),
-                   np.where(ok, "true", "false").ravel(), values.real.ravel())
+        columns = [c.ravel() for c in (bound, values.imag, magnitude, ok, values.real)]
         for start in range(0, values.size, CHARS_BLOCK_ROWS):
-            block = (c[start:start + CHARS_BLOCK_ROWS].tolist() for c in columns)
-            yield ",\n".join([template % row for row in zip(*block)])
+            b, im, mag, flags, re = (c[start:start + CHARS_BLOCK_ROWS] for c in columns)
+            index = np.unravel_index(np.arange(start, start + b.size), values.shape)
+            block = (b, im, *(i + first for i in index), mag, np.where(flags, "true", "false"), re)
+            yield ",\n".join([template % row for row in zip(*(c.tolist() for c in block))])
 
 
 def _char_rows(q: int, ext: int | None):

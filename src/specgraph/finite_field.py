@@ -306,18 +306,19 @@ def _tables(spec: FieldSpec):
     and log[exp[j]] = j (log[0] is unused).
 
     g is the unit of least index whose order is q - 1 by the prime-factor
-    test.  Multiplying by g is Z_p-linear on coefficient vectors, so the
-    first b ~ sqrt(q - 1) powers are walked with polynomial arithmetic and
-    each later block of b powers is the block before times g^b.  The walk
-    must hit each of the q - 1 nonzero elements once, which makes every one a
-    unit and so g^(q-1) = 1; a walk that misses one means the modulus is
-    reducible."""
+    test.  When d > 1 the search starts at index p: the units of GF(p), at
+    indices 1 to p - 1, have orders dividing p - 1 < q - 1.  Multiplying by g
+    is Z_p-linear on coefficient vectors, so the first b ~ sqrt(q - 1) powers
+    are walked with polynomial arithmetic and each later block of b powers is
+    the block before times g^b.  The walk must hit each of the q - 1 nonzero
+    elements once, which makes every one a unit and so g^(q-1) = 1; a walk
+    that misses one means the modulus is reducible."""
     from array import array  # here, so that processes with no field work skip it
     import numpy as np
 
     p, d, m, n = spec.p, spec.d, spec.modulus, spec.q - 1
     factors = prime_factors(n)
-    for i in range(1, spec.q):
+    for i in range(1 if d == 1 else p, spec.q):
         g = _coeffs(spec, i)
         if all(_poly_powmod(g, n // t, m, p) != (1,) for t in factors):
             break

@@ -257,7 +257,6 @@ def test_weil_cubic_squarefree_gf13():
     for a, b in [(1, 0), (1, 1), (2, 3), (0, 5)]:
         f = [spec.element(b), spec.element(a), spec.zero, spec.one]
         report = ch.weil_poly_check(spec, f, sigma)
-        assert report.hypothesis_checked
         assert report.passed
         assert report.bound == pytest.approx(2 * math.sqrt(13))
 
@@ -288,9 +287,27 @@ def test_weil_mth_power_flagged():
         ch.weil_poly_check(spec, f, sigma)
 
 
+def test_weil_square_flagged_past_the_old_exhaustive_range():
+    """(X + 1)^2 over GF(173), where |S| = 172 would bust the bound 13.2."""
+    spec = field(173)
+    with pytest.raises(HypothesisViolated):
+        ch.weil_poly_check(spec, [1, 2, 1], ch.quadratic_character(spec))
+
+
+def test_weil_fifth_powers_decided_at_degree_ten():
+    spec = field(11)
+    chi = ch.MultiplicativeCharacter(spec, 2)
+    assert chi.order == 5
+    with pytest.raises(HypothesisViolated):  # (X^2 + 1)^5
+        ch.weil_poly_check(spec, [1, 0, 5, 0, 10, 0, 10, 0, 5, 0, 1], chi)
+    report = ch.weil_poly_check(spec, [1] + [0] * 9 + [1], chi)  # X^10 + 1
+    assert report.passed
+    assert report.bound == pytest.approx(9 * math.sqrt(11))
+
+
 def _is_mth_power_by_counter(spec, poly, m):
-    """characters._is_mth_power with its hand-written base-q counter, verbatim:
-    the oracle of the itertools enumeration."""
+    """Whether poly is g^m, by trying every monic g of degree deg / m with a
+    base-q counter: the oracle of the solve in characters._is_mth_power."""
     deg = len(poly) - 1
     if m <= 1:
         return m == 1
@@ -323,26 +340,34 @@ def _is_mth_power_by_counter(spec, poly, m):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_mth_power_check_matches_the_counter_loop(q):
     """Every monic poly of degree <= 3; at degree 4 every square (the fourth
-    powers among them) and a seeded sample of 20 others."""
+    powers among them) and a seeded sample of 20 others; at degree 6 seeded
+    squares, cubes and others.  The solve needs m to be a unit mod p, as the
+    order of a character, which divides q - 1, always is."""
     spec = field(q)
     rnd = random.Random(q)
 
     def poly(low):
         return [spec.element(i) for i in low] + [spec.one]
 
-    def square(g):
-        out = [spec.zero] * (2 * len(g) - 1)
-        for i, a in enumerate(g):
+    def times(f, g):
+        out = [spec.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
             for j, b in enumerate(g):
                 out[i + j] = out[i + j] + a * b
         return out
 
+    def sample(deg):
+        return poly([rnd.randrange(q) for _ in range(deg)])
+
     polys = [poly(low) for deg in range(4) for low in itertools.product(range(q), repeat=deg)]
-    polys += [square(poly(low)) for low in itertools.product(range(q), repeat=2)]
-    polys += [poly([rnd.randrange(q) for _ in range(4)]) for _ in range(20)]
+    polys += [times(g, g) for g in map(poly, itertools.product(range(q), repeat=2))]
+    polys += [sample(4) for _ in range(20)]
+    polys += [times(g, g) for g in (sample(3) for _ in range(4))]
+    polys += [times(g, times(g, g)) for g in (sample(2) for _ in range(4))]
+    polys += [sample(6) for _ in range(4)]
     answers = set()
     for f in polys:
-        for m in (2, 3, 4):
+        for m in (m for m in (2, 3, 4) if m % spec.p):
             answer = ch._is_mth_power(spec, f, m)
             assert answer == _is_mth_power_by_counter(spec, f, m)
             answers.add(answer)

@@ -667,6 +667,17 @@ def test_row_template_renders_as_json_dumps(q, table):
     assert ",\n".join(cli._render(q, [table])) == _rows_text(rows)
 
 
+@pytest.mark.parametrize("block_rows", [2, 7])
+def test_render_at_block_edges(block_rows, tmp_path, capsys, monkeypatch):
+    """Blocks of 2 or 7 rows split a 2-D table mid-row and leave a short
+    last block; the bytes stay those of json.dumps."""
+    monkeypatch.setattr(cli, "CHARS_BLOCK_ROWS", block_rows)
+    rows, _ = cli._char_rows(27, None)
+    assert len(list(rows)) == sum(-(-n // block_rows) for n in (27 * 26, 26 * 26, 26 * 26))
+    test_row_template_renders_as_json_dumps()
+    test_chars_report_equals_json_dumps(27, None, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("argv,last", [(["chars", "5"], "kloosterman_table"),
                                        (["chars", "3", "--ext", "2"], "eisenstein_table")],
                          ids=["kloosterman", "eisenstein"])
