@@ -342,5 +342,6 @@ def dth_power_count(spec: FieldSpec, d: int, a: FieldElement) -> int:
     if abs(total - by_chars) > 1e-6:
         raise SpecMismatch("character sum failed to land on an integer")
     exhaustive = sum(1 for h in spec.units() if h**d == a)
-    assert by_chars == exhaustive, (by_chars, exhaustive)
+    if by_chars != exhaustive:
+        raise SpecMismatch(f"character count {by_chars} vs exhaustive count {exhaustive}")
     return exhaustive

@@ -266,13 +266,19 @@ def cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _group_error(g: gc.Graph, adjacency: sp.Spectrum) -> str | None:
-    """The Mismatch text of g's group-spectrum check, or None if it passes."""
+def _checks(family: str, params: tuple, g: gc.Graph, adjacency: sp.Spectrum) -> tuple:
+    """(the group-spectrum check's Mismatch or None, the closed-form match or its
+    Mismatch or NoClosedForm) of g, the graph of family at params."""
+    group = None
     try:
         sp.check_group_spectrum(g, adjacency)
     except Mismatch as exc:
-        return str(exc)
-    return None
+        group = exc
+    try:
+        cf = sp.closed_form_spectrum(family, *params)
+        return group, sp.verify_closed_form(adjacency, cf, name=g.name)
+    except (Mismatch, NoClosedForm) as exc:
+        return group, exc
 
 
 def cmd_verify(args) -> int:
@@ -283,53 +289,39 @@ def cmd_verify(args) -> int:
     graphs = []
     total_fail = 0
     closed_forms = []
-    rows = []
+    checked = {}  # _checks by (family, params), so the corpus and the sweep share them
     for cid, family, params, g in corpus_mod.build_corpus(ids):
         spectra = sp.graph_spectra(g)  # (adjacency, laplacian), shared with the audit
-        rows.append((cid, family, params, g, spectra, _group_error(g, spectra[0])))
-    # (graph, adjacency spectrum, group-check error) by (family, params): the
-    # sweep reuses the corpus graph's and solves only the graphs it adds
-    solved = {(family, params): (g, spectra[0], error)
-              for _, family, params, g, spectra, error in rows}
-    if ids is None:
-        # smallest-three closed-form sweep across every family with a formula
-        for family, instances in sorted(corpus_mod.SMALLEST_THREE.items()):
-            for params in instances:
-                try:
-                    cf = sp.closed_form_spectrum(family, *params)
-                    if (family, params) not in solved:
-                        g = gfam.build(family, *params)
-                        spectrum = sp.spectrum(g)
-                        solved[family, params] = g, spectrum, _group_error(g, spectrum)
-                    g, spectrum, error = solved[family, params]
-                    if error is not None:
-                        raise Mismatch(error)
-                    result = sp.verify_closed_form(spectrum, cf, name=g.name)
-                    closed_forms.append({"family": family, "params": list(params),
-                                         "ok": result["ok"]})
-                except Mismatch as exc:
-                    closed_forms.append({"family": family, "params": list(params),
-                                         "ok": False, "error": str(exc)})
-                    total_fail += 1
-    for cid, family, params, g, spectra, error in rows:
+        group, result = checked[family, params] = _checks(family, params, g, spectra[0])
         entry: dict = {"id": cid, "n": g.n, "edges": g.edge_count}
-        if error is not None:
-            entry["group_spectrum"] = {"ok": False, "error": error}
+        if group is not None:
+            entry["group_spectrum"] = {"ok": False, "error": str(group)}
             total_fail += 1
-        try:
-            cf = sp.closed_form_spectrum(family, *params)
-            entry["closed_form"] = sp.verify_closed_form(spectra[0], cf, name=g.name)
-        except NoClosedForm:
-            pass
-        except Mismatch as exc:
-            entry["closed_form"] = {"ok": False, "error": str(exc)}
+        if isinstance(result, Mismatch):
+            entry["closed_form"] = {"ok": False, "error": str(result)}
             total_fail += 1
+        elif isinstance(result, dict):
+            entry["closed_form"] = result
         report = _audit_graph(g, caps, args.seed, spectra)
         entry["audit"] = {"passed": len(report.records) - len(report.failed) - len(report.skipped),
                           "failed": [r.name for r in report.failed],
                           "skipped": [r.name for r in report.skipped]}
         total_fail += len(report.failed)
         graphs.append(entry)
+    if ids is None:
+        # smallest-three closed-form sweep across every family with a formula;
+        # it builds and solves only the graphs that the corpus lacks
+        for family, instances in sorted(corpus_mod.SMALLEST_THREE.items()):
+            for params in instances:
+                if (family, params) not in checked:
+                    g = gfam.build(family, *params)
+                    checked[family, params] = _checks(family, params, g, sp.spectrum(g))
+                entry = {"family": family, "params": list(params), "ok": True}
+                error = next((e for e in checked[family, params] if isinstance(e, Exception)), None)
+                if error is not None:
+                    entry.update(ok=False, error=str(error))
+                    total_fail += 1
+                closed_forms.append(entry)
     summary = {"graphs": len(graphs), "failures": total_fail}
     payload = {"graphs": graphs, "summary": summary}
     if closed_forms:

@@ -551,10 +551,11 @@ def q_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of an n-space over GF(q)."""
     if not 0 <= k <= n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got ({n}, {k})")
+    if q < 2:
+        raise BadParameters(f"need q >= 2, got {q}")
     num = 1
     den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
     return num // den

@@ -206,11 +206,16 @@ def petersen() -> Graph:
     return Graph(10, edges, labels=[str(v) for v in verts], name="petersen")
 
 
+def check_tree(d: int, radius: int, kind: str = "T") -> None:
+    """BadParameters unless tree(d, radius, kind) is defined."""
+    if d < 2 or radius < 1 or kind not in ("T", "Tt"):
+        raise BadParameters("tree needs d >= 2, radius >= 1, kind in {T, Tt}")
+
+
 def tree(d: int, radius: int, kind: str = "T") -> Graph:
     """Radially regular tree: root degree d-1 for kind "T", d for kind "Tt";
     intermediate vertices have degree d, pendants sit at the given radius."""
-    if d < 2 or radius < 1 or kind not in ("T", "Tt"):
-        raise BadParameters("tree needs d >= 2, radius >= 1, kind in {T, Tt}")
+    check_tree(d, radius, kind)
     edges = []
     level = [0]
     next_id = 1
@@ -539,7 +544,6 @@ def small_diameter_x(k: int) -> Graph:
     extra = []
     for grand, four in sorted(groups.items()):
         four.sort(key=lambda v: (parent[v], v))  # sibling pairs adjacent, as drawn
-        assert len(four) == 4
         for i in range(4):
             extra.append((four[i], four[(i + 1) % 4]))
     return Graph(t.n, t.edges() + extra, name=f"smalldiam_{k}")
@@ -567,8 +571,8 @@ class DesignParams:
     c: int
 
     def __post_init__(self):
-        if self.c * (self.m - 1) != self.d * (self.d - 1):
-            raise IdentityViolated(f"design identity fails for {self}")
+        if not 0 <= self.c <= self.d or self.c * (self.m - 1) != self.d * (self.d - 1):
+            raise IdentityViolated(f"{self} fails 0 <= c <= d or c(m - 1) = d(d - 1)")
 
 
 @dataclass(frozen=True)
@@ -639,7 +643,8 @@ def c1_graph_degree(params: PartialDesignParams, c1: int) -> int:
     """Predicted degree of the c1-graph."""
     c2 = params.c2 if c1 == params.c1 else params.c1
     num = params.d * (params.d - 1) - (params.m - 1) * c2
-    assert num % (c1 - c2) == 0
+    if num % (c1 - c2):
+        raise IdentityViolated(f"{c1}-graph degree {num}/{c1 - c2} of {params} is not an integer")
     return num // (c1 - c2)
 
 

@@ -408,6 +408,7 @@ def radial_tree_eigenvalues(d: int, radius: int) -> tuple[list[float], list[floa
     list 2 sqrt(d-1) cos(pi k/(R+2)) and the laplacian list
     {0} + {d - 2 sqrt(d-1) cos(pi k/(R+1))}; all simple, and the extremes of
     the full spectrum."""
+    gf.check_tree(d, radius)
     s = 2 * math.sqrt(d - 1)
     adj = [s * math.cos(math.pi * k / (radius + 2)) for k in range(1, radius + 2)]
     lap = [0.0] + [d - s * math.cos(math.pi * k / (radius + 1)) for k in range(1, radius + 1)]
@@ -472,65 +473,43 @@ def _cf_path(n: int) -> ClosedForm:
 
 def _cf_paley(q: int) -> ClosedForm:
     gf.paley_field(q)
-    r = math.sqrt(q)
-    half = (q - 1) // 2
-    return _form([
-        (half, 1, "(q-1)/2"),
-        (( r - 1) / 2, half, "(sqrt(q)-1)/2"),
-        ((-r - 1) / 2, half, "(-sqrt(q)-1)/2"),
-    ])
+    return srg_closed_form(q, (q - 1) // 2, (q - 5) // 4, (q - 1) // 4)
 
 
 def _cf_bi_paley(q: int) -> ClosedForm:
     gf.bi_paley_field(q)
-    half = (q - 1) / 2
-    r = math.sqrt(q + 1) / 2
-    return _form([
-        (half, 1, "(q-1)/2"), (-half, 1, "-(q-1)/2"),
-        (r, q - 1, "sqrt(q+1)/2"), (-r, q - 1, "-sqrt(q+1)/2"),
-    ])
+    return design_closed_form(q, (q - 1) // 2, (q - 3) // 4)
 
 
 def _cf_incidence(n: int, q: int) -> ClosedForm:
+    """Points against hyperplanes of PG(n - 1, q): (q^k - 1)/(q - 1) points in
+    all for k = n, on a hyperplane for k = n - 1 and on two for k = n - 2."""
     gf.incidence_fields(n, q)
-    d = (q ** (n - 1) - 1) // (q - 1)
-    mid = q ** (n / 2 - 1)
-    mult = (q**n - q) // (q - 1)
-    return _form([
-        (float(d), 1, "d"), (-float(d), 1, "-d"),
-        (mid, mult, "q^(n/2-1)"), (-mid, mult, "-q^(n/2-1)"),
-    ])
+    return design_closed_form(*((q**k - 1) // (q - 1) for k in (n, n - 1, n - 2)))
 
+
+# SP(q), FSP(q) and Tutte-Coxeter are partial designs with c1 = 0, c2 = 1: two
+# same-side vertices share one neighbour, or none and are adjacent in the c1-graph.
 
 def _cf_sum_product(q: int) -> ClosedForm:
+    """(a, x) and (a', x') share no neighbour when a = a' or x = x': K_q x K_(q-1)."""
     gf.check_size("sum_product", q)
     field(q)
-    r = math.sqrt(q)
-    return _form([
-        (q - 1.0, 1, "q-1"), (-(q - 1.0), 1, "-(q-1)"),
-        (r, (q - 1) * (q - 2), "sqrt(q)"), (-r, (q - 1) * (q - 2), "-sqrt(q)"),
-        (1.0, q - 1, "1"), (-1.0, q - 1, "-1"),
-        (0.0, 2 * (q - 2), "0"),
-    ])
+    return partial_design_closed_form(q * (q - 1), q - 1, 0, 1, product_closed_form(
+        _cf_complete(q), _cf_complete(q - 1)).value_mults())
 
 
 def _cf_full_sum_product(q: int) -> ClosedForm:
+    """(a, x) and (a', x') share no neighbour when x = x': q copies of K_q."""
     gf.check_size("full_sum_product", q)
     field(q)
-    r = math.sqrt(q)
-    return _form([
-        (float(q), 1, "q"), (-float(q), 1, "-q"),
-        (r, q * (q - 1), "sqrt(q)"), (-r, q * (q - 1), "-sqrt(q)"),
-        (0.0, 2 * (q - 1), "0"),
-    ])
+    return partial_design_closed_form(q * q, q, 0, 1, [
+        (v, q * m) for v, m in _cf_complete(q).value_mults()])
 
 
 def _cf_tutte_coxeter() -> ClosedForm:
-    return _form([
-        (3.0, 1, "3"), (-3.0, 1, "-3"),
-        (2.0, 9, "2"), (-2.0, 9, "-2"),
-        (0.0, 10, "0"),
-    ])
+    """Two edges of K_6 lie in no common perfect matching when they meet: L(K_6)."""
+    return partial_design_closed_form(15, 3, 0, 1, srg_closed_form(15, 8, 4, 4).value_mults())
 
 
 def _cf_machine(*orders: int) -> ClosedForm:

@@ -11,7 +11,7 @@ import pytest
 
 from specgraph import characters as ch
 from specgraph import finite_field as ff
-from specgraph.errors import HypothesisViolated, ZeroElement
+from specgraph.errors import HypothesisViolated, SpecMismatch, ZeroElement
 
 GF = ff.construct_field
 
@@ -387,6 +387,15 @@ def test_dth_power_counts():
         assert count == brute
     with pytest.raises(ZeroElement):
         ch.dth_power_count(f7, 2, f7.zero)
+
+
+def test_dth_power_count_cross_check_raises(monkeypatch):
+    """A character sum that disagrees with the exhaustive count raises, as
+    it does under python -O."""
+    f7 = field(7)
+    monkeypatch.setattr(ch, "MultiplicativeCharacter", lambda spec, k: lambda a: 1)
+    with pytest.raises(SpecMismatch, match="exhaustive count 0"):
+        ch.dth_power_count(f7, 2, f7.element(3))  # 3 is not a square mod 7
 
 
 # -- orthogonality and duality -------------------------------------------------------

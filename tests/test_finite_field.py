@@ -397,6 +397,12 @@ def test_q_binomial_edges():
         ff.q_binomial(3, 4, 2)
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_q_binomial_refuses_q_below_2(q):
+    with pytest.raises(BadParameters):
+        ff.q_binomial(3, 1, q)
+
+
 def subspace_count_oracle(n: int, k: int, q: int) -> int:
     """Exhaustive span enumeration over GF(q)^n (prime q only): grow
     subspaces one generator at a time, deduplicating the closed point sets."""

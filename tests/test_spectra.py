@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specgraph import corpus as corpus_mod
+from specgraph import finite_field as ff
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import groups
@@ -456,6 +457,106 @@ def test_sp5_closed_form():
     as_pairs = [(round(v, 6), m) for v, m, _ in cf.entries]
     r5 = round(math.sqrt(5), 6)
     assert as_pairs == [(4, 1), (r5, 12), (1, 4), (0, 6), (-1, 4), (-r5, 12), (-4, 1)]
+
+
+# Oracles for the six closed forms that the SRG, design and partial-design
+# rules give: each spectrum written out by hand as (value, multiplicity)
+# pairs, descending.
+def _by_hand_paley(q):
+    r, half = math.sqrt(q), (q - 1) // 2
+    return [(half, 1), ((r - 1) / 2, half), ((-r - 1) / 2, half)]
+
+
+def _by_hand_bi_paley(q):
+    half, r = (q - 1) / 2, math.sqrt(q + 1) / 2
+    return [(half, 1), (r, q - 1), (-r, q - 1), (-half, 1)]
+
+
+def _by_hand_incidence(n, q):
+    """q ** (n/2 - 1) is not correctly rounded at q = 3541 (n = 3), where
+    math.sqrt is; that q is past the eigensolver cap."""
+    d, mid, mult = (q ** (n - 1) - 1) // (q - 1), q ** (n / 2 - 1), (q**n - q) // (q - 1)
+    return [(d, 1), (mid, mult), (-mid, mult), (-d, 1)]
+
+
+def _by_hand_sum_product(q):
+    r, big = math.sqrt(q), (q - 1) * (q - 2)
+    return [(q - 1, 1), (r, big), (1, q - 1), (0, 2 * (q - 2)), (-1, q - 1), (-r, big),
+            (-(q - 1), 1)]
+
+
+def _by_hand_full_sum_product(q):
+    r = math.sqrt(q)
+    return [(q, 1), (r, q * (q - 1)), (0, 2 * (q - 1)), (-r, q * (q - 1)), (-q, 1)]
+
+
+def _by_hand_tutte_coxeter():
+    return [(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]
+
+
+def _cap_parameters():
+    """Every parameter of the six families whose graph is within EIG_SIZE_CAP."""
+    pp = lambda q: ff.prime_power_decomposition(q) is not None  # noqa: E731
+    cap = sp.EIG_SIZE_CAP
+    cases = [("paley", (q,)) for q in range(5, cap + 1) if q % 4 == 1 and pp(q)]
+    cases += [("bi_paley", (q,)) for q in range(7, cap // 2 + 1) if q % 4 == 3 and pp(q)]
+    cases += [("incidence", (n, q)) for q in range(2, cap) if pp(q)
+              for n in range(3, cap.bit_length()) if 2 * (q**n - 1) // (q - 1) <= cap]
+    cases += [("sum_product", (q,)) for q in range(3, 46) if pp(q)]
+    cases += [("full_sum_product", (q,)) for q in range(2, 46) if pp(q)]
+    return cases + [("tutte_coxeter", ())]
+
+
+def test_rule_closed_forms_match_the_stated_formulas():
+    """Value for value (as floats) and multiplicity for multiplicity, on all
+    546 parameters of the six families up to the eigensolver cap."""
+    cases = _cap_parameters()
+    assert len(cases) == 546
+    assert 2 * 45 * 44 <= sp.EIG_SIZE_CAP < 2 * 46 * 45  # SP and FSP stop at q = 45
+    for family, params in cases:
+        by_hand = globals()[f"_by_hand_{family}"](*params)
+        new = sp.closed_form_spectrum(family, *params).value_mults()
+        assert [(float(v), m) for v, m in by_hand] == list(new), (family, params)
+
+
+@pytest.mark.parametrize("family,q", [("sum_product", q) for q in (3, 4, 5, 7)]
+                         + [("full_sum_product", q) for q in (2, 3, 4, 5, 7)]
+                         + [("tutte_coxeter", None)])
+def test_c1_graph_spectrum_is_the_one_the_closed_form_assumes(family, q):
+    """The graph on one side, joined where two vertices share no neighbour:
+    K_q x K_(q-1) for SP(q), q copies of K_q for FSP(q), and L(K_6) for the
+    Tutte-Coxeter graph."""
+    g = gf.FAMILY_BUILDERS[family](*([q] if q else []))
+    if family == "sum_product":
+        expected = sp.product_closed_form(sp.closed_form_spectrum("complete", q),
+                                          sp.closed_form_spectrum("complete", q - 1))
+    elif family == "full_sum_product":
+        expected = sp.ClosedForm("adjacency", ((q - 1.0, q, "q-1"), (-1.0, q * (q - 1), "-1")))
+    else:
+        expected = sp.srg_closed_form(15, 8, 4, 4)
+    assert sp.verify_closed_form(sp.spectrum(gf.c1_graph(g, 0)), expected)["ok"]
+
+
+def test_partial_design_rule_refuses_a_fractional_c1_graph_degree():
+    """(3 * 2 - 6 * 4) / (0 - 4) is not an integer."""
+    with pytest.raises(IdentityViolated):
+        sp.partial_design_closed_form(7, 3, 0, 4, [(2.0, 1), (0.0, 6)])
+
+
+@pytest.mark.parametrize("m,d,c", [(1, 0, 1), (1, 1, -1), (1, 1, 2)])
+def test_design_rule_refuses_c_outside_0_to_d(m, d, c):
+    """Both sides of c(m - 1) = d(d - 1) are 0 here."""
+    with pytest.raises(IdentityViolated):
+        gf.DesignParams(m, d, c)
+    with pytest.raises(IdentityViolated):
+        sp.design_closed_form(m, d, c)
+
+
+@pytest.mark.parametrize("d,radius", [(0, 2), (1, 3), (2, -3), (3, 0)])
+def test_radial_tree_refuses_what_the_builder_refuses(d, radius):
+    for make in (gf.tree, sp.radial_tree_eigenvalues):
+        with pytest.raises(BadParameters, match="tree needs"):
+            make(d, radius)
 
 
 def test_tree_radial_top_eigenvalue():
