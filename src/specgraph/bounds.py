@@ -2,9 +2,9 @@
 sum-product application, perturbation interlacing checks, and the supporting
 symmetric-matrix principles (Courant-Fischer, Cauchy, Weyl, Aronszajn).
 
-Every bound comparison uses a relative tolerance of 1e-7 with an absolute
-floor of 1e-9 (the matrix principles use the floor alone), so eigensolver noise
-never flips a verdict; bounds whose exact invariants hit a cap are skipped.
+Bound comparisons allow a relative 1e-7 with an absolute floor of 1e-9 (the
+matrix principles the floor alone) and equalities their spectrum's cluster_tol,
+so eigensolver noise never flips a verdict; capped invariants skip their bounds.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .graph_core import (
     remove_vertex,
     triangle_count,
 )
-from .spectra import EQ_TOL, Spectrum, arcs, graph_spectra, spectrum
+from .spectra import Spectrum, arcs, graph_spectra, spectrum
 
 REL_TOL = 1e-7
 ABS_FLOOR = 1e-9
@@ -177,19 +177,20 @@ def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
             {"alpha_min": alpha_min, "alpha_max": alpha_max}))
     if connected:  # a bipartite component can carry alpha_max alone
         rec(_iff("alpha_min_bipartite_iff", bipartite,
-                 abs(alpha_min + alpha_max) <= EQ_TOL, alpha_min, -alpha_max))
+                 abs(alpha_min + alpha_max) <= adj.cluster_tol, alpha_min, -alpha_max))
     else:
         rec(_skip("alpha_min_bipartite_iff", DISCONNECTED))
     rec(_le("average_degree_le_alpha_max", d_ave, alpha_max, {"d_ave": d_ave}))
     rec(_le("alpha_max_le_degree", alpha_max, d, {"d": d}))
     if connected:
-        rec(_iff("alpha_max_regular_iff", regular, abs(alpha_max - d) <= EQ_TOL, alpha_max, d))
+        rec(_iff("alpha_max_regular_iff", regular, abs(alpha_max - d) <= adj.cluster_tol,
+                 alpha_max, d))
     else:
         rec(_skip("alpha_max_regular_iff", DISCONNECTED))
     rec(_le("lambda_max_le_2d", lam_max, 2 * d, {"lambda_max": lam_max}))
     if connected:
         rec(_iff("lambda_max_2d_iff", regular and bipartite,
-                 abs(lam_max - 2 * d) <= EQ_TOL, lam_max, 2 * d))
+                 abs(lam_max - 2 * d) <= lap.cluster_tol, lam_max, 2 * d))
     else:
         rec(_skip("lambda_max_2d_iff", DISCONNECTED))
     if edgeless:
@@ -250,13 +251,13 @@ def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     # Chung diameter bounds
     if delta is not None and regular:
         if bipartite:
-            if alpha2 > EQ_TOL:
+            if alpha2 > adj.cluster_tol:
                 rec(_le("chung_diameter_bipartite", delta,
                         math.log(n // 2 - 1) / math.log(d / alpha2) + 2,
                         {"alpha2": alpha2}))
         else:
             alpha = max(alpha2, -alpha_min)
-            if alpha > EQ_TOL:
+            if alpha > adj.cluster_tol:
                 rec(_le("chung_diameter", delta,
                         math.log(n - 1) / math.log(d / alpha) + 1, {"alpha": alpha}))
 
@@ -312,9 +313,9 @@ def cheeger_pm1(g: Graph):
     """
     if g.n < 2:
         raise BadParameters("+-1 certificate needs at least two vertices")
-    lam2 = spectrum(g, "laplacian").lambda2
-    lam_int = round(lam2)
-    if g.n % 2 or abs(lam2 - lam_int) > EQ_TOL or lam_int % 2:
+    lap = spectrum(g, "laplacian")
+    lam_int = round(lap.lambda2)
+    if g.n % 2 or abs(lap.lambda2 - lam_int) > lap.cluster_tol or lam_int % 2:
         return None
     tails, heads = arcs(g)
     scale = np.array(g.degrees, dtype=np.int64) - lam_int
@@ -339,12 +340,13 @@ def _pm1_candidates(g: Graph, lam: int):
             # chi_k's order divides order iff order * k = 0 mod m in each coordinate
             if any((order * k) % m for k, m in zip(ks, orders)):
                 continue
+            # chi_k takes values in {+-1, +-i}, so alpha is a Gaussian integer
+            real, imag = round(alpha.real), round(alpha.imag)
             if group.bi:
-                alpha = round(alpha.real)  # a sum of +-1 values
-                if abs(d - abs(alpha) - lam) <= EQ_TOL:
+                if d - abs(real) == lam:
                     chi = np.round(groups.character(orders, ks).real).astype(np.int64)
-                    yield np.concatenate([chi, chi if alpha >= 0 else -chi])
-            elif abs(alpha.imag) <= 1e-9 and abs(d - alpha.real - lam) <= EQ_TOL:
+                    yield np.concatenate([chi, chi if real >= 0 else -chi])
+            elif imag == 0 and d - real == lam:
                 chi = groups.character(orders, ks)
                 vec = np.round(chi.real + chi.imag).astype(np.int64)
                 if set(np.unique(vec)) <= {-1, 1}:

@@ -206,17 +206,6 @@ class Graph:
     def is_bipartite(self) -> bool:
         return self.bipartition is not None
 
-    def relabel(self, perm) -> "Graph":
-        """New graph with vertex v renamed perm[v]."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges()]
-        labels = None
-        if self.labels is not None:
-            inv = [0] * self.n
-            for v in range(self.n):
-                inv[perm[v]] = v
-            labels = [self.labels[inv[v]] for v in range(self.n)]
-        return Graph(self.n, edges, labels=labels, name=self.name)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

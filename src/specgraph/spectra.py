@@ -47,7 +47,6 @@ EIG_SIZE_CAP = 4096
 SYMMETRY_BLOCK = 2**16  # entries in each row slice of the symmetry check
 VALUE_MERGE_TOL = 1e-9
 COMPARE_TOL = 1e-7
-EQ_TOL = 1e-6  # spectral values within this of each other count as equal
 MOORE_MAX_DEGREE = 100  # any bound >= 57 gives the same four (n, d) pairs
 
 
@@ -121,7 +120,7 @@ class Spectrum:
         return [v for v, _ in self.entries]
 
     def multiplicity_near(self, value: float) -> int:
-        return sum(m for v, m in self.entries if abs(v - value) <= EQ_TOL)
+        return sum(m for v, m in self.entries if abs(v - value) <= self.cluster_tol)
 
     def to_json(self) -> dict:
         return {
@@ -156,14 +155,13 @@ def _solve(m: np.ndarray, singular: bool) -> np.ndarray:
 
 
 def _clustered(values: np.ndarray, kind: str) -> Spectrum:
-    """The Spectrum of raw descending eigenvalues.
-
-    Cluster tolerance is 1e-6 * max(1, spectral radius): wide enough to merge
-    numerically split multiplicities, narrow enough to keep genuinely distinct
-    surds apart.
-    """
-    radius = max(1.0, float(np.abs(values).max()))
-    tol = 1e-6 * radius
+    """The Spectrum of raw descending eigenvalues. Its cluster_tol is the solve's
+    backward-error bound n * eps * max(1, ||A||_F), ||A||_F = sqrt(sum lambda^2)
+    >= ||A||_2 (LAPACK Users' Guide, 3rd ed., 4.7), summed with no BLAS call.
+    Values within it merge, and every spectral equality reads the same bound;
+    merged values are not proven equal."""
+    norm = math.sqrt(math.fsum(v * v for v in values.tolist()))
+    tol = len(values) * math.ulp(1.0) * max(1.0, norm)
     return Spectrum(_cluster(values, tol), kind, tol)
 
 
@@ -301,10 +299,10 @@ class ClosedForm:
 
 
 def _form(pairs, kind: str = "adjacency") -> ClosedForm:
-    """Merge (value, mult, label) triples that agree within tolerance and sort
-    descending."""
+    """Drop (value, mult, label) triples of multiplicity 0, merge those that
+    agree within VALUE_MERGE_TOL and sort descending."""
     merged: list[list] = []
-    for v, m, lbl in sorted(pairs, key=lambda t: -t[0]):
+    for v, m, lbl in sorted((t for t in pairs if t[1]), key=lambda t: -t[0]):
         if merged and abs(merged[-1][0] - v) <= VALUE_MERGE_TOL:
             merged[-1][1] += m
         else:
@@ -338,11 +336,11 @@ def design_closed_form(m: int, d: int, c: int) -> ClosedForm:
     ])
 
 
-def _drop_one(entries, value: float, tol: float, missing: str) -> list:
-    """entries (value, multiplicity, ...) less one copy of the first value within
-    tol of value, emptied entries left out; Mismatch(missing) if none is that close."""
+def _drop_one(entries, value: float, missing: str) -> list:
+    """Closed-form entries (value, multiplicity, ...) less one copy of value, within
+    VALUE_MERGE_TOL, emptied entries left out; Mismatch(missing) if none is that close."""
     for i, (v, m, *rest) in enumerate(entries):
-        if abs(v - value) <= tol:
+        if abs(v - value) <= VALUE_MERGE_TOL:
             kept = [*entries[:i], (v, m - 1, *rest), *entries[i + 1:]]
             return [e for e in kept if e[1] > 0]
     raise Mismatch(missing)
@@ -354,8 +352,7 @@ def partial_design_closed_form(m: int, d: int, c1: int, c2: int, c1_graph_values
     and every remaining alpha' contributes +-sqrt((d-c2)+(c1-c2) alpha')."""
     params = gf.PartialDesignParams(m, d, c1, c2)
     dprime = gf.c1_graph_degree(params, c1)
-    pool = _drop_one(c1_graph_values, dprime, EQ_TOL,
-                     "c1-graph spectrum lacks its trivial eigenvalue")
+    pool = _drop_one(c1_graph_values, dprime, "c1-graph spectrum lacks its trivial eigenvalue")
     entries = [(float(d), 1, "d"), (-float(d), 1, "-d")]
     for v, mult in pool:
         inner = (d - c2) + (c1 - c2) * v
@@ -377,15 +374,14 @@ def cone_closed_form_adjacency(base: ClosedForm, base_degree: int) -> ClosedForm
     root = math.sqrt(base_degree**2 + 4 * n0)
     entries = [((base_degree + root) / 2, 1, "cone+"),
                ((base_degree - root) / 2, 1, "cone-")]
-    entries += _drop_one(base.entries, base_degree, VALUE_MERGE_TOL,
-                         "base spectrum lacks its trivial eigenvalue")
+    entries += _drop_one(base.entries, base_degree, "base spectrum lacks its trivial eigenvalue")
     return _form(entries)
 
 
 def complement_laplacian_closed_form(base_lap: ClosedForm, n: int) -> ClosedForm:
     """Laplacian of the complement: {0} plus {n - lambda} over the non-trivial
     part of the base laplacian spectrum."""
-    base = _drop_one(sorted(base_lap.entries, key=lambda t: t[0]), 0.0, VALUE_MERGE_TOL,
+    base = _drop_one(sorted(base_lap.entries, key=lambda t: t[0]), 0.0,
                      "laplacian spectrum lacks the 0 eigenvalue")
     entries = [(0.0, 1, "0")] + [(float(n) - v, m, f"{n}-({lbl})") for v, m, lbl in base]
     return _form(entries, kind="laplacian")
@@ -459,10 +455,7 @@ def _cf_decked_cube(n: int, extra) -> ClosedForm:
 def _cf_complete_bipartite(m: int, n: int) -> ClosedForm:
     gf.check_size("complete_bipartite", m, n)
     r = math.sqrt(m * n)
-    entries = [(r, 1, "sqrt(mn)"), (-r, 1, "-sqrt(mn)")]
-    if m + n > 2:
-        entries.append((0.0, m + n - 2, "0"))
-    return _form(entries)
+    return _form([(r, 1, "sqrt(mn)"), (-r, 1, "-sqrt(mn)"), (0.0, m + n - 2, "0")])
 
 
 def _cf_path(n: int) -> ClosedForm:
@@ -602,14 +595,16 @@ def verify_closed_form(numeric: Spectrum, cf: ClosedForm, name: str = "") -> dic
 def spectrum_classifiers(adj: Spectrum, lap: Spectrum) -> dict:
     """Structure read off the spectrum alone: bipartiteness, regularity,
     component count, and the strongly-regular / design converses."""
-    tol = EQ_TOL
+    tol = adj.cluster_tol
     n = adj.n
     values = adj.expanded()
     out: dict = {}
     sym = all(abs(values[i] + values[n - 1 - i]) <= tol for i in range(n))
     out["bipartite"] = sym
     alpha_max = adj.max
-    out["regular"] = abs(float((values**2).sum()) - n * alpha_max) <= tol * n * max(1, alpha_max)
+    # sum lambda^2 = 2|E| <= n alpha_max, with equality iff regular; with each value
+    # within tol, the two sides move by at most 2 n alpha_max tol and n tol
+    out["regular"] = abs(float((values**2).sum()) - n * alpha_max) <= n * tol * (2 * alpha_max + 1)
     out["connected_components"] = lap.multiplicity_near(0.0)
     out.update(srg=None, design=None, extremal_design_degree=None)
     distinct = adj.distinct_values()

@@ -1,5 +1,6 @@
 """Static edge lists pinned independently of the constructors, used as
-cross-checks: the constructors must produce graphs isomorphic to these.
+cross-checks: the constructors must produce graphs isomorphic to these; and
+the relabelling that the isomorphism tests apply.
 
 The Shrikhande fixture follows the two-octagon drawing; Heawood and
 Tutte-Coxeter are given in LCF notation; the three cubic graphs on 8 vertices
@@ -8,7 +9,12 @@ are the classical link-distinguishable triple.
 
 from __future__ import annotations
 
-from .graph_core import Graph
+from specgraph.graph_core import Graph
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()], name=g.name)
 
 
 def lcf(shifts: list[int], repeats: int, name: str = "") -> Graph:

@@ -132,6 +132,29 @@ def test_audit_skips_hypotheses_of_disconnected_and_edgeless_graphs(edges, n, sk
     assert ("hoffman_chromatic" in skipped) == (not edges)
 
 
+@pytest.mark.parametrize("family, params", [("andrasfai", (100,)), ("andrasfai", (114,)),
+                                             ("wheel", (1183,))])
+def test_audit_keeps_distinct_eigenvalues_apart(family, params):
+    """A cluster tolerance of 1e-6 times the spectral radius merged distinct
+    eigenvalues of these graphs, moved the cluster means and failed theorems
+    that hold."""
+    assert audit(gf.build(family, *params)).failed == []
+
+
+def test_audit_tells_an_odd_cycle_from_a_bipartite_graph():
+    """On C_3143, alpha_min + alpha_max is 1.0e-6: within an absolute 1e-6,
+    alpha_min_bipartite_iff read the odd cycle as bipartite and failed. The
+    invariants are given by hand, since invariant_report searches diameter
+    and girth from every vertex of a graph without a group."""
+    g = gf.cycle(3143)
+    inv = gc.InvariantReport(g, diameter=1571, girth=3143, chromatic=3, independence=1571,
+                             clique=2, isoperimetric=None, iso_witness=None)
+    rep = bd.audit_bounds(inv, *sp.graph_spectra(g))
+    assert rep.failed == []
+    assert record(rep, "alpha_min_bipartite_iff").inputs == {
+        "condition": False, "numeric_equality": False}
+
+
 def test_audit_json_shape():
     rep = audit(gf.cycle(5))
     data = rep.to_json()
@@ -192,9 +215,9 @@ def test_cheeger_certificates_match_the_dense_check():
     for family, params in PM1_GRAPHS:
         g = gf.build(family, *params)
         cert = bd.cheeger_pm1(g)
-        lam2 = sp.spectrum(g, "laplacian").lambda2
-        lam = round(lam2)
-        if g.n % 2 or abs(lam2 - lam) > bd.EQ_TOL or lam % 2:
+        lap = sp.spectrum(g, "laplacian")
+        lam = round(lap.lambda2)
+        if g.n % 2 or abs(lap.lambda2 - lam) > lap.cluster_tol or lam % 2:
             assert cert is None
             continue
         lap = sp.laplacian_matrix(g).astype(np.int64)

@@ -17,11 +17,12 @@ from specgraph import characters as ch
 from specgraph import cli
 from specgraph import corpus as corpus_mod
 from specgraph import finite_field as ff
-from specgraph import fixtures as fx
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import groups
 from specgraph import spectra as sp
+
+import graph_fixtures as fx
 
 _RECORD_SCHEMA = {
     "type": "object",

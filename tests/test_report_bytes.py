@@ -7,12 +7,13 @@
 - Each command in DIGEST_COMMANDS runs in-process through `cli.main`, and the
   sha256 of its stdout and of its stderr, and its exit code, must equal those
   in `report_digests.json`. The digests belong to the numpy and BLAS build
-  recorded there; under another build the test skips. A change that moves
-  report bytes on purpose re-records them with
-  `PYTHONPATH=src python tests/test_report_bytes.py`.
+  and the OpenBLAS kernel recorded there; under another build or kernel the
+  test skips. A change that moves report bytes on purpose re-records them
+  with `PYTHONPATH=src python tests/test_report_bytes.py`.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -92,10 +93,25 @@ DIGEST_COMMANDS = {
 }
 
 
+def blas_core() -> str | None:
+    """The kernel that OpenBLAS's DYNAMIC_ARCH picked for this CPU (or that
+    OPENBLAS_CORETYPE forced), from the scipy-openblas library that numpy
+    ships in numpy.libs; None for another BLAS."""
+    libs = pathlib.Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    lib = next(libs.glob("libscipy_openblas*"), None)
+    corename = lib and getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if not corename:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def build() -> dict:
-    """The numpy version and the BLAS that numpy was built against."""
+    """The numpy version, the BLAS that numpy was built against and the
+    kernel it runs: the last bits of a dense solve follow the kernel."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "blas_core": blas_core()}
 
 
 def digest(argv) -> dict:

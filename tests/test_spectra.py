@@ -5,6 +5,7 @@ import functools
 import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -357,6 +358,31 @@ def test_petersen_spectrum():
     assert abs(s.entries[2][0] + 2) < 1e-9
 
 
+def test_cluster_tol_is_the_solve_error_bound():
+    """n eps max(1, ||A||_F), and ||A||_F^2 = 2|E| for an adjacency matrix; a
+    Python float, so that the records it decides hold Python bools."""
+    for g in (gf.petersen(), gf.frucht(), gf.paley(13), gf.path(9)):
+        s = sp.spectrum(g)
+        assert type(s.cluster_tol) is float
+        bound = g.n * sys.float_info.epsilon * math.sqrt(2 * g.edge_count)
+        assert math.isclose(s.cluster_tol, bound, rel_tol=1e-12)
+
+
+def test_andrasfai_114_keeps_its_close_pairs_apart():
+    """Two eigenvalue pairs 1.1e-4 apart, under a tolerance of 1e-6 times the
+    spectral radius (1.14e-4), merged into one cluster of multiplicity 4."""
+    s = sp.spectrum(gf.andrasfai(114))
+    assert len(s.entries) == 171
+    assert max(m for _, m in s.entries) == 2
+
+
+def test_wheel_2000_matches_its_closed_form():
+    """The hub's degree widened a radius-scaled tolerance over the rim's
+    distinct cosines, which then merged."""
+    g = gf.wheel(2000)
+    assert sp.verify_closed_form(sp.spectrum(g), sp.closed_form_spectrum("wheel", 2000))["ok"]
+
+
 def test_frucht_against_determinant_bisection_oracle():
     """The twelve Frucht eigenvalues are simple; recover each from sign
     changes of det(A - xI) computed by LU factorization (an algorithm
@@ -550,6 +576,13 @@ def test_design_rule_refuses_c_outside_0_to_d(m, d, c):
         gf.DesignParams(m, d, c)
     with pytest.raises(IdentityViolated):
         sp.design_closed_form(m, d, c)
+
+
+def test_closed_forms_drop_entries_of_multiplicity_zero():
+    """K_(1,1) as a design has m - 1 = 0 copies of +-sqrt(d - c)."""
+    g = gf.complete_bipartite(1, 1)
+    assert sp.verify_closed_form(sp.spectrum(g), sp.design_closed_form(1, 1, 1))["ok"]
+    assert all(m for _, m, _ in sp.design_closed_form(1, 1, 1).entries)
 
 
 @pytest.mark.parametrize("d,radius", [(0, 2), (1, 3), (2, -3), (3, 0)])
