@@ -56,7 +56,6 @@ class BoundRecord:
 @dataclass
 class AuditReport:
     graph: str
-    seed: int
     records: list[BoundRecord] = field(default_factory=list)
 
     @property
@@ -74,7 +73,6 @@ class AuditReport:
     def to_json(self) -> dict:
         return {
             "graph": self.graph,
-            "seed": self.seed,
             "passed": sum(1 for r in self.records if r.status == "pass"),
             "failed": len(self.failed),
             "skipped": len(self.skipped),
@@ -111,8 +109,7 @@ TWO_VERTICES = "needs at least two vertices"
 DEGREE_TWO = "needs maximum degree at least 2"
 
 
-def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
-                 seed: int = 0) -> AuditReport:
+def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum) -> AuditReport:
     """One record per applicable bound over inv.graph; tree-only / regular-only
     bounds are gated by structure, capped invariants produce skips."""
     g = inv.graph
@@ -134,7 +131,7 @@ def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum,
     edgeless = g.edge_count == 0
     is_tree = connected and gamma == math.inf
     is_complete = g.edge_count == n * (n - 1) // 2
-    rep = AuditReport(graph=g.name or "graph", seed=seed)
+    rep = AuditReport(graph=g.name or "graph")
     rec = rep.records.append
 
     # chromatic / independence

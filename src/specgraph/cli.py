@@ -250,10 +250,10 @@ def cmd_chars(args) -> int:
     return 0 if passed else 1
 
 
-def _audit_graph(g: gc.Graph, caps: dict, seed: int, spectra) -> bd.AuditReport:
+def _audit_graph(g: gc.Graph, caps: dict, spectra) -> bd.AuditReport:
     """Audit g against its (adjacency, laplacian) spectra."""
     inv = gc.invariant_report(g, chi_cap=caps["chi"], beta_cap=caps["beta"])
-    return bd.audit_bounds(inv, *spectra, seed=seed)
+    return bd.audit_bounds(inv, *spectra)
 
 
 def cmd_audit(args) -> int:
@@ -261,7 +261,7 @@ def cmd_audit(args) -> int:
     caps = _parse_caps(args.caps)
     config = {"command": "audit", "source": args.source, "params": list(args.params),
               "seed": args.seed, "caps": caps}
-    report = _audit_graph(g, caps, args.seed, sp.graph_spectra(g))
+    report = _audit_graph(g, caps, sp.graph_spectra(g))
     _emit({"audit": report.to_json()}, config, args.path)
     return 0 if report.ok else 1
 
@@ -302,7 +302,7 @@ def cmd_verify(args) -> int:
             total_fail += 1
         elif isinstance(result, dict):
             entry["closed_form"] = result
-        report = _audit_graph(g, caps, args.seed, spectra)
+        report = _audit_graph(g, caps, spectra)
         entry["audit"] = {"passed": len(report.records) - len(report.failed) - len(report.skipped),
                           "failed": [r.name for r in report.failed],
                           "skipped": [r.name for r in report.skipped]}

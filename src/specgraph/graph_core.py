@@ -290,65 +290,56 @@ def _orbit_roots(g: Graph):
     return range(g.n) if g.group is None else (0,)
 
 
-def diameter(g: Graph) -> int:
-    """The largest eccentricity, from one BFS per orbit root over the
-    bitmasks: each layer is the union of its predecessor's neighbour masks
-    less the vertices already reached."""
-    if not g.is_connected:
-        raise Disconnected("diameter undefined for disconnected graphs")
-    masks, full = g.masks, (1 << g.n) - 1
-    best = 0
-    for v in _orbit_roots(g):
-        seen = frontier = 1 << v
-        depth = 0
-        while seen != full:
-            reach = 0
-            while frontier:
-                bit = frontier & -frontier
-                reach |= masks[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = reach & ~seen
-            seen |= frontier
-            depth += 1
-        best = max(best, depth)
-    return best
+def basic_metrics(g: Graph) -> tuple[int | None, float]:
+    """(diameter, girth): the diameter None on a disconnected graph, the girth
+    math.inf on a forest.
 
-
-def girth(g: Graph):
-    """Length of a shortest cycle; math.inf for forests.
-
-    One bitmask BFS per orbit root, as in diameter. At layer d, an edge
-    inside the layer closes a cycle of length at most 2d + 1, and a vertex
-    of the next layer with two neighbours in this one closes a cycle of
-    length at most 2d + 2. From a root on a shortest cycle the first of
+    One bitmask BFS per orbit root: each layer is the union of its
+    predecessor's neighbour masks that no earlier layer reached. At layer d,
+    an edge inside the layer closes a cycle of length at most 2d + 1, and a
+    vertex of the next layer with two neighbours in this one closes a cycle
+    of length at most 2d + 2. From a root on a shortest cycle the first of
     these is that cycle's length, so the least over the roots is the girth.
+    A walk stops when its frontier is empty, or once every vertex is reached
+    and 2d + 1 is at least the best girth, as no later layer can lower it;
+    the root's eccentricity is then d, or d - 1 if the frontier is empty.
     """
     masks = g.masks
-    best = INF
+    ecc, best = 0, INF
     for root in _orbit_roots(g):
-        seen = frontier = 1 << root
+        frontier = 1 << root
+        unseen = ((1 << g.n) - 1) ^ frontier
         d = 0
-        while frontier and 2 * d + 1 < best:
+        while frontier and (unseen or 2 * d + 1 < best):
             reach = twice = 0
             rest = frontier
             while rest:
                 bit = rest & -rest
                 m = masks[bit.bit_length() - 1]
-                if m & frontier:  # an edge inside layer d
-                    best = 2 * d + 1
-                    break
                 twice |= reach & m
                 reach |= m
                 rest ^= bit
-            else:
-                frontier = reach & ~seen
-                if twice & frontier:
-                    best = 2 * d + 2
-                seen |= frontier
-                d += 1
-        if best == 3:
-            break
-    return best
+            if reach & frontier:  # an edge inside layer d
+                best = min(best, 2 * d + 1)
+            frontier = reach & unseen
+            if twice & frontier:
+                best = min(best, 2 * d + 2)
+            unseen ^= frontier
+            d += 1
+        ecc = max(ecc, d if frontier else d - 1)
+    return (ecc if g.is_connected else None), best
+
+
+def diameter(g: Graph) -> int:
+    """The largest eccentricity, from basic_metrics."""
+    if not g.is_connected:
+        raise Disconnected("diameter undefined for disconnected graphs")
+    return basic_metrics(g)[0]
+
+
+def girth(g: Graph):
+    """Length of a shortest cycle, from basic_metrics; math.inf for forests."""
+    return basic_metrics(g)[1]
 
 
 # -- triangle counting ----------------------------------------------------------
@@ -964,8 +955,7 @@ def invariant_report(g: Graph, chi_cap: int = CHI_CAP, beta_cap: int = BETA_CAP)
             skipped.append(label)
             return None
 
-    diam = diameter(g) if g.is_connected else None
-    gir = girth(g)
+    diam, gir = basic_metrics(g)
     # omega and alpha, each searched once, give chi's lower bound; skips keep
     # report order
     omega = guarded("clique", lambda: clique_number(g, cap=chi_cap))

@@ -12,7 +12,7 @@ spectrum-based classifiers.
   (LAPACK's SVD);
 - a d-regular graph's laplacian spectrum is d - alpha over its adjacency
   spectrum, so `graph_spectra` solves such a graph once;
-- every other spectrum comes from the full matrix through `eig_symmetric`
+- every other spectrum comes from the full matrix through `_symmetric_values`
   (LAPACK's symmetric solver: tridiagonalization plus implicit-shift
   iteration).
 Each route clusters the raw descending values the same way. Closed forms are

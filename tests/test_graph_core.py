@@ -749,6 +749,7 @@ def _assert_engines_match_oracles(g: Graph):
     assert gc.girth(g) == _girth(g)
     if g.is_connected:
         assert gc.diameter(g) == _diameter(g)
+    assert gc.basic_metrics(g) == (_diameter(g) if g.is_connected else None, _girth(g))
     alpha = gc.independence_number(g)
     assert alpha == gc.clique_number(gc.complement(g))
     greedy = _dsatur_colouring(g, g.n)
@@ -801,6 +802,7 @@ def test_orbit_roots_match_all_roots_on_group_graphs(g):
     assert gc.girth(g) == _girth(g)
     if g.is_connected:
         assert gc.diameter(g) == _diameter(g)
+    assert gc.basic_metrics(g) == (_diameter(g) if g.is_connected else None, _girth(g))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -963,6 +965,17 @@ def test_chromatic_times_independence_on_corpus():
 def test_chromatic_bounded_by_degree_plus_one():
     for g in small_corpus():
         assert gc.chromatic_number(g) <= g.max_degree + 1
+
+
+def test_invariant_report_walks_once(monkeypatch):
+    """Diameter and girth come from one basic_metrics walk."""
+    calls = []
+    for name in ("basic_metrics", "diameter", "girth"):
+        fn = getattr(gc, name)
+        monkeypatch.setattr(gc, name, lambda g, fn=fn, name=name: calls.append(name) or fn(g))
+    rep = gc.invariant_report(gf.petersen(), beta_cap=0)
+    assert calls == ["basic_metrics"]
+    assert (rep.diameter, rep.girth) == (2, 5)
 
 
 def test_invariant_report_json():
