@@ -712,86 +712,72 @@ def remove_edges(g: Graph, drop) -> Graph:
 
 # -- isomorphism -------------------------------------------------------------------
 
-def _refined_colors_joint(g: Graph, h: Graph, fixed_g=(),
-                          fixed_h=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """1-WL colour refinement over both graphs with a shared palette, seeded
-    with (tag, degree, triangle, K4) counts; colour ids are assigned by sorted
-    signature so they correspond across the two graphs. The tag individualises
-    the fixed vertices: it is i+1 for the i-th fixed vertex and 0 otherwise."""
-    def seed(x: Graph, fixed):
-        tag = [0] * x.n
-        for i, v in enumerate(fixed):
-            tag[v] = i + 1
-        return [(tag[v], *x._local_counts[v]) for v in range(x.n)]
-
-    sig_g, sig_h = seed(g, fixed_g), seed(h, fixed_h)
-    cur_g = cur_h = None
-    for _ in range(g.n + 1):
+def _refine(g: Graph, h: Graph, cg, ch) -> tuple[list[int], list[int]]:
+    """1-WL colour refinement of both graphs from the colourings cg and ch
+    under a shared palette, until a round adds no colour. Colour ids are
+    assigned by sorted signature, so they correspond across the two graphs.
+    A vertex's signature is its colour and the multiset of its neighbours'
+    colours, the latter as the sum of 2^(shift * colour): no count reaches
+    2^shift, so the sum is exact."""
+    shift = max(g.n, h.n).bit_length()
+    sig_g, sig_h, colours = cg, ch, 0
+    while True:
         palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        nxt_g = [palette[s] for s in sig_g]
-        nxt_h = [palette[s] for s in sig_h]
-        if nxt_g == cur_g and nxt_h == cur_h:
-            break
-        cur_g, cur_h = nxt_g, nxt_h
-        sig_g = [(cur_g[v], tuple(sorted(cur_g[w] for w in g.adj[v]))) for v in range(g.n)]
-        sig_h = [(cur_h[v], tuple(sorted(cur_h[w] for w in h.adj[v]))) for v in range(h.n)]
-    return tuple(cur_g), tuple(cur_h)
+        cg, ch = [palette[s] for s in sig_g], [palette[s] for s in sig_h]
+        if len(palette) == colours:
+            return cg, ch
+        colours = len(palette)
+        wg, wh = [1 << shift * c for c in cg], [1 << shift * c for c in ch]
+        sig_g = [(c, sum(map(wg.__getitem__, row))) for c, row in zip(cg, g.adj)]
+        sig_h = [(c, sum(map(wh.__getitem__, row))) for c, row in zip(ch, h.adj)]
 
 
-def _iso_search(g: Graph, h: Graph, deadline: _Deadline, fixed_g=(), fixed_h=()):
-    """Backtracking search for one isomorphism g -> h that sends fixed_g[i] to
-    fixed_h[i]; returns it as a list, or None when there is none."""
-    cg, ch = _refined_colors_joint(g, h, fixed_g, fixed_h)
+def _target_cell(colors) -> list[int] | None:
+    """The smallest non-singleton colour cell, the earliest of equal size;
+    None when the colouring is discrete."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return min((c for c in cells.values() if len(c) > 1), key=len, default=None)
+
+
+def _individualised(colors, v: int) -> list[int]:
+    """colors with v alone in colour n, a fresh one: refined ids are below n."""
+    out = list(colors)
+    out[v] = len(colors)
+    return out
+
+
+def _iso_search(g: Graph, h: Graph, deadline: _Deadline, cg, ch):
+    """One isomorphism g -> h that carries the colouring cg onto ch, as a
+    list, or None when there is none. Once refined, a discrete colouring is
+    itself the mapping: equal stable colours have equal neighbour colours.
+    Otherwise the first vertex of the target cell is individualised against
+    each vertex of h's cell of its colour in turn."""
+    deadline.check()
+    cg, ch = _refine(g, h, cg, ch)
     if sorted(cg) != sorted(ch):
         return None
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(ch[v], []).append(v)
-
-    # A static order: most neighbours already placed first.  back[pos] holds
-    # the neighbours of order[pos] placed before it.
-    order: list[int] = []
-    back: list[list[int]] = []
-    placed = 0
-    while len(order) < g.n:
-        v = max(
-            (u for u in range(g.n) if not placed >> u & 1),
-            key=lambda u: ((g.masks[u] & placed).bit_count(), g.degree(u), -u),
-        )
-        order.append(v)
-        back.append([u for u in g.adj[v] if placed >> u & 1])
-        placed |= 1 << v
-
-    mapping = [-1] * g.n
-
-    def rec(pos: int, used: int) -> bool:
-        """Extend mapping on order[:pos] (image: the bits of used).  w may take
-        v when w's used neighbours are exactly the images of v's placed ones."""
-        deadline.check()
-        if pos == g.n:
-            return True
-        v = order[pos]
-        image = sum(1 << mapping[u] for u in back[pos])
-        for w in by_color.get(cg[v], ()):
-            if used >> w & 1 or h.masks[w] & used != image:
-                continue
-            mapping[v] = w
-            if rec(pos + 1, used | 1 << w):
-                return True
-        return False
-
-    return mapping if rec(0, 0) else None
+    cell = _target_cell(cg)
+    if cell is None:
+        where = {c: w for w, c in enumerate(ch)}
+        return [where[c] for c in cg]
+    v = cell[0]
+    for w in range(h.n):
+        if ch[w] == cg[v]:
+            mapping = _iso_search(g, h, deadline, _individualised(cg, v), _individualised(ch, w))
+            if mapping is not None:
+                return mapping
+    return None
 
 
 def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
-    """(decision, mapping). The mapping sends g-vertices to h-vertices."""
+    """(decision, mapping). The mapping sends g-vertices to h-vertices. The
+    search starts from (degree, triangle, K4) counts, so different sizes or
+    degree sequences fail at its first comparison."""
     if g.n > cap or h.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False, None
-    if sorted(g.degrees) != sorted(h.degrees):
-        return False, None
-    mapping = _iso_search(g, h, _Deadline())
+    mapping = _iso_search(g, h, _Deadline(), g._local_counts, h._local_counts)
     return mapping is not None, mapping
 
 
@@ -799,16 +785,25 @@ def automorphism_count(g: Graph) -> int:
     """|Aut(g)| by orbit-stabiliser down a base b_1, b_2, ...: the product of
     the orbit lengths of b_i under the stabiliser of b_1..b_{i-1}.
 
-    With the base individualised, b_i is the least vertex of the smallest
-    non-singleton refined cell; the base is complete once the colouring is
-    discrete. A cell member w is in b_i's orbit iff a search finds an
-    automorphism extending base + [b_i] -> base + [w]. Each one found joins the
-    orbits of the points it moves (union-find), so a member joined to b_i needs
-    no search, and one joined to a member that failed is skipped.
+    On the way down, b_i is the first vertex of the target cell of the
+    colouring refined with b_1..b_{i-1} individualised; the base is complete
+    once that colouring is discrete. The levels are then taken deepest first.
+    A cell member w is in b_i's orbit iff a search finds an automorphism
+    extending the level's colouring with b_i -> w. Each automorphism found,
+    at this level or deeper (it fixes b_1..b_{i-1} either way), joins the
+    orbits of the points it moves (union-find), so a member joined to b_i
+    needs no search, and one joined to a member that failed is skipped.
     """
     if g.n > ISO_CAP:
         raise CapExceeded(f"isomorphism cap {ISO_CAP} exceeded")
     deadline = _Deadline()
+    levels = []
+    colors, _ = _refine(g, g, g._local_counts, g._local_counts)
+    while (cell := _target_cell(colors)) is not None:
+        levels.append((colors, cell))
+        colors = _individualised(colors, cell[0])
+        colors, _ = _refine(g, g, colors, colors)
+
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -817,31 +812,31 @@ def automorphism_count(g: Graph) -> int:
             x = parent[x]
         return x
 
-    base: list[int] = []
+    def join(perm) -> None:
+        for x, y in enumerate(perm):
+            parent[find(x)] = find(y)
+
+    found: list[list[int]] = []
     order = 1
-    while True:
-        colors, _ = _refined_colors_joint(g, g, base, base)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        cell = min((c for c in cells.values() if len(c) > 1), key=len, default=None)
-        if cell is None:
-            return order
+    for colors, cell in reversed(levels):
         parent[:] = range(g.n)
+        for perm in found:
+            join(perm)
         v = cell[0]
         failed: list[int] = []
         for w in cell[1:]:
             root = find(w)
             if root == find(v) or any(find(u) == root for u in failed):
                 continue
-            perm = _iso_search(g, g, deadline, base + [v], base + [w])
+            perm = _iso_search(g, g, deadline, _individualised(colors, v),
+                               _individualised(colors, w))
             if perm is None:
                 failed.append(w)
                 continue
-            for x, y in enumerate(perm):
-                parent[find(x)] = find(y)
+            join(perm)
+            found.append(perm)
         order *= sum(1 for w in cell if find(w) == find(v))
-        base.append(v)
+    return order
 
 
 # -- friendship and universality ------------------------------------------------

@@ -4,10 +4,13 @@ the relabelling that the isomorphism tests apply.
 
 The Shrikhande fixture follows the two-octagon drawing; Heawood and
 Tutte-Coxeter are given in LCF notation; the three cubic graphs on 8 vertices
-are the classical link-distinguishable triple.
+are the classical link-distinguishable triple; T(8) and its three Chang
+switchings share the strongly regular parameters (28, 12, 6, 4).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from specgraph.graph_core import Graph
 
@@ -65,3 +68,28 @@ def cubic_octet_triple() -> tuple[Graph, Graph, Graph]:
     return (Graph(8, ring + [(0, 3), (1, 4), (2, 6), (5, 7)], name="cubic8_a"),
             Graph(8, ring + [(0, 2), (4, 6), (5, 7), (1, 3)], name="cubic8_b"),
             Graph(8, ring + [(2, 6), (5, 7), (1, 3), (0, 4)], name="cubic8_c"))
+
+
+def triangular_8() -> Graph:
+    """T(8) = L(K_8): the 2-subsets of 0..7, adjacent when they meet."""
+    pairs = list(itertools.combinations(range(8), 2))
+    return Graph(28, [(i, j) for (i, a), (j, b) in itertools.combinations(enumerate(pairs), 2)
+                      if set(a) & set(b)], name="T_8")
+
+
+def chang_graphs() -> tuple[Graph, Graph, Graph]:
+    """T(8) Seidel-switched on the edges of K_8 that form a perfect matching,
+    C_3 + C_5 and C_8: adjacency flips between the switched vertices and the
+    rest."""
+    pairs = list(itertools.combinations(range(8), 2))
+    t8 = triangular_8()
+
+    def switched(cycles, name):
+        edges = {tuple(sorted((c[i], c[(i + 1) % len(c)]))) for c in cycles for i in range(len(c))}
+        side = [p in edges for p in pairs]
+        return Graph(28, [(u, v) for u, v in itertools.combinations(range(28), 2)
+                          if t8.has_edge(u, v) != (side[u] != side[v])], name=name)
+
+    return (switched([(0, 1), (2, 3), (4, 5), (6, 7)], "chang_matching"),
+            switched([(0, 1, 2), (3, 4, 5, 6, 7)], "chang_c3_c5"),
+            switched([tuple(range(8))], "chang_c8"))

@@ -342,17 +342,45 @@ def test_twins_not_isomorphic():
     assert not gc.is_isomorphic(gf.shrikhande(), gf.rook_twin())[0]
 
 
+def _shuffled(g: Graph, rnd: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return fx.relabel(g, perm)
+
+
+def _assert_isomorphism(g: Graph, h: Graph, mapping) -> None:
+    """mapping is a bijection of the vertices that carries g's edges onto h's."""
+    assert sorted(mapping) == list(range(h.n))
+    assert fx.relabel(g, mapping) == h
+
+
 def test_random_relabeling_is_isomorphic():
     rnd = random.Random(3)
     for g in [gf.frucht(), gf.petersen(), gf.shrikhande()]:
-        perm = list(range(g.n))
-        rnd.shuffle(perm)
-        h = fx.relabel(g, perm)
+        h = _shuffled(g, rnd)
         ok, mapping = gc.is_isomorphic(g, h)
         assert ok
-        # the returned mapping really is an isomorphism
-        for u, v in g.edges():
-            assert h.has_edge(mapping[u], mapping[v])
+        _assert_isomorphism(g, h, mapping)
+
+
+def test_triangular_8_and_chang_graphs():
+    """Four strongly regular graphs with parameters (28, 12, 6, 4): pairwise
+    non-isomorphic, each isomorphic to a relabelling of itself, with the
+    automorphism group orders 8!, 384, 360 and 96."""
+    graphs = [fx.triangular_8(), *fx.chang_graphs()]
+    for g in graphs:
+        assert g.is_regular and g.max_degree == 12
+        assert {(g.has_edge(u, v), gc.common_neighbours(g, u, v))
+                for u, v in itertools.combinations(range(g.n), 2)} == {(True, 6), (False, 4)}
+    assert [gc.automorphism_count(g) for g in graphs] == [40320, 384, 360, 96]
+    for a, b in itertools.combinations(graphs, 2):
+        assert not gc.is_isomorphic(a, b)[0], (a, b)
+    rnd = random.Random(8)
+    for g in graphs:
+        h = _shuffled(g, rnd)
+        ok, mapping = gc.is_isomorphic(g, h)
+        assert ok, g
+        _assert_isomorphism(g, h, mapping)
 
 
 def test_isomorphic_rejects_degree_mismatch():
@@ -371,8 +399,8 @@ def test_automorphism_counts():
         assert gc.automorphism_count(g) == order, g
 
 
-# The enumerating search that orbit-stabiliser counting replaced, kept as the
-# oracle for automorphism counts and for is_isomorphic's first mapping.
+# An enumerating backtracking search, kept as the oracle for automorphism
+# counts and for is_isomorphic's decisions.
 
 def _refined_colors_joint(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """1-WL colour refinement over both graphs with a shared palette, seeded
@@ -829,8 +857,60 @@ def test_is_isomorphic_matches_enumeration():
             pairs.append((g, fx.relabel(g, perm)))
     assert len(pairs) == 52
     for g, h in pairs:
-        count, first = _iso_search(g, h)
-        assert gc.is_isomorphic(g, h) == (count > 0, first), g
+        ok, mapping = gc.is_isomorphic(g, h)
+        assert ok == (_iso_search(g, h)[0] > 0), g
+        if ok:
+            _assert_isomorphism(g, h, mapping)
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph and a relabelling of it after one degree-preserving 2-switch
+    (u-v, x-y -> u-x, v-y), so that the two share a degree sequence; or, at
+    the last index and when no switch exists, of the graph itself."""
+    g = draw(any_graphs(8))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = set(g.edges())
+    switches = [(a, b) for a, b in itertools.permutations(sorted(edges), 2)
+                if len({*a, *b}) == 4 and not g.has_edge(a[0], b[0]) and not g.has_edge(a[1], b[1])]
+    k = draw(st.integers(0, len(switches)))
+    if k < len(switches):
+        (u, v), (x, y) = switches[k]
+        edges = edges - {(u, v), (x, y)} | {(u, x), (v, y)}
+    return g, _shuffled(gc.Graph(g.n, edges), rng)
+
+
+def _networkx_isomorphic(g: Graph, h: Graph) -> bool:
+    nx = pytest.importorskip("networkx")
+    a, b = nx.empty_graph(g.n), nx.empty_graph(h.n)
+    a.add_edges_from(g.edges())
+    b.add_edges_from(h.edges())
+    return nx.is_isomorphic(a, b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph_pairs())
+@example((_cycles(8), _cycles(4, 4)))
+@example((_cycles(5, 5), _cycles(10)))
+def test_is_isomorphic_matches_networkx(pair):
+    g, h = pair
+    ok, mapping = gc.is_isomorphic(g, h)
+    assert ok == _networkx_isomorphic(g, h) == (_iso_search(g, h)[0] > 0)
+    if ok:
+        _assert_isomorphism(g, h, mapping)
+
+
+def test_isomorphism_search_decides_andrasfai_within_short_budget(monkeypatch):
+    """Andrasfai graphs leave one refined cell each (they are Cayley graphs);
+    refining after each individualisation decides them in milliseconds."""
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0.2)
+    rnd = random.Random(4)
+    for k in (10, 11):
+        g = gf.andrasfai(k)
+        h = _shuffled(g, rnd)
+        ok, mapping = gc.is_isomorphic(g, h)
+        assert ok, g
+        _assert_isomorphism(g, h, mapping)
 
 
 def test_isomorphism_search_honours_budget(monkeypatch):

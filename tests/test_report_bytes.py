@@ -60,8 +60,13 @@ def test_report_bytes_ignore_blas_threads(argv):
 
 # -- digests of every command kind --------------------------------------------
 
-# written into the working directory, so that the echoed source is the bare name
-EDGE_LISTS = {"k1.txt": "1 0\n", "edgeless.txt": "4 0\n"}
+# written into the working directory, so that the echoed source is the bare name;
+# petersen_relabelled.txt is Petersen with vertex v renamed [5, 2, 7, 1, 8, 4, 3,
+# 6, 0, 9][v], so that the pinned iso mapping is not the identity and a change
+# to the search that picks another isomorphism shows here
+EDGE_LISTS = {"k1.txt": "1 0\n", "edgeless.txt": "4 0\n",
+              "petersen_relabelled.txt": "10 15\n0 4\n0 5\n0 7\n1 4\n1 6\n1 8\n2 3\n2 4\n"
+                                         "2 9\n3 6\n3 7\n5 6\n5 9\n7 8\n8 9\n"}
 
 DIGEST_COMMANDS = {
     "verify": ["verify"],
@@ -92,6 +97,7 @@ DIGEST_COMMANDS = {
     "audit_cycle_64": ["audit", "cycle:64"],
     "iso_heawood_bi_paley_7": ["iso", "heawood", "bi_paley:7"],
     "iso_shrikhande_rook_twin": ["iso", "shrikhande", "rook_twin"],
+    "iso_petersen_relabelled": ["iso", "petersen", "petersen_relabelled.txt"],
     "gen_paley_13": ["gen", "paley:13"],
     "gen_shrikhande_dot": ["gen", "shrikhande", "--out", "dot"],
     "gen_cayley_json": ["gen", "cayley", "4,4", "1,0;3,0;0,1;0,3;1,1;3,3", "--out", "json"],
