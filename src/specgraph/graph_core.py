@@ -356,12 +356,19 @@ def triangle_count(g: Graph) -> int:
 
 def k4_at(g: Graph, v: int) -> int:
     """Number of K4 subgraphs through v (= triangles inside the link of v)."""
-    link = sorted(g.adj[v])
+    masks = g.masks
+    rest = mask_v = masks[v]
     total = 0
-    for i, u in enumerate(link):
-        for w in link[i + 1:]:
-            if g.has_edge(u, w):
-                total += (g.masks[u] & g.masks[w] & g.masks[v]).bit_count()
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        mask_uv = masks[bit.bit_length() - 1] & mask_v
+        # each triangle u < w < x of the link is counted at (u, w), (u, x), (w, x)
+        ws = mask_uv & -(bit << 1)
+        while ws:
+            low = ws & -ws
+            ws ^= low
+            total += (masks[low.bit_length() - 1] & mask_uv).bit_count()
     return total // 3
 
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -252,6 +256,43 @@ def test_verify_builds_and_solves_each_graph_once(capsys, monkeypatch):
     assert code == 0
     assert len(builds) == len(set(builds)) == 66
     assert len(solves) <= 82
+
+
+_FREEZE_PROBE = textwrap.dedent("""
+    import gc, json, sys, weakref
+    import numpy
+    import specgraph.cli as cli
+    facts = {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}
+    class Node:
+        pass
+    a, b = Node(), Node()
+    a.other, b.other = b, a
+    ref = weakref.ref(a)
+    del a, b
+    gc.collect()
+    facts["cycle_reclaimed"] = ref() is None
+    facts["rc"] = cli.main(["verify", "--path", sys.argv[1]])
+    gc.collect()
+    facts["garbage"] = len(gc.garbage)
+    print(json.dumps(facts))
+""")
+
+
+def test_import_freezes_heap_and_keeps_collector(tmp_path):
+    """Importing the CLI freezes what is alive at that point and leaves the
+    collector on: a cycle made afterwards is reclaimed, and a run leaves
+    nothing uncollectable.  A fresh interpreter, as the freeze happens once
+    per process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, str(tmp_path / "verify.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["enabled"] and facts["frozen"] > 0
+    assert facts["cycle_reclaimed"]
+    assert facts["rc"] == 0 and facts["garbage"] == 0
 
 
 def test_gen_edge_list(capsys):

@@ -519,6 +519,54 @@ def test_automorphism_count_matches_enumeration(g):
     assert gc.automorphism_count(g) == _iso_search(g, g, count_all=True)[0]
 
 
+# networkx's VF2 matcher, an independent second oracle for automorphism
+# counts; it enumerates at about 10^4 mappings a second, so a count is checked
+# exactly up to 6! and only as "over 6!" beyond.
+_NX_AUT_LIMIT = 720
+
+
+def _networkx(g: Graph):
+    a = pytest.importorskip("networkx").empty_graph(g.n)
+    a.add_edges_from(g.edges())
+    return a
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(any_graphs(10))
+@example(_cycles(3, 3, 4))
+@example(gf.petersen())
+def test_automorphism_count_matches_networkx(g):
+    a = _networkx(g)
+    mappings = pytest.importorskip("networkx").isomorphism.GraphMatcher(a, a).isomorphisms_iter()
+    found = sum(1 for _ in itertools.islice(mappings, _NX_AUT_LIMIT + 1))
+    assert min(gc.automorphism_count(g), _NX_AUT_LIMIT + 1) == found
+
+
+def _k4_counts_by_subsets(g: Graph) -> list[int]:
+    counts = [0] * g.n
+    for quad in itertools.combinations(range(g.n), 4):
+        if all(g.has_edge(u, w) for u, w in itertools.combinations(quad, 2)):
+            for v in quad:
+                counts[v] += 1
+    return counts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(gf.complete(9))
+def test_k4_at_matches_subset_count(g):
+    assert [k4_at(g, v) for v in range(g.n)] == _k4_counts_by_subsets(g)
+
+
+def test_k4_at_matches_subset_count_on_corpus():
+    checked = 0
+    for cid, _fam, _params, g in corpus_mod.build_corpus():
+        if g.n <= 30:
+            assert [k4_at(g, v) for v in range(g.n)] == _k4_counts_by_subsets(g), cid
+            checked += 1
+    assert checked == 49
+
+
 # The depth-first reachability and 2-colouring that the breadth-first ones
 # replaced, kept as their oracle.
 
@@ -881,11 +929,7 @@ def graph_pairs(draw):
 
 
 def _networkx_isomorphic(g: Graph, h: Graph) -> bool:
-    nx = pytest.importorskip("networkx")
-    a, b = nx.empty_graph(g.n), nx.empty_graph(h.n)
-    a.add_edges_from(g.edges())
-    b.add_edges_from(h.edges())
-    return nx.is_isomorphic(a, b)
+    return pytest.importorskip("networkx").is_isomorphic(_networkx(g), _networkx(h))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
