@@ -719,33 +719,46 @@ def remove_edges(g: Graph, drop) -> Graph:
 
 # -- isomorphism -------------------------------------------------------------------
 
-def _refine(g: Graph, h: Graph, cg, ch) -> tuple[list[int], list[int]]:
-    """1-WL colour refinement of both graphs from the colourings cg and ch
-    under a shared palette, until a round adds no colour. Colour ids are
-    assigned by sorted signature, so they correspond across the two graphs.
-    A vertex's signature is its colour and the multiset of its neighbours'
-    colours, the latter as the sum of 2^(shift * colour): no count reaches
-    2^shift, so the sum is exact."""
-    shift = max(g.n, h.n).bit_length()
-    sig_g, sig_h, colours = cg, ch, 0
-    while True:
-        palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        cg, ch = [palette[s] for s in sig_g], [palette[s] for s in sig_h]
-        if len(palette) == colours:
-            return cg, ch
-        colours = len(palette)
-        wg, wh = [1 << shift * c for c in cg], [1 << shift * c for c in ch]
-        sig_g = [(c, sum(map(wg.__getitem__, row))) for c, row in zip(cg, g.adj)]
-        sig_h = [(c, sum(map(wh.__getitem__, row))) for c, row in zip(ch, h.adj)]
+def _signatures(g: Graph, colors) -> list:
+    """Each vertex's colour and its neighbours' colour multiset, summed as
+    2^(shift * colour): no count reaches 2^shift, so the sum is exact."""
+    shift = g.n.bit_length()
+    weight = [1 << shift * c for c in colors]
+    return [(c, sum(map(weight.__getitem__, row))) for c, row in zip(colors, g.adj)]
+
+
+def _refine(g: Graph, colors) -> tuple[list[int], list]:
+    """1-WL colour refinement of g from colors until a round adds no colour:
+    (stable colouring, rounds). Colour ids are assigned by sorted signature;
+    each round keeps its palette and sorted colours for _follow."""
+    rounds: list = []
+    while len(rounds) < 2 or len(rounds[-1][0]) > len(rounds[-2][0]):
+        sig = _signatures(g, colors) if rounds else colors
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colors = [palette[s] for s in sig]
+        rounds.append((palette, sorted(colors)))
+    return colors, rounds
+
+
+def _follow(h: Graph, colors, rounds) -> list[int] | None:
+    """h's colouring after replaying another graph's refinement rounds from
+    colors, or None at the first round whose signature multiset differs. A
+    match through the last round, which added no colour, leaves h stable."""
+    for i, (palette, multiset) in enumerate(rounds):
+        sig = _signatures(h, colors) if i else colors
+        colors = list(map(palette.get, sig))
+        if None in colors or sorted(colors) != multiset:
+            return None
+    return colors
 
 
 def _target_cell(colors) -> list[int] | None:
-    """The smallest non-singleton colour cell, the earliest of equal size;
+    """The largest non-singleton colour cell, the earliest of equal size;
     None when the colouring is discrete."""
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    return min((c for c in cells.values() if len(c) > 1), key=len, default=None)
+    return max((c for c in cells.values() if len(c) > 1), key=len, default=None)
 
 
 def _individualised(colors, v: int) -> list[int]:
@@ -755,36 +768,44 @@ def _individualised(colors, v: int) -> list[int]:
     return out
 
 
-def _iso_search(g: Graph, h: Graph, deadline: _Deadline, cg, ch):
-    """One isomorphism g -> h that carries the colouring cg onto ch, as a
-    list, or None when there is none. Once refined, a discrete colouring is
-    itself the mapping: equal stable colours have equal neighbour colours.
-    Otherwise the first vertex of the target cell is individualised against
-    each vertex of h's cell of its colour in turn."""
+def _search_path(g: Graph) -> list:
+    """g's fixed path of (rounds, stable colouring, target cell) levels: the
+    first refines the (degree, triangle, K4) counts, each next one the last
+    colouring with its cell's first vertex individualised, until discrete."""
+    colors, path = g._local_counts, []
+    while True:
+        colors, rounds = _refine(g, colors)
+        path.append((rounds, colors, cell := _target_cell(colors)))
+        if cell is None:
+            return path
+        colors = _individualised(colors, cell[0])
+
+
+def _iso_search(h: Graph, path, depth: int, ch, deadline: _Deadline):
+    """One isomorphism g -> h as a list, or None, once h's colouring ch
+    follows g's path from path[depth]. A discrete matched colouring is itself
+    the mapping: equal stable colours have equal neighbour colours. Otherwise
+    each vertex of h's cell of the level's target colour is individualised."""
     deadline.check()
-    cg, ch = _refine(g, h, cg, ch)
-    if sorted(cg) != sorted(ch):
+    rounds, colors, cell = path[depth]
+    ch = _follow(h, ch, rounds)
+    if ch is None:
         return None
-    cell = _target_cell(cg)
     if cell is None:
         where = {c: w for w, c in enumerate(ch)}
-        return [where[c] for c in cg]
-    v = cell[0]
-    for w in range(h.n):
-        if ch[w] == cg[v]:
-            mapping = _iso_search(g, h, deadline, _individualised(cg, v), _individualised(ch, w))
-            if mapping is not None:
-                return mapping
-    return None
+        return [where[c] for c in colors]
+    found = (_iso_search(h, path, depth + 1, _individualised(ch, w), deadline)
+             for w, c in enumerate(ch) if c == colors[cell[0]])
+    return next((mapping for mapping in found if mapping is not None), None)
 
 
 def is_isomorphic(g: Graph, h: Graph, cap: int = ISO_CAP):
     """(decision, mapping). The mapping sends g-vertices to h-vertices. The
     search starts from (degree, triangle, K4) counts, so different sizes or
-    degree sequences fail at its first comparison."""
+    degree sequences fail at h's first round."""
     if g.n > cap or h.n > cap:
         raise CapExceeded(f"isomorphism cap {cap} exceeded")
-    mapping = _iso_search(g, h, _Deadline(), g._local_counts, h._local_counts)
+    mapping = _iso_search(h, _search_path(g), 0, h._local_counts, _Deadline())
     return mapping is not None, mapping
 
 
@@ -792,24 +813,17 @@ def automorphism_count(g: Graph) -> int:
     """|Aut(g)| by orbit-stabiliser down a base b_1, b_2, ...: the product of
     the orbit lengths of b_i under the stabiliser of b_1..b_{i-1}.
 
-    On the way down, b_i is the first vertex of the target cell of the
-    colouring refined with b_1..b_{i-1} individualised; the base is complete
-    once that colouring is discrete. The levels are then taken deepest first.
-    A cell member w is in b_i's orbit iff a search finds an automorphism
-    extending the level's colouring with b_i -> w. Each automorphism found,
-    at this level or deeper (it fixes b_1..b_{i-1} either way), joins the
-    orbits of the points it moves (union-find), so a member joined to b_i
+    The base is the individualised vertices of g's search path, taken
+    deepest first. A cell member w is in b_i's orbit iff a search finds an
+    automorphism extending the level's colouring with b_i -> w. Each one
+    found, at this level or deeper (it fixes b_1..b_{i-1} either way), joins
+    the orbits of the points it moves (union-find), so a member joined to b_i
     needs no search, and one joined to a member that failed is skipped.
     """
     if g.n > ISO_CAP:
         raise CapExceeded(f"isomorphism cap {ISO_CAP} exceeded")
     deadline = _Deadline()
-    levels = []
-    colors, _ = _refine(g, g, g._local_counts, g._local_counts)
-    while (cell := _target_cell(colors)) is not None:
-        levels.append((colors, cell))
-        colors = _individualised(colors, cell[0])
-        colors, _ = _refine(g, g, colors, colors)
+    path = _search_path(g)
 
     parent = list(range(g.n))
 
@@ -825,7 +839,8 @@ def automorphism_count(g: Graph) -> int:
 
     found: list[list[int]] = []
     order = 1
-    for colors, cell in reversed(levels):
+    for depth in reversed(range(len(path) - 1)):
+        _, colors, cell = path[depth]
         parent[:] = range(g.n)
         for perm in found:
             join(perm)
@@ -835,8 +850,7 @@ def automorphism_count(g: Graph) -> int:
             root = find(w)
             if root == find(v) or any(find(u) == root for u in failed):
                 continue
-            perm = _iso_search(g, g, deadline, _individualised(colors, v),
-                               _individualised(colors, w))
+            perm = _iso_search(g, path, depth + 1, _individualised(colors, w), deadline)
             if perm is None:
                 failed.append(w)
                 continue

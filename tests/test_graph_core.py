@@ -944,6 +944,57 @@ def test_is_isomorphic_matches_networkx(pair):
         _assert_isomorphism(g, h, mapping)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph_pairs())
+@example((_cycles(8), _cycles(4, 4)))
+@example((_cycles(3, 3, 4), _cycles(5, 5)))
+@example((gf.shrikhande(), gf.rook_twin()))
+@example((gc.Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+          gc.Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])))
+def test_following_g_matches_joint_refinement(pair):
+    """Replaying g's refinement rounds on h fails exactly when refining both
+    under one palette ends with different colour multisets; otherwise the
+    two colourings put vertices of either graph in one colour alike. Two
+    paths on three vertices against P4 + K2 differ only in the last round,
+    which adds no colour to g."""
+    g, h = pair
+    joint_g, joint_h = _refined_colors_joint(g, h)
+    cg, rounds = gc._refine(g, g._local_counts)
+    ch = gc._follow(h, h._local_counts, rounds)
+    assert (ch is None) == (sorted(joint_g) != sorted(joint_h))
+    if ch is not None:
+        pairs = set(zip(cg, joint_g)) | set(zip(ch, joint_h))
+        assert len(pairs) == len(set(cg)) == len(set(joint_g))
+
+
+def test_target_cell_is_the_earliest_largest_cell():
+    assert gc._target_cell([1, 0, 0, 0, 1, 2, 2, 2]) == [1, 2, 3]
+    assert gc._target_cell([2, 0, 1, 1, 0, 3]) == [1, 4]
+    assert gc._target_cell([3, 0, 2, 1]) is None
+    assert gc._target_cell([0]) is None
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_isomorphism_search_decides_projective_planes_within_short_budget(q, monkeypatch):
+    """The incidence graph of PG(2, q), whose smallest refined cells hold
+    the lines through one point: branching on the largest cell decides it
+    in milliseconds."""
+    monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 1.0)
+    g = gf.incidence(3, q)
+    h = _shuffled(g, random.Random(q))
+    ok, mapping = gc.is_isomorphic(g, h, cap=200)
+    assert ok
+    _assert_isomorphism(g, h, mapping)
+
+
+@pytest.mark.parametrize("q, order", [(5, 744000), (7, 11261376)])
+def test_automorphism_count_of_projective_planes(q, order, monkeypatch):
+    """Twice |PGL(3, q)| for prime q: the polarity swaps points and lines."""
+    monkeypatch.setattr(gc, "ISO_CAP", 200)
+    assert order == 2 * (q**3 - 1) * (q**3 - q) * (q**3 - q**2) // (q - 1)
+    assert gc.automorphism_count(gf.incidence(3, q)) == order
+
+
 def test_isomorphism_search_decides_andrasfai_within_short_budget(monkeypatch):
     """Andrasfai graphs leave one refined cell each (they are Cayley graphs);
     refining after each individualisation decides them in milliseconds."""
