@@ -282,11 +282,16 @@ def to_json_dict(g: Graph) -> dict:
 # -- metrics -------------------------------------------------------------------
 
 def _orbit_roots(g: Graph):
-    """One vertex of each orbit of g's automorphism group, as far as g's group
-    shows it: every vertex of a graph without a group, and vertex 0 of a group
-    graph, which is vertex-transitive.  The translations are automorphisms,
+    """The roots that basic_metrics walks from: vertex 0 of a group graph, one
+    vertex farthest from 0 on a forest, and every vertex of any other graph.
+    A group graph is vertex-transitive: the translations are automorphisms,
     and on a bi-Cayley graph so is black g -> white -g, white h -> black -h,
-    which keeps h - g in S and swaps the sides."""
+    which keeps h - g in S and swaps the sides.  A forest has no cycle for a
+    root to find, and in a tree the vertex farthest from any vertex has the
+    diameter as its eccentricity."""
+    if g.group is None and g.edge_count == g.n - len(g.components):
+        *_, far = g._bfs_layers(0, [INF] * g.n)  # the last layer from 0
+        return far[-1:]
     return range(g.n) if g.group is None else (0,)
 
 
@@ -294,7 +299,7 @@ def basic_metrics(g: Graph) -> tuple[int | None, float]:
     """(diameter, girth): the diameter None on a disconnected graph, the girth
     math.inf on a forest.
 
-    One bitmask BFS per orbit root: each layer is the union of its
+    One bitmask BFS per root of _orbit_roots: each layer is the union of its
     predecessor's neighbour masks that no earlier layer reached. At layer d,
     an edge inside the layer closes a cycle of length at most 2d + 1, and a
     vertex of the next layer with two neighbours in this one closes a cycle

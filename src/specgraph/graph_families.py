@@ -34,7 +34,7 @@ from .finite_field import (
     subfield_embedding,
 )
 from . import groups
-from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at, product
+from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at
 
 # -- Cayley and bi-Cayley graphs over products of cyclic groups ------------------
 
@@ -119,12 +119,12 @@ def check_size(family: str, *sizes: int) -> None:
 
 def complete(n: int) -> Graph:
     check_size("complete", n)
-    return Graph(n, itertools.combinations(range(n), 2), name=f"K_{n}")
+    return cayley((n,), [(a,) for a in range(1, n)], name=f"K_{n}", labels=None)
 
 
 def cycle(n: int) -> Graph:
     check_size("cycle", n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C_{n}")
+    return cayley((n,), [(1,), (n - 1,)], name=f"C_{n}", labels=None)
 
 
 def path(n: int) -> Graph:
@@ -263,7 +263,7 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
     if kind == "A":
         if n < 2:
             raise BadParameters("extended A_n needs n >= 2")
-        return Graph(n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)], name=f"ADE_extA{n}")
+        return cayley((n + 1,), [(1,), (n,)], name=f"ADE_extA{n}", labels=None)
     if kind == "D":
         if n < 4:
             raise BadParameters("extended D_n needs n >= 4")
@@ -440,8 +440,9 @@ def shrikhande() -> Graph:
 
 
 def rook(n: int = 4) -> Graph:
-    k = complete(n)
-    return product(k, k, name=f"rook_{n}")
+    check_size("complete", n)
+    gens = [(a, 0) for a in range(1, n)] + [(0, a) for a in range(1, n)]
+    return cayley((n, n), gens, name=f"rook_{n}", labels=None)
 
 
 def rook_twin() -> Graph:

@@ -1,6 +1,7 @@
 """Static edge lists pinned independently of the constructors, used as
-cross-checks: the constructors must produce graphs isomorphic to these; and
-the relabelling that the isomorphism tests apply.
+cross-checks: the constructors must produce graphs isomorphic to these; the
+edge-list constructions of the families built as Cayley graphs, as their
+oracles; and the relabelling that the isomorphism tests apply.
 
 The Shrikhande fixture follows the two-octagon drawing; Heawood and
 Tutte-Coxeter are given in LCF notation; the three cubic graphs on 8 vertices
@@ -12,12 +13,29 @@ from __future__ import annotations
 
 import itertools
 
-from specgraph.graph_core import Graph
+from specgraph.graph_core import Graph, product
 
 
 def relabel(g: Graph, perm) -> Graph:
     """g with vertex v renamed perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()], name=g.name)
+
+
+def ring(n: int) -> Graph:
+    """C_n from the edges i ~ i + 1 mod n, as cycle(n) was built."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C_{n}")
+
+
+def complete_pairs(n: int) -> Graph:
+    """K_n from every pair of vertices, as complete(n) was built."""
+    return Graph(n, itertools.combinations(range(n), 2), name=f"K_{n}")
+
+
+def rook_product(n: int) -> Graph:
+    """K_n x K_n as the Cartesian product of two complete_pairs(n), as rook(n)
+    was built."""
+    k = complete_pairs(n)
+    return product(k, k, name=f"rook_{n}")
 
 
 def lcf(shifts: list[int], repeats: int, name: str = "") -> Graph:

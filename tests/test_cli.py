@@ -449,6 +449,7 @@ USAGE_ERRORS = {
     "chars_1": (["chars", "1"], "error: "),
     "chars_ext_0": (["chars", "5", "--ext", "0"], "error: SpecMismatch: "),
     "oversized_cube": (["spec", "cube:25"], "error: SizeOverflow: "),
+    "oversized_complete": (["gen", "complete:4097"], "error: SizeOverflow: "),
     "oversized_cayley_group": (["gen", "cayley", "100000000", "1;99999999"],
                                "error: SizeOverflow: "),
     "caps_not_integer": (["audit", "complete:3", "--caps", "beta=abc"], "error: "),

@@ -836,7 +836,7 @@ def _assert_engines_match_oracles(g: Graph):
 
 def test_engines_match_oracles_on_corpus_and_sweep():
     """Every corpus graph and every graph of verify's closed-form sweep, which
-    hold 17 Cayley and 8 bi-Cayley corpus graphs: each one's orbit roots give
+    hold 24 Cayley and 8 bi-Cayley corpus graphs: each one's orbit roots give
     what every root gives."""
     corpus = [g for *_, g in corpus_mod.build_corpus()]
     sweep = [gf.build(family, *params)
@@ -844,7 +844,7 @@ def test_engines_match_oracles_on_corpus_and_sweep():
     for g in corpus + sweep:
         _assert_engines_match_oracles(g)
     bi = [g.group.bi for g in corpus if g.group is not None]
-    assert (bi.count(False), bi.count(True)) == (17, 8)
+    assert (bi.count(False), bi.count(True)) == (24, 8)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -857,6 +857,41 @@ def test_engines_match_oracles_on_corpus_and_sweep():
 def test_engines_match_oracles(g):
     """Forests, disconnected and odd-cycle unions included."""
     _assert_engines_match_oracles(g)
+
+
+@st.composite
+def forests(draw, max_n):
+    """A forest on shuffled vertex numbers: each vertex after the first joins
+    one of the span vertices before it (span 1: a path) or, with a drawn
+    chance (0: a tree), starts a tree of its own."""
+    n = draw(st.integers(1, max_n))
+    span = draw(st.integers(1, max_n))
+    fresh = draw(st.integers(0, 10)) / 10
+    rng = draw(st.randoms(use_true_random=False))
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[v], perm[rng.randrange(max(0, v - span), v)])
+                     for v in range(1, n) if rng.random() >= fresh])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(forests(60))
+@example(Graph(1, []))
+@example(gf.path(2))
+@example(gf.star(40))
+@example(Graph(8, [(0, 1), (1, 2), (2, 3), (5, 6)]))  # 4 and 7 isolated
+def test_forest_walks_from_one_root(g):
+    """A forest's one root is a vertex farthest from 0, and its walk gives the
+    girth and, on a tree, the diameter that every root gives."""
+    (root,) = gc._orbit_roots(g)
+    dist = g.bfs_distances(0)
+    assert dist[root] == max(d for d in dist if d < math.inf)
+    assert gc.basic_metrics(g) == (_diameter(g) if g.is_connected else None, _girth(g))
+
+
+def test_orbit_roots_on_a_tree_a_group_graph_and_neither():
+    for g in (gf.tree(3, 4), gf.cycle(9), gf.rook(4), gf.incidence(3, 2)):
+        assert len(gc._orbit_roots(g)) == 1, g.name
+    assert list(gc._orbit_roots(gf.wheel(6))) == list(range(6))
 
 
 @st.composite

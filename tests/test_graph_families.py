@@ -158,6 +158,29 @@ def test_cayley_cycle_and_cube():
     assert iso(gf.cube(4), gf.cayley((2,) * 4, basis))
 
 
+# the families built as Cayley graphs: (the edge-list oracle, the sizes checked)
+EDGE_LIST_BUILT = {
+    "cycle": (fx.ring, range(3, 200)),
+    "complete": (fx.complete_pairs, range(2, 120)),
+    "rook": (fx.rook_product, range(2, 20)),
+    "extended_ade:A": (lambda n: fx.ring(n + 1), range(2, 9)),
+}
+
+
+@pytest.mark.parametrize("family", EDGE_LIST_BUILT)
+def test_group_builders_match_their_edge_lists(family):
+    """cycle, complete, rook and extended A are unlabelled Cayley graphs of
+    Z_n or Z_n^2, with the neighbour sets of the edge lists they were built
+    from, and every writer gives the bytes it gave for the edge list."""
+    oracle, sizes = EDGE_LIST_BUILT[family]
+    for n in sizes:
+        g, old = gf.build(family, n), oracle(n)
+        assert g.group is not None and g.labels is None
+        assert g.adj == old.adj
+        for write in (gc.to_edge_list, gc.to_dot, gc.to_json_dict):
+            assert write(g) == write(old)
+
+
 def test_bi_cayley_heawood():
     assert iso(gf.bi_cayley((7,), [(1,), (2,), (4,)]), gf.heawood())
 

@@ -88,13 +88,16 @@ DIGEST_COMMANDS = {
     "audit_sum_product_4": ["audit", "sum_product:4"],
     "audit_paley_17": ["audit", "paley:17"],
     "audit_incidence_3_3": ["audit", "incidence:3,3"],
-    # graphs without a group, whose distance walk runs from every vertex: an
-    # asymmetric graph, a forest, and odd and even cycles, which close inside
-    # the last layer and through a vertex with two neighbours in it
+    # the distance walk from every vertex of an asymmetric graph, from one
+    # vertex farthest from 0 on a forest, and from vertex 0 of odd and even
+    # cycles, which close inside the last layer and through a vertex with two
+    # neighbours in it; cycle:3143 pins the group route (FFT spectra, one
+    # root), which keeps a cycle of that size well under a second
     "audit_frucht": ["audit", "frucht"],
     "audit_tree_3_3": ["audit", "tree:3,3"],
     "audit_cycle_61": ["audit", "cycle:61"],
     "audit_cycle_64": ["audit", "cycle:64"],
+    "audit_cycle_3143": ["audit", "cycle:3143"],
     "iso_heawood_bi_paley_7": ["iso", "heawood", "bi_paley:7"],
     "iso_shrikhande_rook_twin": ["iso", "shrikhande", "rook_twin"],
     "iso_petersen_relabelled": ["iso", "petersen", "petersen_relabelled.txt"],

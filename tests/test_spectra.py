@@ -221,7 +221,7 @@ def test_spectrum_matches_dense_on_random_graphs(g):
 
 def test_group_spectrum_matches_dense_on_corpus():
     group_graphs = [g for *_, g in corpus_mod.build_corpus() if _has_group(g)]
-    assert len(group_graphs) == 25
+    assert len(group_graphs) == 32
     for g in group_graphs:
         _assert_spectrum_matches_dense(g)
         sp.check_group_spectrum(g, sp.spectrum(g))
@@ -303,7 +303,7 @@ def _assert_group_facts_match_rows(g):
 def test_group_facts_match_rows_on_corpus():
     built = [gf.build(family, *params) for _, family, params in corpus_mod.CORPUS_SPECS]
     group_graphs = [g for g in built if _has_group(g)]
-    assert len(group_graphs) == 25
+    assert len(group_graphs) == 32
     for g in group_graphs:
         _assert_group_facts_match_rows(g)
 
