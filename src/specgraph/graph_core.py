@@ -148,57 +148,49 @@ class Graph:
         return tuple((self.degree(v), triangles_at(self, v), k4_at(self, v))
                      for v in range(self.n))
 
-    @cached_property
-    def is_connected(self) -> bool:
-        return INF not in self.bfs_distances(0)
-
-    def _bfs_layers(self, source: int, dist: list[float]):
-        """Breadth-first search from source, yielding one distance layer at a
-        time. Each vertex reached gets its distance in dist, where INF marks a
-        vertex no search has reached; a layer's own distances are set by the
-        time it is yielded, the next layer's are not."""
+    def _search(self, source: int, dist: list[float]) -> list[int]:
+        """Breadth-first search from source: the vertices reached, in visit
+        order, which is the search's queue. Each vertex reached gets its
+        distance in dist, where INF marks a vertex no search has reached."""
         dist[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier:
-            yield frontier
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in self.adj[u]:
-                    if dist[w] == INF:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
+        order = [source]
+        for u in order:
+            d = dist[u] + 1
+            for w in self.adj[u]:
+                if dist[w] == INF:
+                    dist[w] = d
+                    order.append(w)
+        return order
 
     def bfs_distances(self, source: int) -> list[float]:
         dist = [INF] * self.n
-        for _ in self._bfs_layers(source, dist):
-            pass
+        self._search(source, dist)
         return dist
 
     @cached_property
-    def components(self) -> list[frozenset[int]]:
-        """Vertex sets of the components, each reached by a BFS from the least
-        vertex no earlier BFS reached."""
+    def _forest(self) -> tuple[list[float], list[list[int]]]:
+        """(distances, components): one search from the least vertex no
+        earlier search reached, each component listed in visit order.
+        Connectivity, the components and the 2-colouring all read it."""
         dist = [INF] * self.n
-        return [frozenset(itertools.chain.from_iterable(self._bfs_layers(s, dist)))
-                for s in range(self.n) if dist[s] == INF]
+        return dist, [self._search(s, dist) for s in range(self.n) if dist[s] == INF]
+
+    @property
+    def is_connected(self) -> bool:
+        return len(self._forest[1]) == 1
+
+    @cached_property
+    def components(self) -> list[frozenset[int]]:
+        return [frozenset(c) for c in self._forest[1]]
 
     @cached_property
     def bipartition(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """A 2-coloring (covering all components), or None if an odd cycle
-        exists. Black is the even-distance side from each component's least
-        vertex. One BFS per component; the first row with an edge inside a
-        layer ends the search."""
-        dist = [INF] * self.n
-        for s in range(self.n):
-            if dist[s] == INF:
-                for layer in self._bfs_layers(s, dist):
-                    for u in layer:
-                        du = dist[u]
-                        if any(dist[w] == du for w in self.adj[u]):
-                            return None
+        """A 2-coloring (covering all components), or None if an edge joins
+        two vertices at the same distance, which closes an odd cycle. Black
+        is the even-distance side from each component's least vertex."""
+        dist = self._forest[0]
+        if any(dist[u] == dist[w] for u in range(self.n) for w in self.adj[u]):
+            return None
         black = frozenset(v for v in range(self.n) if dist[v] % 2 == 0)
         return black, frozenset(range(self.n)) - black
 
@@ -245,9 +237,8 @@ def to_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str, name: str = "") -> Graph:
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     try:
-        n, m = int(rows[0][0]), int(rows[0][1])
-        edges = [(int(r[0]), int(r[1])) for r in rows[1:]]
-    except (IndexError, ValueError):
+        (n, m), *edges = [(int(a), int(b)) for a, b in rows]
+    except ValueError:
         raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
@@ -289,9 +280,8 @@ def _orbit_roots(g: Graph):
     which keeps h - g in S and swaps the sides.  A forest has no cycle for a
     root to find, and in a tree the vertex farthest from any vertex has the
     diameter as its eccentricity."""
-    if g.group is None and g.edge_count == g.n - len(g.components):
-        *_, far = g._bfs_layers(0, [INF] * g.n)  # the last layer from 0
-        return far[-1:]
+    if g.group is None and g.edge_count == g.n - len(g._forest[1]):
+        return g._forest[1][0][-1:]  # the last vertex the search from 0 reached
     return range(g.n) if g.group is None else (0,)
 
 
@@ -719,7 +709,7 @@ def remove_edges(g: Graph, drop) -> Graph:
             raise IndexOutOfRange(f"edge {(u, v)} not present")
     dropped = {frozenset(e) for e in drop}
     edges = [e for e in g.edges() if frozenset(e) not in dropped]
-    return Graph(g.n, edges, name=g.name)
+    return Graph(g.n, edges, labels=g.labels, name=g.name)
 
 
 # -- isomorphism -------------------------------------------------------------------

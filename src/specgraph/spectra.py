@@ -617,18 +617,13 @@ def spectrum_classifiers(adj: Spectrum, lap: Spectrum) -> dict:
             out["srg"] = gf.SrgParams(n, d, a, c)
         except IdentityViolated:
             pass
-    if out["regular"] and sym and len(distinct) == 4:
+    if out["regular"] and sym and len(distinct) in (3, 4):
+        # the middle values are +-sqrt(d - c); at c = d (complete bipartite)
+        # they merge at 0, the middle of a symmetric set of 3
         d = round(alpha_max)
         c = round(d - distinct[1] ** 2)
         try:
             out["design"] = gf.DesignParams(n // 2, d, c)
-        except IdentityViolated:
-            pass
-    if out["regular"] and sym and len(distinct) == 3 and abs(distinct[1]) <= tol:
-        # degenerate c = d design (complete bipartite): middle eigenvalues merge at 0
-        d = round(alpha_max)
-        try:
-            out["design"] = gf.DesignParams(n // 2, d, d)
         except IdentityViolated:
             pass
     if len(distinct) == 4 and sym:

@@ -38,6 +38,20 @@ def record(report, name):
     return next(r for r in report.records if r.name == name)
 
 
+@pytest.mark.parametrize("spec", ["tree:3,3", "path:5", "petersen", "wheel:6", "sum_product:4",
+                                  "paley:13"])
+def test_audit_starts_one_search(spec, monkeypatch):
+    """The report and the audit read connectivity, the components, the
+    2-colouring and the forest root off one breadth-first search."""
+    starts = []
+    search = gc.Graph._search
+    monkeypatch.setattr(gc.Graph, "_search",
+                        lambda g, source, dist: starts.append(source) or search(g, source, dist))
+    family, _, params = spec.partition(":")
+    audit(gf.build(family, *[int(p) for p in params.split(",") if p]))
+    assert starts == [0]
+
+
 # -- audit records ------------------------------------------------------------
 
 @st.composite

@@ -440,6 +440,7 @@ def test_gen_raw_cayley(capsys):
 
 
 BAD = "error: BadParameters: "
+EDGE_LIST = "an edge list is an 'n m' header and 'u v' integer pairs\n"
 
 # id: (argv, the start of the error line; None for an argparse usage error,
 # which exits 2 with its own message)
@@ -458,6 +459,8 @@ USAGE_ERRORS = {
                       BAD + "cap chi must be at least 0, got -3\n"),
     "empty_edge_list": (["spec", "{empty}"], "error: "),
     "non_integer_edge_list": (["spec", "{non_integer}"], "error: "),
+    "weighted_edge_list": (["spec", "{weighted}"], BAD + EDGE_LIST),
+    "long_header_edge_list": (["spec", "{long_header}"], BAD + EDGE_LIST),
     "duplicate_edge": (["spec", "{duplicate}"], "error: "),
     "reversed_duplicate_edge": (["spec", "{reversed_duplicate}"], "error: "),
     "missing_parameter": (["gen", "cube"], BAD),
@@ -494,7 +497,8 @@ USAGE_ERRORS = {
 @pytest.mark.parametrize("argv,err", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
 def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     files = {"empty": "", "non_integer": "3 1\n0 x\n", "duplicate": "3 2\n0 1\n0 1\n",
-             "reversed_duplicate": "3 2\n0 1\n1 0\n"}
+             "reversed_duplicate": "3 2\n0 1\n1 0\n", "weighted": "3 2\n0 1 5\n1 2 7\n",
+             "long_header": "3 2 7\n0 1\n1 2\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "directory").mkdir()

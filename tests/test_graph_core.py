@@ -33,6 +33,15 @@ def test_edge_list_round_trip():
     assert gc.to_edge_list(again) == text
 
 
+@pytest.mark.parametrize("text", ["3 2 7\n0 1\n1 2\n", "3 2\n0 1 5\n1 2 7\n",
+                                  "3 2\n0 1\n1 2 # note\n", "3\n", "3 1\n0\n", ""],
+                         ids=["long_header", "weighted", "comment", "short_header", "short_row",
+                              "empty"])
+def test_edge_list_rows_are_two_integers(text):
+    with pytest.raises(BadParameters, match="an edge list is an 'n m' header"):
+        gc.parse_edge_list(text)
+
+
 def test_triangle_edge_list():
     g = gc.Graph(3, [(0, 1), (1, 2), (0, 2), (1, 0)])  # duplicate collapsed
     assert g.edge_count == 3
@@ -57,6 +66,14 @@ def test_remove_edges_refuses_a_pair_that_is_not_an_edge(pair):
     with pytest.raises(IndexOutOfRange):
         gc.remove_edges(gf.cycle(5), [pair])
     assert gc.remove_edges(gf.cycle(5), [(1, 0)]).edge_count == 4
+
+
+def test_remove_edges_keeps_labels():
+    g = gf.petersen()
+    (u, v), *_ = g.edges()
+    less = gc.remove_edges(g, [(u, v)])
+    assert g.labels is not None and less.labels == g.labels and less.name == g.name
+    assert less.edge_count == 14 and not less.has_edge(u, v)
 
 
 def _metrics(g):
@@ -892,6 +909,44 @@ def test_orbit_roots_on_a_tree_a_group_graph_and_neither():
     for g in (gf.tree(3, 4), gf.cycle(9), gf.rook(4), gf.incidence(3, 2)):
         assert len(gc._orbit_roots(g)) == 1, g.name
     assert list(gc._orbit_roots(gf.wheel(6))) == list(range(6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(any_graphs(14), forests(40)))
+@example(Graph(1, []))
+@example(Graph(5, []))
+@example(Graph(8, [(0, 1), (1, 2), (2, 3), (5, 6)]))  # 4 and 7 isolated
+@example(K3_C4)
+@example(_cycles(4, 6))
+def test_one_search_matches_networkx(g):
+    """Connectivity, the components and the 2-colouring that the one search
+    forest gives, against networkx."""
+    nx = pytest.importorskip("networkx")
+    a = _networkx(g)
+    comps = sorted((frozenset(c) for c in nx.connected_components(a)), key=min)
+    assert g.components == comps
+    assert g.is_connected == (len(comps) == 1)
+    assert (g.bipartition is None) == (not nx.is_bipartite(a))
+    if g.bipartition is not None:
+        black, white = g.bipartition
+        assert black | white == set(range(g.n)) and not black & white
+        assert all((u in black) != (v in black) for u, v in g.edges())
+        assert all(min(c) in black for c in comps)
+
+
+@pytest.mark.parametrize("g", [gf.tree(3, 3), gf.petersen(), K3_C4, Graph(5, []),
+                               Graph(8, [(0, 1), (1, 2), (2, 3), (5, 6)])],
+                         ids=["tree", "petersen", "K3+C4", "edgeless", "forest"])
+def test_one_search_per_component(g, monkeypatch):
+    """Reading all four facts starts one search per component, each from the
+    component's least vertex."""
+    starts = []
+    search = Graph._search
+    monkeypatch.setattr(Graph, "_search",
+                        lambda g, source, dist: starts.append(source) or search(g, source, dist))
+    g = Graph(g.n, g.edges())  # nothing cached
+    g.is_connected, g.components, g.bipartition, gc._orbit_roots(g)
+    assert starts == [min(c) for c in g.components]
 
 
 @st.composite

@@ -102,3 +102,13 @@ def test_character_sum_matches_the_loop(case):
     got = groups.character_sum(orders, subset)
     assert got.shape == (math.prod(orders),)
     assert np.abs(got - _loop_character_sum(orders, subset)).max(initial=0.0) < 1e-9
+
+
+def test_rows_share_one_int_per_vertex():
+    """A dense Cayley graph's rows and a bi-Cayley graph's hold one int object
+    per vertex, shared by every row it appears in."""
+    for group in (groups.Group((300,), tuple((s,) for s in range(1, 300))),
+                  groups.Group((150,), tuple((s,) for s in range(0, 150, 3)), bi=True)):
+        rows = group.rows()
+        assert len({id(v) for row in rows for v in row}) == group.n
+        assert sorted({v for row in rows for v in row}) == list(range(group.n))
