@@ -182,24 +182,37 @@ def _chars_size(q: int, ext: int | None) -> None:
                            + f" needs a table of over {CHARS_TABLE_CAP} entries")
 
 
+def _float_texts(column) -> list:
+    """float.__repr__ of each float of a block's column, called once per
+    distinct bit pattern; the key is the bits, not the float, since -0.0 and
+    0.0 are one dict key but print differently."""
+    bits = column.view(np.int64).tolist()
+    distinct = dict(zip(bits, column.tolist()))
+    texts = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    return list(map(texts.__getitem__, bits))
+
+
 def _render(q: int, tables):
     """Blocks of CHARS_BLOCK_ROWS rendered rows of the tables, each a (sum
     type, first index, values, magnitudes, bounds, pass flags) of same-shaped
     arrays.  A row is one % format of its table's template, the row as
     json.dumps(indent=2, sort_keys=True) prints it in the report's "rows"
-    list; floats go through %r, float.__repr__, as in json."""
+    list; floats print as float.__repr__, as in json, formatted once per
+    distinct float of each column of a block, since most repeat."""
     field = encode_basestring_ascii(f"GF({q})")
     for sum_type, first, values, magnitude, bound, ok in tables:
-        template = ('    {\n      "bound": %r,\n      "field": ' + field + ',\n      "im": %r,\n'
+        template = ('    {\n      "bound": %s,\n      "field": ' + field + ',\n      "im": %s,\n'
                     '      "indices": [\n' + ",\n".join(["        %d"] * values.ndim)
-                    + '\n      ],\n      "magnitude": %r,\n      "pass": %s,\n      "re": %r,\n'
+                    + '\n      ],\n      "magnitude": %s,\n      "pass": %s,\n      "re": %s,\n'
                     '      "sum_type": ' + encode_basestring_ascii(sum_type) + '\n    }')
         columns = [c.ravel() for c in (bound, values.imag, magnitude, ok, values.real)]
         for start in range(0, values.size, CHARS_BLOCK_ROWS):
             b, im, mag, flags, re = (c[start:start + CHARS_BLOCK_ROWS] for c in columns)
             index = np.unravel_index(np.arange(start, start + b.size), values.shape)
-            block = (b, im, *(i + first for i in index), mag, np.where(flags, "true", "false"), re)
-            yield ",\n".join([template % row for row in zip(*(c.tolist() for c in block))])
+            block = (_float_texts(b), _float_texts(im), *((i + first).tolist() for i in index),
+                     _float_texts(mag), np.where(flags, "true", "false").tolist(),
+                     _float_texts(re))
+            yield ",\n".join([template % row for row in zip(*block)])
 
 
 def _char_rows(q: int, ext: int | None):
@@ -351,24 +364,26 @@ def cmd_iso(args) -> int:
               "seed": args.seed, "caps": caps}
     payload: dict = {"first": {"n": g.n, "edges": g.edge_count},
                      "second": {"n": h.n, "edges": h.edge_count}}
-    try:  # the one spectrum comparison rule, as for closed forms
-        isospectral = sp.verify_closed_form(sp.spectrum(g), sp.spectrum(h))["ok"]
-    except Mismatch:
-        isospectral = False
-    payload["isospectral"] = isospectral
     try:
         verdict, mapping = gc.is_isomorphic(g, h, cap=caps["iso"])
-        payload["verdict"] = "isomorphic" if verdict else "non-isomorphic"
-        if mapping is not None:
-            payload["mapping"] = mapping
-        if not verdict and isospectral:
-            payload["verdict"] = "non-isomorphic; isospectral"
     except CapExceeded:
+        verdict = mapping = None
+    isospectral = bool(verdict)  # isomorphic graphs are isospectral
+    if not verdict:  # else the one spectrum comparison rule, as for closed forms
+        with contextlib.suppress(Mismatch):
+            isospectral = sp.verify_closed_form(sp.spectrum(g), sp.spectrum(h))["ok"]
+    payload["isospectral"] = isospectral
+    if mapping is not None:
+        payload["mapping"] = mapping
+    if verdict is None:
         payload["verdict"] = "undecided"
         over_cap = max(g.n, h.n) > caps["iso"]
         limit = "isomorphism cap" if over_cap else "time budget of the isomorphism search"
         payload["note"] = f"over the {limit}; invariant and spectrum comparison only"
         payload["degree_sequences_match"] = sorted(g.degrees) == sorted(h.degrees)
+    else:
+        payload["verdict"] = ("isomorphic" if verdict else
+                              "non-isomorphic; isospectral" if isospectral else "non-isomorphic")
     _emit(payload, config, args.path)
     return 0
 

@@ -409,6 +409,26 @@ def test_iso_finds_mapping(capsys):
     assert len(doc["mapping"]) == 14
 
 
+@pytest.mark.parametrize("argv,verdict,solves", [
+    (["heawood", "bi_paley:7"], "isomorphic", 0),
+    (["petersen", "petersen"], "isomorphic", 0),
+    (["shrikhande", "rook_twin"], "non-isomorphic; isospectral", 2),
+    (["petersen", "heawood"], "non-isomorphic", 2),
+    (["shrikhande", "rook_twin", "--caps", "iso=8"], "undecided", 2)])
+def test_iso_solves_spectra_only_without_an_isomorphism(argv, verdict, solves, capsys,
+                                                        monkeypatch):
+    """An isomorphism found makes the pair isospectral with no spectrum
+    solve (the graph-core tests check the comparison on every isomorphic
+    pair they build); a pair found non-isomorphic or left undecided takes the
+    two solves."""
+    spectrum, solved = sp.spectrum, []
+    monkeypatch.setattr(sp, "spectrum", lambda g: solved.append(g) or spectrum(g))
+    code, out = run(capsys, "iso", *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == verdict and len(solved) == solves
+    assert doc["isospectral"] is (verdict != "non-isomorphic")
+
+
 def test_iso_undecided_over_cap(capsys):
     code, out = run(capsys, "iso", "shrikhande", "rook_twin", "--caps", "iso=8")
     doc = json.loads(out)
@@ -704,6 +724,15 @@ def synthetic_tables(draw):
 @given(st.integers(2, 1024), synthetic_tables())
 @example(2, ("gauss", 0, np.array([complex(-0.0, 5e-324)]), np.array([1e16]),
              np.array([1e-5]), np.array([True])))
+# a signed zero beside its twin in every column: one bit pattern each
+@example(3, ("jacobi", 1, np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+                                    [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]]),
+             np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]),
+             np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]), np.ones((2, 3), bool)))
+# one value repeated down each column
+@example(27, ("kloosterman", 1, np.full(5, complex(-2.225073858507201e-308, 1e-05)),
+              np.full(5, 5.196152422706632), np.full(5, 10.392304845413264),
+              np.zeros(5, bool)))
 def test_row_template_renders_as_json_dumps(q, table):
     sum_type, first, values, magnitude, bound, ok = table
     rows = [{"field": f"GF({q})", "sum_type": sum_type,
@@ -714,10 +743,11 @@ def test_row_template_renders_as_json_dumps(q, table):
     assert ",\n".join(cli._render(q, [table])) == _rows_text(rows)
 
 
-@pytest.mark.parametrize("block_rows", [2, 7])
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
 def test_render_at_block_edges(block_rows, tmp_path, capsys, monkeypatch):
     """Blocks of 2 or 7 rows split a 2-D table mid-row and leave a short
-    last block; the bytes stay those of json.dumps."""
+    last block, and blocks of 1 row format each float alone; the bytes stay
+    those of json.dumps."""
     monkeypatch.setattr(cli, "CHARS_BLOCK_ROWS", block_rows)
     rows, _ = cli._char_rows(27, None)
     assert len(list(rows)) == sum(-(-n // block_rows) for n in (27 * 26, 26 * 26, 26 * 26))
@@ -745,6 +775,31 @@ def test_chars_refuses_a_non_finite_sum_before_writing(argv, last, tmp_path, cap
     with pytest.raises(ValueError):
         cli.main([*argv, "--path", str(path)])
     assert not path.exists()
+
+
+def test_chars_formats_each_distinct_float_of_a_block_once(monkeypatch):
+    """`chars 27` prints 8,216 floats but formats 909, one per distinct bit
+    pattern of each column of each block: every repeat shares the one text
+    that float.__repr__ made for it."""
+    float_texts = cli._float_texts
+    printed, formatted = [], []
+
+    def counted(column):
+        texts = float_texts(column)
+        assert texts == [repr(x) for x in column.tolist()]
+        printed.append(len(texts))
+        formatted.append(len({id(t) for t in texts}))
+        assert formatted[-1] == len(set(column.view(np.int64).tolist()))
+        return texts
+
+    monkeypatch.setattr(cli, "_float_texts", counted)
+    rows, _ = cli._char_rows(27, None)
+    assert sum(1 for _ in rows) == 3
+    assert (sum(printed), sum(formatted)) == (4 * (27 * 26 + 2 * 26 * 26), 909)
+    # a block of one float and its signed twin, each repeated
+    texts = float_texts(np.array([0.0, -0.0, 0.0, 1e16, -0.0, 1e16]))
+    assert texts == ["0.0", "-0.0", "0.0", "1e+16", "-0.0", "1e+16"]
+    assert len({id(t) for t in texts}) == 3
 
 
 def test_chars_takes_one_trace_per_element(monkeypatch):

@@ -13,6 +13,7 @@ from specgraph import corpus as corpus_mod
 from specgraph import graph_core as gc
 from specgraph import graph_families as gf
 from specgraph import groups
+from specgraph import spectra as sp
 from specgraph.errors import (
     BadParameters,
     CapExceeded,
@@ -366,9 +367,12 @@ def _shuffled(g: Graph, rnd: random.Random) -> Graph:
 
 
 def _assert_isomorphism(g: Graph, h: Graph, mapping) -> None:
-    """mapping is a bijection of the vertices that carries g's edges onto h's."""
+    """mapping is a bijection of the vertices that carries g's edges onto h's,
+    and the numeric spectrum comparison, which `iso` skips once the search
+    finds an isomorphism, says the two are isospectral."""
     assert sorted(mapping) == list(range(h.n))
     assert fx.relabel(g, mapping) == h
+    assert sp.verify_closed_form(sp.spectrum(g), sp.spectrum(h))["ok"]
 
 
 def test_random_relabeling_is_isomorphic():
