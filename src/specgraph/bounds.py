@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import groups
-from .errors import BadParameters, BadWeights, ColorViolation, InvalidOperation, NotRegular
+from .errors import (BadParameters, BadWeights, ColorViolation, InvalidOperation, NotRegular,
+                     SizeOverflow)
 from .graph_core import (
     Graph,
     InvariantReport,
@@ -29,7 +30,7 @@ from .graph_core import (
     remove_vertex,
     triangle_count,
 )
-from .spectra import Spectrum, arcs, graph_spectra, spectrum
+from .spectra import arcs, spectrum
 
 REL_TOL = 1e-7
 ABS_FLOOR = 1e-9
@@ -109,10 +110,12 @@ TWO_VERTICES = "needs at least two vertices"
 DEGREE_TWO = "needs maximum degree at least 2"
 
 
-def audit_bounds(inv: InvariantReport, adj: Spectrum, lap: Spectrum) -> AuditReport:
-    """One record per applicable bound over inv.graph; tree-only / regular-only
-    bounds are gated by structure, capped invariants produce skips."""
+def audit_bounds(inv: InvariantReport) -> AuditReport:
+    """One record per applicable bound over inv.graph, against its own
+    adjacency and laplacian spectra; tree-only / regular-only bounds are gated
+    by structure, capped invariants produce skips."""
     g = inv.graph
+    adj, lap = spectrum(g), spectrum(g, "laplacian")
     n = g.n
     d = g.max_degree
     d_min = g.min_degree
@@ -391,8 +394,9 @@ def path_count_between(g: Graph, S, T, ell: int) -> int:
     return sum(sum(map(walks.__getitem__, g.adj[t])) for t in T) if ell else len(S & T)
 
 
-def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> dict:
-    """The exact walk count (e(S, T) at ell = 1) against the expander mixing bound."""
+def mixing_lemma(g: Graph, query: MixingQuery) -> dict:
+    """The exact walk count (e(S, T) at ell = 1) against the expander mixing
+    bound from g's spectrum; refused before the count if a double cannot hold it."""
     if not g.is_regular:
         raise NotRegular("mixing lemma needs a regular graph")
     if query.ell < 1:
@@ -414,20 +418,19 @@ def mixing_lemma(g: Graph, query: MixingQuery, adj: Spectrum | None = None) -> d
             raise ColorViolation("odd-length paths need opposite colours")
         if ell % 2 == 0 and sides[0] != sides[1]:
             raise ColorViolation("even-length paths need equal colours")
-    if adj is None:
-        adj = spectrum(g)
-    d = g.max_degree
-    count = path_count_between(g, S, T, ell)
+    adj = spectrum(g)
     if g.is_bipartite:
-        m = g.n // 2
-        alpha2 = adj.kth_largest(2)
-        main = d**ell / m * len(S) * len(T)
-        bound = alpha2**ell / m * math.sqrt(len(S) * len(T) * (m - len(S)) * (m - len(T)))
+        m, alpha = g.n // 2, adj.kth_largest(2)
     else:
-        alpha = max(adj.kth_largest(2), -adj.min)
-        main = d**ell / g.n * len(S) * len(T)
-        bound = alpha**ell / g.n * math.sqrt(
-            len(S) * len(T) * (g.n - len(S)) * (g.n - len(T)))
+        m, alpha = g.n, max(adj.kth_largest(2), -adj.min)
+    try:
+        main = g.max_degree**ell / m * len(S) * len(T)
+        bound = alpha**ell / m * math.sqrt(len(S) * len(T) * (m - len(S)) * (m - len(T)))
+    except OverflowError:
+        main = bound = math.inf
+    if not (math.isfinite(main) and math.isfinite(bound)):
+        raise SizeOverflow(f"walks of length {ell}: the mixing bound overflows a double")
+    count = path_count_between(g, S, T, ell)
     deviation = abs(count - main)
     return {
         "count": count,
@@ -492,9 +495,8 @@ def perturbation_checks(g: Graph, operation: str, arg) -> dict:
         h = remove_edges(g, sub.edges())
     else:
         raise InvalidOperation(f"unknown operation {operation!r}")
-    (adj, lap), (adj2, lap2) = graph_spectra(g), graph_spectra(h)
-    alpha, a2 = adj.expanded(), adj2.expanded()
-    lam, l2 = lap.ascending(), lap2.ascending()
+    alpha, a2 = spectrum(g).expanded(), spectrum(h).expanded()
+    lam, l2 = spectrum(g, "laplacian").ascending(), spectrum(h, "laplacian").ascending()
     n = g.n
     checks: list[tuple[str, float, float]] = []  # (name, lhs, rhs) meaning lhs <= rhs
     if operation == "remove_vertex":
@@ -543,9 +545,12 @@ def compare_to_cycle(g: Graph) -> list[int]:
 def motzkin_straus(g: Graph, weights, omega: int) -> dict:
     """Quadratic form sum over ordered adjacent pairs of f(u) f(v) against the
     clique bound 1 - 1/omega; equality witnesses live on maximum cliques."""
+    if omega < 1:
+        raise BadParameters("clique number must be at least 1")
     w = np.asarray(weights, dtype=float)
-    if w.shape != (g.n,) or w.min() < -1e-12 or abs(w.sum() - 1) > 1e-12:
-        raise BadWeights("weights must be non-negative and sum to 1")
+    # stated positively, so that NaN (it compares False) and inf (via the sum) fail
+    if not (w.shape == (g.n,) and (w >= -1e-12).all() and abs(w.sum() - 1) <= 1e-12):
+        raise BadWeights("weights must be finite, non-negative and sum to 1")
     value = 2.0 * sum(w[u] * w[v] for u, v in sorted(g.edges()))
     bound = 1 - 1 / omega
     return {"value": value, "bound": bound,

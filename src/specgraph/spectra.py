@@ -11,11 +11,12 @@ spectrum-based classifiers.
   its |black| x |white| biadjacency block, plus | |black| - |white| | zeros
   (LAPACK's SVD);
 - a d-regular graph's laplacian spectrum is d - alpha over its adjacency
-  spectrum, so `graph_spectra` solves such a graph once;
+  spectrum, so both cost one solve;
 - every other spectrum comes from the full matrix through `_symmetric_values`
   (LAPACK's symmetric solver: tridiagonalization plus implicit-shift
   iteration).
-Each route clusters the raw descending values the same way. Closed forms are
+Each route clusters the raw descending values the same way; a graph keeps
+both, so each (graph, kind) is solved once, on first read. Closed forms are
 derived from the family's parameters alone and evaluated to doubles when they
 are built, so the numeric and the closed-form routes stay independent;
 `check_group_spectrum` checks a group graph's character sums against the
@@ -168,8 +169,8 @@ def _clustered(values: np.ndarray, kind: str) -> Spectrum:
 def _symmetric_values(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, descending."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric("matrix must be square")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise NotSymmetric("matrix must be square and non-empty")
     if m.shape[0] > EIG_SIZE_CAP:
         raise SizeOverflow(f"n = {m.shape[0]} over eigensolver cap {EIG_SIZE_CAP}")
     hi, lo = float(m.max()), float(m.min())
@@ -204,14 +205,10 @@ def _bipartite_values(g: Graph, black, white) -> np.ndarray:
     return np.concatenate([sigma, np.zeros(abs(len(black) - len(white))), 0.0 - sigma[::-1]])
 
 
-def _group_values(g: Graph) -> np.ndarray | None:
+def _group_values(group: groups.Group) -> np.ndarray:
     """Adjacency eigenvalues of an abelian Cayley or bi-Cayley graph,
     descending, from its group: the character sums alpha_k of the connection
-    set, or +-|alpha_k| on a bi-Cayley graph (Babai 1979); None for a graph
-    without a group."""
-    group = g.group
-    if group is None:
-        return None
+    set, or +-|alpha_k| on a bi-Cayley graph (Babai 1979)."""
     alphas = groups.character_sum(group.orders, group.subset)
     if not group.bi:
         return np.sort(alphas.real)[::-1]
@@ -221,51 +218,48 @@ def _group_values(g: Graph) -> np.ndarray | None:
 
 
 def _values(g: Graph, kind: str) -> np.ndarray:
-    """Eigenvalues of g's adjacency or laplacian matrix, descending, from the
-    smallest problem that g's facts give exactly: a group graph's adjacency
-    spectrum from its character sums, a bipartite one from the biadjacency
-    block, a d-regular laplacian spectrum as d - alpha, and any other from
-    the full matrix."""
+    """Eigenvalues of g's adjacency or laplacian matrix, descending and
+    read-only, kept in g's instance dict (as cached_property keeps g's facts)
+    from its first read, which solves the smallest problem that g's facts give
+    exactly: a group graph's adjacency spectrum from its character sums, a
+    bipartite one from the biadjacency block, a d-regular laplacian spectrum
+    as d - alpha, and any other from the full matrix."""
+    kept = g.__dict__.setdefault("_spectra", {})
+    if kind in kept:
+        return kept[kind]
     if g.n > EIG_SIZE_CAP:
         raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
     if kind == "adjacency":
-        values = _group_values(g)
-        if values is not None:
-            return values
-        parts = g.bipartition
-        if parts is None:
-            return _symmetric_values(adjacency_matrix(g))
-        return _bipartite_values(g, *parts)
-    if g.is_regular:
-        return _regular_laplacian(g, _values(g, "adjacency"))
-    return _symmetric_values(laplacian_matrix(g))
-
-
-def _regular_laplacian(g: Graph, adjacency: np.ndarray) -> np.ndarray:
-    """d - alpha, descending, for d-regular g with descending adjacency values."""
-    return g.max_degree - adjacency[::-1]
+        if g.group is not None:
+            values = _group_values(g.group)
+        elif g.bipartition is not None:
+            values = _bipartite_values(g, *g.bipartition)
+        else:
+            values = _symmetric_values(adjacency_matrix(g))
+    elif g.is_regular:
+        values = g.max_degree - _values(g, "adjacency")[::-1]
+    else:
+        values = _symmetric_values(laplacian_matrix(g))
+    values.flags.writeable = False
+    kept[kind] = values
+    return values
 
 
 def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
-    """The clustered spectrum of g's adjacency or laplacian matrix; past
-    EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
-    return _clustered(_values(g, kind), kind)
+    """The clustered spectrum of g's adjacency or laplacian matrix, kept beside
+    its values; past EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
+    kept = g.__dict__.setdefault("_spectra", {})
+    if (kind, "clustered") not in kept:
+        kept[kind, "clustered"] = _clustered(_values(g, kind), kind)
+    return kept[kind, "clustered"]
 
 
-def check_group_spectrum(g: Graph, adjacency: Spectrum) -> None:
+def check_group_spectrum(g: Graph) -> None:
     """Mismatch unless a group graph's adjacency spectrum agrees with the
     solve of its edges alone, as if g carried no group."""
     if g.group is not None:
         edges = spectrum(Graph.from_rows(g.adj, name=g.name))
-        verify_closed_form(adjacency, edges, name=f"{g.name}: edge solve")
-
-
-def graph_spectra(g: Graph) -> tuple[Spectrum, Spectrum]:
-    """(adjacency, laplacian) spectra; a regular graph's laplacian spectrum
-    comes from the same solve as its adjacency spectrum."""
-    adjacency = _values(g, "adjacency")
-    laplacian = _regular_laplacian(g, adjacency) if g.is_regular else _values(g, "laplacian")
-    return _clustered(adjacency, "adjacency"), _clustered(laplacian, "laplacian")
+        verify_closed_form(spectrum(g), edges, name=f"{g.name}: edge solve")
 
 
 # -- closed forms -----------------------------------------------------------------

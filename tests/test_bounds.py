@@ -24,14 +24,13 @@ from specgraph.errors import (
     IndexOutOfRange,
     InvalidOperation,
     NotRegular,
+    SizeOverflow,
     SpecgraphError,
 )
 
 
 def audit(g, **caps):
-    inv = gc.invariant_report(g, **caps)
-    adj, lap = sp.graph_spectra(g)
-    return bd.audit_bounds(inv, adj, lap)
+    return bd.audit_bounds(gc.invariant_report(g, **caps))
 
 
 def record(report, name):
@@ -163,7 +162,7 @@ def test_audit_tells_an_odd_cycle_from_a_bipartite_graph():
     g = gf.cycle(3143)
     inv = gc.InvariantReport(g, diameter=1571, girth=3143, chromatic=3, independence=1571,
                              clique=2, isoperimetric=None, iso_witness=None)
-    rep = bd.audit_bounds(inv, *sp.graph_spectra(g))
+    rep = bd.audit_bounds(inv)
     assert rep.failed == []
     assert record(rep, "alpha_min_bipartite_iff").inputs == {
         "condition": False, "numeric_equality": False}
@@ -299,14 +298,13 @@ def test_mixing_lemma_checks_the_query_first(s, t, monkeypatch):
 
 def test_mixing_random_queries_incidence():
     g = gf.incidence(3, 5)
-    adj = sp.eig_symmetric(sp.adjacency_matrix(g))
     black, white = g.bipartition
     black, white = sorted(black), sorted(white)
     rng = np.random.default_rng(35)
     for _ in range(60):
         s = frozenset(rng.choice(black, size=rng.integers(1, len(black)), replace=False).tolist())
         t = frozenset(rng.choice(white, size=rng.integers(1, len(white)), replace=False).tolist())
-        res = bd.mixing_lemma(g, bd.MixingQuery(s, t), adj)
+        res = bd.mixing_lemma(g, bd.MixingQuery(s, t))
         assert res["pass"]
         # independent edge-count oracle
         direct = sum(1 for u in s for v in g.adj[u] if v in t)
@@ -315,11 +313,10 @@ def test_mixing_random_queries_incidence():
 
 def test_mixing_path_count_against_walk_enumeration():
     g = gf.heawood()
-    adj = sp.eig_symmetric(sp.adjacency_matrix(g))
     black, _ = g.bipartition
     s = frozenset(sorted(black)[:3])
     t = frozenset(sorted(black)[3:6])
-    res = bd.mixing_lemma(g, bd.MixingQuery(s, t, ell=2), adj)
+    res = bd.mixing_lemma(g, bd.MixingQuery(s, t, ell=2))
 
     def walks(u, length):
         if length == 0:
@@ -334,6 +331,24 @@ def test_mixing_path_count_against_walk_enumeration():
     direct = sum(walks(u, 2).get(v, 0) for u in s for v in t)
     assert res["count"] == direct
     assert res["pass"]
+
+
+@pytest.mark.parametrize("family,ell,s,t", [
+    ("petersen", 600, {0, 1, 2}, {3, 4, 5}),
+    ("heawood", 599, {0, 1}, {7, 8}),
+], ids=["general", "bipartite"])
+def test_mixing_lemma_refuses_a_bound_past_a_double(family, ell, s, t, monkeypatch):
+    """3^600 / 10 fits a double and 3^700 / 10 does not; walks are counted
+    only for a length whose main term and bound fit. heawood is black 0..6
+    and white 7..13."""
+    g = gf.build(family)
+    res = bd.mixing_lemma(g, bd.MixingQuery(frozenset(s), frozenset(t), ell=ell))
+    assert res["pass"] and res["count"] == bd.path_count_between(g, s, t, ell)
+    calls = []
+    monkeypatch.setattr(bd, "path_count_between", lambda *args: calls.append(args))
+    with pytest.raises(SizeOverflow, match="overflows a double"):
+        bd.mixing_lemma(g, bd.MixingQuery(frozenset(s), frozenset(t), ell=ell + 100))
+    assert calls == []
 
 
 def _int64_walk_count(g, S, T, ell) -> int:
@@ -532,6 +547,18 @@ def test_motzkin_straus_random_petersen():
 def test_motzkin_straus_bad_weights():
     with pytest.raises(BadWeights):
         bd.motzkin_straus(gf.complete(3), [0.5, 0.5, 0.5], 3)
+
+
+def test_motzkin_straus_refuses_a_clique_number_below_one():
+    with pytest.raises(BadParameters, match="at least 1"):
+        bd.motzkin_straus(gf.complete(3), [1 / 3] * 3, 0)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0]],
+                         ids=["nan", "inf"])
+def test_motzkin_straus_refuses_non_finite_weights(weights):
+    with pytest.raises(BadWeights, match="finite"):
+        bd.motzkin_straus(gf.complete(3), weights, 3)
 
 
 # -- matrix principles ----------------------------------------------------------------

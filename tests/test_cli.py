@@ -258,6 +258,39 @@ def test_verify_builds_and_solves_each_graph_once(capsys, monkeypatch):
     assert len(solves) <= 82
 
 
+def test_verify_solves_each_graph_and_kind_once(capsys, monkeypatch):
+    """Each solve and each group spectrum (one FFT of the connection set) that
+    verify makes is the first read of one (graph, kind): the regular graphs'
+    laplacian spectra read their adjacency values, and the audit reads those
+    that the closed-form check solved. verify made 77 solves and 35 group
+    spectra before each graph kept its spectra."""
+    reading, made, graphs = [], [], []
+    values, solve, group_values = sp._values, sp._solve, sp._group_values
+
+    def read(g, kind):
+        graphs.append(g)  # held, so that no two graphs share an id
+        reading.append((id(g), kind))
+        try:
+            return values(g, kind)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(sp, "_values", read)
+    monkeypatch.setattr(sp, "_solve",
+                        lambda m, singular: made.append(reading[-1]) or solve(m, singular))
+    monkeypatch.setattr(sp, "_group_values",
+                        lambda group: made.append(reading[-1]) or group_values(group))
+    code, _ = run(capsys, "verify")
+    assert code == 0
+    assert len(made) == len(set(made)) == 77 + 35
+
+
+def test_audit_refuses_past_the_eigensolver_cap_before_the_invariants(capsys, monkeypatch):
+    monkeypatch.setattr(gc, "invariant_report", None)
+    assert cli.main(["audit", "path:5000"]) == 2
+    assert capsys.readouterr().err == "error: SizeOverflow: n = 5000 over eigensolver cap 4096\n"
+
+
 _FREEZE_PROBE = textwrap.dedent("""
     import gc, json, sys, weakref
     import numpy

@@ -119,6 +119,11 @@ def test_eig_rejects_asymmetric_and_oversize():
         sp.eig_symmetric(np.zeros((5000, 5000)))
 
 
+def test_eig_rejects_an_empty_matrix():
+    with pytest.raises(NotSymmetric, match="non-empty"):
+        sp.eig_symmetric(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("matrix", [[[math.nan, 0.0], [0.0, 1.0]], [[0.0, 1.0], [math.nan, 0.0]],
                                     [[0.0, math.inf], [math.inf, 0.0]]],
                          ids=["nan_on_diagonal", "nan_off_diagonal", "inf_symmetric"])
@@ -203,7 +208,32 @@ def _assert_spectrum_matches_dense(g):
         assert all(abs(a - b) <= tol for (a, _), (b, _) in zip(got.entries, want.entries))
         assert abs(got.cluster_tol - want.cluster_tol) <= 1e-6 * tol
         assert not any(v == 0 and math.copysign(1.0, v) < 0 for v, _ in got.entries)
-    assert sp.graph_spectra(g) == (sp.spectrum(g, "adjacency"), sp.spectrum(g, "laplacian"))
+
+
+@pytest.mark.parametrize("source,solves", [("petersen", 1), ("wheel:7", 2)])
+def test_each_spectrum_is_solved_once_and_kept_with_its_graph(source, solves, monkeypatch):
+    """Petersen's laplacian spectrum is 3 - alpha over its one adjacency solve;
+    wheel:7 is neither regular nor bipartite, so each kind takes a solve.
+    Reading them again solves and clusters nothing."""
+    calls = []
+    solve = sp._solve
+    monkeypatch.setattr(sp, "_solve", lambda m, singular: calls.append(m.shape) or solve(m, singular))
+    g = gf.build(source)
+    assert g.group is None
+    first = sp.spectrum(g), sp.spectrum(g, "laplacian")
+    assert len(calls) == solves
+    assert sp.spectrum(g) is first[0] and sp.spectrum(g, "laplacian") is first[1]
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("source", ["petersen", "wheel:7", "cube:4", "paley:13"])
+def test_kept_spectra_are_read_only(source):
+    g = gf.build(source)
+    for kind in ("adjacency", "laplacian"):
+        values = sp._values(g, kind)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
 
 
 def test_spectrum_matches_dense_on_corpus():
@@ -224,7 +254,7 @@ def test_group_spectrum_matches_dense_on_corpus():
     assert len(group_graphs) == 32
     for g in group_graphs:
         _assert_spectrum_matches_dense(g)
-        sp.check_group_spectrum(g, sp.spectrum(g))
+        sp.check_group_spectrum(g)
 
 
 @st.composite
@@ -261,7 +291,7 @@ def group_graphs(draw):
 def test_group_spectrum_matches_dense(g):
     assert _has_group(g)
     _assert_spectrum_matches_dense(g)
-    sp.check_group_spectrum(g, sp.spectrum(g))
+    sp.check_group_spectrum(g)
 
 
 def test_group_spectrum_builds_no_matrix(monkeypatch):
@@ -271,7 +301,7 @@ def test_group_spectrum_builds_no_matrix(monkeypatch):
     for g in (gf.cube(11), gf.incidence(3, 31)):
         tracemalloc.start()
         try:
-            sp.graph_spectra(g)
+            sp.spectrum(g), sp.spectrum(g, "laplacian")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,7 +350,7 @@ def test_group_spectrum_mismatch_is_found():
     """A Cayley graph whose group entry disagrees with its edges fails the check."""
     g = gc.Graph.from_rows(gf.cycle(8).adj, group=groups.Group((8,), ((2,), (6,))))
     with pytest.raises(Mismatch):
-        sp.check_group_spectrum(g, sp.spectrum(g))
+        sp.check_group_spectrum(g)
 
 
 @st.composite
@@ -820,7 +850,7 @@ def test_closed_form_rule_refuses_base_without_trivial_eigenvalue(build, missing
 
 def test_classifiers_petersen():
     g = gf.petersen()
-    adj, lap = sp.graph_spectra(g)
+    adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
     out = sp.spectrum_classifiers(adj, lap)
     assert out["regular"] and not out["bipartite"]
     assert out["connected_components"] == 1
@@ -829,7 +859,7 @@ def test_classifiers_petersen():
 
 def test_classifiers_heawood_extremal_design():
     g = gf.heawood()
-    adj, lap = sp.graph_spectra(g)
+    adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
     out = sp.spectrum_classifiers(adj, lap)
     assert out["bipartite"] and out["regular"]
     assert out["design"] == gf.DesignParams(7, 3, 1)
@@ -838,7 +868,7 @@ def test_classifiers_heawood_extremal_design():
 
 def test_classifiers_k33():
     g = gf.complete_bipartite(3, 3)
-    adj, lap = sp.graph_spectra(g)
+    adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
     out = sp.spectrum_classifiers(adj, lap)
     assert out["bipartite"] and out["regular"]
     assert out["design"] == gf.DesignParams(3, 3, 3)  # c = d
@@ -846,14 +876,14 @@ def test_classifiers_k33():
 
 def test_classifier_counts_components():
     g = gc.Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    adj, lap = sp.graph_spectra(g)
+    adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
     out = sp.spectrum_classifiers(adj, lap)
     assert out["connected_components"] == 2
 
 
 def test_classifier_irregular():
     g = gf.star(5)
-    adj, lap = sp.graph_spectra(g)
+    adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
     out = sp.spectrum_classifiers(adj, lap)
     assert not out["regular"] and out["bipartite"]
 
@@ -905,7 +935,7 @@ def test_trace_identities_with_triangle_oracle():
 
 def test_interval_location():
     for g in spectral_corpus():
-        adj, lap = sp.graph_spectra(g)
+        adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
         d = g.max_degree
         assert adj.min >= -d - 1e-9 and adj.max <= d + 1e-9
         assert lap.min >= -1e-9 and lap.max <= 2 * d + 1e-9
@@ -913,7 +943,7 @@ def test_interval_location():
 
 def test_distinct_count_vs_diameter():
     for g in spectral_corpus():
-        adj, lap = sp.graph_spectra(g)
+        adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
         delta = gc.diameter(g)
         assert len(adj.entries) >= delta + 1
         assert len(lap.entries) >= delta + 1
@@ -928,7 +958,7 @@ def test_lambda_max_2d_iff_regular_bipartite():
 
 def test_degree_sandwich():
     for g in spectral_corpus():
-        adj, lap = sp.graph_spectra(g)
+        adj, lap = sp.spectrum(g), sp.spectrum(g, "laplacian")
         sums = adj.expanded() + lap.ascending()
         assert sums.min() >= g.min_degree - 1e-8
         assert sums.max() <= g.max_degree + 1e-8
