@@ -349,7 +349,7 @@ def _pm1_candidates(g: Graph, lam: int):
             elif imag == 0 and d - real == lam:
                 chi = groups.character(orders, ks)
                 vec = np.round(chi.real + chi.imag).astype(np.int64)
-                if set(np.unique(vec)) <= {-1, 1}:
+                if (np.abs(vec) == 1).all():
                     yield vec
     if g.n <= PM1_ENUMERATION_CAP:
         n = g.n

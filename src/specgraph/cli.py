@@ -20,13 +20,13 @@ cyclic garbage it made before the import is no longer reclaimed.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc as pygc
 import json
 import math
 import os
 import sys
+import types
 from json.encoder import encode_basestring_ascii
 
 # before the package imports below load numpy
@@ -385,62 +385,113 @@ def cmd_iso(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+FLAG = "flag"  # the type of an option that takes no value
+SEED_PATH = {"--seed": (int, DEFAULT_SEED, None, None),
+             "--path": (str, None, None, "write the artifact to this file instead of stdout")}
+CAPS = {**SEED_PATH,  # on the commands that run the capped exact engines
+        "--caps": (str, None, None, "lower the exact-engine caps, e.g. chi=32,beta=16,iso=24")}
+SOURCE = (("source", str), ("params", str))
+
+# The CLI grammar: command -> (handler, help, positionals, options).  The
+# positionals are (name, type) pairs, "params" taking all that remain; the
+# options map "--name" to (type or FLAG, default, choices, help), in the order
+# that help lists them.  _parse reads an exactly spelled call off it, and
+# _argparser builds the parser for every other call from it.
+COMMANDS = {
+    "gen": (cmd_gen, "generate a family member", (("family", str), ("params", str)),
+            {"--out": (str, "edgelist", ("edgelist", "dot", "json"), None), **SEED_PATH}),
+    "spec": (cmd_spec, "spectrum of a graph source", SOURCE,
+             {"--kind": (str, "adjacency", ("adjacency", "laplacian"), None),
+              "--closed-form": (FLAG, False, None, None), **SEED_PATH}),
+    "chars": (cmd_chars, "character sum tables over GF(q)", (("q", int),),
+              {"--ext": (int, None, None, "extension degree for Eisenstein sums"),
+               **SEED_PATH}),
+    "audit": (cmd_audit, "spectral bound audit of one graph", SOURCE, CAPS),
+    "verify": (cmd_verify, "closed forms + audits over the corpus", (),
+               {"--families": (str, None, None, "comma-separated corpus ids to restrict to"),
+                **CAPS}),
+    "iso": (cmd_iso, "compare two graph sources", (("first", str), ("second", str)), CAPS),
+}
+
+
+def _parse(argv: list):
+    """(handler, namespace) of an exactly spelled call, the namespace holding
+    what argparse would: a command, its positionals, then options spelled in
+    full as `--name value` or a bare flag, where no positional or value starts
+    with "-", each value converts with its type and lies in its choices, and a
+    repeated option keeps its last value.  None for any other call."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, positionals, options = COMMANDS[argv[0]]
+    cut = next((i for i, word in enumerate(argv) if word.startswith("-")), len(argv))
+    given = argv[1:cut]
+    fixed = [(name, kind) for name, kind in positionals if name != "params"]
+    params = len(fixed) < len(positionals)  # whether params takes the remaining positionals
+    if len(given) < len(fixed) or len(given) > len(fixed) and not params:
+        return None
+    args = {"command": argv[0], "fn": fn}
+    args.update((option[2:].replace("-", "_"), spec[1]) for option, spec in options.items())
+    if params:
+        args["params"] = given[len(fixed):]
+    try:
+        args.update((name, kind(word)) for (name, kind), word in zip(fixed, given))
+        i = cut
+        while i < len(argv):
+            if argv[i] not in options:
+                return None
+            kind, _, choices, _ = options[argv[i]]
+            dest = argv[i][2:].replace("-", "_")
+            if kind is FLAG:
+                args[dest] = True
+                i += 1
+                continue
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            args[dest] = kind(argv[i + 1])
+            if choices is not None and args[dest] not in choices:
+                return None
+            i += 2
+    except ValueError:
+        return None
+    return fn, types.SimpleNamespace(**args)
+
+
+def _argparser():
+    """The argparse parser of COMMANDS, for every call that _parse leaves:
+    help, --version, abbreviations and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="specgraph",
         description="algebraic graph families, character sums, spectra, and bound audits")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (fn, summary, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kind in positionals:
+            if name == "params":
+                p.add_argument(name, nargs="*")
+            else:
+                p.add_argument(name, type=kind)
+        for option, (kind, default, choices, help_text) in options.items():
+            if kind is FLAG:
+                p.add_argument(option, action="store_true", help=help_text)
+            else:
+                p.add_argument(option, type=kind, default=default, choices=choices,
+                               help=help_text)
+        p.set_defaults(fn=fn)
+    return parser
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--path", help="write the artifact to this file instead of stdout")
 
-    def exact(p):  # the subcommands that run the capped exact engines
-        common(p)
-        p.add_argument("--caps", help="lower the exact-engine caps, e.g. chi=32,beta=16,iso=24")
-
-    p_gen = sub.add_parser("gen", help="generate a family member")
-    p_gen.add_argument("family")
-    p_gen.add_argument("params", nargs="*")
-    p_gen.add_argument("--out", choices=["edgelist", "dot", "json"], default="edgelist")
-    common(p_gen)
-    p_gen.set_defaults(fn=cmd_gen)
-
-    p_spec = sub.add_parser("spec", help="spectrum of a graph source")
-    p_spec.add_argument("source")
-    p_spec.add_argument("params", nargs="*")
-    p_spec.add_argument("--kind", choices=["adjacency", "laplacian"], default="adjacency")
-    p_spec.add_argument("--closed-form", action="store_true")
-    common(p_spec)
-    p_spec.set_defaults(fn=cmd_spec)
-
-    p_chars = sub.add_parser("chars", help="character sum tables over GF(q)")
-    p_chars.add_argument("q", type=int)
-    p_chars.add_argument("--ext", type=int, help="extension degree for Eisenstein sums")
-    common(p_chars)
-    p_chars.set_defaults(fn=cmd_chars)
-
-    p_audit = sub.add_parser("audit", help="spectral bound audit of one graph")
-    p_audit.add_argument("source")
-    p_audit.add_argument("params", nargs="*")
-    exact(p_audit)
-    p_audit.set_defaults(fn=cmd_audit)
-
-    p_verify = sub.add_parser("verify", help="closed forms + audits over the corpus")
-    p_verify.add_argument("--families", help="comma-separated corpus ids to restrict to")
-    exact(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_iso = sub.add_parser("iso", help="compare two graph sources")
-    p_iso.add_argument("first")
-    p_iso.add_argument("second")
-    exact(p_iso)
-    p_iso.set_defaults(fn=cmd_iso)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsed = _parse(argv)
+    if parsed is None:
+        args = _argparser().parse_args(argv)
+        parsed = args.fn, args
+    fn, args = parsed
     try:
-        return args.fn(args)
+        return fn(args)
     except SpecgraphError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -55,16 +55,20 @@ def generates(orders, steps) -> bool:
     s joins by doubling: after k rounds of h <- h u (h + 2^j s), j < k, h is
     the union of H + i s over i < 2^k, the first 2^k multiples of s's coset.
     Once 2^k s lies in h, 2^k is at least that coset's order, so h is
-    <H, s>."""
+    <H, s>.  Once a step leaves h the whole group, the rest cannot grow it."""
     orders = tuple(orders)
     axes = tuple(range(len(orders)))
     h = np.zeros(orders, dtype=bool)
     h[(0,) * len(orders)] = True
     for s in steps:
         shift = tuple(x % m for x, m in zip(s, orders))
+        if h[shift]:
+            continue
         while not h[shift]:
             h |= np.roll(h, shift, axes)
             shift = tuple(2 * x % m for x, m in zip(shift, orders))
+        if h.all():
+            return True
     return bool(h.all())
 
 

@@ -135,9 +135,9 @@ class Spectrum:
 def _cluster(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
     """Group sorted-descending values into (mean, multiplicity) clusters."""
     out: list[tuple[float, int]] = []
-    cluster: list[float] = [float(values[0])]
-    for v in values[1:]:
-        v = float(v)
+    first, *rest = values.tolist()
+    cluster: list[float] = [first]
+    for v in rest:
         if abs(cluster[-1] - v) <= tol:
             cluster.append(v)
         else:
@@ -248,6 +248,8 @@ def _values(g: Graph, kind: str) -> np.ndarray:
 def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
     """The clustered spectrum of g's adjacency or laplacian matrix, kept beside
     its values; past EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
+    if kind not in ("adjacency", "laplacian"):
+        raise BadParameters(f"unknown spectrum kind {kind!r}; expected adjacency or laplacian")
     kept = g.__dict__.setdefault("_spectra", {})
     if (kind, "clustered") not in kept:
         kept[kind, "clustered"] = _clustered(_values(g, kind), kind)

@@ -4,6 +4,10 @@ interlacing, Motzkin-Straus, and the symmetric-matrix principles."""
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -196,6 +200,24 @@ def test_cheeger_certificate_vector_is_exact():
     lap = sp.laplacian_matrix(g).astype(np.int64)
     assert np.array_equal(lap @ cert["vector"], cert["lambda2"] * cert["vector"])
     assert set(np.unique(cert["vector"])) == {-1, 1}
+
+
+def test_cheeger_pm1_leaves_numpy_ma_unloaded():
+    """cube:4's certificate comes from a character of order 2, checked as +-1
+    without np.unique, whose first call imports numpy.ma.  A fresh
+    interpreter, since numpy.ma stays loaded once imported."""
+    probe = ("import json, sys\n"
+             "from specgraph import bounds, graph_families\n"
+             "cert = bounds.cheeger_pm1(graph_families.cube(4))\n"
+             "print(json.dumps([cert['lambda2'], str(cert['beta']), cert['vector'].tolist(),\n"
+             "                  'numpy.ma' in sys.modules]))\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, "1", [1, -1] * 8, False]
 
 
 def test_cheeger_incidence_4_3_both_readings():

@@ -1,5 +1,8 @@
 """Command-line front end: artifact schemas, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -568,6 +571,215 @@ def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     assert code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+# -- the command table and its argparse parser ----------------------------------
+
+ARGPARSER = cli._argparser()
+
+
+def _argparse(argv):
+    """argparse's namespace of argv, or None where it exits (an error, help or
+    --version), with what it prints swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return ARGPARSER.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _agrees_with_argparse(argv):
+    """_parse accepts argv only where argparse does, with the same handler
+    and fields; where argparse exits, _parse defers."""
+    parsed, expected = cli._parse(argv), _argparse(argv)
+    if expected is None:
+        assert parsed is None
+    elif parsed is not None:
+        assert parsed[0] is expected.fn and vars(parsed[1]) == vars(expected)
+    return parsed
+
+
+OPTIONS = sorted({option for *_, options in cli.COMMANDS.values() for option in options})
+# values that no type or choice takes, or that argparse may read as an option
+ODD_VALUES = ["-3", "x", "1_0", " 7", "", "-", "--", "-h", "--seed", "chi=3"]
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a command, its positionals, then options, with values of the
+    option's type and choices; and now and then a stray first word, a
+    positional too few or too many, an option of another command, an option
+    abbreviated, bare or as --name=value, a value that no type takes or that
+    starts with "-", or a word moved to another place."""
+    def value(usual):  # one time in eight an odd value
+        return draw(st.sampled_from(usual if draw(st.integers(0, 7)) else ODD_VALUES))
+
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[command]
+    words = [command if draw(st.integers(0, 9)) else draw(st.sampled_from(["-h", "nonesuch"]))]
+    extra = draw(st.sampled_from([0] * 5 + [1, 2, -1]))
+    kinds = [kind for _, kind in positionals] + [str] * extra
+    words += [value(["5", "27"] if kind is int else ["paley:13", "petersen", "3,3"])
+              for kind in kinds[:len(kinds) + min(extra, 0)]]
+    for _ in range(draw(st.integers(0, 4))):
+        own = sorted(options) if draw(st.integers(0, 5)) else OPTIONS
+        option = draw(st.sampled_from(own))
+        kind, _, choices, _ = options.get(option, (str, None, None, None))
+        given = value(choices or (["5", "0", "12"] if kind is int else
+                                  ["a.json", "chi=3", "petersen,K_5"]))
+        form = draw(st.sampled_from(["exact"] * 9 + ["abbreviated", "equals", "bare"]))
+        if form == "abbreviated":
+            words += [option[:draw(st.integers(3, len(option) - 1))], given]
+        elif form == "equals":
+            words.append(f"{option}={given}")
+        elif form == "bare" or kind is cli.FLAG:
+            words.append(option)
+        else:
+            words += [option, given]
+    if draw(st.integers(0, 9)) == 0:
+        word = words.pop(draw(st.integers(0, len(words) - 1)))
+        words.insert(draw(st.integers(0, len(words))), word)
+    return words
+
+
+EXACT_CALLS = [["gen", "paley", "13", "--out", "json", "--seed", "1", "--path", "a.json"],
+               ["spec", "paley:13", "--kind", "laplacian", "--closed-form", "--kind",
+                "adjacency"],
+               ["chars", "27"], ["chars", "5", "--ext", "3", "--seed", "1101"],
+               ["audit", "petersen", "--caps", "chi=3"], ["verify"],
+               ["verify", "--families", "petersen", "--path", "b.json"],
+               ["iso", "petersen", "petersen", "--caps", "iso=8"]]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(argvs())
+@example(["spec", "paley:13", "--closed-form", "--closed-form"])
+@example(["gen", "cube", "--out", "dot", "--out", "json"])
+@example(["chars", "-3"])
+@example(["spec", "--kind", "laplacian", "petersen"])
+@example(["verify", "--"])
+def test_parse_agrees_with_argparse(argv):
+    _agrees_with_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", EXACT_CALLS, ids=" ".join)
+def test_exact_calls_take_the_table(argv):
+    assert _agrees_with_argparse(argv) is not None
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in USAGE_ERRORS.values()], ids=USAGE_ERRORS)
+def test_usage_errors_parse_as_argparse_does(argv):
+    """Each handler that refuses a call above sees the fields it saw before."""
+    _agrees_with_argparse(argv)
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from specgraph import cli
+    rc = cli.main(sys.argv[1:])
+    print(json.dumps([rc, sorted({"argparse", "numpy.ma"} & set(sys.modules))]))
+""")
+
+
+@pytest.mark.parametrize("argv", [["gen", "paley", "13"], ["spec", "paley:13", "--closed-form"],
+                                  ["chars", "5"], ["audit", "petersen"],
+                                  ["verify", "--families", "petersen"],
+                                  ["iso", "petersen", "petersen"]], ids=lambda argv: argv[0])
+def test_exact_call_loads_neither_argparse_nor_numpy_ma(argv, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--seed", "1",
+                           "--path", str(report)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert report.stat().st_size > 0
+
+
+TOP_USAGE = "usage: specgraph [-h] [--version] {gen,spec,chars,audit,verify,iso} ...\n"
+SPEC_USAGE = """\
+usage: specgraph spec [-h] [--kind {adjacency,laplacian}] [--closed-form]
+                      [--seed SEED] [--path PATH]
+                      source [params ...]
+"""
+HELP = TOP_USAGE + """
+algebraic graph families, character sums, spectra, and bound audits
+
+positional arguments:
+  {gen,spec,chars,audit,verify,iso}
+    gen                 generate a family member
+    spec                spectrum of a graph source
+    chars               character sum tables over GF(q)
+    audit               spectral bound audit of one graph
+    verify              closed forms + audits over the corpus
+    iso                 compare two graph sources
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+SPEC_HELP = SPEC_USAGE + """
+positional arguments:
+  source
+  params
+
+options:
+  -h, --help            show this help message and exit
+  --kind {adjacency,laplacian}
+  --closed-form
+  --seed SEED
+  --path PATH           write the artifact to this file instead of stdout
+"""
+UNRECOGNIZED_CAPS = TOP_USAGE + "specgraph: error: unrecognized arguments: --caps chi=3\n"
+SHA = "sha256:"  # an expected stdout given by its digest
+# id: (argv, exit code, stdout, stderr), as the hand-written argparse parser
+# printed them with COLUMNS=80
+ARGPARSE_CALLS = {
+    "help": (["--help"], 0, HELP, ""),
+    "spec_help": (["spec", "-h"], 0, SPEC_HELP, ""),
+    "version": (["--version"], 0, "0.1.0\n", ""),
+    "abbreviated_flag": (["spec", "paley:13", "--closed"], 0,
+                         SHA + "18e84eb52f404860f7f7159fc038a3961c0fb14d184ea7cfe5ba8b5792eea39e",
+                         ""),
+    "path_with_equals": (["spec", "paley:13", "--path=report.json"], 0, "", ""),
+    "caps_on_gen": (["gen", "paley:13", "--caps", "chi=3"], 2, "", UNRECOGNIZED_CAPS),
+    "caps_on_spec": (["spec", "paley:13", "--caps", "chi=3"], 2, "", UNRECOGNIZED_CAPS),
+    "caps_on_chars": (["chars", "5", "--caps", "chi=3"], 2, "", UNRECOGNIZED_CAPS),
+    "invalid_choice": (["spec", "paley:13", "--kind", "x"], 2, "", SPEC_USAGE
+                       + "specgraph spec: error: argument --kind: invalid choice: 'x' "
+                         "(choose from 'adjacency', 'laplacian')\n"),
+    "invalid_int": (["chars", "x"], 2, "",
+                    "usage: specgraph chars [-h] [--ext EXT] [--seed SEED] [--path PATH] q\n"
+                    "specgraph chars: error: argument q: invalid int value: 'x'\n"),
+    "missing_positional": (["iso", "a"], 2, "",
+                           "usage: specgraph iso [-h] [--seed SEED] [--path PATH] [--caps CAPS]\n"
+                           "                     first second\n"
+                           "specgraph iso: error: the following arguments are required: "
+                           "second\n"),
+}
+
+
+@pytest.mark.parametrize("argv,code,out,err", ARGPARSE_CALLS.values(), ids=ARGPARSE_CALLS.keys())
+def test_argparse_calls_print_as_before(argv, code, out, err, tmp_path, capsys, monkeypatch):
+    """Help, --version, an abbreviation, --name=value and usage errors go to
+    the parser built from the table, which prints what the parser written out
+    by hand printed."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert cli._parse(argv) is None
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    printed = capsys.readouterr()
+    if out.startswith(SHA):
+        printed = printed._replace(out=SHA + hashlib.sha256(printed.out.encode()).hexdigest())
+    assert (got, printed.out, printed.err) == (code, out, err)
+    if "--path=report.json" in argv:  # the report of `spec paley:13`
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == "b4c8ff7f65db4d66936a5ae2af2b2fd9268f5e5e678bc74fa42879b7fd2b86ca"
 
 
 @pytest.mark.parametrize("argv", [["decked_cube:3,011"], ["decked_cube", "3", "011"]],

@@ -50,6 +50,17 @@ def test_generates_matches_search(case):
     assert groups.generates(orders, steps) == _reaches_all(orders, steps)
 
 
+def test_generates_stops_once_the_group_is_covered(monkeypatch):
+    """paley:1009's first square, 1, covers Z_1009 in ceil(log2 1009) = 10
+    doublings, and the 503 squares after it are not read."""
+    squares = sorted({x * x % 1009 for x in range(1, 1009)})
+    rolls, read = [], []
+    roll = np.roll
+    monkeypatch.setattr(np, "roll", lambda *args: rolls.append(args[1]) or roll(*args))
+    assert groups.generates((1009,), (read.append(s) or (s,) for s in squares))
+    assert len(rolls) == 10 and read == [1]
+
+
 def test_layout_index_translate_neg():
     for orders in GROUPS:
         elems = groups.elements(orders)

@@ -388,6 +388,53 @@ def test_petersen_spectrum():
     assert abs(s.entries[2][0] + 2) < 1e-9
 
 
+def _cluster_by_scalars(values, tol):
+    """_cluster as it read the values before: float() of each numpy scalar."""
+    out = []
+    cluster = [float(values[0])]
+    for v in values[1:]:
+        v = float(v)
+        if abs(cluster[-1] - v) <= tol:
+            cluster.append(v)
+        else:
+            out.append((sum(cluster) / len(cluster), len(cluster)))
+            cluster = [v]
+    out.append((sum(cluster) / len(cluster), len(cluster)))
+    return tuple(out)
+
+
+@st.composite
+def near_ties(draw):
+    """Descending values whose gaps sit at, just inside and just outside tol,
+    or far from it, with any exact zero drawn as 0.0 or -0.0."""
+    tol = draw(st.floats(1e-15, 1e-3))
+    gaps = [0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf), 2 * tol, 1.0]
+    values = [draw(st.sampled_from([0.0, 1.0, -1.0, 3.0]) | st.floats(-10, 10))]
+    for gap in draw(st.lists(st.sampled_from(gaps), max_size=12)):
+        values.append(values[-1] - gap)
+    values = [draw(st.sampled_from([0.0, -0.0])) if v == 0 else v for v in values]
+    return np.array(values), tol
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(near_ties())
+@example((np.array([0.0, -0.0, -0.0]), 0.0))
+@example((np.array([1e-16, -0.0, -1e-16]), 1e-16))
+def test_cluster_matches_the_scalar_loop(case):
+    """The same sums in the same order: equal to the bit, signed zeros too."""
+    values, tol = case
+    assert repr(sp._cluster(values, tol)) == repr(_cluster_by_scalars(values, tol))
+
+
+def test_spectrum_refuses_an_unknown_kind():
+    """A misspelt kind is refused, not read as the laplacian, and nothing is
+    kept on the graph."""
+    g = gc.Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(BadParameters, match="adjacncy"):
+        sp.spectrum(g, "adjacncy")
+    assert "_spectra" not in g.__dict__
+
+
 def test_cluster_tol_is_the_solve_error_bound():
     """n eps max(1, ||A||_F), and ||A||_F^2 = 2|E| for an adjacency matrix; a
     Python float, so that the records it decides hold Python bools."""
