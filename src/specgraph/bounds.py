@@ -108,6 +108,8 @@ DISCONNECTED = "needs a connected graph"
 NO_EDGES = "needs an edge"
 TWO_VERTICES = "needs at least two vertices"
 DEGREE_TWO = "needs maximum degree at least 2"
+CHI_CAPPED = "chromatic number capped"
+IOTA_CAPPED = "independence number capped"
 
 
 def audit_bounds(inv: InvariantReport) -> AuditReport:
@@ -139,8 +141,8 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
 
     # chromatic / independence
     if chi is None:
-        rec(_skip("wilf_chromatic", "chromatic number capped"))
-        rec(_skip("hoffman_chromatic", "chromatic number capped"))
+        rec(_skip("wilf_chromatic", CHI_CAPPED))
+        rec(_skip("hoffman_chromatic", CHI_CAPPED))
     else:
         rec(_le("wilf_chromatic", chi, 1 + alpha_max, {"chi": chi, "alpha_max": alpha_max}))
         if edgeless:
@@ -149,13 +151,15 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
             rec(_ge("hoffman_chromatic", chi, 1 + alpha_max / (-alpha_min),
                     {"chi": chi, "alpha_max": alpha_max, "alpha_min": alpha_min}))
     if iota is None:
-        rec(_skip("hoffman_independence", "independence number capped"))
+        rec(_skip("hoffman_independence", IOTA_CAPPED))
     elif edgeless:
         rec(_skip("hoffman_independence", NO_EDGES))
     else:
         rec(_le("hoffman_independence", iota, n * (1 - d_min / lam_max),
                 {"iota": iota, "d_min": d_min, "lambda_max": lam_max}))
-    if chi is not None and iota is not None:
+    if chi is None or iota is None:
+        rec(_skip("chi_iota_product", CHI_CAPPED if chi is None else IOTA_CAPPED))
+    else:
         rec(_ge("chi_iota_product", chi * iota, n, {"chi": chi, "iota": iota}))
 
     # isoperimetric
@@ -289,7 +293,9 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
     rec(_le("degree_sandwich_high", float(pair.max()), float(d)))
 
     # Brooks (statement-level check)
-    if chi is not None:
+    if chi is None:
+        rec(_skip("brooks", CHI_CAPPED))
+    else:
         odd_cycle = regular and d == 2 and n % 2 == 1
         if not connected:
             rec(_skip("brooks", DISCONNECTED))

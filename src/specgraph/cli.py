@@ -401,7 +401,7 @@ COMMANDS = {
     "gen": (cmd_gen, "generate a family member", (("family", str), ("params", str)),
             {"--out": (str, "edgelist", ("edgelist", "dot", "json"), None), **SEED_PATH}),
     "spec": (cmd_spec, "spectrum of a graph source", SOURCE,
-             {"--kind": (str, "adjacency", ("adjacency", "laplacian"), None),
+             {"--kind": (str, "adjacency", sp.KINDS, None),
               "--closed-form": (FLAG, False, None, None), **SEED_PATH}),
     "chars": (cmd_chars, "character sum tables over GF(q)", (("q", int),),
               {"--ext": (int, None, None, "extension degree for Eisenstein sums"),

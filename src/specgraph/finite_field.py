@@ -301,9 +301,11 @@ def evaluate(coeffs, x: FieldElement) -> FieldElement:
     return acc
 
 
-def _tables(spec: FieldSpec):
+def _tables(spec: FieldSpec) -> tuple[memoryview, memoryview]:
     """(exp, log) base the canonical generator g: exp[j] is the index of g^j
-    and log[exp[j]] = j (log[0] is unused).
+    and log[exp[j]] = j (log[0] is unused).  Each is a read-only memoryview of
+    a C-long numpy array: indexing it gives a Python int, and np.asarray or
+    np.frombuffer reads it without a copy.
 
     g is the unit of least index whose order is q - 1 by the prime-factor
     test.  When d > 1 the search starts at index p: the units of GF(p), at
@@ -313,7 +315,6 @@ def _tables(spec: FieldSpec):
     the block before times g^b.  The walk must hit each of the q - 1 nonzero
     elements once, which makes every one a unit and so g^(q-1) = 1; a walk
     that misses one means the modulus is reducible."""
-    from array import array  # here, so that processes with no field work skip it
     import numpy as np
 
     p, d, m, n = spec.p, spec.d, spec.modulus, spec.q - 1
@@ -334,7 +335,7 @@ def _tables(spec: FieldSpec):
     step = np.array([vector(_poly_mod((0,) * i + powers[b], m, p)) for i in range(d)])
     block = np.array([vector(x) for x in powers[:b]])
     digits = p ** np.arange(d)
-    exp = np.empty(-(-n // b) * b, dtype="l")  # C longs, as array("l") holds
+    exp = np.empty(-(-n // b) * b, dtype="l")  # C longs
     for start in range(0, n, b):
         exp[start:start + b] = block @ digits
         block = block @ step % p
@@ -345,7 +346,7 @@ def _tables(spec: FieldSpec):
         raise SpecMismatch(f"modulus {m} is not irreducible over Z_{p}")
     log = np.zeros(spec.q, dtype="l")
     log[exp] = np.arange(n)
-    return array("l", exp.tobytes()), array("l", log.tobytes())
+    return memoryview(exp).toreadonly(), memoryview(log).toreadonly()
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,6 @@ from .errors import (
 from .finite_field import (
     FieldSpec,
     field,
-    signature_table,
     subfield_embedding,
 )
 from . import groups
@@ -44,36 +43,59 @@ from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at
 ADJACENCY_CAP = 2**24
 
 
-def _reduced(orders, elements) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
-    """The group orders and the set of elements reduced mod them; BadParameters
-    for an order below 1 or an element without one coordinate per order,
-    SizeOverflow for a table of more than ADJACENCY_CAP entries."""
+def _check_size(orders, count: int) -> None:
+    """SizeOverflow for a translate table of more than ADJACENCY_CAP entries."""
+    if math.prod(orders) * max(count, 1) > ADJACENCY_CAP:
+        raise SizeOverflow(f"group of order {math.prod(orders)} with {count} "
+                           f"elements exceeds {ADJACENCY_CAP} adjacency entries")
+
+
+def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
+    """The group orders and the sorted indices of the distinct elements
+    reduced mod them, the elements read once; BadParameters for an order
+    below 1 or an element without one coordinate per order, SizeOverflow for
+    a table of more than ADJACENCY_CAP entries."""
     orders = tuple(int(m) for m in orders)
     if min(orders, default=1) < 1:
         raise BadParameters(f"group orders must be at least 1, got {orders}")
-    if any(len(s) != len(orders) for s in elements):
+    # object dtype, so that a coordinate of any size is reduced exactly
+    coords = np.array(list(elements), dtype=object)
+    if len(coords) and coords.shape[1:] != (len(orders),):
         raise BadParameters(f"each element needs one coordinate per order of {orders}")
-    reduced = {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
-    if math.prod(orders) * max(len(reduced), 1) > ADJACENCY_CAP:
-        raise SizeOverflow(f"group of order {math.prod(orders)} with {len(reduced)} "
-                           f"elements exceeds {ADJACENCY_CAP} adjacency entries")
-    return orders, reduced
+    coords = coords.reshape(len(coords), len(orders)) % np.array(orders, dtype=object)
+    if math.prod(orders) > ADJACENCY_CAP:
+        # refused at any count, and an index may not fit int64
+        _check_size(orders, len(set(map(tuple, coords.tolist()))))
+    idx = np.sort(groups.indices(orders, coords.astype(np.int64)))
+    return orders, np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
+
+
+def _cayley_indexed(orders, gens: np.ndarray, name: str, labels) -> Graph:
+    """cayley on the sorted indices of its distinct generators."""
+    _check_size(orders, len(gens))
+    if len(gens) and gens[0] == 0:
+        raise ContainsIdentity("generating set contains the identity")
+    coords = groups.digits(orders, gens)
+    inverses = groups.indices(orders, -coords % np.array(orders, dtype=np.int64))
+    # the least generator at or past each inverse, which is the inverse iff it
+    # is a generator; past the last one, gens[0] < the inverse stands in
+    lacking = np.flatnonzero(gens[np.searchsorted(gens, inverses) % max(len(gens), 1)]
+                             != inverses)
+    if lacking.size:
+        raise NotSymmetric(f"generator {tuple(coords[lacking[0]].tolist())} lacks its inverse")
+    subset = tuple(map(tuple, coords.tolist()))
+    if not groups.generates(orders, subset):
+        raise NotGenerating("subset does not generate the group")
+    return Graph.from_group(groups.Group(orders, subset), labels=labels,
+                            name=name or f"cayley{orders}")
 
 
 def cayley(orders, generators, name: str = "", labels=GROUP_LABELS) -> Graph:
     """Cayley graph of a product of cyclic groups w.r.t. a symmetric,
     identity-free, generating subset.  Vertex i is group element i, labelled
-    with its tuple unless ``labels`` is given (None: unlabelled)."""
-    orders, gen_set = _reduced(orders, generators)
-    if tuple(0 for _ in orders) in gen_set:
-        raise ContainsIdentity("generating set contains the identity")
-    for s in gen_set:
-        if groups.neg(orders, s) not in gen_set:
-            raise NotSymmetric(f"generator {s} lacks its inverse")
-    if not groups.generates(orders, gen_set):
-        raise NotGenerating("subset does not generate the group")
-    return Graph.from_group(groups.Group(orders, tuple(sorted(gen_set))), labels=labels,
-                            name=name or f"cayley{orders}")
+    with its tuple unless ``labels`` is given (None: unlabelled).  A
+    generator that lacks its inverse is named, the least such."""
+    return _cayley_indexed(*_reduced(orders, generators), name, labels)
 
 
 def bi_cayley(orders, subset, name: str = "", labels=GROUP_LABELS) -> Graph:
@@ -81,13 +103,18 @@ def bi_cayley(orders, subset, name: str = "", labels=GROUP_LABELS) -> Graph:
     h - g lies in the subset.  Connected iff the difference set generates.
     Vertices i and n + i are group element i; ``labels`` works as in
     ``cayley``."""
-    orders, sub_set = _reduced(orders, subset)
+    return _bi_cayley_indexed(*_reduced(orders, subset), name, labels)
+
+
+def _bi_cayley_indexed(orders, idx: np.ndarray, name: str, labels) -> Graph:
+    """bi_cayley on the sorted indices of its distinct elements."""
+    _check_size(orders, len(idx))
+    coords = groups.digits(orders, idx)
     # S - S generates the same subgroup as S - s0 for any s0 in S
-    shift = groups.neg(orders, min(sub_set)) if sub_set else None
-    if shift is None or not groups.generates(
-            orders, [groups.add(orders, s, shift) for s in sub_set]):
+    if not len(idx) or not groups.generates(
+            orders, ((coords - coords[0]) % np.array(orders, dtype=np.int64)).tolist()):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-    return Graph.from_group(groups.Group(orders, tuple(sorted(sub_set)), bi=True),
+    return Graph.from_group(groups.Group(orders, tuple(map(tuple, coords.tolist())), bi=True),
                             labels=labels, name=name or f"bicayley{orders}")
 
 
@@ -290,13 +317,11 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
 # -- field-based families -------------------------------------------------------------
 
 
-def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], list]:
-    """(F, +) as (Z_p)^d, and its non-zero squares.  An element's coordinates
-    are its coefficients top-first, so group element i is field element i."""
-    orders = (spec.p,) * spec.d
-    elems = groups.elements(orders)
-    sig = signature_table(spec)
-    return orders, [elems[i] for i in range(1, spec.q) if sig[i] == 1]
+def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], np.ndarray]:
+    """(F, +) as (Z_p)^d, and the sorted indices of its non-zero squares, the
+    even powers of the generator.  An element's coordinates are its
+    coefficients top-first, so group element i is field element i."""
+    return (spec.p,) * spec.d, np.sort(np.asarray(spec.tables[0])[0::2])
 
 
 def paley_field(q: int) -> FieldSpec:
@@ -309,7 +334,7 @@ def paley_field(q: int) -> FieldSpec:
 def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
     orders, squares = _nonzero_squares(paley_field(q))
-    return cayley(orders, squares, name=f"paley_{q}", labels=[str(i) for i in range(q)])
+    return _cayley_indexed(orders, squares, f"paley_{q}", list(map(str, range(q))))
 
 
 def bi_paley_field(q: int) -> FieldSpec:
@@ -325,7 +350,7 @@ def bi_paley_field(q: int) -> FieldSpec:
 def bi_paley(q: int) -> Graph:
     """Bi-Cayley graph of (F, +) on the non-zero squares; q = 3 mod 4."""
     orders, squares = _nonzero_squares(bi_paley_field(q))
-    return bi_cayley(orders, squares, name=f"bipaley_{q}", labels=None)
+    return _bi_cayley_indexed(orders, squares, f"bipaley_{q}", None)
 
 
 def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:

@@ -37,6 +37,21 @@ def neg(orders, a) -> tuple[int, ...]:
     return tuple((-x) % m for m, x in zip(orders, a))
 
 
+def indices(orders, coords) -> np.ndarray:
+    """The index of each row of the (N, k) int array coords, whose entries
+    lie below their orders."""
+    radix = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+    return coords @ np.array(radix, dtype=np.int64)
+
+
+def digits(orders, idx) -> np.ndarray:
+    """The (N, k) coordinates of the elements at the int array idx."""
+    out = np.empty((len(idx), len(orders)), dtype=np.int64)
+    for j in reversed(range(len(orders))):
+        idx, out[:, j] = np.divmod(idx, orders[j])
+    return out
+
+
 def translate(orders, steps) -> np.ndarray:
     """(len(steps), n) table: row j holds the index of x + steps[j] for every
     x, in index order."""
@@ -88,15 +103,25 @@ def character_sum(orders, subset) -> np.ndarray:
     """sum_{s in S} chi_k(s) for every character k, in index order: the
     eigenvalues of the Cayley graph on S.
 
-    One DFT of S's indicator over the shape orders.  The DFT's index k holds
-    sum_s exp(-2 pi i k.s/m), the sum for chi_{-k}; the indicator is real, so
-    the conjugate is the sum for chi_k."""
+    One DFT of S's counts over the shape orders.  The DFT's index k holds
+    sum_s exp(-2 pi i k.s/m), the sum for chi_{-k}; the counts are real, so
+    the conjugate is the sum for chi_k.  When every order is 2 the DFT is the
+    Walsh-Hadamard transform, a + b and a - b along each axis, taken exactly
+    in ints; its conjugate as complex has the FFT's bits, -0.0 imaginary
+    parts included, and numpy.fft is not loaded."""
     orders = tuple(orders)
-    steps = np.array(list(subset), dtype=np.int64).reshape(-1, len(orders)) % orders
-    indicator = np.zeros(orders)
-    np.add.at(indicator, tuple(steps.T), 1.0)
+    steps = list(subset)
+    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(orders)) % np.array(
+        orders, dtype=np.int64)
+    counts = np.bincount(indices(orders, steps), minlength=math.prod(orders))
+    if all(m == 2 for m in orders):
+        for j in range(len(orders)):
+            counts = counts.reshape(2**j, 2, -1)
+            a, b = counts[:, 0], counts[:, 1]
+            counts = np.stack((a + b, a - b), axis=1)
+        return counts.ravel().astype(complex).conj()
     # np.fft is reached here rather than imported: importing numpy does not load it
-    return np.fft.fftn(indicator).conj().ravel()
+    return np.fft.fftn(counts.reshape(orders).astype(float)).conj().ravel()
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ SYMMETRY_BLOCK = 2**16  # entries in each row slice of the symmetry check
 VALUE_MERGE_TOL = 1e-9
 COMPARE_TOL = 1e-7
 MOORE_MAX_DEGREE = 100  # any bound >= 57 gives the same four (n, d) pairs
+KINDS = ("adjacency", "laplacian")  # the matrices a Spectrum is of
 
 
 # -- matrices -----------------------------------------------------------------
@@ -133,18 +134,11 @@ class Spectrum:
 
 
 def _cluster(values: np.ndarray, tol: float) -> tuple[tuple[float, int], ...]:
-    """Group sorted-descending values into (mean, multiplicity) clusters."""
-    out: list[tuple[float, int]] = []
-    first, *rest = values.tolist()
-    cluster: list[float] = [first]
-    for v in rest:
-        if abs(cluster[-1] - v) <= tol:
-            cluster.append(v)
-        else:
-            out.append((sum(cluster) / len(cluster), len(cluster)))
-            cluster = [v]
-    out.append((sum(cluster) / len(cluster), len(cluster)))
-    return tuple(out)
+    """Group sorted-descending values into (mean, multiplicity) clusters: a
+    cluster ends where a value lies more than tol from the one before."""
+    flat = values.tolist()
+    cuts = [0, *((np.abs(values[:-1] - values[1:]) > tol).nonzero()[0] + 1).tolist(), len(flat)]
+    return tuple((sum(flat[a:b]) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
 
 
 def _solve(m: np.ndarray, singular: bool) -> np.ndarray:
@@ -161,7 +155,7 @@ def _clustered(values: np.ndarray, kind: str) -> Spectrum:
     >= ||A||_2 (LAPACK Users' Guide, 3rd ed., 4.7), summed with no BLAS call.
     Values within it merge, and every spectral equality reads the same bound;
     merged values are not proven equal."""
-    norm = math.sqrt(math.fsum(v * v for v in values.tolist()))
+    norm = math.sqrt(math.fsum((values * values).tolist()))
     tol = len(values) * math.ulp(1.0) * max(1.0, norm)
     return Spectrum(_cluster(values, tol), kind, tol)
 
@@ -186,8 +180,16 @@ def _symmetric_values(matrix: np.ndarray) -> np.ndarray:
     return _solve(m, singular=False)[::-1]
 
 
+def _check_kind(kind: str) -> None:
+    """BadParameters unless kind is one of KINDS."""
+    if kind not in KINDS:
+        raise BadParameters(f"unknown spectrum kind {kind!r}; expected adjacency or laplacian")
+
+
 def eig_symmetric(matrix: np.ndarray, kind: str = "adjacency") -> Spectrum:
-    """All eigenvalues of a real symmetric matrix, multiplicity-clustered."""
+    """All eigenvalues of a real symmetric matrix, multiplicity-clustered and
+    labelled with kind, which must be one of KINDS."""
+    _check_kind(kind)
     return _clustered(_symmetric_values(matrix), kind)
 
 
@@ -248,8 +250,7 @@ def _values(g: Graph, kind: str) -> np.ndarray:
 def spectrum(g: Graph, kind: str = "adjacency") -> Spectrum:
     """The clustered spectrum of g's adjacency or laplacian matrix, kept beside
     its values; past EIG_SIZE_CAP, SizeOverflow before any matrix is built."""
-    if kind not in ("adjacency", "laplacian"):
-        raise BadParameters(f"unknown spectrum kind {kind!r}; expected adjacency or laplacian")
+    _check_kind(kind)
     kept = g.__dict__.setdefault("_spectra", {})
     if (kind, "clustered") not in kept:
         kept[kind, "clustered"] = _clustered(_values(g, kind), kind)

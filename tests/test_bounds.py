@@ -111,6 +111,24 @@ def test_audit_skips_past_caps():
     assert rep.ok  # skips are not failures
 
 
+@pytest.mark.parametrize("chi,iota,notes", [
+    (None, 4, {"chi_iota_product": bd.CHI_CAPPED, "brooks": bd.CHI_CAPPED}),
+    (None, None, {"chi_iota_product": bd.CHI_CAPPED, "brooks": bd.CHI_CAPPED}),
+    (3, None, {"chi_iota_product": bd.IOTA_CAPPED}),
+], ids=["chi", "chi_and_iota", "iota"])
+def test_audit_names_the_cap_behind_each_missing_record(chi, iota, notes):
+    """A capped chi or iota skips the records that read it, with the cap's
+    note, rather than leaving them out."""
+    inv = gc.InvariantReport(gf.petersen(), diameter=2, girth=5, chromatic=chi,
+                             independence=iota, clique=2, isoperimetric=None, iso_witness=None)
+    rep = bd.audit_bounds(inv)
+    skipped = {r.name: r.note for r in rep.skipped}
+    assert notes.items() <= skipped.items()
+    assert ("brooks" in skipped) == (chi is None)
+    assert [r.name for r in rep.records].count("chi_iota_product") == 1
+    assert [r.name for r in rep.records].count("brooks") == 1
+
+
 def test_audit_tree_records():
     rep = audit(gf.tree(3, 3))
     assert rep.ok

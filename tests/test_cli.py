@@ -676,9 +676,26 @@ def test_usage_errors_parse_as_argparse_does(argv):
 _IMPORT_PROBE = textwrap.dedent("""
     import json, sys
     from specgraph import cli
-    rc = cli.main(sys.argv[1:])
-    print(json.dumps([rc, sorted({"argparse", "numpy.ma"} & set(sys.modules))]))
+    modules, argv = sys.argv[1].split(","), sys.argv[2:]
+    rc = cli.main(argv)
+    print(json.dumps([rc, sorted(set(modules) & set(sys.modules))]))
 """)
+
+
+def _modules_loaded(argv, modules, tmp_path) -> list:
+    """Those of modules that a fresh interpreter has loaded after the call."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, ",".join(modules), *argv,
+                           "--seed", "1", "--path", str(report)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert report.stat().st_size > 0
+    return loaded
 
 
 @pytest.mark.parametrize("argv", [["gen", "paley", "13"], ["spec", "paley:13", "--closed-form"],
@@ -686,16 +703,18 @@ _IMPORT_PROBE = textwrap.dedent("""
                                   ["verify", "--families", "petersen"],
                                   ["iso", "petersen", "petersen"]], ids=lambda argv: argv[0])
 def test_exact_call_loads_neither_argparse_nor_numpy_ma(argv, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    report = tmp_path / "report.json"
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--seed", "1",
-                           "--path", str(report)],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, []]
-    assert report.stat().st_size > 0
+    assert _modules_loaded(argv, ["argparse", "numpy.ma"], tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,module", [
+    (["spec", "cube:11", "--kind", "laplacian", "--closed-form"], "numpy.fft"),
+    (["spec", "halved_cube:5", "--closed-form"], "numpy.fft"),
+    (["spec", "paley:13", "--closed-form"], "array"),
+], ids=["cube_11_fft", "halved_cube_5_fft", "paley_13_array"])
+def test_group_spectra_skip_the_unused_modules(argv, module, tmp_path):
+    """(Z_2)^k character sums take the exact Walsh-Hadamard transform, and
+    the field tables are numpy arrays: neither loads its module."""
+    assert _modules_loaded(argv, [module], tmp_path) == []
 
 
 TOP_USAGE = "usage: specgraph [-h] [--version] {gen,spec,chars,audit,verify,iso} ...\n"

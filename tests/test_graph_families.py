@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specgraph import bounds as bd
 from specgraph import corpus as corpus_mod
@@ -20,6 +22,7 @@ from specgraph.errors import (
     BadParameters,
     ContainsIdentity,
     IndexOutOfRange,
+    SizeOverflow,
     LoopEdge,
     NotDesign,
     NotGenerating,
@@ -398,6 +401,80 @@ def test_cayley_preconditions():
         gf.cayley((6,), [(2,), (4,)])
     with pytest.raises(NotGenerating):
         gf.bi_cayley((4,), [(0,), (2,)])
+
+
+def test_cayley_and_bi_cayley_take_one_shot_iterables():
+    """The elements are read once: an arity check that used up a generator
+    left an empty set, which does not generate."""
+    assert gf.cayley((5,), ((a,) for a in (1, 4))).group.subset == ((1,), (4,))
+    assert iso(gf.bi_cayley((7,), ((a,) for a in (1, 2, 4))), gf.heawood())
+
+
+def test_cayley_reduces_a_large_coordinate_exactly():
+    """2**70 + 1 is 3 mod 7, and its negative 4; through a double it would be
+    2**70, which is 2 mod 7."""
+    big = 2**70 + 1
+    assert gf.cayley((7,), [(big,), (-big,)]).group.subset == ((3,), (4,))
+    assert gf.cayley((2, 7), [(big, big), (1, -big)]).group.subset == ((1, 3), (1, 4))
+
+
+def test_not_symmetric_names_the_least_generator():
+    with pytest.raises(NotSymmetric, match=r"^generator \(1,\) lacks its inverse$"):
+        gf.cayley((7,), [(5,), (3,), (2,), (1,)])
+    with pytest.raises(NotSymmetric, match=r"^generator \(0, 1\) lacks its inverse$"):
+        gf.cayley((3, 4), [(2, 1), (1, 0), (0, 2), (1, 3), (0, 1)])
+
+
+def _set_reduced(orders, elements):
+    """_reduced as it was before it took index arrays, less its size check
+    and with the elements listed first, since its arity check used them up:
+    the set of reduced tuples, the oracle of the sorted indices."""
+    orders = tuple(int(m) for m in orders)
+    elements = list(elements)
+    if any(len(s) != len(orders) for s in elements):
+        raise BadParameters(f"each element needs one coordinate per order of {orders}")
+    return orders, {tuple(int(x) % m for x, m in zip(s, orders)) for s in elements}
+
+
+@st.composite
+def orders_and_elements(draw):
+    orders = tuple(draw(st.lists(st.integers(1, 9), max_size=3)))
+    coordinate = st.integers(-2**80, 2**80) | st.integers(-20, 20)
+    return orders, draw(st.lists(st.tuples(*[coordinate] * len(orders)), max_size=8))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(orders_and_elements())
+@example(((), [(), ()]))
+@example(((3, 1), [(-1, 2**64), (2, 0)]))
+def test_reduced_matches_the_set_it_replaced(case):
+    orders, elements = case
+    expected_orders, expected = _set_reduced(orders, elements)
+    got_orders, idx = gf._reduced(orders, elements)
+    assert got_orders == expected_orders
+    assert [tuple(x) for x in groups.digits(orders, idx).tolist()] == sorted(expected)
+
+
+@pytest.mark.parametrize("elements", [[(1, 0), (2,)], [(2**70, 0), (1,)], [(1,)], [()]])
+def test_reduced_refuses_an_element_of_another_arity(elements):
+    with pytest.raises(BadParameters, match="one coordinate per order"):
+        gf._reduced((4, 4), elements)
+
+
+def test_reduced_counts_the_elements_of_a_group_past_the_cap():
+    with pytest.raises(SizeOverflow, match=f"^group of order {2**80} with 2 elements"):
+        gf._reduced((2**40, 2**40), [(1, 2**40 + 1), (1, 1), (2, 1)])
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 27, 49, 81, 125, 243, 343, 729, 1009])
+def test_nonzero_squares_match_the_signature_filter(q):
+    """The even powers of the generator against the signature filter over
+    every element that gave the squares before."""
+    spec = ff.field(q)
+    orders, squares = gf._nonzero_squares(spec)
+    sig = ff.signature_table(spec)
+    assert orders == (spec.p,) * spec.d
+    assert squares.tolist() == [i for i in range(1, q) if sig[i] == 1]
 
 
 def test_sum_product_shapes():

@@ -115,6 +115,40 @@ def test_character_sum_matches_the_loop(case):
     assert np.abs(got - _loop_character_sum(orders, subset)).max(initial=0.0) < 1e-9
 
 
+@st.composite
+def binary_multisets(draw):
+    """A multiset of elements of (Z_2)^k, 1 <= k <= 12, as bit tuples."""
+    k = draw(st.integers(1, 12))
+    return (2,) * k, draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), max_size=40))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(binary_multisets())
+@example(((2, 2), [(1, 0), (0, 1), (1, 1)]))  # chars 3's Jacobi shape
+@example(((2, 2), []))
+@example(((2,) * 12, [(1,) * 12, (1,) * 12, (0,) * 12]))
+def test_walsh_hadamard_has_the_fft_bits(case):
+    """On (Z_2)^k the exact transform equals the FFT it replaced to the bit:
+    the same reprs of every real and every imaginary part, -0.0 included."""
+    orders, subset = case
+    got = groups.character_sum(orders, subset)
+    counts = np.zeros(orders)
+    for s in subset:
+        counts[s] += 1.0
+    expected = np.fft.fftn(counts).conj().ravel()
+    assert repr(got.real.tolist()) == repr(expected.real.tolist())
+    assert repr(got.imag.tolist()) == repr(expected.imag.tolist())
+
+
+def test_index_and_digits_invert_each_other():
+    for orders in GROUPS:
+        elems = groups.elements(orders)
+        coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(orders))
+        idx = groups.indices(orders, coords)
+        assert idx.tolist() == [groups.index(orders, x) for x in elems]
+        assert groups.digits(orders, idx).tolist() == [list(x) for x in elems]
+
+
 def test_rows_share_one_int_per_vertex():
     """A dense Cayley graph's rows and a bi-Cayley graph's hold one int object
     per vertex, shared by every row it appears in."""

@@ -435,6 +435,14 @@ def test_spectrum_refuses_an_unknown_kind():
     assert "_spectra" not in g.__dict__
 
 
+def test_eig_symmetric_refuses_an_unknown_kind():
+    """The kind labels the Spectrum, which the closed-form check compares;
+    it is checked as spectrum checks it, before any solve."""
+    with pytest.raises(BadParameters, match="unknown spectrum kind 'laplace'"):
+        sp.eig_symmetric(np.eye(2), "laplace")
+    assert [sp.eig_symmetric(np.eye(2), kind).matrix_kind for kind in sp.KINDS] == list(sp.KINDS)
+
+
 def test_cluster_tol_is_the_solve_error_bound():
     """n eps max(1, ||A||_F), and ||A||_F^2 = 2|E| for an adjacency matrix; a
     Python float, so that the records it decides hold Python bools."""
