@@ -342,18 +342,17 @@ def _pm1_candidates(g: Graph, lam: int):
         orders, d = group.orders, g.max_degree
         order = 2 if group.bi else 4
         alphas = groups.character_sum(orders, group.subset)
-        for ks, alpha in zip(groups.elements(orders)[1:], alphas[1:]):
-            # chi_k's order divides order iff order * k = 0 mod m in each coordinate
-            if any((order * k) % m for k, m in zip(ks, orders)):
-                continue
+        # chi_k's order divides order iff order * k = 0 mod m in each coordinate
+        ks = groups.digits(orders, np.arange(1, len(alphas)))
+        for k in np.flatnonzero(((order * ks) % orders == 0).all(axis=1)) + 1:
             # chi_k takes values in {+-1, +-i}, so alpha is a Gaussian integer
-            real, imag = round(alpha.real), round(alpha.imag)
+            real, imag = round(alphas[k].real), round(alphas[k].imag)
             if group.bi:
                 if d - abs(real) == lam:
-                    chi = np.round(groups.character(orders, ks).real).astype(np.int64)
+                    chi = np.round(groups.character(orders, k).real).astype(np.int64)
                     yield np.concatenate([chi, chi if real >= 0 else -chi])
             elif imag == 0 and d - real == lam:
-                chi = groups.character(orders, ks)
+                chi = groups.character(orders, k)
                 vec = np.round(chi.real + chi.imag).astype(np.int64)
                 if (np.abs(vec) == 1).all():
                     yield vec
@@ -557,7 +556,7 @@ def motzkin_straus(g: Graph, weights, omega: int) -> dict:
     # stated positively, so that NaN (it compares False) and inf (via the sum) fail
     if not (w.shape == (g.n,) and (w >= -1e-12).all() and abs(w.sum() - 1) <= 1e-12):
         raise BadWeights("weights must be finite, non-negative and sum to 1")
-    value = 2.0 * sum(w[u] * w[v] for u, v in sorted(g.edges()))
+    value = 2.0 * float(sum(w[u] * w[v] for u, v in sorted(g.edges())))
     bound = 1 - 1 / omega
     return {"value": value, "bound": bound,
             "pass": value <= bound + _tol(value, bound)}

@@ -208,7 +208,7 @@ def _gauss_rows(spec: FieldSpec) -> np.ndarray:
     (AbsTr g^j, j) over Z_p x Z_n, read at the characters (0, k) and (1, k)."""
     n = spec.q - 1
     traces = np.asarray(_absolute_traces(spec))[np.asarray(spec.tables[0])]
-    return groups.character_sum((spec.p, n), zip(traces, range(n))).reshape(spec.p, n)[:2]
+    return groups.character_sum((spec.p, n), traces * n + np.arange(n)).reshape(spec.p, n)[:2]
 
 
 def gauss_table(spec: FieldSpec) -> np.ndarray:
@@ -216,7 +216,7 @@ def gauss_table(spec: FieldSpec) -> np.ndarray:
     G(psi_t, chi_k) = conj(chi_k(t)) G(psi_1, chi_k) for t != 0."""
     n = spec.q - 1
     (trivial, first), log = _gauss_rows(spec), np.asarray(spec.tables[1])
-    roots = groups.character((n,), (1,))
+    roots = groups.character((n,), 1)
     return np.vstack((trivial, first * roots[np.multiply.outer(-log[1:], np.arange(n)) % n]))
 
 
@@ -225,7 +225,7 @@ def jacobi_table(spec: FieldSpec) -> np.ndarray:
     Z_n^2 for s not 0 or 1, and then s = 0 and s = 1, which add
     chi_k1(0) chi_k2(1) = [k1 = 0] and chi_k1(1) chi_k2(0) = [k2 = 0]."""
     n, log = spec.q - 1, spec.tables[1]
-    points = [(log[i], log[(spec.one - spec.element(i)).index]) for i in range(2, spec.q)]
+    points = [log[i] * n + log[(spec.one - spec.element(i)).index] for i in range(2, spec.q)]
     table = groups.character_sum((n, n), points).reshape(n, n)
     table[0] += 1
     table[:, 0] += 1

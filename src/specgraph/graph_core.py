@@ -84,6 +84,8 @@ class Graph:
         self.n = n
         if labels is not GROUP_LABELS:
             self.labels = tuple(labels) if labels is not None else None
+            if labels is not None and len(self.labels) != n:
+                raise BadParameters(f"{len(self.labels)} labels for {n} vertices")
         self.name = name
         self.group = group
 

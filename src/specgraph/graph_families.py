@@ -83,10 +83,9 @@ def _cayley_indexed(orders, gens: np.ndarray, name: str, labels) -> Graph:
                              != inverses)
     if lacking.size:
         raise NotSymmetric(f"generator {tuple(coords[lacking[0]].tolist())} lacks its inverse")
-    subset = tuple(map(tuple, coords.tolist()))
-    if not groups.generates(orders, subset):
+    if not groups.generates(orders, gens):
         raise NotGenerating("subset does not generate the group")
-    return Graph.from_group(groups.Group(orders, subset), labels=labels,
+    return Graph.from_group(groups.Group(orders, tuple(gens.tolist())), labels=labels,
                             name=name or f"cayley{orders}")
 
 
@@ -111,10 +110,10 @@ def _bi_cayley_indexed(orders, idx: np.ndarray, name: str, labels) -> Graph:
     _check_size(orders, len(idx))
     coords = groups.digits(orders, idx)
     # S - S generates the same subgroup as S - s0 for any s0 in S
-    if not len(idx) or not groups.generates(
-            orders, ((coords - coords[0]) % np.array(orders, dtype=np.int64)).tolist()):
+    if not len(idx) or not groups.generates(orders, groups.indices(
+            orders, (coords - coords[0]) % np.array(orders, dtype=np.int64))):
         raise NotGenerating("S - S does not generate; bi-Cayley graph disconnected")
-    return Graph.from_group(groups.Group(orders, tuple(map(tuple, coords.tolist())), bi=True),
+    return Graph.from_group(groups.Group(orders, tuple(idx.tolist()), bi=True),
                             labels=labels, name=name or f"bicayley{orders}")
 
 
@@ -363,18 +362,18 @@ def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
 
 def _singer(n: int, q: int):
     """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
-    group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K."""
+    group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K, in
+    ascending order."""
     emb = subfield_embedding(*incidence_fields(n, q))
     m = (q**n - 1) // (q - 1)
-    traces = emb.power_traces(np.arange(m))
-    return emb, m, [(j,) for j in np.flatnonzero(traces == 0).tolist()]
+    return emb, m, np.flatnonzero(emb.power_traces(np.arange(m)) == 0)
 
 
 def incidence(n: int, q: int) -> Graph:
     """Incidence graph of 1-spaces vs (n-1)-spaces of GF(q)^n, realized as the
     bi-Cayley graph of the cyclic group K*/F* over the trace-zero subset."""
     _, m, subset = _singer(n, q)
-    return bi_cayley((m,), subset, name=f"I_{n}({q})")
+    return _bi_cayley_indexed((m,), subset, f"I_{n}({q})", GROUP_LABELS)
 
 
 def _projective(spec: FieldSpec, vec_indices) -> tuple[int, ...] | None:
@@ -407,7 +406,7 @@ def incidence_points(n: int, q: int) -> Graph:
             point = sum((emb.lift(spec.element(c)) * g**k for k, c in enumerate(y)), emb.big.zero)
             white[point.log() % m] = y
     labels = [f"{v}b" for v in black] + [f"{v}w" for v in white]
-    return bi_cayley((m,), subset, name=f"I_{n}({q})pts", labels=labels)
+    return _bi_cayley_indexed((m,), subset, f"I_{n}({q})pts", labels)
 
 
 def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, side: str) -> int:

@@ -1,11 +1,13 @@
 """Finite abelian groups Z_m1 x ... x Z_mk, their characters, and the group
 record of a Cayley or bi-Cayley graph.
 
-Elements are int tuples, numbered in mixed-radix order with the first
-coordinate most significant: element i is the i-th tuple of
-``itertools.product(range(m1), ..., range(mk))``.  Cayley and bi-Cayley
-graphs, their spectra and the +-1 certificates all index vertices and
-characters this way.
+An element is its index in mixed-radix order with the first coordinate most
+significant: element i has the coordinates of the i-th tuple of
+``itertools.product(range(m1), ..., range(mk))``.  Every helper here takes
+and gives indices and converts to coordinates with ``digits`` inside; Cayley
+and bi-Cayley graphs, their spectra and the +-1 certificates all index
+vertices, connection sets and characters this way.  Coordinates appear only
+in builder arguments and in labels.
 """
 
 from __future__ import annotations
@@ -18,23 +20,8 @@ import numpy as np
 
 
 def elements(orders) -> list[tuple[int, ...]]:
-    """All elements in index order."""
+    """The coordinates of every element, in index order."""
     return list(itertools.product(*[range(m) for m in orders]))
-
-
-def index(orders, elem) -> int:
-    idx = 0
-    for m, x in zip(orders, elem):
-        idx = idx * m + x
-    return idx
-
-
-def add(orders, a, b) -> tuple[int, ...]:
-    return tuple((x + y) % m for m, x, y in zip(orders, a, b))
-
-
-def neg(orders, a) -> tuple[int, ...]:
-    return tuple((-x) % m for m, x in zip(orders, a))
 
 
 def indices(orders, coords) -> np.ndarray:
@@ -53,9 +40,9 @@ def digits(orders, idx) -> np.ndarray:
 
 
 def translate(orders, steps) -> np.ndarray:
-    """(len(steps), n) table: row j holds the index of x + steps[j] for every
-    x, in index order."""
-    steps = np.array(list(steps), dtype=np.int64).reshape(-1, len(orders))
+    """(len(steps), n) table: row j holds x + steps[j] for every x, in index
+    order."""
+    steps = digits(orders, np.asarray(steps, dtype=np.int64))
     idx = np.zeros((len(steps), 1), dtype=np.int64)
     for m, c in zip(orders, steps.T):
         idx = (idx[:, :, None] * m + (np.arange(m) + c[:, None, None]) % m).reshape(
@@ -74,11 +61,11 @@ def generates(orders, steps) -> bool:
     orders = tuple(orders)
     axes = tuple(range(len(orders)))
     h = np.zeros(orders, dtype=bool)
-    h[(0,) * len(orders)] = True
+    h.flat[0] = True
     for s in steps:
-        shift = tuple(x % m for x, m in zip(s, orders))
-        if h[shift]:
+        if h.flat[s]:
             continue
+        shift = tuple(digits(orders, [s])[0].tolist())
         while not h[shift]:
             h |= np.roll(h, shift, axes)
             shift = tuple(2 * x % m for x, m in zip(shift, orders))
@@ -94,7 +81,7 @@ def character(orders, k) -> np.ndarray:
     every character k."""
     lcm = math.lcm(*orders)
     turns = np.zeros(1, dtype=np.int64)  # phase in units of 1/lcm of a turn
-    for m, kj in zip(orders, k):
+    for m, kj in zip(orders, digits(orders, [k])[0].tolist()):
         turns = (turns[:, None] + (kj * np.arange(m)) % m * (lcm // m)).ravel()
     return np.exp(2j * np.pi * (turns % lcm) / lcm)
 
@@ -110,10 +97,7 @@ def character_sum(orders, subset) -> np.ndarray:
     in ints; its conjugate as complex has the FFT's bits, -0.0 imaginary
     parts included, and numpy.fft is not loaded."""
     orders = tuple(orders)
-    steps = list(subset)
-    steps = np.array(steps, dtype=np.int64).reshape(len(steps), len(orders)) % np.array(
-        orders, dtype=np.int64)
-    counts = np.bincount(indices(orders, steps), minlength=math.prod(orders))
+    counts = np.bincount(np.asarray(subset, dtype=np.int64), minlength=math.prod(orders))
     if all(m == 2 for m in orders):
         for j in range(len(orders)):
             counts = counts.reshape(2**j, 2, -1)
@@ -128,11 +112,12 @@ def character_sum(orders, subset) -> np.ndarray:
 class Group:
     """The group of an abelian Cayley graph Cay(G, S) on G = Z_m1 x ... x Z_mk,
     or with bi set of the bi-Cayley graph on two copies of G, where black g
-    ~ white h iff h - g lies in S.  subset holds S reduced mod the orders.
-    Vertex i is element i; on a bi-Cayley graph, vertices i and |G| + i are."""
+    ~ white h iff h - g lies in S.  subset holds S's indices, sorted: vertex
+    0's neighbours, less |G| on a bi-Cayley graph.  Vertex i is element i; on
+    a bi-Cayley graph, vertices i and |G| + i are."""
 
     orders: tuple[int, ...]
-    subset: tuple[tuple[int, ...], ...]
+    subset: tuple[int, ...]
     bi: bool = False
 
     @property

@@ -556,6 +556,21 @@ def test_motzkin_straus_uniform_k4_tight():
     assert res["pass"]
 
 
+def test_results_dump_as_strict_json():
+    """The mixing, perturbation, sum-product window and Motzkin-Straus results
+    hold Python floats and bools, so each dumps as strict JSON."""
+    results = [
+        bd.mixing_lemma(gf.complete_bipartite(4, 4),
+                        bd.MixingQuery(frozenset(range(4)), frozenset(range(4, 8)))),
+        bd.perturbation_checks(gf.petersen(), "remove_vertex", 0),
+        bd.sum_product_window_check(gf.incidence_points(3, 7), 7,
+                                    ([0, 1, 2], [1, 3], [2, 4, 5], [6]), "a+b=cd"),
+        bd.motzkin_straus(gf.complete(3), [1 / 3] * 3, 3),
+    ]
+    for res in results:
+        json.dumps(res, allow_nan=False)
+
+
 def test_motzkin_straus_clique_concentration_tight():
     g = gf.shrikhande()  # omega = 3
     weights = np.zeros(16)

@@ -77,6 +77,23 @@ def test_remove_edges_keeps_labels():
     assert less.edge_count == 14 and not less.has_edge(u, v)
 
 
+def test_labels_number_the_vertices():
+    """A label list of another length than n is refused by every constructor;
+    a group graph's default labels stay unbuilt until read."""
+    with pytest.raises(BadParameters, match=r"^1 labels for 3 vertices$"):
+        gc.Graph(3, [(0, 1)], labels=["a"])
+    with pytest.raises(BadParameters, match=r"^2 labels for 3 vertices$"):
+        gc.Graph.from_rows([[1], [0], []], labels=["a", "b"])
+    with pytest.raises(BadParameters, match=r"^1 labels for 3 vertices$"):
+        gf.cayley((3,), [(1,), (2,)], labels=["x"])
+    with pytest.raises(BadParameters, match=r"^4 labels for 6 vertices$"):
+        gf.bi_cayley((3,), [(0,), (1,)], labels=list("abcd"))
+    g = gf.cayley((3,), [(1,), (2,)])
+    assert "labels" not in g.__dict__
+    assert g.labels == ("(0,)", "(1,)", "(2,)")
+    assert gc.induced_subgraph(gf.cayley((3,), [(1,), (2,)], labels="xyz"), [2]).labels == ("z",)
+
+
 def _metrics(g):
     return gc.diameter(g), gc.girth(g), g.bipartition
 
@@ -958,12 +975,18 @@ def group_graphs(draw, bi=st.booleans()):
     """A Cayley graph on a random symmetric subset, or a bi-Cayley graph on a
     random subset, of Z_m or Z_a x Z_b: connected or not."""
     orders = draw(st.sampled_from([(m,) for m in range(2, 11)] + [(2, 2), (2, 3), (2, 4), (3, 3)]))
-    elems = groups.elements(orders)[1:]
+    elems = groups.elements(orders)
     bi = draw(bi)
-    picked = draw(st.lists(st.sampled_from(elems), min_size=1, unique=True))
+    picked = draw(st.lists(st.sampled_from(range(1, len(elems))), min_size=1, unique=True))
     if not bi:
-        picked += [groups.neg(orders, s) for s in picked]
+        picked += [_neg_index(elems, orders, s) for s in picked]
     return Graph.from_group(groups.Group(orders, tuple(sorted(set(picked))), bi))
+
+
+def _neg_index(elems, orders, i) -> int:
+    """The index of -x for the element x at index i, read off the coordinate
+    tuples elems in index order."""
+    return elems.index(tuple(-x % m for x, m in zip(elems[i], orders)))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -982,7 +1005,8 @@ def test_bi_cayley_side_swap_is_an_automorphism(g):
     translations it makes a bi-Cayley graph vertex-transitive: the reason
     one orbit root serves every group graph."""
     orders, half = g.group.orders, g.n // 2
-    neg = [groups.index(orders, groups.neg(orders, e)) for e in groups.elements(orders)]
+    elems = groups.elements(orders)
+    neg = [_neg_index(elems, orders, i) for i in range(half)]
     swap = [half + neg[v] if v < half else neg[v - half] for v in range(g.n)]
     assert fx.relabel(g, swap) == g
 

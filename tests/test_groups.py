@@ -1,6 +1,7 @@
 """The abelian-group helper against direct definitions: the mixed-radix
 layout, a pure-Python reachability search, and characters written out one
-phase at a time."""
+phase at a time.  The helpers take elements as indices; the oracles work on
+coordinate tuples, and _indices converts the drawn tuples."""
 
 import cmath
 import itertools
@@ -20,6 +21,12 @@ def group_and_steps(draw):
     orders = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
     elem = st.tuples(*[st.integers(0, m - 1) for m in orders])
     return orders, draw(st.lists(elem, max_size=4))
+
+
+def _indices(orders, elems) -> list[int]:
+    """The index of each coordinate tuple, as Python ints."""
+    coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(orders))
+    return groups.indices(orders, coords).tolist()
 
 
 def _reaches_all(orders, steps) -> bool:
@@ -47,7 +54,7 @@ def _reaches_all(orders, steps) -> bool:
 @example(((1, 1), [(0, 0)]))
 def test_generates_matches_search(case):
     orders, steps = case
-    assert groups.generates(orders, steps) == _reaches_all(orders, steps)
+    assert groups.generates(orders, _indices(orders, steps)) == _reaches_all(orders, steps)
 
 
 def test_generates_stops_once_the_group_is_covered(monkeypatch):
@@ -57,25 +64,27 @@ def test_generates_stops_once_the_group_is_covered(monkeypatch):
     rolls, read = [], []
     roll = np.roll
     monkeypatch.setattr(np, "roll", lambda *args: rolls.append(args[1]) or roll(*args))
-    assert groups.generates((1009,), (read.append(s) or (s,) for s in squares))
+    assert groups.generates((1009,), (read.append(s) or s for s in squares))
     assert len(rolls) == 10 and read == [1]
 
 
 def test_layout_index_translate_neg():
+    """Element i is the i-th coordinate tuple, row s of the translate table
+    lists x + s coordinate by coordinate, and it holds 0 at x = -s."""
     for orders in GROUPS:
         elems = groups.elements(orders)
         assert elems == list(itertools.product(*[range(m) for m in orders]))
-        for i, x in enumerate(elems):
-            assert groups.index(orders, x) == i
-            assert groups.add(orders, x, groups.neg(orders, x)) == elems[0]
-        for s, shifted in zip(elems, groups.translate(orders, elems)):
-            assert [elems[j] for j in shifted] == [groups.add(orders, x, s) for x in elems]
+        assert _indices(orders, elems) == list(range(len(elems)))
+        for s, shifted in zip(elems, groups.translate(orders, range(len(elems)))):
+            assert [elems[j] for j in shifted] == [
+                tuple((a + b) % m for a, b, m in zip(x, s, orders)) for x in elems]
+            assert elems[shifted.tolist().index(0)] == tuple(-a % m for a, m in zip(s, orders))
 
 
 def test_characters_match_definition_and_are_orthogonal():
     for orders in GROUPS:
         elems = groups.elements(orders)
-        table = np.array([groups.character(orders, k) for k in elems])
+        table = np.array([groups.character(orders, k) for k in range(len(elems))])
         for k, row in zip(elems, table):
             direct = [cmath.exp(2j * cmath.pi * sum(a * x / m for a, x, m in zip(k, g, orders)))
                       for g in elems]
@@ -89,15 +98,15 @@ def _loop_character_sum(orders, subset):
     """The O(n |S|) loop that character_sum was before it became one DFT,
     kept as its oracle: the characters of the subset's elements, added up."""
     total = np.zeros(math.prod(orders), dtype=complex)
-    for s in subset:
+    for s in subset:  # indices
         total += groups.character(orders, s)
     return total
 
 
 def test_character_sum_is_sum_over_subset():
-    orders, subset = (4, 6), [(1, 0), (3, 0), (2, 3)]
-    expected = [sum(groups.character(orders, k)[groups.index(orders, s)] for s in subset)
-                for k in groups.elements(orders)]
+    orders, subset = (4, 6), _indices((4, 6), [(1, 0), (3, 0), (2, 3)])
+    assert subset == [6, 18, 15]
+    expected = [sum(groups.character(orders, k)[s] for s in subset) for k in range(24)]
     assert np.abs(groups.character_sum(orders, subset) - expected).max() < 1e-12
 
 
@@ -110,6 +119,7 @@ def test_character_sum_matches_the_loop(case):
     """Index by index, on subsets that are mostly not symmetric, so that the
     sum for chi_-k in the place of chi_k fails."""
     orders, subset = case
+    subset = _indices(orders, subset)
     got = groups.character_sum(orders, subset)
     assert got.shape == (math.prod(orders),)
     assert np.abs(got - _loop_character_sum(orders, subset)).max(initial=0.0) < 1e-9
@@ -131,7 +141,7 @@ def test_walsh_hadamard_has_the_fft_bits(case):
     """On (Z_2)^k the exact transform equals the FFT it replaced to the bit:
     the same reprs of every real and every imaginary part, -0.0 included."""
     orders, subset = case
-    got = groups.character_sum(orders, subset)
+    got = groups.character_sum(orders, _indices(orders, subset))
     counts = np.zeros(orders)
     for s in subset:
         counts[s] += 1.0
@@ -145,15 +155,15 @@ def test_index_and_digits_invert_each_other():
         elems = groups.elements(orders)
         coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(orders))
         idx = groups.indices(orders, coords)
-        assert idx.tolist() == [groups.index(orders, x) for x in elems]
+        assert idx.tolist() == list(range(len(elems)))
         assert groups.digits(orders, idx).tolist() == [list(x) for x in elems]
 
 
 def test_rows_share_one_int_per_vertex():
     """A dense Cayley graph's rows and a bi-Cayley graph's hold one int object
     per vertex, shared by every row it appears in."""
-    for group in (groups.Group((300,), tuple((s,) for s in range(1, 300))),
-                  groups.Group((150,), tuple((s,) for s in range(0, 150, 3)), bi=True)):
+    for group in (groups.Group((300,), tuple(range(1, 300))),
+                  groups.Group((150,), tuple(range(0, 150, 3)), bi=True)):
         rows = group.rows()
         assert len({id(v) for row in rows for v in row}) == group.n
         assert sorted({v for row in rows for v in row}) == list(range(group.n))
