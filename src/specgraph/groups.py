@@ -24,25 +24,28 @@ def elements(orders) -> list[tuple[int, ...]]:
     return list(itertools.product(*[range(m) for m in orders]))
 
 
+def _radix(orders) -> np.ndarray:
+    """The index step of each coordinate."""
+    return np.array([math.prod(orders[j + 1:]) for j in range(len(orders))], dtype=np.int64)
+
+
 def indices(orders, coords) -> np.ndarray:
     """The index of each row of the (N, k) int array coords, whose entries
     lie below their orders."""
-    radix = [math.prod(orders[j + 1:]) for j in range(len(orders))]
-    return coords @ np.array(radix, dtype=np.int64)
+    return coords @ _radix(orders)
 
 
 def digits(orders, idx) -> np.ndarray:
-    """The (N, k) coordinates of the elements at the int array idx."""
-    out = np.empty((len(idx), len(orders)), dtype=np.int64)
-    for j in reversed(range(len(orders))):
-        idx, out[:, j] = np.divmod(idx, orders[j])
-    return out
+    """The coordinates of the elements at the index or int array idx, along
+    a new last axis of length k: (N, k) for N indices."""
+    return np.asarray(idx, dtype=np.int64)[..., None] // _radix(orders) % np.array(
+        orders, dtype=np.int64)
 
 
 def translate(orders, steps) -> np.ndarray:
     """(len(steps), n) table: row j holds x + steps[j] for every x, in index
     order."""
-    steps = digits(orders, np.asarray(steps, dtype=np.int64))
+    steps = digits(orders, steps)
     idx = np.zeros((len(steps), 1), dtype=np.int64)
     for m, c in zip(orders, steps.T):
         idx = (idx[:, :, None] * m + (np.arange(m) + c[:, None, None]) % m).reshape(
@@ -65,7 +68,7 @@ def generates(orders, steps) -> bool:
     for s in steps:
         if h.flat[s]:
             continue
-        shift = tuple(digits(orders, [s])[0].tolist())
+        shift = tuple(digits(orders, s).tolist())
         while not h[shift]:
             h |= np.roll(h, shift, axes)
             shift = tuple(2 * x % m for x, m in zip(shift, orders))
@@ -81,7 +84,7 @@ def character(orders, k) -> np.ndarray:
     every character k."""
     lcm = math.lcm(*orders)
     turns = np.zeros(1, dtype=np.int64)  # phase in units of 1/lcm of a turn
-    for m, kj in zip(orders, digits(orders, [k])[0].tolist()):
+    for m, kj in zip(orders, digits(orders, k).tolist()):
         turns = (turns[:, None] + (kj * np.arange(m)) % m * (lcm // m)).ravel()
     return np.exp(2j * np.pi * (turns % lcm) / lcm)
 
