@@ -98,7 +98,7 @@ def _loop_character_sum(orders, subset):
     """The O(n |S|) loop that character_sum was before it became one DFT,
     kept as its oracle: the characters of the subset's elements, added up."""
     total = np.zeros(math.prod(orders), dtype=complex)
-    for s in subset:  # indices
+    for s in subset:
         total += groups.character(orders, s)
     return total
 
@@ -157,6 +157,8 @@ def test_index_and_digits_invert_each_other():
         idx = groups.indices(orders, coords)
         assert idx.tolist() == list(range(len(elems)))
         assert groups.digits(orders, idx).tolist() == [list(x) for x in elems]
+        assert [groups.digits(orders, i).tolist() for i in range(len(elems))] == [
+            list(x) for x in elems]
 
 
 def test_rows_share_one_int_per_vertex():
