@@ -495,6 +495,11 @@ def main(argv=None) -> int:
     except SpecgraphError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the flush at exit
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

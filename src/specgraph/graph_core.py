@@ -901,6 +901,8 @@ def small_graph_classes(k: int) -> _SmallClasses:
 def contains_all_small_graphs(g: Graph, k: int) -> bool:
     """True iff every isomorphism class of graphs on k vertices occurs as an
     induced subgraph; exhaustive scan over k-subsets, k <= 4."""
+    if k < 0:
+        raise BadParameters(f"small-graph scan needs k >= 0, got {k}")
     if k > 4:
         raise CapExceeded("small-graph scan implemented for k <= 4")
     cls = small_graph_classes(k)

@@ -50,18 +50,30 @@ def _check_size(orders, count: int) -> None:
                            f"elements exceeds {ADJACENCY_CAP} adjacency entries")
 
 
-def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
-    """The group orders and the sorted indices of the distinct elements
-    reduced mod them, the elements read once; BadParameters for an order
-    below 1 or an element without one coordinate per order, SizeOverflow for
-    a table of more than ADJACENCY_CAP entries."""
-    orders = tuple(int(m) for m in orders)
+def _group_orders(orders) -> tuple[int, ...]:
+    """The group orders as ints; BadParameters unless each is an integer >= 1."""
+    orders = tuple(orders)
+    if not all(isinstance(m, (int, np.integer)) for m in orders):
+        raise BadParameters(f"group orders must be integers, got {orders!r}")
+    orders = tuple(map(int, orders))
     if min(orders, default=1) < 1:
         raise BadParameters(f"group orders must be at least 1, got {orders}")
+    return orders
+
+
+def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
+    """The group orders and the sorted indices of the distinct elements
+    reduced mod them, the elements read once; BadParameters for orders that
+    _group_orders refuses or an element without one integer coordinate per
+    order, SizeOverflow for a table of more than ADJACENCY_CAP entries."""
+    orders = _group_orders(orders)
     # object dtype, so that a coordinate of any size is reduced exactly
     coords = np.array(list(elements), dtype=object)
     if len(coords) and coords.shape[1:] != (len(orders),):
         raise BadParameters(f"each element needs one coordinate per order of {orders}")
+    bad = [x for x in coords.flat if not isinstance(x, (int, np.integer))]
+    if bad:
+        raise BadParameters(f"coordinates must be integers, got {bad[0]!r}")
     coords = coords.reshape(len(coords), len(orders)) % np.array(orders, dtype=object)
     if math.prod(orders) > ADJACENCY_CAP:
         # refused at any count, and an index may not fit int64
@@ -70,9 +82,11 @@ def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
     return orders, np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
 
 
-def _cayley_indexed(orders, gens: np.ndarray, name: str, labels) -> Graph:
-    """cayley on the sorted indices of its distinct generators."""
+def _cayley_indexed(orders, gens, name: str, labels) -> Graph:
+    """cayley on the indices of its distinct generators, in any order; a
+    range is sized before its indices are made."""
     _check_size(orders, len(gens))
+    gens = np.sort(np.asarray(gens, dtype=np.int64))
     if len(gens) and gens[0] == 0:
         raise ContainsIdentity("generating set contains the identity")
     coords = groups.digits(orders, gens)
@@ -105,9 +119,10 @@ def bi_cayley(orders, subset, name: str = "", labels=GROUP_LABELS) -> Graph:
     return _bi_cayley_indexed(*_reduced(orders, subset), name, labels)
 
 
-def _bi_cayley_indexed(orders, idx: np.ndarray, name: str, labels) -> Graph:
-    """bi_cayley on the sorted indices of its distinct elements."""
+def _bi_cayley_indexed(orders, idx, name: str, labels) -> Graph:
+    """bi_cayley on the indices of its distinct elements, in any order."""
     _check_size(orders, len(idx))
+    idx = np.sort(np.asarray(idx, dtype=np.int64))
     coords = groups.digits(orders, idx)
     # S - S generates the same subgroup as S - s0 for any s0 in S
     if not len(idx) or not groups.generates(orders, groups.indices(
@@ -145,12 +160,12 @@ def check_size(family: str, *sizes: int) -> None:
 
 def complete(n: int) -> Graph:
     check_size("complete", n)
-    return cayley((n,), [(a,) for a in range(1, n)], name=f"K_{n}", labels=None)
+    return _cayley_indexed((n,), range(1, n), f"K_{n}", None)
 
 
 def cycle(n: int) -> Graph:
     check_size("cycle", n)
-    return cayley((n,), [(1,), (n - 1,)], name=f"C_{n}", labels=None)
+    return _cayley_indexed((n,), (1, n - 1), f"C_{n}", None)
 
 
 def path(n: int) -> Graph:
@@ -189,19 +204,16 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def cube(n: int) -> Graph:
     check_size("cube", n)
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return cayley((2,) * n, basis, name=f"Q_{n}")
+    return _cayley_indexed((2,) * n, [1 << i for i in range(n)], f"Q_{n}", GROUP_LABELS)
 
 
 def halved_cube(n: int) -> Graph:
     """Even-weight binary strings of length n, joined when they differ in two
     slots; realized on (Z_2)^(n-1) by dropping the parity coordinate."""
     check_size("halved_cube", n)
-    m = n - 1
-    gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
-    gens += [tuple(1 if t in (i, j) else 0 for t in range(m))
-             for i, j in itertools.combinations(range(m), 2)]
-    return cayley((2,) * m, gens, name=f"halfQ_{n}")
+    # weight one (i == j) and weight two
+    gens = [1 << i | 1 << j for i in range(n - 1) for j in range(i, n - 1)]
+    return _cayley_indexed((2,) * (n - 1), gens, f"halfQ_{n}", GROUP_LABELS)
 
 
 def decked_cube_extra(n: int, extra: tuple[int, ...] | str) -> tuple[int, ...]:
@@ -209,7 +221,7 @@ def decked_cube_extra(n: int, extra: tuple[int, ...] | str) -> tuple[int, ...]:
     BadParameters unless it is n bits of weight >= 2."""
     try:
         bits = tuple(int(b) % 2 for b in extra)
-    except ValueError:
+    except (TypeError, ValueError):
         raise BadParameters(f"extra generator must be bits, got {extra!r}") from None
     if len(bits) != n or sum(bits) < 2:
         raise BadParameters("extra generator must have length n and weight >= 2")
@@ -219,9 +231,9 @@ def decked_cube_extra(n: int, extra: tuple[int, ...] | str) -> tuple[int, ...]:
 def decked_cube(n: int, extra: tuple[int, ...] | str) -> Graph:
     """Q_n plus the extra generator, given as bits or as a bit string such as
     "011"; the generator must have weight >= 2."""
-    extra = decked_cube_extra(n, extra)
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return cayley((2,) * n, basis + [extra], name=f"DQ_{n}{''.join(map(str, extra))}")
+    bits = "".join(map(str, decked_cube_extra(n, extra)))
+    gens = [1 << i for i in range(n)] + [int(bits, 2)]
+    return _cayley_indexed((2,) * n, gens, f"DQ_{n}{bits}", GROUP_LABELS)
 
 
 def petersen() -> Graph:
@@ -289,7 +301,7 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
     if kind == "A":
         if n < 2:
             raise BadParameters("extended A_n needs n >= 2")
-        return cayley((n + 1,), [(1,), (n,)], name=f"ADE_extA{n}", labels=None)
+        return _cayley_indexed((n + 1,), (1, n), f"ADE_extA{n}", None)
     if kind == "D":
         if n < 4:
             raise BadParameters("extended D_n needs n >= 4")
@@ -317,10 +329,10 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
 
 
 def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], np.ndarray]:
-    """(F, +) as (Z_p)^d, and the sorted indices of its non-zero squares, the
+    """(F, +) as (Z_p)^d, and the indices of its non-zero squares, the
     even powers of the generator.  An element's coordinates are its
     coefficients top-first, so group element i is field element i."""
-    return (spec.p,) * spec.d, np.sort(np.asarray(spec.tables[0])[0::2])
+    return (spec.p,) * spec.d, np.asarray(spec.tables[0])[0::2]
 
 
 def paley_field(q: int) -> FieldSpec:
@@ -465,8 +477,8 @@ def shrikhande() -> Graph:
 
 def rook(n: int = 4) -> Graph:
     check_size("complete", n)
-    gens = [(a, 0) for a in range(1, n)] + [(0, a) for a in range(1, n)]
-    return cayley((n, n), gens, name=f"rook_{n}", labels=None)
+    # (0, a) and (a, 0) for a != 0
+    return _cayley_indexed((n, n), [*range(1, n), *range(n, n * n, n)], f"rook_{n}", None)
 
 
 def rook_twin() -> Graph:
@@ -477,9 +489,7 @@ def rook_twin() -> Graph:
 def andrasfai(n: int) -> Graph:
     if n < 2:
         raise BadParameters("Andrasfai graph needs n >= 2")
-    mod = 3 * n - 1
-    gens = [(x,) for x in range(1, mod) if x % 3 == 1]
-    return cayley((mod,), gens, name=f"andrasfai_{n}")
+    return _cayley_indexed((3 * n - 1,), range(1, 3 * n - 1, 3), f"andrasfai_{n}", GROUP_LABELS)
 
 
 def heawood() -> Graph:
@@ -511,9 +521,7 @@ def frucht() -> Graph:
 def machine_orders(orders) -> tuple[int, ...]:
     """The group orders of machine(orders) as ints; BadParameters unless each
     is at least 1 and |G| >= 3."""
-    orders = tuple(int(m) for m in orders)
-    if min(orders, default=1) < 1:
-        raise BadParameters(f"group orders must be at least 1, got {orders}")
+    orders = _group_orders(orders)
     if math.prod(orders) < 3:
         raise BadParameters("machine construction needs |G| >= 3")
     return orders
@@ -524,13 +532,12 @@ def machine(orders) -> Graph:
     {(s,0), (0,s), (s,s) : s != 0} for an abelian G of size n; parameters are
     (n^2, 3n-3, n, 6)."""
     orders = machine_orders(orders)
-    zero, *nonzero = groups.elements(orders)
-    gens = []
-    for s in nonzero:
-        gens.append(s + zero)
-        gens.append(zero + s)
-        gens.append(s + s)
-    return cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}")
+    n = math.prod(orders)
+    # (0, s), (s, 0) and (s, s) for s != 0, sized first: past the cap an index may not fit int64
+    _check_size(orders * 2, 3 * (n - 1))
+    gens = np.arange(1, n) * np.array([[1], [n], [n + 1]])
+    return _cayley_indexed(orders * 2, gens.ravel(), f"machine_{'x'.join(map(str, orders))}",
+                           GROUP_LABELS)
 
 
 def order2_count(orders) -> int:

@@ -7,7 +7,7 @@ significant: element i has the coordinates of the i-th tuple of
 and gives indices and converts to coordinates with ``digits`` inside; Cayley
 and bi-Cayley graphs, their spectra and the +-1 certificates all index
 vertices, connection sets and characters this way.  Coordinates appear only
-in builder arguments and in labels.
+in the arguments of ``cayley``/``bi_cayley`` and in labels.
 """
 
 from __future__ import annotations

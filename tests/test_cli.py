@@ -331,6 +331,22 @@ def test_import_freezes_heap_and_keeps_collector(tmp_path):
     assert facts["rc"] == 0 and facts["garbage"] == 0
 
 
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early, as `chars 27 | head -c 100` does, gets exit
+    1 and no traceback: the report is far longer than a pipe buffer, so the
+    writer meets the closed pipe."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "specgraph.cli", "chars", "27"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_gen_edge_list(capsys):
     code, out = run(capsys, "gen", "paley", "13")
     assert code == 0

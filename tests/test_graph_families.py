@@ -5,6 +5,7 @@ import ast
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -490,7 +491,125 @@ def test_nonzero_squares_match_the_signature_filter(q):
     orders, squares = gf._nonzero_squares(spec)
     sig = ff.signature_table(spec)
     assert orders == (spec.p,) * spec.d
-    assert squares.tolist() == [i for i in range(1, q) if sig[i] == 1]
+    assert sorted(squares.tolist()) == [i for i in range(1, q) if sig[i] == 1]
+
+
+# The nine families that hand their connection sets to the group constructors
+# as indices, each against the coordinate list that it once gave cayley.
+
+
+def _complete(n):
+    return gf.cayley((n,), [(a,) for a in range(1, n)], name=f"K_{n}", labels=None)
+
+
+def _cycle(n):
+    return gf.cayley((n,), [(1,), (n - 1,)], name=f"C_{n}", labels=None)
+
+
+def _cube(n):
+    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    return gf.cayley((2,) * n, basis, name=f"Q_{n}")
+
+
+def _halved_cube(n):
+    m = n - 1
+    gens = [tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
+    gens += [tuple(1 if t in (i, j) else 0 for t in range(m))
+             for i, j in itertools.combinations(range(m), 2)]
+    return gf.cayley((2,) * m, gens, name=f"halfQ_{n}")
+
+
+def _decked_cube(n, extra):
+    extra = gf.decked_cube_extra(n, extra)
+    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    return gf.cayley((2,) * n, basis + [extra], name=f"DQ_{n}{''.join(map(str, extra))}")
+
+
+def _extended_a(n):
+    return gf.cayley((n + 1,), [(1,), (n,)], name=f"ADE_extA{n}", labels=None)
+
+
+def _rook(n):
+    gens = [(a, 0) for a in range(1, n)] + [(0, a) for a in range(1, n)]
+    return gf.cayley((n, n), gens, name=f"rook_{n}", labels=None)
+
+
+def _andrasfai(n):
+    mod = 3 * n - 1
+    gens = [(x,) for x in range(1, mod) if x % 3 == 1]
+    return gf.cayley((mod,), gens, name=f"andrasfai_{n}")
+
+
+def _machine(orders):
+    zero, *nonzero = groups.elements(orders)
+    gens = []
+    for s in nonzero:
+        gens.append(s + zero)
+        gens.append(zero + s)
+        gens.append(s + s)
+    return gf.cayley(orders + orders, gens, name=f"machine_{'x'.join(map(str, orders))}")
+
+
+COORDINATE_BUILT = (
+    [(gf.complete, _complete, (n,)) for n in range(2, 40)]
+    + [(gf.cycle, _cycle, (n,)) for n in range(3, 40)]
+    + [(gf.cube, _cube, (n,)) for n in range(1, 13)]
+    + [(gf.halved_cube, _halved_cube, (n,)) for n in range(3, 12)]
+    + [(gf.decked_cube, _decked_cube, (n, extra)) for n in range(2, 6)
+       for extra in itertools.product((0, 1), repeat=n) if sum(extra) >= 2]
+    + [(lambda n: gf.extended_ade("A", n), _extended_a, (n,)) for n in range(2, 20)]
+    + [(gf.rook, _rook, (n,)) for n in range(2, 20)]
+    + [(gf.andrasfai, _andrasfai, (n,)) for n in range(2, 30)]
+    + [(gf.machine, _machine, (orders,)) for orders in
+       [(3,), (4,), (5,), (7,), (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2)]])
+
+
+@pytest.mark.parametrize("build,oracle,params", COORDINATE_BUILT,
+                         ids=[f"{o.__name__[1:]}{p}" for _, o, p in COORDINATE_BUILT])
+def test_index_built_families_match_their_coordinate_lists(build, oracle, params):
+    g, expected = build(*params), oracle(*params)
+    assert (g.group, g.name, g.labels) == (expected.group, expected.name, expected.labels)
+
+
+@pytest.mark.parametrize("build,count", [
+    (lambda: gf.complete(10**6), f"group of order {10**6} with {10**6 - 1}"),
+    (lambda: gf.andrasfai(10**6), f"group of order {3 * 10**6 - 1} with {10**6}"),
+    (lambda: gf.machine((10**4,)), f"group of order {10**8} with {3 * (10**4 - 1)}"),
+], ids=["complete", "andrasfai", "machine"])
+def test_large_families_are_refused_before_their_sets_exist(build, count):
+    """The connection set is sized before its indices are made, so the
+    refusal allocates next to nothing."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow, match=f"^{count} elements exceeds {gf.ADJACENCY_CAP} "):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: gf.cayley((4.5,), [(1,), (3,)]), r"group orders must be integers, got \(4.5,\)"),
+    (lambda: gf.machine((3.5,)), r"group orders must be integers, got \(3.5,\)"),
+    (lambda: gf.cayley((5,), [(1.5,), (3.5,)]), r"coordinates must be integers, got 1.5$"),
+    (lambda: gf.cayley((5,), [("1",), ("4",)]), r"coordinates must be integers, got '1'$"),
+    (lambda: gf.decked_cube(3, 110), r"extra generator must be bits, got 110"),
+    (lambda: sp.closed_form_spectrum("decked_cube", 3, 110), r"extra generator must be bits"),
+    (lambda: gc.contains_all_small_graphs(gf.complete(3), -1), r"small-graph scan needs k >= 0"),
+], ids=["float_order", "float_machine_order", "float_coordinate", "text_coordinate",
+        "int_extra", "int_extra_closed_form", "negative_scan_size"])
+def test_non_integer_and_malformed_library_input_refused(build, message):
+    with pytest.raises(BadParameters, match=f"^{message}"):
+        build()
+
+
+def test_numpy_integers_are_orders_and_coordinates():
+    """Integer types other than int are read as their values, in every
+    message too."""
+    assert gf.cayley((np.int64(5),), [(np.int64(1),), (4,)]).group == gf.cycle(5).group
+    with pytest.raises(BadParameters, match=r"^group orders must be at least 1, got \(0, 3\)$"):
+        gf.machine((np.int64(0), np.int8(3)))
 
 
 def test_sum_product_shapes():

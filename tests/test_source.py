@@ -46,3 +46,33 @@ def test_modules_import_only_earlier_layers():
              for name in _imported(node)
              if name in LAYERS[i:]]
     assert found == []
+
+
+def _calls(names):
+    """(module, top-level definition, callee) for every call in the package of
+    a function in names, by its bare name or as an attribute."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.add((path.stem, getattr(top, "name", "<module>"), name))
+    return found
+
+
+def test_coordinates_enter_only_through_cayley_and_bi_cayley():
+    """Every family builder hands its connection set to the group
+    constructors as indices; coordinates come only from the raw cayley and
+    bi_cayley sources and the three graphs written as coordinate literals,
+    and only cayley and bi_cayley reduce them."""
+    assert _calls({"_reduced", "cayley", "bi_cayley"}) == {
+        ("graph_families", "cayley", "_reduced"),
+        ("graph_families", "bi_cayley", "_reduced"),
+        ("graph_families", "shrikhande", "cayley"),
+        ("graph_families", "rook_twin", "cayley"),
+        ("graph_families", "heawood", "bi_cayley"),
+        ("graph_families", "_cayley", "cayley"),
+        ("graph_families", "_bi_cayley", "bi_cayley"),
+    }
