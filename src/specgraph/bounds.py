@@ -270,17 +270,16 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
         rec(_ge("distinct_adjacency_count", len(adj.entries), delta + 1, {"delta": delta}))
         rec(_ge("distinct_laplacian_count", len(lap.entries), delta + 1, {"delta": delta}))
     values = adj.expanded()
+    # the sum of lambda^j is 0, twice the edges and six times the triangles
+    # for j = 1, 2, 3, within tr_tol d^(j - 1)
     tr_tol = 1e-8 * n * max(1.0, d)
-    rec(BoundRecord("trace_sum_zero", "|lhs - rhs| small", float(values.sum()), 0.0,
-                    float(abs(values.sum())),
-                    "pass" if abs(values.sum()) <= tr_tol else "fail"))
-    rec(BoundRecord("trace_square_edges", "|lhs - rhs| small", float((values**2).sum()),
-                    2.0 * g.edge_count, float(abs((values**2).sum() - 2 * g.edge_count)),
-                    "pass" if abs((values**2).sum() - 2 * g.edge_count) <= tr_tol * d else "fail"))
-    tri = triangle_count(g)
-    cube_err = abs(float((values**3).sum()) - 6.0 * tri)
-    rec(BoundRecord("trace_cube_triangles", "|lhs - rhs| small", float((values**3).sum()),
-                    6.0 * tri, cube_err, "pass" if cube_err <= tr_tol * d * d else "fail"))
+    for j, (name, rhs) in enumerate([("trace_sum_zero", 0.0),
+                                     ("trace_square_edges", 2.0 * g.edge_count),
+                                     ("trace_cube_triangles", 6.0 * triangle_count(g))], 1):
+        lhs = float((values**j).sum())
+        rec(BoundRecord(name, "|lhs - rhs| small", lhs, rhs, abs(lhs - rhs),
+                        "pass" if abs(lhs - rhs) <= tr_tol else "fail"))
+        tr_tol *= d
 
     # interval location and the degree sandwich
     rec(_ge("adjacency_interval_low", alpha_min, -float(d)))

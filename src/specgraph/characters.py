@@ -248,6 +248,42 @@ def eisenstein_table(emb: SubfieldEmbedding) -> np.ndarray:
     return groups.character_sum((emb.big.q - 1,), logs)
 
 
+def checked_tables(spec: FieldSpec, ext: int | None = None) -> list[tuple]:
+    """The Gauss, Jacobi and Kloosterman tables of spec and, given ext, the
+    Eisenstein table of its degree-ext extension, each as (sum type, first
+    index, values, magnitudes, bounds, pass flags).  A sum of known value,
+    G(psi_0, chi_0) = q - 1, G(psi_0, chi_k) = 0, G(psi_t, chi_0) = -1,
+    J(chi_0, chi_0) = q, J(chi_0, chi_k) = J(chi_k, chi_0) = 0 or
+    E(chi_0) = q^(ext - 1), is bounded by its magnitude and passes within
+    MAGNITUDE_TOL of it.  Any other passes with a magnitude within
+    MAGNITUDE_TOL of its law (|G| = sqrt q; |J| = 1 on inverse pairs and
+    sqrt q elsewhere; |E(chi_k)| = q^(ext/2 - 1) where q - 1 divides k and
+    q^((ext - 1)/2) elsewhere), a Kloosterman sum with |K| <= 2 sqrt q + MAGNITUDE_TOL."""
+    q, sq, k = spec.q, math.sqrt(spec.q), np.arange(spec.q - 1)
+    # (sum type, first index, values, law, whether the law is an upper bound)
+    tables = [("gauss", 0, gauss_table(spec), sq, False),  # [t, k]
+              ("jacobi", 0, jacobi_table(spec),  # [k1, k2]
+               np.where(np.add.outer(k, k) % (q - 1) == 0, 1.0, sq), False),
+              ("kloosterman", 1, kloosterman_table(spec), 2 * sq, True)]  # [t1 - 1, t2 - 1]
+    exact = {table[0]: np.full(table[2].shape, np.nan, complex) for table in tables}  # NaN: unknown
+    exact["gauss"][0], exact["gauss"][:, 0], exact["gauss"][0, 0] = 0, -1, q - 1
+    exact["jacobi"][0], exact["jacobi"][:, 0], exact["jacobi"][0, 0] = 0, 0, q
+    if ext is not None:
+        values = eisenstein_table(subfield_embedding(construct_field(spec.p, spec.d * ext), spec))
+        tables.append(("eisenstein", 0, values, np.where(np.arange(values.size) % (q - 1) == 0,
+                       q ** (ext / 2 - 1), q ** ((ext - 1) / 2)), False))  # [k]
+        exact["eisenstein"] = np.where(np.arange(values.size) == 0, q ** (ext - 1), np.nan)
+    checked = []
+    for sum_type, first, values, law, upper in tables:
+        value, magnitude = exact[sum_type], np.abs(values)
+        known = ~np.isnan(value)
+        within = (magnitude <= law + MAGNITUDE_TOL if upper
+                  else np.abs(magnitude - law) <= MAGNITUDE_TOL)
+        checked.append((sum_type, first, values, magnitude, np.where(known, np.abs(value), law),
+                        np.where(known, np.abs(values - value) <= MAGNITUDE_TOL, within)))
+    return checked
+
+
 # -- Weil bound on polynomial character sums -----------------------------------
 
 @dataclass

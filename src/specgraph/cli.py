@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import gc as pygc
 import json
-import math
 import os
 import sys
 import types
@@ -217,49 +216,12 @@ def _render(q: int, tables):
 
 def _char_rows(q: int, ext: int | None):
     """The rows of `chars q [--ext ext]`, as an iterator of blocks of
-    rendered JSON text, and whether every row passes.  The tables are built,
-    and every float the rows print is checked finite, before this returns,
-    so a refusal comes before the first byte of the report."""
+    rendered JSON text, and whether every row passes its law in
+    `characters.checked_tables`.  The tables are built and checked, and every
+    float the rows print is checked finite, before this returns, so a refusal
+    comes before the first byte of the report."""
     _chars_size(q, ext)
-    spec = ff.field(q)
-    sq, tol = math.sqrt(q), ch.MAGNITUDE_TOL
-    tables = []  # as _render takes them
-
-    gauss = ch.gauss_table(spec)  # [t, k]
-    mag = np.abs(gauss)
-    bound, ok = np.full(gauss.shape, sq), np.abs(mag - sq) <= tol
-    bound[0], ok[0] = 0.0, mag[0] <= tol
-    bound[:, 0], ok[:, 0] = 1.0, np.abs(gauss[:, 0] + 1) <= tol
-    bound[0, 0], ok[0, 0] = q - 1, np.abs(gauss[0, 0] - (q - 1)) <= tol
-    tables.append(("gauss", 0, gauss, mag, bound, ok))
-
-    jacobi = ch.jacobi_table(spec)  # [k1, k2]
-    mag = np.abs(jacobi)
-    bound, ok = np.full(jacobi.shape, sq), np.abs(mag - sq) <= tol
-    k = np.arange(q - 1)
-    inverse = np.add.outer(k, k) % (q - 1) == 0
-    bound[inverse], ok[inverse] = 1.0, (np.abs(mag - 1) <= tol)[inverse]
-    bound[0], ok[0] = 0.0, mag[0] <= tol
-    bound[:, 0], ok[:, 0] = 0.0, mag[:, 0] <= tol
-    bound[0, 0], ok[0, 0] = q, np.abs(jacobi[0, 0] - q) <= tol
-    tables.append(("jacobi", 0, jacobi, mag, bound, ok))
-
-    kloosterman = ch.kloosterman_table(spec)  # [t1 - 1, t2 - 1]
-    mag = np.abs(kloosterman)
-    tables.append(("kloosterman", 1, kloosterman, mag, np.full(mag.shape, 2 * sq),
-                   mag <= 2 * sq + tol))
-
-    if ext is not None:
-        big = ff.construct_field(spec.p, spec.d * ext)
-        eisenstein = ch.eisenstein_table(ff.subfield_embedding(big, spec))  # [k]
-        mag = np.abs(eisenstein)
-        bound = np.where(np.arange(eisenstein.size) % (q - 1) == 0,
-                         q ** (ext / 2 - 1), q ** ((ext - 1) / 2))
-        bound[0] = float(q ** (ext - 1))
-        ok = np.abs(mag - bound) <= tol
-        ok[0] = np.abs(eisenstein[0] - bound[0]) <= tol
-        tables.append(("eisenstein", 0, eisenstein, mag, bound, ok))
-
+    tables = ch.checked_tables(ff.field(q), ext)
     for sum_type, _, values, mag, bound, _ in tables:
         if not (np.isfinite(values).all() and np.isfinite(mag).all()
                 and np.isfinite(bound).all()):

@@ -32,41 +32,27 @@ SIZE_CAP = 2**31
 
 # -- integer helpers ---------------------------------------------------------
 
-def is_prime(n: int) -> bool:
-    """Primality by trial division; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
+def _prime_divisors(n: int) -> Iterator[int]:
+    """Distinct prime factors of n, ascending, by trial division: the least
+    is n itself exactly when n is prime."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, ascending."""
+    return list(_prime_divisors(n))
 
 
 def prime_power_decomposition(n: int) -> tuple[int, int] | None:
     """Return (p, d) with n = p^d, or None if n is not a prime power."""
-    if n < 2:
-        return None
     ps = prime_factors(n)
     if len(ps) != 1:
         return None
@@ -354,7 +340,7 @@ def construct_field(p: int, d: int) -> FieldSpec:
     """Build GF(p^d) with the lexicographically smallest monic irreducible
     modulus (coefficients compared constant term first). For d = 1 the modulus
     is X itself."""
-    if not is_prime(p):
+    if next(_prime_divisors(p), None) != p:
         raise NotPrime(f"{p} is not prime")
     if d < 1:
         raise SpecMismatch("extension degree must be positive")
@@ -530,7 +516,7 @@ def jacobsthal(spec: FieldSpec) -> tuple[int, int]:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Euler's formula."""
-    if not is_prime(p) or p == 2:
+    if p == 2 or next(_prime_divisors(p), None) != p:
         raise NotPrime(f"{p} is not an odd prime")
     a %= p
     if a == 0:

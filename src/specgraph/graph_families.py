@@ -43,11 +43,24 @@ from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at
 ADJACENCY_CAP = 2**24
 
 
-def _check_size(orders, count: int) -> None:
+def _decimal(n: int) -> str:
+    """n in decimal or, past the digits Python writes, as at least a power of 2."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
+def _check_size(order: int, count: int) -> None:
     """SizeOverflow for a translate table of more than ADJACENCY_CAP entries."""
-    if math.prod(orders) * max(count, 1) > ADJACENCY_CAP:
-        raise SizeOverflow(f"group of order {math.prod(orders)} with {count} "
+    if order * max(count, 1) > ADJACENCY_CAP:
+        raise SizeOverflow(f"group of order {_decimal(order)} with {_decimal(count)} "
                            f"elements exceeds {ADJACENCY_CAP} adjacency entries")
+
+
+def _power_of_two(m: int) -> int:
+    """2^m for _check_size, or 2^ADJACENCY_CAP past it, refused all the same."""
+    return 1 << min(m, ADJACENCY_CAP)
 
 
 def _group_orders(orders) -> tuple[int, ...]:
@@ -77,7 +90,7 @@ def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
     coords = coords.reshape(len(coords), len(orders)) % np.array(orders, dtype=object)
     if math.prod(orders) > ADJACENCY_CAP:
         # refused at any count, and an index may not fit int64
-        _check_size(orders, len(set(map(tuple, coords.tolist()))))
+        _check_size(math.prod(orders), len(set(map(tuple, coords.tolist()))))
     idx = np.sort(groups.indices(orders, coords.astype(np.int64)))
     return orders, np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
 
@@ -85,7 +98,7 @@ def _reduced(orders, elements) -> tuple[tuple[int, ...], np.ndarray]:
 def _cayley_indexed(orders, gens, name: str, labels) -> Graph:
     """cayley on the indices of its distinct generators, in any order; a
     range is sized before its indices are made."""
-    _check_size(orders, len(gens))
+    _check_size(math.prod(orders), len(gens))
     gens = np.sort(np.asarray(gens, dtype=np.int64))
     if len(gens) and gens[0] == 0:
         raise ContainsIdentity("generating set contains the identity")
@@ -121,7 +134,7 @@ def bi_cayley(orders, subset, name: str = "", labels=GROUP_LABELS) -> Graph:
 
 def _bi_cayley_indexed(orders, idx, name: str, labels) -> Graph:
     """bi_cayley on the indices of its distinct elements, in any order."""
-    _check_size(orders, len(idx))
+    _check_size(math.prod(orders), len(idx))
     idx = np.sort(np.asarray(idx, dtype=np.int64))
     coords = groups.digits(orders, idx)
     # S - S generates the same subgroup as S - s0 for any s0 in S
@@ -204,6 +217,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def cube(n: int) -> Graph:
     check_size("cube", n)
+    _check_size(_power_of_two(n), n)
     return _cayley_indexed((2,) * n, [1 << i for i in range(n)], f"Q_{n}", GROUP_LABELS)
 
 
@@ -211,6 +225,7 @@ def halved_cube(n: int) -> Graph:
     """Even-weight binary strings of length n, joined when they differ in two
     slots; realized on (Z_2)^(n-1) by dropping the parity coordinate."""
     check_size("halved_cube", n)
+    _check_size(_power_of_two(n - 1), n * (n - 1) // 2)
     # weight one (i == j) and weight two
     gens = [1 << i | 1 << j for i in range(n - 1) for j in range(i, n - 1)]
     return _cayley_indexed((2,) * (n - 1), gens, f"halfQ_{n}", GROUP_LABELS)
@@ -218,9 +233,9 @@ def halved_cube(n: int) -> Graph:
 
 def decked_cube_extra(n: int, extra: tuple[int, ...] | str) -> tuple[int, ...]:
     """The extra generator of decked_cube(n, extra) as a bit tuple;
-    BadParameters unless it is n bits of weight >= 2."""
+    BadParameters unless it is n bits (0, 1, "0" or "1") of weight >= 2."""
     try:
-        bits = tuple(int(b) % 2 for b in extra)
+        bits = tuple(("0", "1").index(str(b)) for b in extra)
     except (TypeError, ValueError):
         raise BadParameters(f"extra generator must be bits, got {extra!r}") from None
     if len(bits) != n or sum(bits) < 2:
@@ -232,6 +247,7 @@ def decked_cube(n: int, extra: tuple[int, ...] | str) -> Graph:
     """Q_n plus the extra generator, given as bits or as a bit string such as
     "011"; the generator must have weight >= 2."""
     bits = "".join(map(str, decked_cube_extra(n, extra)))
+    _check_size(_power_of_two(n), n + 1)
     gens = [1 << i for i in range(n)] + [int(bits, 2)]
     return _cayley_indexed((2,) * n, gens, f"DQ_{n}{bits}", GROUP_LABELS)
 
@@ -329,9 +345,10 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
 
 
 def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], np.ndarray]:
-    """(F, +) as (Z_p)^d, and the indices of its non-zero squares, the
-    even powers of the generator.  An element's coordinates are its
-    coefficients top-first, so group element i is field element i."""
+    """(F, +) as (Z_p)^d, and the indices of its non-zero squares, the even
+    powers of the generator, sized before the field's tables exist; group
+    element i is field element i, its coefficients top-first its coordinates."""
+    _check_size(spec.q, (spec.q - 1) // 2)
     return (spec.p,) * spec.d, np.asarray(spec.tables[0])[0::2]
 
 
@@ -375,9 +392,11 @@ def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
 def _singer(n: int, q: int):
     """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
     group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K, in
-    ascending order."""
-    emb = subfield_embedding(*incidence_fields(n, q))
+    ascending order, sized before the fields' tables exist."""
+    big, base = incidence_fields(n, q)
     m = (q**n - 1) // (q - 1)
+    _check_size(m, (q ** (n - 1) - 1) // (q - 1))  # the trace-zero classes
+    emb = subfield_embedding(big, base)
     return emb, m, np.flatnonzero(emb.power_traces(np.arange(m)) == 0)
 
 
@@ -477,6 +496,7 @@ def shrikhande() -> Graph:
 
 def rook(n: int = 4) -> Graph:
     check_size("complete", n)
+    _check_size(n * n, 2 * (n - 1))
     # (0, a) and (a, 0) for a != 0
     return _cayley_indexed((n, n), [*range(1, n), *range(n, n * n, n)], f"rook_{n}", None)
 
@@ -534,7 +554,7 @@ def machine(orders) -> Graph:
     orders = machine_orders(orders)
     n = math.prod(orders)
     # (0, s), (s, 0) and (s, s) for s != 0, sized first: past the cap an index may not fit int64
-    _check_size(orders * 2, 3 * (n - 1))
+    _check_size(n * n, 3 * (n - 1))
     gens = np.arange(1, n) * np.array([[1], [n], [n + 1]])
     return _cayley_indexed(orders * 2, gens.ravel(), f"machine_{'x'.join(map(str, orders))}",
                            GROUP_LABELS)
@@ -562,22 +582,10 @@ def small_diameter_x(k: int) -> Graph:
     if k < 3:
         raise BadParameters("small-diameter family needs k >= 3")
     t = tree(3, k, kind="Tt")
-    dist = t.bfs_distances(0)
-    parent = [-1] * t.n
-    for u, v in t.edges():
-        if dist[u] + 1 == dist[v]:
-            parent[v] = u
-        else:
-            parent[u] = v
-    pendants = [v for v in range(t.n) if dist[v] == k]
-    groups: dict[int, list[int]] = {}
-    for v in pendants:
-        groups.setdefault(parent[parent[v]], []).append(v)
-    extra = []
-    for grand, four in sorted(groups.items()):
-        four.sort(key=lambda v: (parent[v], v))  # sibling pairs adjacent, as drawn
-        for i in range(4):
-            extra.append((four[i], four[(i + 1) % 4]))
+    # tree numbers the vertices level by level, so the 3 * 2^(k-1) pendants
+    # come last, each grandparent's four at consecutive ids, sibling pairs first
+    extra = [(v + i, v + (i + 1) % 4) for v in range(t.n - 3 * 2 ** (k - 1), t.n, 4)
+             for i in range(4)]
     return Graph(t.n, t.edges() + extra, name=f"smalldiam_{k}")
 
 
@@ -759,7 +767,10 @@ def _as_int(value, family: str, name: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and value.removeprefix("-").isdecimal():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python reads
+            raise BadParameters(f"{family}: {name} has {len(value)} digits, too many") from None
     raise BadParameters(f"{family}: {name} must be an integer, got {value!r}")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,21 +25,24 @@ def elements(orders) -> list[tuple[int, ...]]:
     return list(itertools.product(*[range(m) for m in orders]))
 
 
-def _radix(orders) -> np.ndarray:
-    """The index step of each coordinate."""
-    return np.array([math.prod(orders[j + 1:]) for j in range(len(orders))], dtype=np.int64)
+@cache
+def _radix(orders: tuple[int, ...]) -> np.ndarray:
+    """The index step of each coordinate, built once per orders, read-only."""
+    radix = np.array([math.prod(orders[j + 1:]) for j in range(len(orders))], dtype=np.int64)
+    radix.flags.writeable = False
+    return radix
 
 
 def indices(orders, coords) -> np.ndarray:
     """The index of each row of the (N, k) int array coords, whose entries
     lie below their orders."""
-    return coords @ _radix(orders)
+    return coords @ _radix(tuple(orders))
 
 
 def digits(orders, idx) -> np.ndarray:
     """The coordinates of the elements at the index or int array idx, along
     a new last axis of length k: (N, k) for N indices."""
-    return np.asarray(idx, dtype=np.int64)[..., None] // _radix(orders) % np.array(
+    return np.asarray(idx, dtype=np.int64)[..., None] // _radix(tuple(orders)) % np.array(
         orders, dtype=np.int64)
 
 

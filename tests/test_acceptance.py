@@ -140,7 +140,7 @@ def test_criterion_4_character_magnitudes():
 
 def test_criterion_5_reciprocity_and_jacobsthal():
     with criterion(5, "reciprocity and Jacobsthal"):
-        primes = [p for p in range(3, 100) if ff.is_prime(p)]
+        primes = [p for p in range(3, 100) if ff.prime_factors(p) == [p]]
         for i, p in enumerate(primes):
             for ell in primes[i + 1:]:
                 assert ff.reciprocity_check(p, ell)

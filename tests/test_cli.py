@@ -525,6 +525,12 @@ USAGE_ERRORS = {
     "oversized_complete": (["gen", "complete:4097"], "error: SizeOverflow: "),
     "oversized_cayley_group": (["gen", "cayley", "100000000", "1;99999999"],
                                "error: SizeOverflow: "),
+    "oversized_cube_of_more_digits_than_python_writes": (["gen", "cube:15000"],
+                                                         "error: SizeOverflow: "),
+    "parameter_of_more_digits_than_python_reads": (["gen", "complete:" + "9" * 5000],
+                                                   BAD + "complete: n has 5000 digits"),
+    "decked_cube_digit_not_a_bit": (["gen", "decked_cube:3,013"],
+                                    BAD + "extra generator must be bits, got '013'\n"),
     "caps_not_integer": (["audit", "complete:3", "--caps", "beta=abc"], "error: "),
     "caps_unknown_key": (["audit", "complete:3", "--caps", "gamma=1"], "error: "),
     "caps_negative": (["audit", "petersen", "--caps", "chi=-3"],
@@ -587,6 +593,15 @@ def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     assert code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [["gen", "cube:15000"], ["gen", "complete:" + "9" * 5000]],
+                         ids=["order", "parameter"])
+def test_huge_integers_are_refused_without_their_digits(argv, capsys):
+    """An int past the digits that Python converts is neither written nor
+    read in decimal: the refusal is one short line."""
+    assert cli.main(argv) == 2
+    assert len(capsys.readouterr().err) < 120
 
 
 # -- the command table and its argparse parser ----------------------------------

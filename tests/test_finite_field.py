@@ -385,7 +385,7 @@ def test_reciprocity_instances():
 
 
 def test_reciprocity_exhaustive_below_100():
-    primes = [p for p in range(3, 100) if ff.is_prime(p)]
+    primes = [p for p in range(3, 100) if ff.prime_factors(p) == [p]]
     for p, ell in itertools.combinations(primes, 2):
         assert ff.reciprocity_check(p, ell)
 

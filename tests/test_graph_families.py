@@ -5,6 +5,7 @@ import ast
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -575,13 +576,24 @@ def test_index_built_families_match_their_coordinate_lists(build, oracle, params
     (lambda: gf.complete(10**6), f"group of order {10**6} with {10**6 - 1}"),
     (lambda: gf.andrasfai(10**6), f"group of order {3 * 10**6 - 1} with {10**6}"),
     (lambda: gf.machine((10**4,)), f"group of order {10**8} with {3 * (10**4 - 1)}"),
-], ids=["complete", "andrasfai", "machine"])
+    (lambda: gf.rook(10**6), f"group of order {10**12} with {2 * (10**6 - 1)}"),
+    (lambda: gf.cube(15000), "group of order at least 2^15000 with 15000"),
+    (lambda: gf.halved_cube(500), f"group of order {2**499} with {500 * 499 // 2}"),
+    (lambda: gf.decked_cube(10**4, "1" * 10**4), f"group of order {2**10**4} with {10**4 + 1}"),
+    (lambda: gf.paley(4000037), "group of order 4000037 with 2000018"),
+    (lambda: gf.bi_paley(4000039), "group of order 4000039 with 2000019"),
+    (lambda: gf.incidence(3, 257), f"group of order {257**2 + 257 + 1} with 258"),
+], ids=["complete", "andrasfai", "machine", "rook", "cube", "halved_cube", "decked_cube",
+        "paley", "bi_paley", "incidence"])
 def test_large_families_are_refused_before_their_sets_exist(build, count):
-    """The connection set is sized before its indices are made, so the
-    refusal allocates next to nothing."""
+    """The connection set is sized before its indices are made, and a field
+    family's before its field's tables are built, so the refusal allocates
+    next to nothing.  An order of more digits than Python writes is given by
+    a power of two."""
     tracemalloc.start()
     try:
-        with pytest.raises(SizeOverflow, match=f"^{count} elements exceeds {gf.ADJACENCY_CAP} "):
+        with pytest.raises(SizeOverflow,
+                           match=f"^{re.escape(count)} elements exceeds {gf.ADJACENCY_CAP} "):
             build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -714,7 +726,7 @@ def test_bp_determination():
 
 def test_mersenne_gate():
     # BP and incidence parameters agree exactly when 2^n - 1 is a Mersenne prime
-    expected = {n for n in range(3, 14) if ff.is_prime(2**n - 1)}
+    expected = {n for n in range(3, 14) if ff.prime_factors(2**n - 1) == [2**n - 1]}
     hits = set()
     for n in range(3, 14):
         q = 2**n - 1
@@ -795,6 +807,34 @@ def test_halved_cube_shape():
     assert g.n == 8 and g.is_regular and g.max_degree == math.comb(4, 2)
 
 
+def _small_diameter_by_search(k):
+    """small_diameter_x(k) as once built: the tree's parents found by a
+    breadth-first search, and its pendants grouped by grandparent."""
+    t = gf.tree(3, k, kind="Tt")
+    dist = t.bfs_distances(0)
+    parent = [-1] * t.n
+    for u, v in t.edges():
+        if dist[u] + 1 == dist[v]:
+            parent[v] = u
+        else:
+            parent[u] = v
+    by_grandparent = {}
+    for v in range(t.n):
+        if dist[v] == k:
+            by_grandparent.setdefault(parent[parent[v]], []).append(v)
+    extra = []
+    for _, four in sorted(by_grandparent.items()):
+        four.sort(key=lambda v: (parent[v], v))  # sibling pairs adjacent, as drawn
+        extra += [(four[i], four[(i + 1) % 4]) for i in range(4)]
+    return gc.Graph(t.n, t.edges() + extra, name=f"smalldiam_{k}")
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_small_diameter_pendants_match_the_search(k):
+    g, expected = gf.small_diameter_x(k), _small_diameter_by_search(k)
+    assert (g.n, g.edges(), g.name) == (expected.n, expected.edges(), expected.name)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_small_diameter_family(k):
     g = gf.small_diameter_x(k)
@@ -864,6 +904,23 @@ def test_decked_cube_bit_string_keeps_leading_zero():
     assert gf.build("decked_cube", "3", "011").name == expected.name == "DQ_3011"
     with pytest.raises(BadParameters):
         gf.build("decked_cube:3,0x1")
+
+
+@pytest.mark.parametrize("extra", ["013", "0121", (1.5, 1, 1), (1, 1, 2), (1, 1, -1), (1.0, 1, 1),
+                                   (True, 1, 1), ("1", "1", ""), ("1", "1", "01")])
+def test_decked_cube_takes_only_bits(extra):
+    """Every bit is the integer 0 or 1 or its character, never read mod 2 or
+    truncated, in the builder and the closed form alike."""
+    with pytest.raises(BadParameters, match="^extra generator must be bits"):
+        gf.decked_cube(3, extra)
+    with pytest.raises(BadParameters, match="^extra generator must be bits"):
+        sp.closed_form_spectrum("decked_cube", 3, extra)
+
+
+@pytest.mark.parametrize("extra", ["011", (0, 1, 1), ("0", "1", "1"),
+                                   (np.int64(0), np.int8(1), 1)])
+def test_decked_cube_bit_spellings_agree(extra):
+    assert gf.decked_cube(3, extra) == gf.decked_cube(3, (0, 1, 1))
 
 
 @pytest.mark.parametrize("cid,family,params", corpus_mod.CORPUS_SPECS,

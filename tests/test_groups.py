@@ -169,3 +169,10 @@ def test_rows_share_one_int_per_vertex():
         rows = group.rows()
         assert len({id(v) for row in rows for v in row}) == group.n
         assert sorted({v for row in rows for v in row}) == list(range(group.n))
+
+
+def test_radix_is_built_once_per_orders_and_read_only():
+    radix = groups._radix((3, 4, 5))
+    assert radix.tolist() == [20, 5, 1] and not radix.flags.writeable
+    assert groups._radix((3, 4, 5)) is radix
+    assert groups.digits([3, 4, 5], 59).tolist() == [2, 3, 4]

@@ -76,3 +76,14 @@ def test_coordinates_enter_only_through_cayley_and_bi_cayley():
         ("graph_families", "_cayley", "cayley"),
         ("graph_families", "_bi_cayley", "bi_cayley"),
     }
+
+
+def test_only_characters_reads_the_magnitude_tolerance():
+    """The character-sum laws are stated once, in `characters`: no other
+    module names MAGNITUDE_TOL, by attribute, by name or by import."""
+    found = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "characters"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "MAGNITUDE_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))]
+    assert found == []
