@@ -563,17 +563,22 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     as a Fraction, together with one minimizing subset: the first minimizer
     in the Gray-code order of the subset masks (vertex v is bit v).
 
-    Chunked exhaustive sweep. The low k = min(n, BETA_CHUNK_BITS) vertices
-    get int16 tables over all 2^k subsets L, built by doubling: |L| (once per
-    k), cut(L), and for each high vertex v, |N(v) & L|. The subsets H of the
-    high vertices are walked in Gray order; flipping v moves the cut of every
+    Chunked exhaustive sweep over the subsets T of the first m = n - 1
+    vertices, the first half of the n-bit Gray order. As |boundary S| =
+    |boundary (V - S)|, each S is such a T or the complement of one. The low
+    k = min(m, BETA_CHUNK_BITS) vertices get tables over all 2^k subsets L,
+    built by doubling: |L| (once per k), cut(L), and for each high vertex v,
+    |N(v) & L|; int8 below 128 edges, else int16. The subsets H of the high
+    vertices are walked in Gray order; flipping v moves the cut of every
     L | H at once by -+2|N(v) & L| plus a scalar. Each step takes the least
-    cut of each size group of L, in one np.minimum.reduceat over the groups
-    up to the largest with |S| <= n/2, and compares the ratios of those with
-    |S| > 0 in Python ints by cross-multiplication; a gain's tie search by
-    Gray rank runs in numpy, so the witness is the subset a
-    one-vertex-at-a-time Gray sweep keeps. The time budget is checked once
-    per high subset.
+    cut of each size group of L in one np.minimum.reduceat. Groups with
+    |T| <= n/2 are compared by ratio in Python ints by cross-multiplication;
+    a gain's tie search by Gray rank runs in numpy, so the witness is the
+    subset a one-vertex-at-a-time Gray sweep keeps. Groups with |T| > n/2
+    stand for their complements, of which only the least ratio is kept. If
+    it is strictly below the best T, every minimizer holds vertex n - 1, and
+    the sweep runs again over all m = n vertices for the first one. The time
+    budget is checked once per high subset.
 
     On one vertex no S has 0 < |S| <= n/2, so beta is undefined there and the
     call raises BadParameters.
@@ -587,54 +592,61 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     deadline = _Deadline()
     n, masks, degs = g.n, g.masks, g.degrees
     half = n // 2
-    k = min(n, BETA_CHUNK_BITS)
-    low_all = (1 << k) - 1
-    low, size, ranks, order, bounds = _beta_tables(k)
-    cut = np.zeros(1, np.int16)
-    for j in range(k):
-        inner = size[low[:1 << j] & (masks[j] & low_all)]
-        cut = np.concatenate([cut, cut + (degs[j] - 2 * inner)])
-    cut = cut[order]
-    nbr2 = [2 * size[order & (masks[v] & low_all)] for v in range(k, n)]
-    high_masks = [masks[v] >> k for v in range(k, n)]
-    stops = bounds.tolist()
+    # the tables hold cut(L) - 2e(L, H), in [-|E|, |E|], and 2|N(v) & L| <= 2k
+    dtype = np.int8 if g.edge_count < 128 else np.int16
+    # the second pass, over all n vertices, finds no complement below its best
+    for m in (n - 1, n):
+        k = min(m, BETA_CHUNK_BITS)
+        low_all = (1 << k) - 1
+        low, size, ranks, order, bounds = _beta_tables(k)
+        cut = np.zeros(1, np.int16)
+        for j in range(k):
+            inner = size[low[:1 << j] & (masks[j] & low_all)]
+            cut = np.concatenate([cut, cut + (degs[j] - 2 * inner)])
+        cut = cut[order].astype(dtype)
+        nbr2 = [(2 * size[order & (masks[v] & low_all)]).astype(dtype) for v in range(k, m)]
+        high_masks = [masks[v] >> k for v in range(k, m)]
+        stops, heads = bounds.tolist(), bounds[:k + 1]
 
-    best_num, best_den, best_mask = degs[0], 1, 1  # S = {0}, the first subset in Gray order
-    h_set = h_size = h_cut = 0
-    for step in range(1 << (n - k)):
-        deadline.check()
-        if step:
-            i = (step & -step).bit_length() - 1
-            h_set ^= 1 << i
-            change = degs[k + i] - 2 * (high_masks[i] & h_set).bit_count()
-            if h_set >> i & 1:
-                h_size, h_cut = h_size + 1, h_cut + change
-                cut -= nbr2[i]
-            else:
-                h_size, h_cut = h_size - 1, h_cut - change
-                cut += nbr2[i]
-        lo_t, hi_t = max(0, 1 - h_size), min(k, half - h_size)
-        if lo_t > hi_t:
-            continue
-        # the least low cut of each size group that fits, as Python ints
-        mins = np.minimum.reduceat(cut[:stops[hi_t + 1]], bounds[:hi_t + 1]).tolist()
-        better = [t for t in range(lo_t, hi_t + 1)
-                  if (mins[t] + h_cut) * best_den < best_num * (t + h_size)]
-        if not better:
-            continue
-        # H's ranks all follow the earlier H's, so only a strict gain counts
-        # across steps; within H, ties in the ratio go to the least rank. With
-        # |H| odd the low rank is complemented, so the last L of a group wins.
-        odd = h_size & 1
-        candidates = []
-        for t in better:
-            hits = np.flatnonzero(cut[stops[t]:stops[t + 1]] == mins[t])
-            pos = stops[t] + int(hits[-1 if odd else 0])
-            candidates.append((Fraction(mins[t] + h_cut, t + h_size),
-                               int(ranks[pos]) ^ (low_all * odd), int(order[pos])))
-        best, _, lo_mask = min(candidates)
-        best_num, best_den = best.numerator, best.denominator
-        best_mask = h_set << k | lo_mask
+        best_num, best_den, best_mask = degs[0], 1, 1  # S = {0}, the first subset in Gray order
+        comp_num, comp_den = 1, 0  # the least complement ratio, none yet
+        h_set = h_size = h_cut = 0
+        for step in range(1 << (m - k)):
+            deadline.check()
+            if step:
+                i = (step & -step).bit_length() - 1
+                h_set ^= 1 << i
+                change = degs[k + i] - 2 * (high_masks[i] & h_set).bit_count()
+                if h_set >> i & 1:
+                    h_size, h_cut = h_size + 1, h_cut + change
+                    cut -= nbr2[i]
+                else:
+                    h_size, h_cut = h_size - 1, h_cut - change
+                    cut += nbr2[i]
+            # the least low cut of each size group, as Python ints
+            mins = np.minimum.reduceat(cut, heads).tolist()
+            for t in range(max(0, half + 1 - h_size), k + 1):
+                if (mins[t] + h_cut) * comp_den < comp_num * (n - t - h_size):
+                    comp_num, comp_den = mins[t] + h_cut, n - t - h_size
+            better = [t for t in range(max(0, 1 - h_size), min(k, half - h_size) + 1)
+                      if (mins[t] + h_cut) * best_den < best_num * (t + h_size)]
+            if not better:
+                continue
+            # H's ranks all follow the earlier H's, so only a strict gain counts
+            # across steps; within H, ties in the ratio go to the least rank. With
+            # |H| odd the low rank is complemented, so the last L of a group wins.
+            odd = h_size & 1
+            candidates = []
+            for t in better:
+                hits = np.flatnonzero(cut[stops[t]:stops[t + 1]] == mins[t])
+                pos = stops[t] + int(hits[-1 if odd else 0])
+                candidates.append((Fraction(mins[t] + h_cut, t + h_size),
+                                   int(ranks[pos]) ^ (low_all * odd), int(order[pos])))
+            best, _, lo_mask = min(candidates)
+            best_num, best_den = best.numerator, best.denominator
+            best_mask = h_set << k | lo_mask
+        if comp_num * best_den >= best_num * comp_den:
+            break
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return Fraction(best_num, best_den), witness
 

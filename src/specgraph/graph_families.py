@@ -58,6 +58,15 @@ def _check_size(order: int, count: int) -> None:
                            f"elements exceeds {ADJACENCY_CAP} adjacency entries")
 
 
+def _check_edges(count: int) -> None:
+    """SizeOverflow for an edge list of more than ADJACENCY_CAP adjacency
+    entries, from its edge count (or a bound past the cap) before any edge
+    is built."""
+    if 2 * count > ADJACENCY_CAP:
+        raise SizeOverflow(f"more than {ADJACENCY_CAP // 2} edges exceed "
+                           f"{ADJACENCY_CAP} adjacency entries")
+
+
 def _power_of_two(m: int) -> int:
     """2^m for _check_size, or 2^ADJACENCY_CAP past it, refused all the same."""
     return 1 << min(m, ADJACENCY_CAP)
@@ -183,18 +192,21 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     check_size("path", n)
+    _check_edges(n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P_{n}")
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: centre 0 plus n-1 leaves."""
     check_size("star", n)
+    _check_edges(n - 1)
     return Graph(n, [(0, i) for i in range(1, n)], name=f"star_{n}")
 
 
 def wheel(n: int) -> Graph:
     """Wheel on n vertices: hub 0 joined to the cycle 1..n-1."""
     check_size("wheel", n)
+    _check_edges(2 * (n - 1))
     rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
     return Graph(n, rim + [(0, i) for i in range(1, n)], name=f"wheel_{n}")
 
@@ -202,6 +214,7 @@ def wheel(n: int) -> Graph:
 def windmill(k: int) -> Graph:
     """k triangle blades glued at the hub 0."""
     check_size("windmill", k)
+    _check_edges(3 * k)
     edges = []
     for i in range(k):
         a, b = 2 * i + 1, 2 * i + 2
@@ -211,6 +224,7 @@ def windmill(k: int) -> Graph:
 
 def complete_bipartite(m: int, n: int) -> Graph:
     check_size("complete_bipartite", m, n)
+    _check_edges(m * n)
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return Graph(m + n, edges, name=f"K_{m},{n}")
 
@@ -270,6 +284,10 @@ def tree(d: int, radius: int, kind: str = "T") -> Graph:
     """Radially regular tree: root degree d-1 for kind "T", d for kind "Tt";
     intermediate vertices have degree d, pendants sit at the given radius."""
     check_tree(d, radius, kind)
+    first = d - 1 if kind == "T" else d
+    # one edge per vertex past the root; past d = 2, 25 levels pass the cap
+    _check_edges(first * radius if d == 2 else
+                 sum(first * (d - 1) ** r for r in range(min(radius, ADJACENCY_CAP.bit_length()))))
     edges = []
     level = [0]
     next_id = 1
@@ -291,6 +309,7 @@ def tree(d: int, radius: int, kind: str = "T") -> Graph:
 
 def ade(kind: str, n: int = 0) -> Graph:
     """Simply-laced diagrams: A_n path, D_n fork, E6/E7/E8."""
+    _check_edges(n - 1)
     kind = kind.upper()
     if kind == "A":
         if n < 1:
@@ -313,6 +332,7 @@ def ade(kind: str, n: int = 0) -> Graph:
 def extended_ade(kind: str, n: int = 0) -> Graph:
     """Extended diagrams, one more node; all have largest adjacency
     eigenvalue exactly 2."""
+    _check_edges(n)
     kind = kind.upper()
     if kind == "A":
         if n < 2:
@@ -346,9 +366,8 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
 
 def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], np.ndarray]:
     """(F, +) as (Z_p)^d, and the indices of its non-zero squares, the even
-    powers of the generator, sized before the field's tables exist; group
-    element i is field element i, its coefficients top-first its coordinates."""
-    _check_size(spec.q, (spec.q - 1) // 2)
+    powers of the generator; group element i is field element i, its
+    coefficients top-first its coordinates."""
     return (spec.p,) * spec.d, np.asarray(spec.tables[0])[0::2]
 
 
@@ -361,6 +380,7 @@ def paley_field(q: int) -> FieldSpec:
 
 def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
+    _check_size(q, (q - 1) // 2)  # before q is factored
     orders, squares = _nonzero_squares(paley_field(q))
     return _cayley_indexed(orders, squares, f"paley_{q}", list(map(str, range(q))))
 
@@ -377,6 +397,7 @@ def bi_paley_field(q: int) -> FieldSpec:
 
 def bi_paley(q: int) -> Graph:
     """Bi-Cayley graph of (F, +) on the non-zero squares; q = 3 mod 4."""
+    _check_size(q, (q - 1) // 2)  # before q is factored
     orders, squares = _nonzero_squares(bi_paley_field(q))
     return _bi_cayley_indexed(orders, squares, f"bipaley_{q}", None)
 
@@ -392,10 +413,14 @@ def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
 def _singer(n: int, q: int):
     """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
     group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K, in
-    ascending order, sized before the fields' tables exist."""
+    ascending order, sized before q is factored: past n = 25, q^(n - 1)
+    alone passes the cap."""
+    if q >= 2 and n >= 3:
+        if n > ADJACENCY_CAP.bit_length():
+            raise SizeOverflow(f"incidence graph over {ADJACENCY_CAP} adjacency entries")
+        _check_size((q**n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))  # the trace-zero classes
     big, base = incidence_fields(n, q)
     m = (q**n - 1) // (q - 1)
-    _check_size(m, (q ** (n - 1) - 1) // (q - 1))  # the trace-zero classes
     emb = subfield_embedding(big, base)
     return emb, m, np.flatnonzero(emb.power_traces(np.arange(m)) == 0)
 
@@ -462,6 +487,7 @@ def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, si
 def _sum_product(q: int, lo: int, name: str) -> Graph:
     """Bipartite graph on two copies of F x X, X the elements of index >= lo
     (F for lo = 0, F* for lo = 1): (a,x) ~ (b,y) iff a + b = xy."""
+    _check_edges(q * (q - lo) ** 2)  # (a, x, y), before q is factored
     spec = field(q)
     xs = [spec.element(i) for i in range(lo, q)]
     w = len(xs)
@@ -706,10 +732,13 @@ def bp_determination(g: Graph) -> bool:
 # -- registry -----------------------------------------------------------------------------
 
 def _parse_tuple(text) -> tuple[int, ...]:
+    text = str(text)
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise BadParameters(f"expected comma-separated integers, got {text!r}") from None
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise BadParameters(f"expected comma-separated integers, got {shown!r} "
+                            f"({len(text)} characters)") from None
 
 
 def _parse_tuple_list(text) -> list[tuple[int, ...]]:

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -602,6 +603,29 @@ def test_huge_integers_are_refused_without_their_digits(argv, capsys):
     read in decimal: the refusal is one short line."""
     assert cli.main(argv) == 2
     assert len(capsys.readouterr().err) < 120
+
+
+HUGE_Q = "1000000000000000000000000000057"  # a prime, 1 mod 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path:100000000"], ["gen", "star:100000000"], ["gen", "wheel:100000000"],
+    ["gen", "windmill:100000000"], ["gen", "complete_bipartite:100000,100000"],
+    ["gen", "tree:3,100000000"], ["gen", "tree:2,100000000"], ["gen", "sum_product:100003"],
+    ["gen", "full_sum_product:100003"], ["gen", "ade:A,100000000"],
+    ["gen", "extended_ade:D,100000000"], ["gen", "paley:" + HUGE_Q],
+    ["gen", "bi_paley:1000000000000000000000000000059"], ["gen", "incidence:3," + HUGE_Q],
+    ["gen", "incidence:1000000000000000,2"],
+    ["gen", "cayley", "9" * 5000, "1"],
+], ids=lambda argv: argv[1][:24])
+def test_oversized_or_unreadable_input_is_refused_at_once(argv, capsys):
+    """Sized from the parameters before an edge is built or q is factored,
+    and the refusal echoes no more than a short prefix of its text."""
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode()) < 200
 
 
 # -- the command table and its argparse parser ----------------------------------

@@ -295,6 +295,22 @@ def test_beta_pinned_on_largest_corpus_graphs(cid, beta, witness):
     assert gc.isoperimetric_constant(g) == (beta, frozenset(witness))
 
 
+@pytest.mark.parametrize("g,cap,beta,witness", [
+    # every minimizer holds vertex n - 1: the sweep's second pass
+    (gf.frucht(), gc.BETA_CAP, Fraction(3, 5), [0, 1, 2, 3, 11]),
+    (gf.paley(25), 32, Fraction(11, 2), range(12)),
+    (gf.incidence(3, 3), 32, Fraction(16, 13), [*range(7), *range(13, 19)]),
+    # K_8,16 less an edge: 127 edges, the most the int8 tables take, and a
+    # low subset, vertices 0..7, whose cut is all 127
+    (Graph(24, [(i, 8 + j) for i in range(8) for j in range(16)][1:]), gc.BETA_CAP,
+     Fraction(21, 4), [1, 2, 3, 4, *range(8, 16)]),
+], ids=["frucht", "paley_25", "I_3_3", "K_8_16_less_an_edge"])
+def test_beta_pinned_across_the_half_sweep(g, cap, beta, witness):
+    """Values the full 2^n Gray-code sweep gave, kept by the sweep over the
+    subsets of the first n - 1 vertices and their complements."""
+    assert gc.isoperimetric_constant(g, cap=cap) == (beta, frozenset(witness))
+
+
 def test_beta_honours_budget(monkeypatch):
     monkeypatch.setattr(gc, "EXACT_BUDGET_SECONDS", 0)
     with pytest.raises(CapExceeded):
