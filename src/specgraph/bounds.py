@@ -13,14 +13,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import groups
-from .errors import (BadParameters, BadWeights, ColorViolation, InvalidOperation, NotRegular,
-                     SizeOverflow)
+from .errors import (BadParameters, BadWeights, ColorViolation, FrozenRecord, InvalidOperation,
+                     NotRegular, Record, SizeOverflow)
 from .graph_core import (
     Graph,
     InvariantReport,
@@ -42,22 +41,28 @@ def _tol(*values) -> float:
     return max(ABS_FLOOR, REL_TOL * max((abs(v) for v in values), default=0.0))
 
 
-@dataclass
-class BoundRecord:
-    name: str
-    relation: str
-    lhs: float | None
-    rhs: float | None
-    slack: float | None
-    status: str  # "pass" | "fail" | "skipped"
-    note: str = ""
-    inputs: dict = field(default_factory=dict)
+class BoundRecord(Record):
+    _fields = ("name", "relation", "lhs", "rhs", "slack", "status", "note", "inputs")
+
+    def __init__(self, name: str, relation: str, lhs: float | None, rhs: float | None,
+                 slack: float | None, status: str,  # "pass" | "fail" | "skipped"
+                 note: str = "", inputs: dict | None = None):
+        self.name = name
+        self.relation = relation
+        self.lhs = lhs
+        self.rhs = rhs
+        self.slack = slack
+        self.status = status
+        self.note = note
+        self.inputs = {} if inputs is None else inputs
 
 
-@dataclass
-class AuditReport:
-    graph: str
-    records: list[BoundRecord] = field(default_factory=list)
+class AuditReport(Record):
+    _fields = ("graph", "records")
+
+    def __init__(self, graph: str, records: list[BoundRecord] | None = None):
+        self.graph = graph
+        self.records = [] if records is None else records
 
     @property
     def failed(self) -> list[BoundRecord]:
@@ -77,7 +82,9 @@ class AuditReport:
             "passed": sum(1 for r in self.records if r.status == "pass"),
             "failed": len(self.failed),
             "skipped": len(self.skipped),
-            "records": [asdict(r) for r in self.records],
+            "records": [{"name": r.name, "relation": r.relation, "lhs": r.lhs, "rhs": r.rhs,
+                         "slack": r.slack, "status": r.status, "note": r.note,
+                         "inputs": dict(r.inputs)} for r in self.records],
         }
 
 
@@ -368,11 +375,13 @@ def _pm1_candidates(g: Graph, lam: int):
 # -- mixing lemma -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixingQuery:
-    S: frozenset
-    T: frozenset
-    ell: int = 1
+class MixingQuery(FrozenRecord):
+    _fields = ("S", "T", "ell")
+
+    def __init__(self, S: frozenset, T: frozenset, ell: int = 1):
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "ell", ell)
 
 
 def edge_count_between(g: Graph, S, T) -> int:

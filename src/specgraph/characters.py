@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import groups
-from .errors import HypothesisViolated, SpecMismatch, ZeroElement
+from .errors import FrozenRecord, HypothesisViolated, Record, SpecMismatch, ZeroElement
 from .finite_field import (
     FieldElement,
     FieldSpec,
@@ -40,16 +39,16 @@ def _roots_of_unity(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
 
 
-@dataclass(frozen=True)
-class AdditiveCharacter:
+class AdditiveCharacter(FrozenRecord):
     """psi_t with psi_t(x) = exp(2 pi i AbsTr(t x) / p); t = 0 is trivial."""
 
-    spec: FieldSpec
-    twist: FieldElement
+    _fields = ("spec", "twist")
 
-    def __post_init__(self):
-        if self.twist.spec != self.spec:
+    def __init__(self, spec: FieldSpec, twist: FieldElement):
+        if twist.spec != spec:
             raise SpecMismatch("twist must live in the character's field")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "twist", twist)
 
     @property
     def is_trivial(self) -> bool:
@@ -65,16 +64,15 @@ class AdditiveCharacter:
         return AdditiveCharacter(self.spec, -self.twist)
 
 
-@dataclass(frozen=True)
-class MultiplicativeCharacter:
+class MultiplicativeCharacter(FrozenRecord):
     """chi_k with chi_k(g^j) = exp(2 pi i k j / (q-1)); extended to 0 by the
     convention chi_k(0) = 0 for k != 0 and chi_0(0) = 1."""
 
-    spec: FieldSpec
-    exponent: int
+    _fields = ("spec", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % (self.spec.q - 1))
+    def __init__(self, spec: FieldSpec, exponent: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "exponent", exponent % (spec.q - 1))
 
     @property
     def is_trivial(self) -> bool:
@@ -286,11 +284,13 @@ def checked_tables(spec: FieldSpec, ext: int | None = None) -> list[tuple]:
 
 # -- Weil bound on polynomial character sums -----------------------------------
 
-@dataclass
-class WeilReport:
-    magnitude: float
-    bound: float
-    passed: bool
+class WeilReport(Record):
+    _fields = ("magnitude", "bound", "passed")
+
+    def __init__(self, magnitude: float, bound: float, passed: bool):
+        self.magnitude = magnitude
+        self.bound = bound
+        self.passed = passed
 
 
 def _as_field_poly(spec: FieldSpec, f) -> list[FieldElement]:

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base classes of its
+records.
 
 Each error name mirrors the failure it reports; callers are expected to
 catch the specific class (the CLI maps them to JSON error payloads).
 """
+
+from operator import attrgetter
 
 
 class SpecgraphError(Exception):
@@ -117,3 +120,46 @@ class InvalidOperation(SpecgraphError):
 
 class BadWeights(SpecgraphError):
     pass
+
+
+# -- records -----------------------------------------------------------------
+
+class Record:
+    """Base of the package's records. A subclass names its two or more fields
+    in _fields, in the order of its __init__ arguments, and sets them there.
+    Two records are equal when they are of one class and their fields are
+    equal; the repr names each field. A record that may change is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in vars(cls):
+            cls._values = property(attrgetter(*cls._fields))  # the fields as a tuple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose attributes cannot be assigned or deleted; its __init__
+    sets each field with object.__setattr__. It hashes as the tuple of its
+    fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

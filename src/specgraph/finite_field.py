@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -20,6 +19,7 @@ from .errors import (
     BadResidueClass,
     DivisionByZero,
     EvenCharacteristic,
+    FrozenRecord,
     IndexOutOfRange,
     NotPrime,
     SizeOverflow,
@@ -141,16 +141,18 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 # -- field spec and elements --------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenRecord):
     """GF(p^d) presented as Z_p[X]/(modulus); modulus coefficients are stored
     constant term first and include the leading 1.  Element i is the residue
     whose coefficients, constant term first, are the base-p digits of i."""
 
-    p: int
-    d: int
-    modulus: tuple[int, ...]
-    q: int
+    _fields = ("p", "d", "modulus", "q")
+
+    def __init__(self, p: int, d: int, modulus: tuple[int, ...], q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "q", q)
 
     def element(self, index: int) -> "FieldElement":
         """Element with the given canonical index."""
@@ -202,13 +204,15 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(FrozenRecord):
     """An element of a field spec, held as its canonical index.  Addition is
     digit-wise in base p; multiplication reads the spec's exp and log tables."""
 
-    spec: FieldSpec
-    index: int
+    _fields = ("spec", "index")
+
+    def __init__(self, spec: FieldSpec, index: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "index", index)
 
     def is_zero(self) -> bool:
         return self.index == 0
@@ -368,17 +372,19 @@ def field(q: int) -> FieldSpec:
 
 # -- subfield embeddings ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubfieldEmbedding:
+class SubfieldEmbedding(FrozenRecord):
     """F = GF(q) sitting inside K = GF(q^n).
 
     The lift sends the class of X in F's presentation to the enumeration-least
     root of F's modulus inside K, which pins an injective ring homomorphism.
     """
 
-    big: FieldSpec
-    base: FieldSpec
-    image_of_x: FieldElement
+    _fields = ("big", "base", "image_of_x")
+
+    def __init__(self, big: FieldSpec, base: FieldSpec, image_of_x: FieldElement):
+        object.__setattr__(self, "big", big)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "image_of_x", image_of_x)
 
     @property
     def degree(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -20,8 +19,10 @@ from .errors import (
     BadParameters,
     CapExceeded,
     Disconnected,
+    FrozenRecord,
     IndexOutOfRange,
     LoopEdge,
+    Record,
 )
 from .groups import Group
 
@@ -882,10 +883,12 @@ def friendship_check(g: Graph):
     return "windmill", (g.n - 1) // 2
 
 
-@dataclass(frozen=True)
-class _SmallClasses:
-    canon_of_code: tuple[int, ...]
-    class_codes: tuple[int, ...]
+class _SmallClasses(FrozenRecord):
+    _fields = ("canon_of_code", "class_codes")
+
+    def __init__(self, canon_of_code: tuple[int, ...], class_codes: tuple[int, ...]):
+        object.__setattr__(self, "canon_of_code", canon_of_code)
+        object.__setattr__(self, "class_codes", class_codes)
 
 
 @cache
@@ -934,17 +937,24 @@ def contains_all_small_graphs(g: Graph, k: int) -> bool:
 
 # -- invariant report --------------------------------------------------------------
 
-@dataclass
-class InvariantReport:
-    graph: Graph
-    diameter: int | None
-    girth: float | None  # math.inf sentinel for forests
-    chromatic: int | None
-    independence: int | None
-    clique: int | None
-    isoperimetric: Fraction | None
-    iso_witness: frozenset | None
-    skipped: list[str] = field(default_factory=list)
+class InvariantReport(Record):
+    _fields = ("graph", "diameter", "girth", "chromatic", "independence", "clique",
+               "isoperimetric", "iso_witness", "skipped")
+
+    def __init__(self, graph: Graph, diameter: int | None,
+                 girth: float | None,  # math.inf sentinel for forests
+                 chromatic: int | None, independence: int | None, clique: int | None,
+                 isoperimetric: Fraction | None, iso_witness: frozenset | None,
+                 skipped: list[str] | None = None):
+        self.graph = graph
+        self.diameter = diameter
+        self.girth = girth
+        self.chromatic = chromatic
+        self.independence = independence
+        self.clique = clique
+        self.isoperimetric = isoperimetric
+        self.iso_witness = iso_witness
+        self.skipped = [] if skipped is None else skipped
 
     def to_json(self) -> dict:
         def frac(x):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     ContainsIdentity,
+    FrozenRecord,
     IdentityViolated,
     NotDesign,
     NotGenerating,
@@ -41,14 +41,14 @@ from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at
 # admits every graph the eigensolver takes (4096 * 4095 < 2**24) and refuses a
 # group such as (Z_2)^25 before its tables are built.
 ADJACENCY_CAP = 2**24
+DECIMAL_DIGITS = 40  # a refusal writes a longer number as a power of 2
 
 
 def _decimal(n: int) -> str:
-    """n in decimal or, past the digits Python writes, as at least a power of 2."""
-    try:
+    """n in decimal or, past DECIMAL_DIGITS digits, as at least a power of 2."""
+    if n < 10**DECIMAL_DIGITS:
         return str(n)
-    except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
+    return f"at least 2^{n.bit_length() - 1}"
 
 
 def _check_size(order: int, count: int) -> None:
@@ -372,7 +372,9 @@ def _nonzero_squares(spec: FieldSpec) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def paley_field(q: int) -> FieldSpec:
-    """GF(q) for paley(q); BadParameters unless q = 1 mod 4 is a prime power."""
+    """GF(q) for paley(q), sized before q is factored; BadParameters unless
+    q = 1 mod 4 is a prime power."""
+    _check_size(q, (q - 1) // 2)
     if q % 4 != 1:
         raise BadParameters("Paley graph needs q = 1 mod 4")
     return field(q)
@@ -380,14 +382,14 @@ def paley_field(q: int) -> FieldSpec:
 
 def paley(q: int) -> Graph:
     """Cayley graph of (F, +) on the non-zero squares; q = 1 mod 4."""
-    _check_size(q, (q - 1) // 2)  # before q is factored
     orders, squares = _nonzero_squares(paley_field(q))
     return _cayley_indexed(orders, squares, f"paley_{q}", list(map(str, range(q))))
 
 
 def bi_paley_field(q: int) -> FieldSpec:
-    """GF(q) for bi_paley(q); BadParameters unless q = 3 mod 4 is a prime
-    power above 3."""
+    """GF(q) for bi_paley(q), sized before q is factored; BadParameters unless
+    q = 3 mod 4 is a prime power above 3."""
+    _check_size(q, (q - 1) // 2)
     if q % 4 != 3:
         raise BadParameters("bi-Paley graph needs q = 3 mod 4")
     if q == 3:
@@ -397,14 +399,18 @@ def bi_paley_field(q: int) -> FieldSpec:
 
 def bi_paley(q: int) -> Graph:
     """Bi-Cayley graph of (F, +) on the non-zero squares; q = 3 mod 4."""
-    _check_size(q, (q - 1) // 2)  # before q is factored
     orders, squares = _nonzero_squares(bi_paley_field(q))
     return _bi_cayley_indexed(orders, squares, f"bipaley_{q}", None)
 
 
 def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
-    """GF(q^n) and GF(q) for incidence(n, q); BadParameters unless n >= 3 and
+    """GF(q^n) and GF(q) for incidence(n, q), sized before q is factored: past
+    n = 25, q^(n - 1) alone passes the cap.  BadParameters unless n >= 3 and
     q is a prime power."""
+    if q >= 2 and n >= 3:
+        if n > ADJACENCY_CAP.bit_length():
+            raise SizeOverflow(f"incidence graph over {ADJACENCY_CAP} adjacency entries")
+        _check_size((q**n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))  # the trace-zero classes
     if n < 3:
         raise BadParameters("incidence graph needs n >= 3")
     return field(q**n), field(q)
@@ -413,12 +419,7 @@ def incidence_fields(n: int, q: int) -> tuple[FieldSpec, FieldSpec]:
 def _singer(n: int, q: int):
     """The embedding of F = GF(q) in K = GF(q^n), the order m of the cyclic
     group K*/F*, and the j in Z_m with Tr g^j = 0, g the generator of K, in
-    ascending order, sized before q is factored: past n = 25, q^(n - 1)
-    alone passes the cap."""
-    if q >= 2 and n >= 3:
-        if n > ADJACENCY_CAP.bit_length():
-            raise SizeOverflow(f"incidence graph over {ADJACENCY_CAP} adjacency entries")
-        _check_size((q**n - 1) // (q - 1), (q ** (n - 1) - 1) // (q - 1))  # the trace-zero classes
+    ascending order."""
     big, base = incidence_fields(n, q)
     m = (q**n - 1) // (q - 1)
     emb = subfield_embedding(big, base)
@@ -484,11 +485,17 @@ def incidence_point_index(graph: Graph, vec_indices: tuple[int, ...], q: int, si
     return vertex
 
 
+def sum_product_field(q: int, lo: int) -> FieldSpec:
+    """GF(q) for the sum-product graph on F x X, X the elements of index >= lo,
+    sized by its edges (a, x, y) before q is factored."""
+    _check_edges(q * (q - lo) ** 2)
+    return field(q)
+
+
 def _sum_product(q: int, lo: int, name: str) -> Graph:
     """Bipartite graph on two copies of F x X, X the elements of index >= lo
     (F for lo = 0, F* for lo = 1): (a,x) ~ (b,y) iff a + b = xy."""
-    _check_edges(q * (q - lo) ** 2)  # (a, x, y), before q is factored
-    spec = field(q)
+    spec = sum_product_field(q, lo)
     xs = [spec.element(i) for i in range(lo, q)]
     w = len(xs)
     m = q * w
@@ -618,39 +625,39 @@ def small_diameter_x(k: int) -> Graph:
 # -- regularity classifiers --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrgParams:
-    n: int
-    d: int
-    a: int
-    c: int
+class SrgParams(FrozenRecord):
+    _fields = ("n", "d", "a", "c")
 
-    def __post_init__(self):
-        if self.d * (self.d - self.a - 1) != (self.n - self.d - 1) * self.c:
+    def __init__(self, n: int, d: int, a: int, c: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        if d * (d - a - 1) != (n - d - 1) * c:
             raise IdentityViolated(f"srg identity fails for {self}")
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    m: int
-    d: int
-    c: int
+class DesignParams(FrozenRecord):
+    _fields = ("m", "d", "c")
 
-    def __post_init__(self):
-        if not 0 <= self.c <= self.d or self.c * (self.m - 1) != self.d * (self.d - 1):
+    def __init__(self, m: int, d: int, c: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c", c)
+        if not 0 <= c <= d or c * (m - 1) != d * (d - 1):
             raise IdentityViolated(f"{self} fails 0 <= c <= d or c(m - 1) = d(d - 1)")
 
 
-@dataclass(frozen=True)
-class PartialDesignParams:
-    m: int
-    d: int
-    c1: int
-    c2: int
+class PartialDesignParams(FrozenRecord):
+    _fields = ("m", "d", "c1", "c2")
 
-    def __post_init__(self):
-        if self.c1 == self.c2:
+    def __init__(self, m: int, d: int, c1: int, c2: int):
+        if c1 == c2:
             raise IdentityViolated("partial design needs two distinct counts")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
 def classify_regular(g: Graph):

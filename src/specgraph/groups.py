@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+
+from .errors import FrozenRecord
 
 
 def elements(orders) -> list[tuple[int, ...]]:
@@ -115,17 +116,19 @@ def character_sum(orders, subset) -> np.ndarray:
     return np.fft.fftn(counts.reshape(orders).astype(float)).conj().ravel()
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(FrozenRecord):
     """The group of an abelian Cayley graph Cay(G, S) on G = Z_m1 x ... x Z_mk,
     or with bi set of the bi-Cayley graph on two copies of G, where black g
     ~ white h iff h - g lies in S.  subset holds S's indices, sorted: vertex
     0's neighbours, less |G| on a bi-Cayley graph.  Vertex i is element i; on
     a bi-Cayley graph, vertices i and |G| + i are."""
 
-    orders: tuple[int, ...]
-    subset: tuple[int, ...]
-    bi: bool = False
+    _fields = ("orders", "subset", "bi")
+
+    def __init__(self, orders: tuple[int, ...], subset: tuple[int, ...], bi: bool = False):
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "bi", bi)
 
     @property
     def n(self) -> int:

@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadParameters,
+    FrozenRecord,
     IdentityViolated,
     Mismatch,
     NoClosedForm,
     NotSymmetric,
     SizeOverflow,
 )
-from .finite_field import field
 from .graph_core import Graph
 from . import graph_families as gf
 from . import groups
@@ -77,13 +76,16 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 
 # -- spectrum -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(FrozenRecord):
     """Clustered eigenvalues, sorted descending, with multiplicities."""
 
-    entries: tuple[tuple[float, int], ...]
-    matrix_kind: str
-    cluster_tol: float
+    _fields = ("entries", "matrix_kind", "cluster_tol")
+
+    def __init__(self, entries: tuple[tuple[float, int], ...], matrix_kind: str,
+                 cluster_tol: float):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "matrix_kind", matrix_kind)
+        object.__setattr__(self, "cluster_tol", cluster_tol)
 
     @property
     def n(self) -> int:
@@ -267,13 +269,15 @@ def check_group_spectrum(g: Graph) -> None:
 
 # -- closed forms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(FrozenRecord):
     """Symbolically-derived spectrum: (value, multiplicity, label) entries,
     sorted descending; values are exact expressions evaluated to doubles."""
 
-    matrix_kind: str
-    entries: tuple[tuple[float, int, str], ...]
+    _fields = ("matrix_kind", "entries")
+
+    def __init__(self, matrix_kind: str, entries: tuple[tuple[float, int, str], ...]):
+        object.__setattr__(self, "matrix_kind", matrix_kind)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -484,7 +488,7 @@ def _cf_incidence(n: int, q: int) -> ClosedForm:
 def _cf_sum_product(q: int) -> ClosedForm:
     """(a, x) and (a', x') share no neighbour when a = a' or x = x': K_q x K_(q-1)."""
     gf.check_size("sum_product", q)
-    field(q)
+    gf.sum_product_field(q, 1)
     return partial_design_closed_form(q * (q - 1), q - 1, 0, 1, product_closed_form(
         _cf_complete(q), _cf_complete(q - 1)).value_mults())
 
@@ -492,7 +496,7 @@ def _cf_sum_product(q: int) -> ClosedForm:
 def _cf_full_sum_product(q: int) -> ClosedForm:
     """(a, x) and (a', x') share no neighbour when x = x': q copies of K_q."""
     gf.check_size("full_sum_product", q)
-    field(q)
+    gf.sum_product_field(q, 0)
     return partial_design_closed_form(q * q, q, 0, 1, [
         (v, q * m) for v, m in _cf_complete(q).value_mults()])
 

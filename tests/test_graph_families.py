@@ -479,6 +479,12 @@ def test_reduced_refuses_an_element_of_another_arity(elements):
         gf._reduced((4, 4), elements)
 
 
+def test_refusals_write_numbers_past_decimal_digits_as_a_power_of_two():
+    assert gf._decimal(10**gf.DECIMAL_DIGITS - 1) == "9" * gf.DECIMAL_DIGITS
+    assert gf._decimal(10**gf.DECIMAL_DIGITS) == "at least 2^132"
+    assert gf._decimal(2**20000) == "at least 2^20000"
+
+
 def test_reduced_counts_the_elements_of_a_group_past_the_cap():
     with pytest.raises(SizeOverflow, match=f"^group of order {2**80} with 2 elements"):
         gf._reduced((2**40, 2**40), [(1, 2**40 + 1), (1, 1), (2, 1)])
@@ -578,18 +584,20 @@ def test_index_built_families_match_their_coordinate_lists(build, oracle, params
     (lambda: gf.machine((10**4,)), f"group of order {10**8} with {3 * (10**4 - 1)}"),
     (lambda: gf.rook(10**6), f"group of order {10**12} with {2 * (10**6 - 1)}"),
     (lambda: gf.cube(15000), "group of order at least 2^15000 with 15000"),
-    (lambda: gf.halved_cube(500), f"group of order {2**499} with {500 * 499 // 2}"),
-    (lambda: gf.decked_cube(10**4, "1" * 10**4), f"group of order {2**10**4} with {10**4 + 1}"),
+    (lambda: gf.halved_cube(500), f"group of order at least 2^499 with {500 * 499 // 2}"),
+    (lambda: gf.decked_cube(10**4, "1" * 10**4),
+     f"group of order at least 2^10000 with {10**4 + 1}"),
     (lambda: gf.paley(4000037), "group of order 4000037 with 2000018"),
     (lambda: gf.bi_paley(4000039), "group of order 4000039 with 2000019"),
     (lambda: gf.incidence(3, 257), f"group of order {257**2 + 257 + 1} with 258"),
+    (lambda: gf.paley(10**3999 + 1), "group of order at least 2^13284 with at least 2^13283"),
 ], ids=["complete", "andrasfai", "machine", "rook", "cube", "halved_cube", "decked_cube",
-        "paley", "bi_paley", "incidence"])
+        "paley", "bi_paley", "incidence", "paley_4000_digits"])
 def test_large_families_are_refused_before_their_sets_exist(build, count):
     """The connection set is sized before its indices are made, and a field
     family's before its field's tables are built, so the refusal allocates
-    next to nothing.  An order of more digits than Python writes is given by
-    a power of two."""
+    next to nothing.  An order of more than DECIMAL_DIGITS digits is given
+    by a power of two."""
     tracemalloc.start()
     try:
         with pytest.raises(SizeOverflow,

@@ -1,7 +1,10 @@
 """Checks on the package's source text."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "specgraph"
 
@@ -87,3 +90,23 @@ def test_only_characters_reads_the_magnitude_tolerance():
              if "MAGNITUDE_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
                                     getattr(node, "name", None))]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    """The records are written out: `dataclasses` would build their methods
+    from source text with exec at every import of the package."""
+    found = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    """numpy does not load `dataclasses` and neither does the package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, numpy, specgraph.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -798,6 +799,23 @@ def test_closed_form_refuses_what_the_builder_refuses(family):
     assert [_outcome(closed_form, params) for params in grid] == refusals
     # the grid reaches a refusal of each family that takes parameters
     assert BadParameters in refusals or not inspect.signature(builder).parameters
+
+
+HUGE_Q = 10**30 + 57  # 31 digits, a prime, 1 mod 4
+
+
+@pytest.mark.parametrize("family,params", [
+    ("paley", (HUGE_Q,)), ("bi_paley", (HUGE_Q + 2,)), ("incidence", (3, HUGE_Q)),
+    ("sum_product", (HUGE_Q,)), ("full_sum_product", (HUGE_Q,)),
+])
+def test_field_closed_forms_refuse_a_huge_q_before_factoring_it(family, params):
+    """The closed form applies its builder's size rule before q is factored,
+    so a 31-digit q is refused at once rather than trial-divided."""
+    start = time.perf_counter()
+    for make in (gf.FAMILY_BUILDERS[family], functools.partial(sp.closed_form_spectrum, family)):
+        with pytest.raises(SizeOverflow):
+            make(*params)
+    assert time.perf_counter() - start < 1
 
 
 def test_no_closed_form_for_andrasfai():
