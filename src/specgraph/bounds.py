@@ -37,8 +37,8 @@ PM1_ENUMERATION_CAP = 20  # cheeger_pm1 tries every balanced sign vector up to t
 COURANT_FISCHER_TRIALS = 200
 
 
-def _tol(*values) -> float:
-    return max(ABS_FLOOR, REL_TOL * max((abs(v) for v in values), default=0.0))
+def _tol(a, b) -> float:
+    return max(ABS_FLOOR, REL_TOL * max(abs(a), abs(b)))
 
 
 class BoundRecord(Record):
@@ -125,13 +125,14 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
     by structure, capped invariants produce skips."""
     g = inv.graph
     adj, lap = spectrum(g), spectrum(g, "laplacian")
+    alpha_desc, lam_asc = adj.expanded(), lap.ascending()
     n = g.n
     d = g.max_degree
     d_min = g.min_degree
     d_ave = float(g.average_degree)
     alpha_max, alpha_min = adj.max, adj.min
-    alpha2 = adj.kth_largest(2) if n >= 2 else alpha_max
-    lam2 = lap.lambda2 if n >= 2 else None
+    alpha2 = float(alpha_desc[1]) if n >= 2 else alpha_max
+    lam2 = float(lam_asc[1]) if n >= 2 else None
     lam_max = lap.max
     chi, iota, omega = inv.chromatic, inv.independence, inv.clique
     beta = inv.isoperimetric
@@ -233,8 +234,6 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
 
     # laplacian growth (Urakawa) and its regular adjacency dual (Alon-Boppana)
     if delta is not None and delta >= 2 and d >= 2:
-        lam_asc = lap.ascending()
-        alpha_desc = adj.expanded()
         for k in range(1, delta // 2 + 1):
             bound = d - 2 * math.sqrt(d - 1) * math.cos(2 * math.pi * k / delta)
             rec(_le(f"urakawa_k{k}", float(lam_asc[k]), bound, {"k": k, "delta": delta}))
@@ -276,14 +275,13 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
     if delta is not None:
         rec(_ge("distinct_adjacency_count", len(adj.entries), delta + 1, {"delta": delta}))
         rec(_ge("distinct_laplacian_count", len(lap.entries), delta + 1, {"delta": delta}))
-    values = adj.expanded()
     # the sum of lambda^j is 0, twice the edges and six times the triangles
     # for j = 1, 2, 3, within tr_tol d^(j - 1)
     tr_tol = 1e-8 * n * max(1.0, d)
     for j, (name, rhs) in enumerate([("trace_sum_zero", 0.0),
                                      ("trace_square_edges", 2.0 * g.edge_count),
                                      ("trace_cube_triangles", 6.0 * triangle_count(g))], 1):
-        lhs = float((values**j).sum())
+        lhs = float((alpha_desc**j).sum())
         rec(BoundRecord(name, "|lhs - rhs| small", lhs, rhs, abs(lhs - rhs),
                         "pass" if abs(lhs - rhs) <= tr_tol else "fail"))
         tr_tol *= d
@@ -293,8 +291,7 @@ def audit_bounds(inv: InvariantReport) -> AuditReport:
     rec(_le("adjacency_interval_high", alpha_max, float(d)))
     rec(_ge("laplacian_interval_low", float(lap.min), 0.0))
     rec(_le("laplacian_interval_high", lam_max, 2.0 * d))
-    lam_asc = lap.ascending()
-    pair = values + lam_asc
+    pair = alpha_desc + lam_asc
     rec(_ge("degree_sandwich_low", float(pair.min()), float(d_min)))
     rec(_le("degree_sandwich_high", float(pair.max()), float(d)))
 

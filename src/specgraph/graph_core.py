@@ -349,7 +349,9 @@ def triangles_at(g: Graph, v: int) -> int:
 
 
 def triangle_count(g: Graph) -> int:
-    return sum(triangles_at(g, v) for v in range(g.n)) // 3
+    """Each triangle is counted at each of its 3 edges, in both directions."""
+    masks = g.masks
+    return sum((masks[u] & mask_v).bit_count() for mask_v, row in zip(masks, g.adj) for u in row) // 6
 
 
 def k4_at(g: Graph, v: int) -> int:
@@ -502,61 +504,90 @@ def _dsatur_colouring(g: Graph, k: int, deadline: _Deadline) -> list[int] | None
     ever lacks a colour, so the search never backtracks and gives the greedy
     DSATUR colouring.  near[c] is the bitmask of the vertices with a
     neighbour of colour c; a success colours every vertex, so what a failed
-    branch leaves in colours is overwritten."""
-    masks, degs = g.masks, g.degrees
-    colours = [-1] * g.n
-    near = [0] * g.n
+    branch leaves in colours is overwritten.  The path is a list, not the
+    call stack, so any n runs.
 
-    def rec(uncoloured: int, used: int) -> bool:
-        deadline.check()
-        if not uncoloured:
-            return True
-        key = (-1, -1)
-        rest = uncoloured
-        while rest:
-            bit = rest & -rest
-            u = bit.bit_length() - 1
-            rest ^= bit
-            here = (sum(near[c] >> u & 1 for c in range(used)), degs[u])
-            if here > key:
-                key, v = here, u
-        for c in range(min(k, used + 1)):
-            if near[c] >> v & 1:
-                continue
-            colours[v] = c
-            saved = near[c]
-            near[c] |= masks[v]
-            if rec(uncoloured ^ 1 << v, max(used, c + 1)):
-                return True
-            near[c] = saved
-        return False
-
-    return colours if rec((1 << g.n) - 1, 0) else None
+    score[u] is u's saturation (the colours c with u in near[c]) times n plus
+    u's place in the order by (degree, -u), less n(n + 1) while u is coloured,
+    so the vertex to colour is the one of the largest score; each bit that
+    near[c] gains or gives back moves one score by n."""
+    n, masks, degs = g.n, g.masks, g.degrees
+    by_place = sorted(range(n), key=lambda u: (degs[u], -u))
+    score = [0] * n
+    for place, u in enumerate(by_place):
+        score[u] = place
+    colours = [-1] * n
+    near = [0] * n
+    path = []  # (vertex, its colour, the bits it added to near[colour], colours in use before it)
+    used = 0
+    v, c = by_place[-1], 0
+    while True:
+        top = min(k, used + 1)
+        while c < top and near[c] >> v & 1:
+            c += 1
+        if c < top:  # colour v with c
+            deadline.check()
+            gained = masks[v] & ~near[c]
+            path.append((v, c, gained, used))
+            colours[v], used, step = c, max(used, c + 1), n
+        elif path:  # take the last colour back and try the next one there
+            v, c, gained, used = path.pop()
+            step = -n
+        else:
+            return None
+        near[c] ^= gained
+        score[v] -= step * (n + 1)
+        while gained:
+            bit = gained & -gained
+            score[bit.bit_length() - 1] += step
+            gained ^= bit
+        if step < 0:
+            c += 1
+        elif len(path) == n:
+            return colours
+        else:
+            v, c = by_place[max(score) % n], 0
 
 
 # -- isoperimetric constant ------------------------------------------------------
 
 BETA_CHUNK_BITS = 14
+BETA_BLOCK_STEPS = 128  # high steps whose group minima are read together; bounds that array
 
 
 @cache
 def _beta_tables(k: int):
     """The graph-free tables of isoperimetric_constant's sweep over the 2^k low
-    subsets, built once per k on first use: the masks, |L| for each subset L,
-    the Gray ranks sorted stably by the size of the subset of that rank
-    (ranks), those subsets (order), and where each size's group starts in
-    them (bounds).  The subset of Gray rank r is r ^ r >> 1."""
-    low = np.arange(1 << k, dtype=np.int32)
-    size = np.zeros(1, np.int16)
-    for _ in range(k):
-        size = np.concatenate([size, size + 1])
-    gray = low ^ low >> 1
-    ranks = np.argsort(size[gray], kind="stable")
+    subsets, built once per k on first use: the Gray ranks sorted stably by the
+    size of the subset of that rank (ranks), those subsets (order), and where
+    each size's group starts in them (bounds).  The subset of Gray rank r is
+    r ^ r >> 1."""
+    gray = np.arange(1 << k, dtype=np.int32)
+    gray ^= gray >> 1
+    ranks = np.argsort(np.bitwise_count(gray), kind="stable")
     order = gray[ranks]
-    bounds = np.searchsorted(size[order], np.arange(k + 2))
-    for table in (low, size, ranks, order, bounds):
+    bounds = np.searchsorted(np.bitwise_count(order), np.arange(k + 2))
+    for table in (ranks, order, bounds):
         table.flags.writeable = False
-    return low, size, ranks, order, bounds
+    return ranks, order, bounds
+
+
+def _cut_table(g: Graph, first: int, count: int) -> np.ndarray:
+    """|boundary X| in g for every subset X of the vertices first..first +
+    count - 1, indexed by X's mask shifted down by first.  Index 2^j + Y,
+    Y < 2^j, adds vertex v = first + j to Y, which adds deg(v) - 2|N(v) & Y|:
+    those steps come from one popcount, and doubling sums them."""
+    cut = np.zeros(1 << count, np.int16)
+    if count:
+        reps = [1 << j for j in range(count)]
+        below = np.repeat(np.array([(g.masks[first + j] >> first) & (r - 1)
+                                    for j, r in enumerate(reps)], np.int32), reps)
+        below &= np.arange(1, 1 << count, dtype=np.int32)
+        cut[1:] = np.repeat(np.array(g.degrees[first:first + count], np.int16), reps)
+        cut[1:] -= 2 * np.bitwise_count(below)
+        for size in reps:
+            cut[size:2 * size] += cut[:size]
+    return cut
 
 
 def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
@@ -568,18 +599,23 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     vertices, the first half of the n-bit Gray order. As |boundary S| =
     |boundary (V - S)|, each S is such a T or the complement of one. The low
     k = min(m, BETA_CHUNK_BITS) vertices get tables over all 2^k subsets L,
-    built by doubling: |L| (once per k), cut(L), and for each high vertex v,
-    |N(v) & L|; int8 below 128 edges, else int16. The subsets H of the high
-    vertices are walked in Gray order; flipping v moves the cut of every
-    L | H at once by -+2|N(v) & L| plus a scalar. Each step takes the least
-    cut of each size group of L in one np.minimum.reduceat. Groups with
-    |T| <= n/2 are compared by ratio in Python ints by cross-multiplication;
-    a gain's tie search by Gray rank runs in numpy, so the witness is the
-    subset a one-vertex-at-a-time Gray sweep keeps. Groups with |T| > n/2
-    stand for their complements, of which only the least ratio is kept. If
-    it is strictly below the best T, every minimizer holds vertex n - 1, and
-    the sweep runs again over all m = n vertices for the first one. The time
-    budget is checked once per high subset.
+    cut(L) and, for each high vertex v, 2|N(v) & L|; int8 below 128 edges,
+    else int16. The subsets H of the high vertices are walked in Gray order;
+    flipping v moves the cut of every L | H at once by -+2|N(v) & L|, and each
+    step keeps the least cut of each size group of L, from one
+    np.minimum.reduceat. Each block of BETA_BLOCK_STEPS steps then reads
+    those least cuts, plus cut(H), as ratios: |boundary T| / |T| for
+    |T| <= n/2, the rest as ratios of their complements, of which only the
+    least is kept. Ratios are p/q with q <= n, so two unequal ones differ by
+    at least 1/n^2, far above a float64 quotient's rounding: comparing the
+    quotients decides exactly, and the argmin is the first step's exact
+    minimizer. Only a strict gain replaces the best, as later steps' ranks
+    follow earlier ones'; the tie search runs on that step's table, rebuilt,
+    and the least Gray rank wins, so the witness is the subset a
+    one-vertex-at-a-time Gray sweep keeps. If the least complement ratio is
+    strictly below the best T, every minimizer holds vertex n - 1, and the
+    sweep runs again over all m = n vertices for the first one. The time
+    budget is checked once per block.
 
     On one vertex no S has 0 < |S| <= n/2, so beta is undefined there and the
     call raises BadParameters.
@@ -591,62 +627,72 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over isoperimetric cap {cap}")
     deadline = _Deadline()
-    n, masks, degs = g.n, g.masks, g.degrees
-    half = n // 2
+    n, masks = g.n, g.masks
     # the tables hold cut(L) - 2e(L, H), in [-|E|, |E|], and 2|N(v) & L| <= 2k
     dtype = np.int8 if g.edge_count < 128 else np.int16
     # the second pass, over all n vertices, finds no complement below its best
     for m in (n - 1, n):
         k = min(m, BETA_CHUNK_BITS)
         low_all = (1 << k) - 1
-        low, size, ranks, order, bounds = _beta_tables(k)
-        cut = np.zeros(1, np.int16)
-        for j in range(k):
-            inner = size[low[:1 << j] & (masks[j] & low_all)]
-            cut = np.concatenate([cut, cut + (degs[j] - 2 * inner)])
-        cut = cut[order].astype(dtype)
-        nbr2 = [(2 * size[order & (masks[v] & low_all)]).astype(dtype) for v in range(k, m)]
-        high_masks = [masks[v] >> k for v in range(k, m)]
-        stops, heads = bounds.tolist(), bounds[:k + 1]
+        ranks, order, bounds = _beta_tables(k)
+        cut = _cut_table(g, 0, k)[order].astype(dtype)
+        first_cut = cut.copy()
+        nbr2 = [(2 * np.bitwise_count(order & (masks[v] & low_all))).astype(dtype)
+                for v in range(k, m)]
+        h_cuts = _cut_table(g, k, m - k)
+        heads, stops = bounds[:k + 1], bounds.tolist()
+        # by |T|: the size of the S that T stands for (T while |T| <= n/2, else
+        # V - T; 1 if S is empty), and 0 where T stands for an S of that side
+        # (T, row 0, or V - T, row 1), inf where not
+        t = np.arange(m + 1)
+        s_sizes = np.maximum(1, np.minimum(t, n - t))
+        outside = np.where([(t >= 1) & (t <= n // 2), (t > n // 2) & (t < n)], 0.0, math.inf)
+        groups = np.arange(k + 1)
 
-        best_num, best_den, best_mask = degs[0], 1, 1  # S = {0}, the first subset in Gray order
-        comp_num, comp_den = 1, 0  # the least complement ratio, none yet
-        h_set = h_size = h_cut = 0
-        for step in range(1 << (m - k)):
+        best_num, best_den, best_mask = g.degrees[0], 1, 1  # S = {0}, the first subset in Gray order
+        comp = math.inf  # the least complement ratio
+        h_set = 0
+        for start in range(0, 1 << (m - k), BETA_BLOCK_STEPS):
             deadline.check()
-            if step:
-                i = (step & -step).bit_length() - 1
-                h_set ^= 1 << i
-                change = degs[k + i] - 2 * (high_masks[i] & h_set).bit_count()
-                if h_set >> i & 1:
-                    h_size, h_cut = h_size + 1, h_cut + change
-                    cut -= nbr2[i]
-                else:
-                    h_size, h_cut = h_size - 1, h_cut - change
-                    cut += nbr2[i]
-            # the least low cut of each size group, as Python ints
-            mins = np.minimum.reduceat(cut, heads).tolist()
-            for t in range(max(0, half + 1 - h_size), k + 1):
-                if (mins[t] + h_cut) * comp_den < comp_num * (n - t - h_size):
-                    comp_num, comp_den = mins[t] + h_cut, n - t - h_size
-            better = [t for t in range(max(0, 1 - h_size), min(k, half - h_size) + 1)
-                      if (mins[t] + h_cut) * best_den < best_num * (t + h_size)]
-            if not better:
+            steps = np.arange(start, min(start + BETA_BLOCK_STEPS, 1 << (m - k)))
+            mins = np.empty((len(steps), k + 1), dtype)
+            for row, step in enumerate(steps.tolist()):
+                if step:
+                    i = (step & -step).bit_length() - 1
+                    h_set ^= 1 << i
+                    if h_set >> i & 1:
+                        cut -= nbr2[i]
+                    else:
+                        cut += nbr2[i]
+                np.minimum.reduceat(cut, heads, out=mins[row])
+            # each row's H, each group's |T| and least |boundary T|, and the ratios
+            h = steps ^ steps >> 1
+            t_sizes = np.bitwise_count(h)[:, None] + groups
+            totals = np.add(mins, h_cuts[h][:, None], dtype=np.int64)
+            den = s_sizes[t_sizes]
+            ratios = (totals / den + outside[:, t_sizes]).reshape(2, -1)
+            pos, comp_pos = ratios.argmin(axis=1).tolist()
+            comp = min(comp, ratios[1, comp_pos])
+            if not ratios[0, pos] < best_num / best_den:
                 continue
-            # H's ranks all follow the earlier H's, so only a strict gain counts
-            # across steps; within H, ties in the ratio go to the least rank. With
-            # |H| odd the low rank is complemented, so the last L of a group wins.
-            odd = h_size & 1
+            # within H, ties go to the least rank. With |H| odd the low rank is
+            # complemented, so the last L of a group wins.
+            row = pos // (k + 1)
+            h_row = int(h[row])
+            odd = h_row.bit_count() & 1
+            at = first_cut.copy()
+            for i in range(m - k):
+                if h_row >> i & 1:
+                    at -= nbr2[i]
             candidates = []
-            for t in better:
-                hits = np.flatnonzero(cut[stops[t]:stops[t + 1]] == mins[t])
-                pos = stops[t] + int(hits[-1 if odd else 0])
-                candidates.append((Fraction(mins[t] + h_cut, t + h_size),
-                                   int(ranks[pos]) ^ (low_all * odd), int(order[pos])))
-            best, _, lo_mask = min(candidates)
-            best_num, best_den = best.numerator, best.denominator
-            best_mask = h_set << k | lo_mask
-        if comp_num * best_den >= best_num * comp_den:
+            ties = ratios[0, row * (k + 1):(row + 1) * (k + 1)] == ratios[0, pos]
+            for t in ties.nonzero()[0].tolist():
+                hits = (at[stops[t]:stops[t + 1]] == mins[row, t]).nonzero()[0]
+                p = stops[t] + int(hits[-1 if odd else 0])
+                candidates.append((int(ranks[p]) ^ (low_all * odd), int(order[p])))
+            best_num, best_den = int(totals.flat[pos]), int(den.flat[pos])
+            best_mask = h_row << k | min(candidates)[1]
+        if comp >= best_num / best_den:
             break
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return Fraction(best_num, best_den), witness

@@ -110,11 +110,21 @@ class Spectrum(FrozenRecord):
         return self.entries[-1][0]
 
     def kth_largest(self, k: int) -> float:
-        """1-based: kth_largest(1) is the top eigenvalue with multiplicity."""
-        return float(self.expanded()[k - 1])
+        """1-based: kth_largest(1) is the top eigenvalue with multiplicity;
+        BadParameters unless 1 <= k <= n."""
+        if not 1 <= k <= self.n:
+            raise BadParameters(f"rank {k} outside 1..{self.n}")
+        for value, mult in self.entries:
+            k -= mult
+            if k <= 0:
+                return float(value)
 
     def kth_smallest(self, k: int) -> float:
-        return float(self.ascending()[k - 1])
+        """1-based: kth_smallest(1) is the least eigenvalue with multiplicity;
+        BadParameters unless 1 <= k <= n."""
+        if not 1 <= k <= self.n:
+            raise BadParameters(f"rank {k} outside 1..{self.n}")
+        return self.kth_largest(self.n + 1 - k)
 
     @property
     def lambda2(self) -> float:
@@ -263,8 +273,9 @@ def check_group_spectrum(g: Graph) -> None:
     """Mismatch unless a group graph's adjacency spectrum agrees with the
     solve of its edges alone, as if g carried no group."""
     if g.group is not None:
-        edges = spectrum(Graph.from_rows(g.adj, name=g.name))
-        verify_closed_form(spectrum(g), edges, name=f"{g.name}: edge solve")
+        edges = Graph.from_rows(g.adj, name=g.name)
+        edges.bipartition = g.bipartition  # the edges alone fix it, so g's serves
+        verify_closed_form(spectrum(g), spectrum(edges), name=f"{g.name}: edge solve")
 
 
 # -- closed forms -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgraph import __version__
+from specgraph import bounds as bd
 from specgraph import characters as ch
 from specgraph import cli
 from specgraph import corpus as corpus_mod
@@ -287,6 +288,34 @@ def test_verify_solves_each_graph_and_kind_once(capsys, monkeypatch):
     code, _ = run(capsys, "verify")
     assert code == 0
     assert len(made) == len(set(made)) == 77 + 35
+
+
+def test_verify_work_counts_are_pinned(capsys, monkeypatch):
+    """The work one verify does, counted where it happens: 66 builds, 77
+    dense solves, 52 beta sweeps and 52 audits (one per corpus graph), 35
+    character sums (one per group graph) and 66 breadth-first searches, one
+    per graph built: the group check's edge solve reads its graph's
+    2-colouring rather than searching the same edges again, which took 98.
+    A change that builds, solves, sweeps or searches twice fails here."""
+    counts = dict.fromkeys(["build", "_solve", "isoperimetric_constant", "audit_bounds",
+                            "character_sum", "_search"], 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in [(gf, "build"), (sp, "_solve"), (gc, "isoperimetric_constant"),
+                        (bd, "audit_bounds"), (groups, "character_sum"),
+                        (gc.Graph, "_search")]:
+        counted(owner, name)
+    code, _ = run(capsys, "verify")
+    assert code == 0
+    assert counts == {"build": 66, "_solve": 77, "isoperimetric_constant": 52,
+                      "audit_bounds": 52, "character_sum": 35, "_search": 66}
 
 
 def test_audit_refuses_past_the_eigensolver_cap_before_the_invariants(capsys, monkeypatch):

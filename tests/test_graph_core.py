@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -270,16 +271,59 @@ def test_beta_matches_gray_sweep(g):
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
-@given(connected_graphs(11), st.integers(0, 4))
-def test_beta_matches_gray_sweep_small_chunks(g, bits):
-    """Chunks of 2^0..2^4 low subsets walk many high subsets of both parities."""
-    saved = gc.BETA_CHUNK_BITS
-    gc.BETA_CHUNK_BITS = bits
+@given(connected_graphs(11), st.integers(0, 4), st.sampled_from([1, 3, 1024]))
+def test_beta_matches_gray_sweep_small_chunks(g, bits, block):
+    """Chunks of 2^0..2^4 low subsets walk many high subsets of both parities,
+    read one, three or up to 1024 steps at a time: blocks of high subsets that
+    hold no T of at most n/2 vertices, or no complement, included."""
+    saved = gc.BETA_CHUNK_BITS, gc.BETA_BLOCK_STEPS
+    gc.BETA_CHUNK_BITS, gc.BETA_BLOCK_STEPS = bits, block
     try:
         got = gc.isoperimetric_constant(g)
     finally:
-        gc.BETA_CHUNK_BITS = saved
+        gc.BETA_CHUNK_BITS, gc.BETA_BLOCK_STEPS = saved
     assert got == _gray_sweep(g)
+
+
+# The tables that the popcount ones replaced, kept as their oracle: |L| for
+# every subset L by doubling, gathered at order & mask, and cut(L) by a
+# doubling that gathered its inner counts from that table.
+
+def _size_table(k: int) -> np.ndarray:
+    size = np.zeros(1, np.int16)
+    for _ in range(k):
+        size = np.concatenate([size, size + 1])
+    return size
+
+
+def _cut_by_gather(g: Graph, first: int, count: int) -> np.ndarray:
+    size, low = _size_table(count), np.arange(1 << count)
+    cut = np.zeros(1, np.int16)
+    for j in range(count):
+        inner = size[low[:1 << j] & (g.masks[first + j] >> first)]
+        cut = np.concatenate([cut, cut + (g.degrees[first + j] - 2 * inner)])
+    return cut
+
+
+@pytest.mark.parametrize("k", range(gc.BETA_CHUNK_BITS + 1))
+def test_beta_tables_match_the_size_gather(k):
+    ranks, order, bounds = gc._beta_tables(k)
+    size, low = _size_table(k), np.arange(1 << k)
+    gray = low ^ low >> 1
+    want = np.argsort(size[gray], kind="stable")
+    assert (ranks == want).all() and (order == gray[want]).all()
+    assert (bounds == np.searchsorted(size[order], np.arange(k + 2))).all()
+    rng = random.Random(k)
+    for mask in [0, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(20))]:
+        assert (np.bitwise_count(order & mask) == size[order & mask]).all()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(connected_graphs(16), st.data())
+def test_cut_table_matches_the_gathered_doubling(g, data):
+    first = data.draw(st.integers(0, g.n - 1))
+    count = data.draw(st.integers(0, g.n - first))
+    assert (gc._cut_table(g, first, count) == _cut_by_gather(g, first, count)).all()
 
 
 @pytest.mark.parametrize("cid,beta,witness", [
@@ -612,6 +656,15 @@ def test_k4_at_matches_subset_count(g):
     assert [k4_at(g, v) for v in range(g.n)] == _k4_counts_by_subsets(g)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(any_graphs(12))
+@example(gf.complete(9))
+def test_triangle_count_matches_the_per_vertex_counts(g):
+    """triangle_count sums over the arcs in one pass; the per-vertex counts
+    it summed before are its oracle."""
+    assert gc.triangle_count(g) == sum(triangles_at(g, v) for v in range(g.n)) // 3
+
+
 def test_k4_at_matches_subset_count_on_corpus():
     checked = 0
     for cid, _fam, _params, g in corpus_mod.build_corpus():
@@ -871,6 +924,20 @@ def _dsatur_colouring(g: Graph, k: int) -> list[int] | None:
         return False
 
     return colours if rec(0) else None
+
+
+def test_dsatur_keeps_its_path_off_the_call_stack():
+    """One call per vertex raised RecursionError on cube:10's 1,024 vertices.
+    On a connected bipartite graph DSATUR gives the 2-colouring by distance
+    from vertex 0, on a cube the parity of each vertex's bits, as the oracle
+    does on the cubes it reaches."""
+    for d in (1, 3, 5, 10):
+        g = gf.cube(d)
+        parity = [v.bit_count() & 1 for v in range(g.n)]
+        assert gc._dsatur_colouring(g, g.n, gc._Deadline()) == parity
+        if d < 10:
+            assert _dsatur_colouring(g, g.n) == parity
+    assert gc._dsatur_colouring(gf.cube(10), 1, gc._Deadline()) is None
 
 
 def _assert_engines_match_oracles(g: Graph):

@@ -390,6 +390,30 @@ def test_petersen_spectrum():
     assert abs(s.entries[2][0] + 2) < 1e-9
 
 
+@pytest.mark.parametrize("k", [0, -1, 11])
+def test_ranks_outside_one_to_n_are_refused(k):
+    """Rank 0 read numpy's [-1], the other end of the spectrum, and a rank
+    past n raised a bare IndexError."""
+    s = sp.spectrum(gf.petersen())
+    with pytest.raises(BadParameters, match=f"rank {k} outside 1..10"):
+        s.kth_largest(k)
+    with pytest.raises(BadParameters, match=f"rank {k} outside 1..10"):
+        s.kth_smallest(k)
+
+
+def test_ranks_match_the_expanded_values_on_corpus():
+    """kth_largest and kth_smallest walk the clusters; expanded() and
+    ascending(), the arrays they indexed before, are their oracle on every
+    corpus spectrum, to the bit."""
+    for *_, g in corpus_mod.build_corpus():
+        for kind in sp.KINDS:
+            s = sp.spectrum(g, kind)
+            assert [repr(s.kth_largest(k)) for k in range(1, s.n + 1)] == \
+                [repr(float(v)) for v in s.expanded()]
+            assert [repr(s.kth_smallest(k)) for k in range(1, s.n + 1)] == \
+                [repr(float(v)) for v in s.ascending()]
+
+
 def _cluster_by_scalars(values, tol):
     """_cluster as it read the values before: float() of each numpy scalar."""
     out = []
