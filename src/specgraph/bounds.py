@@ -2,9 +2,17 @@
 sum-product application, perturbation interlacing checks, and the supporting
 symmetric-matrix principles (Courant-Fischer, Cauchy, Weyl, Aronszajn).
 
-Bound comparisons allow a relative 1e-7 with an absolute floor of 1e-9 (the
-matrix principles the floor alone) and equalities their spectrum's cluster_tol,
-so eigensolver noise never flips a verdict; capped invariants skip their bounds.
+The audit is one table of statements. An entry gives a name, a relation (<=,
+>=, equality iff a condition, or a trace identity: |lhs - rhs| small), the
+facts its record reports, its sides as a function of facts computed once per
+audit, and ordered gates, each a condition with a note. The first gate that
+fails skips the statement with its note, or leaves it out if the note is None.
+A new bound is one entry.
+
+Inequalities allow a relative 1e-7 with an absolute floor of 1e-9 (the matrix
+principles the floor alone), equalities their spectrum's cluster_tol, and the
+trace identity of the j-th power 1e-8 n max(1, d) d^(j - 1), so eigensolver
+noise never flips a verdict.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ class AuditReport(Record):
         self.records = [] if records is None else records
 
     @property
+    def passed(self) -> list[BoundRecord]:
+        return [r for r in self.records if r.status == "pass"]
+
+    @property
     def failed(self) -> list[BoundRecord]:
         return [r for r in self.records if r.status == "fail"]
 
@@ -79,7 +91,7 @@ class AuditReport(Record):
     def to_json(self) -> dict:
         return {
             "graph": self.graph,
-            "passed": sum(1 for r in self.records if r.status == "pass"),
+            "passed": len(self.passed),
             "failed": len(self.failed),
             "skipped": len(self.skipped),
             "records": [{"name": r.name, "relation": r.relation, "lhs": r.lhs, "rhs": r.rhs,
@@ -88,23 +100,27 @@ class AuditReport(Record):
         }
 
 
-def _le(name, lhs, rhs, inputs=None, note="") -> BoundRecord:
-    ok = lhs <= rhs + _tol(lhs, rhs)
-    return BoundRecord(name, "lhs <= rhs", float(lhs), float(rhs),
-                       float(rhs - lhs), "pass" if ok else "fail", note, inputs or {})
+LE, GE, IFF, TRACE = "lhs <= rhs", "lhs >= rhs", "equality iff condition", "|lhs - rhs| small"
 
 
-def _ge(name, lhs, rhs, inputs=None, note="") -> BoundRecord:
-    ok = lhs >= rhs - _tol(lhs, rhs)
-    return BoundRecord(name, "lhs >= rhs", float(lhs), float(rhs),
-                       float(lhs - rhs), "pass" if ok else "fail", note, inputs or {})
-
-
-def _iff(name, holds: bool, equal: bool, lhs, rhs) -> BoundRecord:
-    ok = holds == equal
-    return BoundRecord(name, "equality iff condition", float(lhs), float(rhs),
-                       float(abs(lhs - rhs)), "pass" if ok else "fail", "",
-                       {"condition": holds, "numeric_equality": equal})
+def _record(name, relation, sides, inputs, note) -> BoundRecord:
+    """One statement's record from its sides: (lhs, rhs) for LE and GE,
+    (lhs, rhs, tol) for TRACE and (lhs, rhs, tol, condition) for IFF, whose
+    inputs are the condition and whether lhs and rhs agree within tol. An
+    inequality that holds exactly needs no _tol."""
+    lhs, rhs = sides[0], sides[1]
+    if relation == LE:
+        slack, ok = rhs - lhs, lhs <= rhs or lhs <= rhs + _tol(lhs, rhs)
+    elif relation == GE:
+        slack, ok = lhs - rhs, lhs >= rhs or lhs >= rhs - _tol(lhs, rhs)
+    else:
+        slack = abs(lhs - rhs)
+        ok = slack <= sides[2]
+        if relation == IFF:
+            inputs = {"condition": sides[3], "numeric_equality": ok}
+            ok = sides[3] == ok
+    return BoundRecord(name, relation, float(lhs), float(rhs), float(slack),
+                       "pass" if ok else "fail", note, inputs)
 
 
 def _skip(name, note) -> BoundRecord:
@@ -117,193 +133,172 @@ TWO_VERTICES = "needs at least two vertices"
 DEGREE_TWO = "needs maximum degree at least 2"
 CHI_CAPPED = "chromatic number capped"
 IOTA_CAPPED = "independence number capped"
+OMEGA_CAPPED = "clique number capped"
+
+# the gates that several statements share; BETA is the three that beta needs
+HAS_CHI = (lambda f: f.chi is not None, CHI_CAPPED)
+HAS_IOTA = (lambda f: f.iota is not None, IOTA_CAPPED)
+HAS_EDGE = (lambda f: f.g.edge_count > 0, NO_EDGES)
+HAS_TWO = (lambda f: f.n >= 2, TWO_VERTICES)
+CONNECTED = (lambda f: f.connected, DISCONNECTED)
+BETA = (HAS_TWO, CONNECTED, (lambda f: f.beta is not None, "isoperimetric constant capped"))
+HAS_DELTA = (lambda f: f.delta is not None, None)
+NOT_COMPLETE = (lambda f: not f.complete, None)
+DEGREE_2 = (lambda f: f.d >= 2, DEGREE_TWO)
+DEGREE_3 = (lambda f: f.d >= 3, None)
+TREE = (lambda f: f.connected and f.gamma == math.inf and f.delta is not None, None)
+CHUNG = (lambda f: f.regular and f.delta is not None, None)
+
+
+def _statement(name, relation, inputs, sides, *gates, note=""):
+    """A table entry; inputs names the facts that its record reports."""
+    return name, relation, sides, tuple(inputs.split()), gates, note
+
+
+HEAD = (
+    _statement("wilf_chromatic", LE, "chi alpha_max", lambda f: (f.chi, 1 + f.alpha_max), HAS_CHI),
+    _statement("hoffman_chromatic", GE, "chi alpha_max alpha_min", lambda f: (
+        f.chi, 1 + f.alpha_max / (-f.alpha_min)), HAS_CHI, HAS_EDGE),
+    _statement("hoffman_independence", LE, "iota d_min lambda_max", lambda f: (
+        f.iota, f.n * (1 - f.d_min / f.lambda_max)), HAS_IOTA, HAS_EDGE),
+    _statement("chi_iota_product", GE, "chi iota", lambda f: (
+        f.chi * f.iota, f.n), HAS_CHI, HAS_IOTA),
+    _statement("alon_milman", GE, "beta lambda2", lambda f: (f.b, f.lambda2 / 2), *BETA),
+    _statement("dodziuk", LE, "beta lambda2", lambda f: (
+        f.b, math.sqrt(2 * f.d * f.lambda2)), *BETA),
+    _statement("mohar_beta", LE, "beta", lambda f: (f.b, f.d / 2 * (f.n + 1) / (f.n - 1)), *BETA),
+    _statement("iso_diameter", LE, "delta beta", lambda f: (
+        f.delta, 2 * math.log(f.n / 2) / math.log(1 + f.b / f.d) + 2), *BETA, HAS_DELTA),
+    _statement("alpha_min_vs_max", GE, "alpha_min alpha_max", lambda f: (
+        f.alpha_min, -f.alpha_max)),
+    # a bipartite component can carry alpha_max alone, so the equality cases need connectivity
+    _statement("alpha_min_bipartite_iff", IFF, "", lambda f: (
+        f.alpha_min, -f.alpha_max, f.adj.cluster_tol, f.bipartite), CONNECTED),
+    _statement("average_degree_le_alpha_max", LE, "d_ave", lambda f: (f.d_ave, f.alpha_max)),
+    _statement("alpha_max_le_degree", LE, "d", lambda f: (f.alpha_max, f.d)),
+    _statement("alpha_max_regular_iff", IFF, "", lambda f: (
+        f.alpha_max, f.d, f.adj.cluster_tol, f.regular), CONNECTED),
+    _statement("lambda_max_le_2d", LE, "lambda_max", lambda f: (f.lambda_max, 2 * f.d)),
+    _statement("lambda_max_2d_iff", IFF, "", lambda f: (
+        f.lambda_max, 2 * f.d, f.lap.cluster_tol, f.regular and f.bipartite), CONNECTED),
+    _statement("lambda_max_ge_d_plus_1", GE, "lambda_max d", lambda f: (
+        f.lambda_max, f.d + 1), HAS_EDGE),
+    _statement("alpha_max_ge_sqrt_d", GE, "alpha_max", lambda f: (f.alpha_max, math.sqrt(f.d))),
+    _statement("second_laplacian_le_d", LE, "lambda2", lambda f: (f.lambda2, f.d), NOT_COMPLETE),
+    _statement("second_adjacency_nonneg", GE, "alpha2", lambda f: (f.alpha2, 0.0), NOT_COMPLETE),
+    _statement("spectral_turan", LE, "omega alpha_max", lambda f: (
+        f.alpha_max, (1 - 1 / f.omega) * f.n), (lambda f: f.omega is not None, OMEGA_CAPPED)),
+    _statement("diameter_log", GE, "delta", lambda f: (
+        f.delta, math.log(f.n) / math.log(f.d - 1) - 2 + 1e-12),
+        HAS_DELTA, DEGREE_3, note="strict inequality"),
+    _statement("girth_log", LE, "gamma", lambda f: (
+        f.gamma, 2 * math.log(f.n) / math.log(f.d - 1) + 2 - 1e-12),
+        HAS_DELTA, DEGREE_3, (lambda f: f.regular and f.gamma != math.inf, None),
+        note="strict inequality"),
+    _statement("girth_vs_diameter", LE, "gamma delta", lambda f: (
+        f.gamma, 2 * f.delta + (1 if int(f.gamma) % 2 else 0)),
+        HAS_DELTA, (lambda f: f.gamma != math.inf and f.gamma is not None, None)),
+)
+# Urakawa's laplacian growth and its regular adjacency dual, Alon-Boppana, for
+# k = 1 .. delta // 2; each name gains its k
+PER_K = (
+    _statement("urakawa_k", LE, "k delta", lambda f: (
+        float(f.lam_asc[f.k]),
+        f.d - 2 * math.sqrt(f.d - 1) * math.cos(2 * math.pi * f.k / f.delta))),
+    _statement("alon_boppana_k", GE, "k delta", lambda f: (
+        float(f.alpha_desc[f.k]), 2 * math.sqrt(f.d - 1) * math.cos(2 * math.pi * f.k / f.delta)),
+        (lambda f: f.regular, None)),
+)
+TAIL = (
+    _statement("tree_alpha_max", LE, "delta", lambda f: (
+        f.alpha_max, 2 * math.sqrt(f.d - 1) * math.cos(math.pi / (f.delta + 2))), TREE, DEGREE_2),
+    _statement("tree_lambda_max", LE, "delta", lambda f: (
+        f.lambda_max, f.d + 2 * math.sqrt(f.d - 1) * math.cos(math.pi / (f.delta + 1))),
+        TREE, DEGREE_2),
+    _statement("tree_lambda2_pendant", LE, "delta", lambda f: (
+        f.lambda2, 2 - 2 * math.cos(math.pi / (f.delta + 1))), TREE, HAS_TWO),
+    _statement("chung_diameter_bipartite", LE, "alpha2", lambda f: (
+        f.delta, math.log(f.n // 2 - 1) / math.log(f.d / f.alpha2) + 2),
+        CHUNG, (lambda f: f.bipartite and f.alpha2 > f.adj.cluster_tol, None)),
+    _statement("chung_diameter", LE, "alpha", lambda f: (
+        f.delta, math.log(f.n - 1) / math.log(f.d / f.alpha) + 1),
+        CHUNG, (lambda f: not f.bipartite and f.alpha > f.adj.cluster_tol, None)),
+    _statement("distinct_adjacency_count", GE, "delta", lambda f: (
+        len(f.adj.entries), f.delta + 1), HAS_DELTA),
+    _statement("distinct_laplacian_count", GE, "delta", lambda f: (
+        len(f.lap.entries), f.delta + 1), HAS_DELTA),
+    # the sum of alpha^j is 0, twice the edges and six times the triangles
+    _statement("trace_sum_zero", TRACE, "", lambda f: (float(f.alpha_desc.sum()), 0.0, f.tr_tol)),
+    _statement("trace_square_edges", TRACE, "", lambda f: (
+        float((f.alpha_desc**2).sum()), 2.0 * f.g.edge_count, f.tr_tol * f.d)),
+    _statement("trace_cube_triangles", TRACE, "", lambda f: (
+        float((f.alpha_desc**3).sum()), 6.0 * triangle_count(f.g), f.tr_tol * f.d * f.d)),
+    _statement("adjacency_interval_low", GE, "", lambda f: (f.alpha_min, -float(f.d))),
+    _statement("adjacency_interval_high", LE, "", lambda f: (f.alpha_max, float(f.d))),
+    _statement("laplacian_interval_low", GE, "", lambda f: (float(f.lap.min), 0.0)),
+    _statement("laplacian_interval_high", LE, "", lambda f: (f.lambda_max, 2.0 * f.d)),
+    _statement("degree_sandwich_low", GE, "", lambda f: (float(f.pair.min()), float(f.d_min))),
+    _statement("degree_sandwich_high", LE, "", lambda f: (float(f.pair.max()), float(f.d))),
+    # a complete graph or an odd cycle meets Brooks' bound
+    _statement("brooks", LE, "chi", lambda f: (f.chi, f.d), HAS_CHI, CONNECTED, (
+        lambda f: not (f.complete or f.regular and f.d == 2 and f.n % 2 == 1), None)),
+)
+
+
+class _Facts:
+    """The facts of one report that the statements read, computed once per audit."""
+
+    def __init__(self, inv: InvariantReport):
+        g = self.g = inv.graph
+        adj, lap = self.adj, self.lap = spectrum(g), spectrum(g, "laplacian")
+        alpha_desc, lam_asc = self.alpha_desc, self.lam_asc = adj.expanded(), lap.ascending()
+        self.pair = alpha_desc + lam_asc
+        n, d = self.n, self.d = g.n, g.max_degree
+        self.d_min, self.d_ave = g.min_degree, float(g.average_degree)
+        self.alpha_max, self.alpha_min, self.lambda_max = adj.max, adj.min, lap.max
+        self.alpha2 = float(alpha_desc[1]) if n >= 2 else adj.max
+        self.alpha = max(self.alpha2, -adj.min)
+        self.lambda2 = float(lam_asc[1]) if n >= 2 else None
+        self.chi, self.iota, self.omega = inv.chromatic, inv.independence, inv.clique
+        beta = inv.isoperimetric  # reported exactly, as a string; the sides read b
+        self.beta, self.b = (None, None) if beta is None else (str(beta), float(beta))
+        delta = self.delta = inv.diameter
+        self.gamma = inv.girth
+        self.bipartite, self.regular, self.connected = g.is_bipartite, g.is_regular, g.is_connected
+        self.complete = g.edge_count == n * (n - 1) // 2
+        self.tr_tol = 1e-8 * n * max(1.0, d)
+        self.ks = range(1, delta // 2 + 1) if delta is not None and d >= 2 else ()
+        self.k = None  # the rank of the PER_K pair being recorded
+
+
+def _statements(f: _Facts):
+    """HEAD, the PER_K pair for each k in f.ks (as f.k, which it reads), then TAIL."""
+    yield from HEAD
+    for k in f.ks:
+        f.k = k
+        for name, relation, sides, inputs, gates, note in PER_K:
+            yield f"{name}{k}", relation, sides, inputs, gates, note
+    yield from TAIL
 
 
 def audit_bounds(inv: InvariantReport) -> AuditReport:
-    """One record per applicable bound over inv.graph, against its own
-    adjacency and laplacian spectra; tree-only / regular-only bounds are gated
-    by structure, capped invariants produce skips."""
-    g = inv.graph
-    adj, lap = spectrum(g), spectrum(g, "laplacian")
-    alpha_desc, lam_asc = adj.expanded(), lap.ascending()
-    n = g.n
-    d = g.max_degree
-    d_min = g.min_degree
-    d_ave = float(g.average_degree)
-    alpha_max, alpha_min = adj.max, adj.min
-    alpha2 = float(alpha_desc[1]) if n >= 2 else alpha_max
-    lam2 = float(lam_asc[1]) if n >= 2 else None
-    lam_max = lap.max
-    chi, iota, omega = inv.chromatic, inv.independence, inv.clique
-    beta = inv.isoperimetric
-    delta = inv.diameter
-    gamma = inv.girth
-    bipartite = g.is_bipartite
-    regular = g.is_regular
-    connected = g.is_connected
-    edgeless = g.edge_count == 0
-    is_tree = connected and gamma == math.inf
-    is_complete = g.edge_count == n * (n - 1) // 2
-    rep = AuditReport(graph=g.name or "graph")
+    """The records of the table's statements over inv.graph, against its own
+    adjacency and laplacian spectra, each gated by the module's one rule."""
+    f = _Facts(inv)
+    facts = vars(f)
+    rep = AuditReport(graph=f.g.name or "graph")
     rec = rep.records.append
-
-    # chromatic / independence
-    if chi is None:
-        rec(_skip("wilf_chromatic", CHI_CAPPED))
-        rec(_skip("hoffman_chromatic", CHI_CAPPED))
-    else:
-        rec(_le("wilf_chromatic", chi, 1 + alpha_max, {"chi": chi, "alpha_max": alpha_max}))
-        if edgeless:
-            rec(_skip("hoffman_chromatic", NO_EDGES))
+    for name, relation, sides, inputs, gates, note in _statements(f):
+        for holds, why in gates:
+            if not holds(f):
+                if why is not None:
+                    rec(_skip(name, why))
+                break
         else:
-            rec(_ge("hoffman_chromatic", chi, 1 + alpha_max / (-alpha_min),
-                    {"chi": chi, "alpha_max": alpha_max, "alpha_min": alpha_min}))
-    if iota is None:
-        rec(_skip("hoffman_independence", IOTA_CAPPED))
-    elif edgeless:
-        rec(_skip("hoffman_independence", NO_EDGES))
-    else:
-        rec(_le("hoffman_independence", iota, n * (1 - d_min / lam_max),
-                {"iota": iota, "d_min": d_min, "lambda_max": lam_max}))
-    if chi is None or iota is None:
-        rec(_skip("chi_iota_product", CHI_CAPPED if chi is None else IOTA_CAPPED))
-    else:
-        rec(_ge("chi_iota_product", chi * iota, n, {"chi": chi, "iota": iota}))
-
-    # isoperimetric
-    if beta is None or n < 2:
-        for name in ("alon_milman", "dodziuk", "mohar_beta", "iso_diameter"):
-            rec(_skip(name, TWO_VERTICES if n < 2 else DISCONNECTED if not connected
-                      else "isoperimetric constant capped"))
-    else:
-        b = float(beta)
-        rec(_ge("alon_milman", b, lam2 / 2, {"beta": str(beta), "lambda2": lam2}))
-        rec(_le("dodziuk", b, math.sqrt(2 * d * lam2), {"beta": str(beta), "lambda2": lam2}))
-        rec(_le("mohar_beta", b, d / 2 * (n + 1) / (n - 1), {"beta": str(beta)}))
-        if delta is not None:
-            rec(_le("iso_diameter", delta, 2 * math.log(n / 2) / math.log(1 + b / d) + 2,
-                    {"delta": delta, "beta": str(beta)}))
-
-    # extremal eigenvalue locations
-    rec(_ge("alpha_min_vs_max", alpha_min, -alpha_max,
-            {"alpha_min": alpha_min, "alpha_max": alpha_max}))
-    if connected:  # a bipartite component can carry alpha_max alone
-        rec(_iff("alpha_min_bipartite_iff", bipartite,
-                 abs(alpha_min + alpha_max) <= adj.cluster_tol, alpha_min, -alpha_max))
-    else:
-        rec(_skip("alpha_min_bipartite_iff", DISCONNECTED))
-    rec(_le("average_degree_le_alpha_max", d_ave, alpha_max, {"d_ave": d_ave}))
-    rec(_le("alpha_max_le_degree", alpha_max, d, {"d": d}))
-    if connected:
-        rec(_iff("alpha_max_regular_iff", regular, abs(alpha_max - d) <= adj.cluster_tol,
-                 alpha_max, d))
-    else:
-        rec(_skip("alpha_max_regular_iff", DISCONNECTED))
-    rec(_le("lambda_max_le_2d", lam_max, 2 * d, {"lambda_max": lam_max}))
-    if connected:
-        rec(_iff("lambda_max_2d_iff", regular and bipartite,
-                 abs(lam_max - 2 * d) <= lap.cluster_tol, lam_max, 2 * d))
-    else:
-        rec(_skip("lambda_max_2d_iff", DISCONNECTED))
-    if edgeless:
-        rec(_skip("lambda_max_ge_d_plus_1", NO_EDGES))
-    else:
-        rec(_ge("lambda_max_ge_d_plus_1", lam_max, d + 1, {"lambda_max": lam_max, "d": d}))
-    rec(_ge("alpha_max_ge_sqrt_d", alpha_max, math.sqrt(d), {"alpha_max": alpha_max}))
-    if not is_complete:
-        rec(_le("second_laplacian_le_d", lam2, d, {"lambda2": lam2}))
-        rec(_ge("second_adjacency_nonneg", alpha2, 0.0, {"alpha2": alpha2}))
-
-    # spectral Turan
-    if omega is None:
-        rec(_skip("spectral_turan", "clique number capped"))
-    else:
-        rec(_le("spectral_turan", alpha_max, (1 - 1 / omega) * n,
-                {"omega": omega, "alpha_max": alpha_max}))
-
-    # diameter / girth growth (d >= 3)
-    if delta is not None and d >= 3:
-        rec(_ge("diameter_log", delta, math.log(n) / math.log(d - 1) - 2 + 1e-12,
-                {"delta": delta}, note="strict inequality"))
-        if regular and gamma != math.inf:
-            rec(_le("girth_log", gamma, 2 * math.log(n) / math.log(d - 1) + 2 - 1e-12,
-                    {"gamma": gamma}, note="strict inequality"))
-    if delta is not None and gamma != math.inf and gamma is not None:
-        rec(_le("girth_vs_diameter", gamma,
-                2 * delta + (1 if int(gamma) % 2 else 0), {"gamma": gamma, "delta": delta}))
-
-    # laplacian growth (Urakawa) and its regular adjacency dual (Alon-Boppana)
-    if delta is not None and delta >= 2 and d >= 2:
-        for k in range(1, delta // 2 + 1):
-            bound = d - 2 * math.sqrt(d - 1) * math.cos(2 * math.pi * k / delta)
-            rec(_le(f"urakawa_k{k}", float(lam_asc[k]), bound, {"k": k, "delta": delta}))
-            if regular:
-                rec(_ge(f"alon_boppana_k{k}", float(alpha_desc[k]),
-                        2 * math.sqrt(d - 1) * math.cos(2 * math.pi * k / delta),
-                        {"k": k, "delta": delta}))
-
-    # trees
-    if is_tree and delta is not None:
-        if d < 2:
-            rec(_skip("tree_alpha_max", DEGREE_TWO))
-            rec(_skip("tree_lambda_max", DEGREE_TWO))
-        else:
-            rec(_le("tree_alpha_max", alpha_max,
-                    2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 2)), {"delta": delta}))
-            rec(_le("tree_lambda_max", lam_max,
-                    d + 2 * math.sqrt(d - 1) * math.cos(math.pi / (delta + 1)), {"delta": delta}))
-        if n < 2:
-            rec(_skip("tree_lambda2_pendant", TWO_VERTICES))
-        else:
-            rec(_le("tree_lambda2_pendant", lam2,
-                    2 - 2 * math.cos(math.pi / (delta + 1)), {"delta": delta}))
-
-    # Chung diameter bounds
-    if delta is not None and regular:
-        if bipartite:
-            if alpha2 > adj.cluster_tol:
-                rec(_le("chung_diameter_bipartite", delta,
-                        math.log(n // 2 - 1) / math.log(d / alpha2) + 2,
-                        {"alpha2": alpha2}))
-        else:
-            alpha = max(alpha2, -alpha_min)
-            if alpha > adj.cluster_tol:
-                rec(_le("chung_diameter", delta,
-                        math.log(n - 1) / math.log(d / alpha) + 1, {"alpha": alpha}))
-
-    # eigenvalue counts and trace identities
-    if delta is not None:
-        rec(_ge("distinct_adjacency_count", len(adj.entries), delta + 1, {"delta": delta}))
-        rec(_ge("distinct_laplacian_count", len(lap.entries), delta + 1, {"delta": delta}))
-    # the sum of lambda^j is 0, twice the edges and six times the triangles
-    # for j = 1, 2, 3, within tr_tol d^(j - 1)
-    tr_tol = 1e-8 * n * max(1.0, d)
-    for j, (name, rhs) in enumerate([("trace_sum_zero", 0.0),
-                                     ("trace_square_edges", 2.0 * g.edge_count),
-                                     ("trace_cube_triangles", 6.0 * triangle_count(g))], 1):
-        lhs = float((alpha_desc**j).sum())
-        rec(BoundRecord(name, "|lhs - rhs| small", lhs, rhs, abs(lhs - rhs),
-                        "pass" if abs(lhs - rhs) <= tr_tol else "fail"))
-        tr_tol *= d
-
-    # interval location and the degree sandwich
-    rec(_ge("adjacency_interval_low", alpha_min, -float(d)))
-    rec(_le("adjacency_interval_high", alpha_max, float(d)))
-    rec(_ge("laplacian_interval_low", float(lap.min), 0.0))
-    rec(_le("laplacian_interval_high", lam_max, 2.0 * d))
-    pair = alpha_desc + lam_asc
-    rec(_ge("degree_sandwich_low", float(pair.min()), float(d_min)))
-    rec(_le("degree_sandwich_high", float(pair.max()), float(d)))
-
-    # Brooks (statement-level check)
-    if chi is None:
-        rec(_skip("brooks", CHI_CAPPED))
-    else:
-        odd_cycle = regular and d == 2 and n % 2 == 1
-        if not connected:
-            rec(_skip("brooks", DISCONNECTED))
-        elif not (is_complete or odd_cycle):
-            rec(_le("brooks", chi, d, {"chi": chi}))
+            values = {}  # a loop, not a comprehension: 3.11 calls a function for each one
+            for key in inputs:
+                values[key] = facts[key]
+            rec(_record(name, relation, sides(f), values, note))
     return rep
 
 
@@ -626,8 +621,9 @@ def courant_fischer_check(m: np.ndarray, rng: np.random.Generator) -> bool:
 def step_function_rayleigh(g: Graph, subset) -> tuple[float, float]:
     """(Rayleigh ratio of the +-step function, n |dS| / (|S||S^c|)); the two
     agree identically."""
-    S = sorted(set(checked_vertices(g, subset)))
-    comp = [v for v in range(g.n) if v not in set(S)]
+    members = set(checked_vertices(g, subset))
+    S = sorted(members)
+    comp = [v for v in range(g.n) if v not in members]
     if not S or not comp:
         raise InvalidOperation("subset must be proper and non-empty")
     f = np.empty(g.n)

@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
         elif isinstance(result, dict):
             entry["closed_form"] = result
         report = _audit_graph(g, caps)
-        entry["audit"] = {"passed": len(report.records) - len(report.failed) - len(report.skipped),
+        entry["audit"] = {"passed": len(report.passed),
                           "failed": [r.name for r in report.failed],
                           "skipped": [r.name for r in report.skipped]}
         total_fail += len(report.failed)

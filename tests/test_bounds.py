@@ -197,6 +197,149 @@ def test_audit_json_shape():
     assert all({"name", "status"} <= set(r) for r in data["records"])
 
 
+# -- the audit's shape, with no float in it -------------------------------------
+
+LE, GE, IFF, TRACE = "lhs <= rhs", "lhs >= rhs", "equality iff condition", "|lhs - rhs| small"
+STRICT = "strict inequality"
+# every statement in audit order as (name, relation, sorted input keys, note);
+# the PER_K pair repeats for k = 1 .. delta // 2
+HEAD = [
+    ("wilf_chromatic", LE, "alpha_max chi", ""),
+    ("hoffman_chromatic", GE, "alpha_max alpha_min chi", ""),
+    ("hoffman_independence", LE, "d_min iota lambda_max", ""),
+    ("chi_iota_product", GE, "chi iota", ""),
+    ("alon_milman", GE, "beta lambda2", ""),
+    ("dodziuk", LE, "beta lambda2", ""),
+    ("mohar_beta", LE, "beta", ""),
+    ("iso_diameter", LE, "beta delta", ""),
+    ("alpha_min_vs_max", GE, "alpha_max alpha_min", ""),
+    ("alpha_min_bipartite_iff", IFF, "condition numeric_equality", ""),
+    ("average_degree_le_alpha_max", LE, "d_ave", ""),
+    ("alpha_max_le_degree", LE, "d", ""),
+    ("alpha_max_regular_iff", IFF, "condition numeric_equality", ""),
+    ("lambda_max_le_2d", LE, "lambda_max", ""),
+    ("lambda_max_2d_iff", IFF, "condition numeric_equality", ""),
+    ("lambda_max_ge_d_plus_1", GE, "d lambda_max", ""),
+    ("alpha_max_ge_sqrt_d", GE, "alpha_max", ""),
+    ("second_laplacian_le_d", LE, "lambda2", ""),
+    ("second_adjacency_nonneg", GE, "alpha2", ""),
+    ("spectral_turan", LE, "alpha_max omega", ""),
+    ("diameter_log", GE, "delta", STRICT),
+    ("girth_log", LE, "gamma", STRICT),
+    ("girth_vs_diameter", LE, "delta gamma", ""),
+]
+PER_K = [("urakawa_k{k}", LE, "delta k", ""), ("alon_boppana_k{k}", GE, "delta k", "")]
+TAIL = [
+    ("tree_alpha_max", LE, "delta", ""),
+    ("tree_lambda_max", LE, "delta", ""),
+    ("tree_lambda2_pendant", LE, "delta", ""),
+    ("chung_diameter_bipartite", LE, "alpha2", ""),
+    ("chung_diameter", LE, "alpha", ""),
+    ("distinct_adjacency_count", GE, "delta", ""),
+    ("distinct_laplacian_count", GE, "delta", ""),
+    ("trace_sum_zero", TRACE, "", ""),
+    ("trace_square_edges", TRACE, "", ""),
+    ("trace_cube_triangles", TRACE, "", ""),
+    ("adjacency_interval_low", GE, "", ""),
+    ("adjacency_interval_high", LE, "", ""),
+    ("laplacian_interval_low", GE, "", ""),
+    ("laplacian_interval_high", LE, "", ""),
+    ("degree_sandwich_low", GE, "", ""),
+    ("degree_sandwich_high", LE, "", ""),
+    ("brooks", LE, "chi", ""),
+]
+
+COMPLETE = {"second_laplacian_le_d", "second_adjacency_nonneg"}
+LOGS = {"diameter_log", "girth_log"}
+TREES = {"tree_alpha_max", "tree_lambda_max", "tree_lambda2_pendant"}
+CHUNG = {"chung_diameter_bipartite", "chung_diameter"}
+ALON_BOPPANA = {f"alon_boppana_k{k}" for k in range(1, 4)}
+NO_DIAMETER = LOGS | {"girth_vs_diameter"} | TREES | CHUNG | {
+    "distinct_adjacency_count", "distinct_laplacian_count"}
+EDGELESS_NOTES = notes({"hoffman_chromatic", "hoffman_independence", "lambda_max_ge_d_plus_1"},
+                       bd.NO_EDGES)
+CHI_NOTES = notes({"wilf_chromatic", "hoffman_chromatic", "chi_iota_product", "brooks"},
+                  bd.CHI_CAPPED)
+IOTA_NOTES = notes({"hoffman_independence", "chi_iota_product"}, bd.IOTA_CAPPED)
+
+
+def _graph(spec):
+    family, _, params = spec.partition(":")
+    return gf.build(family, *[int(p) for p in params.split(",") if p])
+
+
+def _by_hand(spec, **changes):
+    """spec's invariant report with the given invariants replaced."""
+    inv = gc.invariant_report(_graph(spec))
+    fields = dict(zip(inv._fields, inv._values)) | changes
+    return gc.InvariantReport(**fields)
+
+
+# (label, report, per-k pairs, statements left out, {skipped statement: note})
+SHAPES = [
+    ("K1", lambda: gc.invariant_report(gc.Graph(1, [])), 0,
+     COMPLETE | LOGS | {"girth_vs_diameter"} | CHUNG | {"brooks"},
+     EDGELESS_NOTES | notes(TREE_DEGREE_TWO, bd.DEGREE_TWO)
+     | notes(TWO_VERTICES, bd.TWO_VERTICES)),
+    ("K2", lambda: gc.invariant_report(gc.Graph(2, [(0, 1)])), 0,
+     COMPLETE | LOGS | {"girth_vs_diameter"} | CHUNG | {"brooks"},
+     notes(TREE_DEGREE_TWO, bd.DEGREE_TWO)),
+    ("3K1", lambda: gc.invariant_report(gc.Graph(3, [])), 0, NO_DIAMETER,
+     EDGELESS_NOTES | DISCONNECTED_NOTES | notes({"alpha_min_bipartite_iff"}, bd.DISCONNECTED)),
+    ("2K2", lambda: gc.invariant_report(gc.Graph(4, [(0, 1), (2, 3)])), 0, NO_DIAMETER,
+     DISCONNECTED_NOTES | notes({"alpha_min_bipartite_iff"}, bd.DISCONNECTED)),
+    ("K3+C4", lambda: gc.invariant_report(
+        gc.Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])), 0, NO_DIAMETER,
+     DISCONNECTED_NOTES | notes({"alpha_min_bipartite_iff"}, bd.DISCONNECTED)),
+    ("path:5", None, 2, LOGS | {"girth_vs_diameter"} | ALON_BOPPANA | CHUNG, {}),
+    ("star:6", None, 1, {"girth_log", "girth_vs_diameter"} | ALON_BOPPANA | CHUNG, {}),
+    ("tree:3,3", None, 3, {"girth_log", "girth_vs_diameter"} | ALON_BOPPANA | CHUNG, {}),
+    ("cycle:5", None, 1, LOGS | TREES | {"chung_diameter_bipartite", "brooks"}, {}),
+    ("cycle:6", None, 1, LOGS | TREES | {"chung_diameter"}, {}),
+    ("complete:5", None, 0, COMPLETE | TREES | {"chung_diameter_bipartite", "brooks"}, {}),
+    ("petersen", None, 1, TREES | {"chung_diameter_bipartite"}, {}),
+    ("heawood", None, 1, TREES | {"chung_diameter"}, {}),
+    ("paley:13", None, 1, TREES | {"chung_diameter_bipartite"}, {}),
+    ("wheel:6", None, 1, {"girth_log"} | ALON_BOPPANA | TREES | CHUNG, {}),
+    ("windmill:3", None, 1, {"girth_log"} | ALON_BOPPANA | TREES | CHUNG, {}),
+    ("frucht", None, 2, TREES | {"chung_diameter_bipartite"}, {}),
+    # a capped chi skips brooks before a complete graph or an odd cycle leaves it out
+    ("complete:5 chi=None", lambda: _by_hand("complete:5", chromatic=None), 0,
+     COMPLETE | TREES | {"chung_diameter_bipartite"}, CHI_NOTES),
+    ("cycle:5 chi=None", lambda: _by_hand("cycle:5", chromatic=None), 1,
+     LOGS | TREES | {"chung_diameter_bipartite"}, CHI_NOTES),
+    ("petersen iota=None", lambda: _by_hand("petersen", independence=None), 1,
+     TREES | {"chung_diameter_bipartite"}, IOTA_NOTES),
+    ("petersen chi=iota=None", lambda: _by_hand("petersen", chromatic=None, independence=None),
+     1, TREES | {"chung_diameter_bipartite"}, IOTA_NOTES | CHI_NOTES),
+    ("petersen omega=None", lambda: _by_hand("petersen", clique=None), 1,
+     TREES | {"chung_diameter_bipartite"}, {"spectral_turan": "clique number capped"}),
+    ("petersen beta=None", lambda: _by_hand("petersen", isoperimetric=None), 1,
+     TREES | {"chung_diameter_bipartite"},
+     notes(ISOPERIMETRIC, "isoperimetric constant capped")),
+]
+
+
+@pytest.mark.parametrize("label, report, ks, left_out, skips", SHAPES,
+                         ids=[s[0] for s in SHAPES])
+def test_audit_shape_is_pinned_on_graphs_that_cross_every_gate(label, report, ks, left_out,
+                                                               skips):
+    """Which statements each audit records, skips with which note, or leaves
+    out, pinned as (name, relation, status, note, sorted input keys) with no
+    float, so it holds under any numpy, BLAS or kernel. Statement names are
+    unique within an audit."""
+    inv = report() if report else gc.invariant_report(_graph(label))
+    per_k = [(name.format(k=k), *rest) for k in range(1, ks + 1) for name, *rest in PER_K]
+    expected = [(name, "", "skipped", skips[name], []) if name in skips
+                else (name, relation, "pass", note, keys.split())
+                for name, relation, keys, note in HEAD + per_k + TAIL if name not in left_out]
+    rep = bd.audit_bounds(inv)
+    assert [(r.name, r.relation, r.status, r.note, sorted(r.inputs))
+            for r in rep.records] == expected
+    names = [r.name for r in rep.records]
+    assert len(set(names)) == len(names)
+
+
 # -- Cheeger +-1 certificates -----------------------------------------------------
 
 @pytest.mark.parametrize("maker,expected", [

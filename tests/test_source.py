@@ -81,6 +81,20 @@ def test_coordinates_enter_only_through_cayley_and_bi_cayley():
     }
 
 
+def test_audit_records_come_only_from_the_record_builder_and_skip():
+    """Every statement of the bound audit is an entry of its table: only
+    `_record`, which decides each relation, and `_skip` construct an audit
+    record in `bounds`, and only `audit_bounds` calls them, so that no
+    statement grows its own gate or record path."""
+    assert {call for call in _calls({"BoundRecord", "_record", "_skip"})
+            if call[0] == "bounds"} == {
+        ("bounds", "_record", "BoundRecord"),
+        ("bounds", "_skip", "BoundRecord"),
+        ("bounds", "audit_bounds", "_record"),
+        ("bounds", "audit_bounds", "_skip"),
+    }
+
+
 def test_only_characters_reads_the_magnitude_tolerance():
     """The character-sum laws are stated once, in `characters`: no other
     module names MAGNITUDE_TOL, by attribute, by name or by import."""
