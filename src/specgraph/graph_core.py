@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     LoopEdge,
     Record,
+    SizeOverflow,
 )
 from .groups import Group
 
@@ -32,6 +33,10 @@ CHI_CAP = 64
 BETA_CAP = 24
 ISO_CAP = 32
 EXACT_BUDGET_SECONDS = 10.0
+# Most adjacency entries a graph is built with (a group's order times its set
+# size, an edge list's n + 2m): every graph the eigensolver takes fits, as
+# 4096 + 4096 * 4095 = 2**24, and a larger one is refused before any row.
+ADJACENCY_CAP = 2**24
 GROUP_LABELS = object()  # a group graph's default labels: each vertex's element
 
 
@@ -243,6 +248,8 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
         (n, m), *edges = [(int(a), int(b)) for a, b in rows]
     except ValueError:
         raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
+    if n + 2 * m > ADJACENCY_CAP:
+        raise SizeOverflow(f"edge list header: n + 2m over {ADJACENCY_CAP} adjacency entries")
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
     seen = set()
@@ -388,68 +395,80 @@ class _Deadline:
 
 
 def clique_number(g: Graph, cap: int = CHI_CAP) -> int:
-    """Exact clique number by branch and bound with a greedy-colouring bound."""
+    """Exact clique number by branch and bound on greedy colour classes."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over clique cap {cap}")
     return _max_clique(g.n, g.masks)
 
 
 def _max_clique(n: int, masks) -> int:
-    """The largest clique of the graph on 0..n-1 with adjacency bitmasks masks."""
+    """The largest clique of the graph on 0..n-1 with adjacency bitmasks masks,
+    by MCQ (Tomita and Seki, DMTCS 2003). Each node colours its candidates
+    greedily in index order into bitmask classes, each built from the least
+    candidate up. A clique meets a class at most once, so a vertex of class c
+    extends the node's clique to at most size + c + 1: the node branches on
+    the classes from the last down, each vertex leaving the candidates once
+    branched on, and stops at the first that cannot beat the best clique."""
     deadline = _Deadline()
-    best = [1]
-
-    def colour_bound(cand: int) -> int:
-        # greedy colouring of candidate set; number of classes bounds the clique
-        classes: list[int] = []
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            for i, cls in enumerate(classes):
-                if not (masks[v] & cls):
-                    classes[i] = cls | (1 << v)
-                    break
-            else:
-                classes.append(1 << v)
-        return len(classes)
+    best = 1
 
     def expand(size: int, cand: int):
+        nonlocal best
         deadline.check()
-        if not cand:
-            best[0] = max(best[0], size)
-            return
-        if size + colour_bound(cand) <= best[0]:
-            return
-        while cand:
-            if size + cand.bit_count() <= best[0]:
-                return
-            v = cand.bit_length() - 1
-            cand &= ~(1 << v)
-            expand(size + 1, cand & masks[v])
+        best = max(best, size)
+        classes, rest = [], cand
+        while rest:
+            cls, free = 0, rest
+            while free:
+                bit = free & -free
+                cls |= bit
+                free &= ~(masks[bit.bit_length() - 1] | bit)
+            classes.append(cls)
+            rest ^= cls
+        for c in reversed(range(len(classes))):
+            cls = classes[c]
+            while cls:
+                if size + c + 1 <= best:
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                cand ^= 1 << v
+                expand(size + 1, cand & masks[v])
 
     expand(0, (1 << n) - 1)
-    return best[0]
+    return best
 
 
 def _max_matching_bipartite(g: Graph) -> int:
+    """The size of a largest matching of the bipartite g: an augmenting-path
+    search from each black vertex, entering each white vertex once. The path
+    is a list of neighbour iterators and of the white vertices taken from
+    them, not the call stack, so any n runs; an unmatched white ends it."""
     left, _right = g.bipartition
-    match: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in g.adj[u]:
-            if w in seen:
+    match: dict[int, int] = {}  # white vertex -> its black partner
+    size = 0
+    for root in sorted(left):
+        seen: set[int] = set()
+        its, whites = [iter(g.adj[root])], []
+        while its:
+            for w in its[-1]:
+                if w not in seen:
+                    break
+            else:
+                its.pop()
+                if whites:
+                    whites.pop()
                 continue
             seen.add(w)
-            if w not in match or augment(match[w], seen):
-                match[w] = u
-                return True
-        return False
-
-    size = 0
-    for u in sorted(left):
-        if augment(u, set()):
-            size += 1
+            whites.append(w)
+            if w in match:
+                its.append(iter(g.adj[match[w]]))
+            else:
+                black = root
+                for x in whites:
+                    match[x], black = black, match.get(x)
+                size += 1
+                break
     return size
 
 
@@ -465,9 +484,9 @@ def independence_number(g: Graph, cap: int = CHI_CAP) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: the larger of the clique number and ceil(n/alpha)
-    as lower bound, DSATUR upper bound, then k-colourability backtracking for
-    the gap; ceil(n/alpha) is left out when alpha is refused."""
+    """Exact chromatic number: the least k from the lower bound max(omega,
+    ceil(n/alpha)) up for which DSATUR-ordered backtracking finds a
+    k-colouring; ceil(n/alpha) is left out when alpha is refused."""
     try:
         alpha = independence_number(g)
     except CapExceeded:
@@ -478,7 +497,8 @@ def chromatic_number(g: Graph) -> int:
 def _chromatic_number(g: Graph, cap: int, omega: int | None, alpha: int | None) -> int:
     """chromatic_number, with the clique number omega and the independence
     number alpha when known.  Each colour class is an independent set, so
-    chi >= ceil(n/alpha)."""
+    chi >= ceil(n/alpha).  k rises from the lower bound until a k-colouring
+    is found, by the greedy DSATUR colouring's size at the latest."""
     if g.n > cap:
         raise CapExceeded(f"n = {g.n} over chromatic cap {cap}")
     if g.edge_count == 0:
@@ -486,14 +506,12 @@ def _chromatic_number(g: Graph, cap: int, omega: int | None, alpha: int | None) 
     if g.is_bipartite:
         return 2
     deadline = _Deadline()
-    lower = clique_number(g, cap=cap) if omega is None else omega
+    k = clique_number(g, cap=cap) if omega is None else omega
     if alpha is not None:
-        lower = max(lower, -(-g.n // alpha))
-    upper = max(_dsatur_colouring(g, g.n, deadline)) + 1
-    for k in range(lower, upper):
-        if _dsatur_colouring(g, k, deadline) is not None:
-            return k
-    return upper
+        k = max(k, -(-g.n // alpha))
+    while _dsatur_colouring(g, k, deadline) is None:
+        k += 1
+    return k
 
 
 def _dsatur_colouring(g: Graph, k: int, deadline: _Deadline) -> list[int] | None:
@@ -502,7 +520,9 @@ def _dsatur_colouring(g: Graph, k: int, deadline: _Deadline) -> list[int] | None
     vertex of most distinct neighbour colours, then of most neighbours, and
     tries the colours in use and one new one, least first.  With k = n no step
     ever lacks a colour, so the search never backtracks and gives the greedy
-    DSATUR colouring.  near[c] is the bitmask of the vertices with a
+    DSATUR colouring; with k its number of colours, every step of the greedy
+    run has its colour below k, so the search follows that run and succeeds
+    without a step back.  near[c] is the bitmask of the vertices with a
     neighbour of colour c; a success colours every vertex, so what a failed
     branch leaves in colours is overwritten.  The path is a list, not the
     call stack, so any n runs.
@@ -872,9 +892,10 @@ def automorphism_count(g: Graph) -> int:
     The base is the individualised vertices of g's search path, taken
     deepest first. A cell member w is in b_i's orbit iff a search finds an
     automorphism extending the level's colouring with b_i -> w. Each one
-    found, at this level or deeper (it fixes b_1..b_{i-1} either way), joins
-    the orbits of the points it moves (union-find), so a member joined to b_i
-    needs no search, and one joined to a member that failed is skipped.
+    found joins the orbits of the points it moves in one union-find kept for
+    the whole base: one found at a deeper level fixes b_1..b_{i-1} too, so
+    it is in this level's stabiliser. A member joined to b_i needs no
+    search, and one joined to a member that failed is skipped.
     """
     if g.n > ISO_CAP:
         raise CapExceeded(f"isomorphism cap {ISO_CAP} exceeded")
@@ -889,17 +910,9 @@ def automorphism_count(g: Graph) -> int:
             x = parent[x]
         return x
 
-    def join(perm) -> None:
-        for x, y in enumerate(perm):
-            parent[find(x)] = find(y)
-
-    found: list[list[int]] = []
     order = 1
     for depth in reversed(range(len(path) - 1)):
         _, colors, cell = path[depth]
-        parent[:] = range(g.n)
-        for perm in found:
-            join(perm)
         v = cell[0]
         failed: list[int] = []
         for w in cell[1:]:
@@ -910,8 +923,8 @@ def automorphism_count(g: Graph) -> int:
             if perm is None:
                 failed.append(w)
                 continue
-            join(perm)
-            found.append(perm)
+            for x, y in enumerate(perm):
+                parent[find(x)] = find(y)
         order *= sum(1 for w in cell if find(w) == find(v))
     return order
 

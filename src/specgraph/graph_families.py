@@ -33,14 +33,10 @@ from .finite_field import (
     subfield_embedding,
 )
 from . import groups
-from .graph_core import GROUP_LABELS, Graph, common_neighbours, k4_at
+from .graph_core import ADJACENCY_CAP, GROUP_LABELS, Graph, common_neighbours, k4_at
 
 # -- Cayley and bi-Cayley graphs over products of cyclic groups ------------------
 
-# Largest group order times set size, the entries of the translate table.  It
-# admits every graph the eigensolver takes (4096 * 4095 < 2**24) and refuses a
-# group such as (Z_2)^25 before its tables are built.
-ADJACENCY_CAP = 2**24
 DECIMAL_DIGITS = 40  # a refusal writes a longer number as a power of 2
 
 

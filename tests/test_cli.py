@@ -318,6 +318,33 @@ def test_verify_work_counts_are_pinned(capsys, monkeypatch):
                       "audit_bounds": 52, "character_sum": 35, "_search": 66}
 
 
+def test_verify_engine_node_counts_are_pinned(capsys, monkeypatch):
+    """The nodes of the exact engines in one verify, counted as time-budget
+    checks: 375 inside the clique search and 716 in all. A search that
+    visits more nodes fails here."""
+    counts = {"all": 0, "clique": 0}
+    depth = [0]
+    check, max_clique = gc._Deadline.check, gc._max_clique
+
+    def counted_check(self):
+        counts["all"] += 1
+        counts["clique"] += depth[0] > 0
+        return check(self)
+
+    def counted_clique(*args):
+        depth[0] += 1
+        try:
+            return max_clique(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(gc._Deadline, "check", counted_check)
+    monkeypatch.setattr(gc, "_max_clique", counted_clique)
+    code, _ = run(capsys, "verify")
+    assert code == 0
+    assert counts == {"all": 716, "clique": 375}
+
+
 def test_audit_refuses_past_the_eigensolver_cap_before_the_invariants(capsys, monkeypatch):
     monkeypatch.setattr(gc, "invariant_report", None)
     assert cli.main(["audit", "path:5000"]) == 2
@@ -571,6 +598,7 @@ USAGE_ERRORS = {
     "long_header_edge_list": (["spec", "{long_header}"], BAD + EDGE_LIST),
     "duplicate_edge": (["spec", "{duplicate}"], "error: "),
     "reversed_duplicate_edge": (["spec", "{reversed_duplicate}"], "error: "),
+    "huge_header": (["audit", "{huge_header}"], "error: SizeOverflow: edge list header: "),
     "missing_parameter": (["gen", "cube"], BAD),
     "extra_parameter": (["gen", "paley:13,5"], BAD),
     "non_integer_parameter": (["gen", "paley:x"], BAD),
@@ -606,7 +634,7 @@ USAGE_ERRORS = {
 def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     files = {"empty": "", "non_integer": "3 1\n0 x\n", "duplicate": "3 2\n0 1\n0 1\n",
              "reversed_duplicate": "3 2\n0 1\n1 0\n", "weighted": "3 2\n0 1 5\n1 2 7\n",
-             "long_header": "3 2 7\n0 1\n1 2\n"}
+             "long_header": "3 2 7\n0 1\n1 2\n", "huge_header": "20000000 1\n0 1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "directory").mkdir()

@@ -21,6 +21,7 @@ from specgraph.errors import (
     Disconnected,
     IndexOutOfRange,
     LoopEdge,
+    SizeOverflow,
 )
 from specgraph.graph_core import Graph, k4_at, triangles_at
 
@@ -42,6 +43,17 @@ def test_edge_list_round_trip():
 def test_edge_list_rows_are_two_integers(text):
     with pytest.raises(BadParameters, match="an edge list is an 'n m' header"):
         gc.parse_edge_list(text)
+
+
+def test_edge_list_header_is_sized_before_any_row(monkeypatch):
+    """n + 2m adjacency entries at most: one past the cap is refused before
+    the graph's n rows exist."""
+    monkeypatch.setattr(gc, "ADJACENCY_CAP", 100)
+    assert gc.parse_edge_list("98 1\n0 1\n").n == 98
+    monkeypatch.setattr(gc, "Graph", None)
+    for text in ["99 1\n0 1\n", "3 49\n0 1\n"]:
+        with pytest.raises(SizeOverflow, match="^edge list header: n [+] 2m over 100 "):
+            gc.parse_edge_list(text)
 
 
 def test_triangle_edge_list():
@@ -978,6 +990,75 @@ def test_engines_match_oracles_on_corpus_and_sweep():
 def test_engines_match_oracles(g):
     """Forests, disconnected and odd-cycle unions included."""
     _assert_engines_match_oracles(g)
+
+
+def _colour_bound_clique(n: int, masks) -> int:
+    """The clique search MCQ replaced: each node bounds itself by the number
+    of greedy colour classes of its candidates, then branches on the
+    highest-index candidate while size + |cand| can beat the best."""
+    best = 1
+
+    def colour_bound(cand: int) -> int:
+        classes: list[int] = []
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            for i, cls in enumerate(classes):
+                if not masks[v] & cls:
+                    classes[i] = cls | 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        return len(classes)
+
+    def expand(size: int, cand: int):
+        nonlocal best
+        if not cand:
+            best = max(best, size)
+            return
+        if size + colour_bound(cand) <= best:
+            return
+        while cand and size + cand.bit_count() > best:
+            v = cand.bit_length() - 1
+            cand &= ~(1 << v)
+            expand(size + 1, cand & masks[v])
+
+    expand(0, (1 << n) - 1)
+    return best
+
+
+def _assert_clique_search_matches_colour_bound(g: Graph):
+    """omega, and alpha as the clique number of the complement's masks."""
+    full = (1 << g.n) - 1
+    assert gc._max_clique(g.n, g.masks) == _colour_bound_clique(g.n, g.masks)
+    co = [full ^ m ^ 1 << v for v, m in enumerate(g.masks)]
+    assert gc._max_clique(g.n, co) == _colour_bound_clique(g.n, co)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(any_graphs(20))
+@example(Graph(1, []))
+@example(Graph(20, []))
+@example(gf.complete(20))
+def test_clique_search_matches_colour_bound_search(g):
+    _assert_clique_search_matches_colour_bound(g)
+
+
+def test_clique_search_matches_colour_bound_search_on_corpus_and_dense_graphs():
+    corpus = [g for *_, g in corpus_mod.build_corpus() if g.n <= gc.CHI_CAP]
+    named = [gf.paley(61), gf.halved_cube(7), gf.machine((8,))]
+    rng = random.Random(64)
+    dense = [Graph(64, [e for e in itertools.combinations(range(64), 2) if rng.random() < p])
+             for p in (0.3, 0.5, 0.7, 0.9)]
+    assert len(corpus) == 52
+    for g in corpus + named + dense:
+        _assert_clique_search_matches_colour_bound(g)
+
+
+def test_konig_walks_long_augmenting_paths_off_the_call_stack():
+    """The matching recursed once per step of an augmenting path, so a path
+    of 2,000 vertices raised RecursionError."""
+    assert gc.independence_number(gf.path(5000), cap=10**6) == 2500
 
 
 @st.composite
