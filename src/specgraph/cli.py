@@ -117,16 +117,17 @@ def _parse_caps(text: str | None) -> dict:
     return caps
 
 
-def load_graph_source(source: str, *params) -> gc.Graph:
+def load_graph_source(source: str, *params, size_check=None) -> gc.Graph:
     """A graph source is an edge-list file path, or a family spec as
-    ``graph_families.parse_source`` reads it."""
+    ``graph_families.parse_source`` reads it.  size_check is passed on to
+    ``graph_core.parse_edge_list``."""
     if os.path.exists(source) and not params:
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise BadParameters(f"cannot read {source}: {exc}") from None
-        return gc.parse_edge_list(text, name=os.path.basename(source))
+        return gc.parse_edge_list(text, name=os.path.basename(source), size_check=size_check)
     return gfam.build(source, *params)
 
 
@@ -142,7 +143,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_spec(args) -> int:
-    g = load_graph_source(args.source, *args.params)
+    g = load_graph_source(args.source, *args.params, size_check=sp.check_size)
     config = {"command": "spec", "source": args.source, "params": list(args.params),
               "kind": args.kind, "seed": args.seed}
     spectrum = sp.spectrum(g, args.kind)
@@ -244,7 +245,7 @@ def _audit_graph(g: gc.Graph, caps: dict) -> bd.AuditReport:
 
 
 def cmd_audit(args) -> int:
-    g = load_graph_source(args.source, *args.params)
+    g = load_graph_source(args.source, *args.params, size_check=sp.check_size)
     caps = _parse_caps(args.caps)
     config = {"command": "audit", "source": args.source, "params": list(args.params),
               "seed": args.seed, "caps": caps}
@@ -316,8 +317,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    g = load_graph_source(args.first)
-    h = load_graph_source(args.second)
+    g = load_graph_source(args.first, size_check=sp.check_size)
+    h = load_graph_source(args.second, size_check=sp.check_size)
     caps = _parse_caps(args.caps)
     config = {"command": "iso", "first": args.first, "second": args.second,
               "seed": args.seed, "caps": caps}

@@ -242,7 +242,9 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, name: str = "") -> Graph:
+def parse_edge_list(text: str, name: str = "", size_check=None) -> Graph:
+    """The graph of an 'n m' header and m 'u v' rows; size_check, if given,
+    may refuse the header's n by raising before any row is built."""
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     try:
         (n, m), *edges = [(int(a), int(b)) for a, b in rows]
@@ -250,6 +252,8 @@ def parse_edge_list(text: str, name: str = "") -> Graph:
         raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
     if n + 2 * m > ADJACENCY_CAP:
         raise SizeOverflow(f"edge list header: n + 2m over {ADJACENCY_CAP} adjacency entries")
+    if size_check is not None:
+        size_check(n)
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
     seen = set()
@@ -440,14 +444,21 @@ def _max_clique(n: int, masks) -> int:
 
 
 def _max_matching_bipartite(g: Graph) -> int:
-    """The size of a largest matching of the bipartite g: an augmenting-path
-    search from each black vertex, entering each white vertex once. The path
-    is a list of neighbour iterators and of the white vertices taken from
-    them, not the call stack, so any n runs; an unmatched white ends it."""
+    """The size of a largest matching of the bipartite g: each black vertex
+    takes a free white neighbour if it has one, then an augmenting-path search
+    runs from each black vertex left unmatched, entering each white vertex
+    once. A black vertex with no augmenting path gains none as others
+    augment, so one search from each suffices. The path is a list of
+    neighbour iterators and of the white vertices taken from them, not the
+    call stack, so any n runs; an unmatched white ends it."""
     left, _right = g.bipartition
     match: dict[int, int] = {}  # white vertex -> its black partner
-    size = 0
-    for root in sorted(left):
+    for black in sorted(left):
+        w = next((w for w in g.adj[black] if w not in match), None)
+        if w is not None:
+            match[w] = black
+    size = len(match)
+    for root in sorted(left.difference(match.values())):
         seen: set[int] = set()
         its, whites = [iter(g.adj[root])], []
         while its:
@@ -578,18 +589,16 @@ BETA_BLOCK_STEPS = 128  # high steps whose group minima are read together; bound
 @cache
 def _beta_tables(k: int):
     """The graph-free tables of isoperimetric_constant's sweep over the 2^k low
-    subsets, built once per k on first use: the Gray ranks sorted stably by the
-    size of the subset of that rank (ranks), those subsets (order), and where
-    each size's group starts in them (bounds).  The subset of Gray rank r is
-    r ^ r >> 1."""
+    subsets, built once per k on first use: the subsets in Gray-code order
+    (the subset of Gray rank r is r ^ r >> 1) sorted stably by size (order),
+    and where each size's group starts in them (bounds)."""
     gray = np.arange(1 << k, dtype=np.int32)
     gray ^= gray >> 1
-    ranks = np.argsort(np.bitwise_count(gray), kind="stable")
-    order = gray[ranks]
+    order = gray[np.argsort(np.bitwise_count(gray), kind="stable")]
     bounds = np.searchsorted(np.bitwise_count(order), np.arange(k + 2))
-    for table in (ranks, order, bounds):
+    for table in (order, bounds):
         table.flags.writeable = False
-    return ranks, order, bounds
+    return order, bounds
 
 
 def _cut_table(g: Graph, first: int, count: int) -> np.ndarray:
@@ -612,30 +621,26 @@ def _cut_table(g: Graph, first: int, count: int) -> np.ndarray:
 
 def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
     """Exact min over non-empty S with |S| <= n/2 of |boundary S| / |S|,
-    as a Fraction, together with one minimizing subset: the first minimizer
-    in the Gray-code order of the subset masks (vertex v is bit v).
+    as a Fraction, together with one minimizing subset.
 
-    Chunked exhaustive sweep over the subsets T of the first m = n - 1
-    vertices, the first half of the n-bit Gray order. As |boundary S| =
-    |boundary (V - S)|, each S is such a T or the complement of one. The low
-    k = min(m, BETA_CHUNK_BITS) vertices get tables over all 2^k subsets L,
-    cut(L) and, for each high vertex v, 2|N(v) & L|; int8 below 128 edges,
-    else int16. The subsets H of the high vertices are walked in Gray order;
-    flipping v moves the cut of every L | H at once by -+2|N(v) & L|, and each
-    step keeps the least cut of each size group of L, from one
-    np.minimum.reduceat. Each block of BETA_BLOCK_STEPS steps then reads
-    those least cuts, plus cut(H), as ratios: |boundary T| / |T| for
-    |T| <= n/2, the rest as ratios of their complements, of which only the
-    least is kept. Ratios are p/q with q <= n, so two unequal ones differ by
-    at least 1/n^2, far above a float64 quotient's rounding: comparing the
-    quotients decides exactly, and the argmin is the first step's exact
-    minimizer. Only a strict gain replaces the best, as later steps' ranks
-    follow earlier ones'; the tie search runs on that step's table, rebuilt,
-    and the least Gray rank wins, so the witness is the subset a
-    one-vertex-at-a-time Gray sweep keeps. If the least complement ratio is
-    strictly below the best T, every minimizer holds vertex n - 1, and the
-    sweep runs again over all m = n vertices for the first one. The time
-    budget is checked once per block.
+    One chunked exhaustive sweep over the subsets T of the first m = n - 1
+    vertices. As |boundary S| = |boundary (V - S)|, each S is such a T or the
+    complement of one. The low k = min(m, BETA_CHUNK_BITS) vertices get
+    tables over all 2^k subsets L, cut(L) and, for each high vertex v,
+    2|N(v) & L|; int8 below 128 edges, else int16. The subsets H of the high
+    vertices are walked in Gray order; flipping v moves the cut of every
+    L | H at once by -+2|N(v) & L|, and each step keeps the least cut of each
+    size group of L, from one np.minimum.reduceat. Each block of
+    BETA_BLOCK_STEPS steps then reads each group's least cut, plus cut(H), as
+    one ratio: over t = |T| while t <= n/2, where it stands for T, and over
+    n - t beyond, where it stands for V - T; t = 0 stands for nothing. Ratios
+    are p/q with q <= n, so two unequal ones differ by at least 1/n^2, far
+    above a float64 quotient's rounding: comparing the quotients decides
+    exactly. Only a strict gain replaces the best, so the witness comes from
+    the first step, and the least size group in it, of the least ratio: the
+    first low subset of that group with the least cut in the step's table,
+    rebuilt, joined to H, and complemented when t > n/2. So the witness has
+    at most n/2 vertices. The time budget is checked once per block.
 
     On one vertex no S has 0 < |S| <= n/2, so beta is undefined there and the
     call raises BadParameters.
@@ -648,72 +653,59 @@ def isoperimetric_constant(g: Graph, cap: int = BETA_CAP):
         raise CapExceeded(f"n = {g.n} over isoperimetric cap {cap}")
     deadline = _Deadline()
     n, masks = g.n, g.masks
+    m = n - 1
+    k = min(m, BETA_CHUNK_BITS)
+    order, bounds = _beta_tables(k)
     # the tables hold cut(L) - 2e(L, H), in [-|E|, |E|], and 2|N(v) & L| <= 2k
     dtype = np.int8 if g.edge_count < 128 else np.int16
-    # the second pass, over all n vertices, finds no complement below its best
-    for m in (n - 1, n):
-        k = min(m, BETA_CHUNK_BITS)
-        low_all = (1 << k) - 1
-        ranks, order, bounds = _beta_tables(k)
-        cut = _cut_table(g, 0, k)[order].astype(dtype)
-        first_cut = cut.copy()
-        nbr2 = [(2 * np.bitwise_count(order & (masks[v] & low_all))).astype(dtype)
-                for v in range(k, m)]
-        h_cuts = _cut_table(g, k, m - k)
-        heads, stops = bounds[:k + 1], bounds.tolist()
-        # by |T|: the size of the S that T stands for (T while |T| <= n/2, else
-        # V - T; 1 if S is empty), and 0 where T stands for an S of that side
-        # (T, row 0, or V - T, row 1), inf where not
-        t = np.arange(m + 1)
-        s_sizes = np.maximum(1, np.minimum(t, n - t))
-        outside = np.where([(t >= 1) & (t <= n // 2), (t > n // 2) & (t < n)], 0.0, math.inf)
-        groups = np.arange(k + 1)
+    first_cut = _cut_table(g, 0, k)[order].astype(dtype)
+    cut = first_cut.copy()
+    nbr2 = [(2 * np.bitwise_count(order & (masks[v] & ((1 << k) - 1)))).astype(dtype)
+            for v in range(k, m)]
+    h_cuts = _cut_table(g, k, m - k)
+    heads, stops = bounds[:k + 1], bounds.tolist()
+    # by t = |T|: the size min(t, n - t) of the S that T stands for (1 at
+    # t = 0), and inf at t = 0, where T stands for no S
+    t = np.arange(n)
+    s_sizes = np.maximum(1, np.minimum(t, n - t))
+    empty = np.where(t == 0, math.inf, 0.0)
+    groups = np.arange(k + 1)
 
-        best_num, best_den, best_mask = g.degrees[0], 1, 1  # S = {0}, the first subset in Gray order
-        comp = math.inf  # the least complement ratio
-        h_set = 0
-        for start in range(0, 1 << (m - k), BETA_BLOCK_STEPS):
-            deadline.check()
-            steps = np.arange(start, min(start + BETA_BLOCK_STEPS, 1 << (m - k)))
-            mins = np.empty((len(steps), k + 1), dtype)
-            for row, step in enumerate(steps.tolist()):
-                if step:
-                    i = (step & -step).bit_length() - 1
-                    h_set ^= 1 << i
-                    if h_set >> i & 1:
-                        cut -= nbr2[i]
-                    else:
-                        cut += nbr2[i]
-                np.minimum.reduceat(cut, heads, out=mins[row])
-            # each row's H, each group's |T| and least |boundary T|, and the ratios
-            h = steps ^ steps >> 1
-            t_sizes = np.bitwise_count(h)[:, None] + groups
-            totals = np.add(mins, h_cuts[h][:, None], dtype=np.int64)
-            den = s_sizes[t_sizes]
-            ratios = (totals / den + outside[:, t_sizes]).reshape(2, -1)
-            pos, comp_pos = ratios.argmin(axis=1).tolist()
-            comp = min(comp, ratios[1, comp_pos])
-            if not ratios[0, pos] < best_num / best_den:
-                continue
-            # within H, ties go to the least rank. With |H| odd the low rank is
-            # complemented, so the last L of a group wins.
-            row = pos // (k + 1)
-            h_row = int(h[row])
-            odd = h_row.bit_count() & 1
-            at = first_cut.copy()
-            for i in range(m - k):
-                if h_row >> i & 1:
-                    at -= nbr2[i]
-            candidates = []
-            ties = ratios[0, row * (k + 1):(row + 1) * (k + 1)] == ratios[0, pos]
-            for t in ties.nonzero()[0].tolist():
-                hits = (at[stops[t]:stops[t + 1]] == mins[row, t]).nonzero()[0]
-                p = stops[t] + int(hits[-1 if odd else 0])
-                candidates.append((int(ranks[p]) ^ (low_all * odd), int(order[p])))
-            best_num, best_den = int(totals.flat[pos]), int(den.flat[pos])
-            best_mask = h_row << k | min(candidates)[1]
-        if comp >= best_num / best_den:
-            break
+    best = math.inf
+    h_set = 0
+    for start in range(0, 1 << (m - k), BETA_BLOCK_STEPS):
+        deadline.check()
+        steps = np.arange(start, min(start + BETA_BLOCK_STEPS, 1 << (m - k)))
+        mins = np.empty((len(steps), k + 1), dtype)
+        for row, step in enumerate(steps.tolist()):
+            if step:
+                i = (step & -step).bit_length() - 1
+                h_set ^= 1 << i
+                if h_set >> i & 1:
+                    cut -= nbr2[i]
+                else:
+                    cut += nbr2[i]
+            np.minimum.reduceat(cut, heads, out=mins[row])
+        # each row's H, each group's |T| and least |boundary T|, and the ratios
+        h = steps ^ steps >> 1
+        t_sizes = np.bitwise_count(h)[:, None] + groups
+        totals = np.add(mins, h_cuts[h][:, None], dtype=np.int64)
+        den = s_sizes[t_sizes]
+        ratios = totals / den + empty[t_sizes]
+        pos = int(ratios.argmin())
+        if ratios.flat[pos] >= best:
+            continue
+        best, best_num, best_den = ratios.flat[pos], int(totals.flat[pos]), int(den.flat[pos])
+        row, group = divmod(pos, k + 1)
+        h_row = int(h[row])
+        at = first_cut.copy()
+        for i in range(m - k):
+            if h_row >> i & 1:
+                at -= nbr2[i]
+        p = stops[group] + int((at[stops[group]:stops[group + 1]] == mins[row, group]).argmax())
+        best_mask = h_row << k | int(order[p])
+        if 2 * t_sizes.flat[pos] > n:
+            best_mask ^= (1 << n) - 1
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return Fraction(best_num, best_den), witness
 

@@ -53,6 +53,13 @@ KINDS = ("adjacency", "laplacian")  # the matrices a Spectrum is of
 
 # -- matrices -----------------------------------------------------------------
 
+def check_size(n: int) -> None:
+    """SizeOverflow for a graph of n vertices, or an n x n matrix, past
+    EIG_SIZE_CAP."""
+    if n > EIG_SIZE_CAP:
+        raise SizeOverflow(f"n = {n} over eigensolver cap {EIG_SIZE_CAP}")
+
+
 def arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(tails, heads): each edge in both directions, vertex by vertex."""
     tails = np.repeat(np.arange(g.n), g.degrees)
@@ -177,8 +184,7 @@ def _symmetric_values(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise NotSymmetric("matrix must be square and non-empty")
-    if m.shape[0] > EIG_SIZE_CAP:
-        raise SizeOverflow(f"n = {m.shape[0]} over eigensolver cap {EIG_SIZE_CAP}")
+    check_size(m.shape[0])
     hi, lo = float(m.max()), float(m.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise BadParameters("matrix has a non-finite entry")
@@ -241,8 +247,7 @@ def _values(g: Graph, kind: str) -> np.ndarray:
     kept = g.__dict__.setdefault("_spectra", {})
     if kind in kept:
         return kept[kind]
-    if g.n > EIG_SIZE_CAP:
-        raise SizeOverflow(f"n = {g.n} over eigensolver cap {EIG_SIZE_CAP}")
+    check_size(g.n)
     if kind == "adjacency":
         if g.group is not None:
             values = _group_values(g.group)

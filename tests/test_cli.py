@@ -320,7 +320,7 @@ def test_verify_work_counts_are_pinned(capsys, monkeypatch):
 
 def test_verify_engine_node_counts_are_pinned(capsys, monkeypatch):
     """The nodes of the exact engines in one verify, counted as time-budget
-    checks: 375 inside the clique search and 716 in all. A search that
+    checks: 375 inside the clique search and 715 in all. A search that
     visits more nodes fails here."""
     counts = {"all": 0, "clique": 0}
     depth = [0]
@@ -342,7 +342,7 @@ def test_verify_engine_node_counts_are_pinned(capsys, monkeypatch):
     monkeypatch.setattr(gc, "_max_clique", counted_clique)
     code, _ = run(capsys, "verify")
     assert code == 0
-    assert counts == {"all": 716, "clique": 375}
+    assert counts == {"all": 715, "clique": 375}
 
 
 def test_audit_refuses_past_the_eigensolver_cap_before_the_invariants(capsys, monkeypatch):
@@ -651,6 +651,27 @@ def test_usage_error_exit_code(argv, err, tmp_path, capsys):
     assert code == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith(err) and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [["spec", "{f}"], ["audit", "{f}"], ["iso", "{f}", "{f}"]],
+                         ids=["spec", "audit", "iso"])
+def test_edge_list_past_the_eigensolver_cap_is_refused_before_any_row(argv, tmp_path, capsys,
+                                                                      monkeypatch):
+    """spec, audit and iso refuse an edge list whose header n the eigensolver
+    would refuse, with its message, before the graph's n rows exist; building
+    them took seconds and hundreds of MB at n = 10^6."""
+    path = tmp_path / "wide"
+    path.write_text("1000000 1\n0 1\n")
+    monkeypatch.setattr(gc, "Graph", None)
+    assert cli.main([a.format(f=path) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: SizeOverflow: n = 1000000 over eigensolver cap 4096\n"
+
+
+def test_gen_takes_an_edge_list_past_the_eigensolver_cap(tmp_path, capsys):
+    path = tmp_path / "wide"
+    text = f"{sp.EIG_SIZE_CAP + 1} 1\n0 1\n"
+    path.write_text(text)
+    assert run(capsys, "gen", str(path)) == (0, text)
 
 
 @pytest.mark.parametrize("argv", [["gen", "cube:15000"], ["gen", "complete:" + "9" * 5000]],

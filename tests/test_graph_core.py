@@ -251,11 +251,20 @@ def _gray_sweep(g):
     return Fraction(best_num, best_den), witness
 
 
+def _assert_matches_gray_sweep(g, got):
+    """beta equals the Gray sweep's, and the witness is a minimizer of at most
+    n/2 vertices; ties may make it another one than the Gray sweep's."""
+    beta, witness = got
+    assert beta == _gray_sweep(g)[0]
+    assert 0 < len(witness) <= g.n // 2
+    assert Fraction(gc.boundary_size(g, witness), len(witness)) == beta
+
+
 def test_beta_matches_gray_sweep_on_corpus():
     checked = 0
-    for cid, _fam, _params, g in corpus_mod.build_corpus():
+    for _cid, _fam, _params, g in corpus_mod.build_corpus():
         if g.is_connected and g.n <= 16:
-            assert gc.isoperimetric_constant(g) == _gray_sweep(g), cid
+            _assert_matches_gray_sweep(g, gc.isoperimetric_constant(g))
             checked += 1
     assert checked >= 30
 
@@ -279,7 +288,7 @@ def connected_graphs(draw, max_n):
 @example(gf.cycle(15))
 def test_beta_matches_gray_sweep(g):
     """n <= 15 spans one chunk (n < 14, n = 14) and two (n = 15)."""
-    assert gc.isoperimetric_constant(g) == _gray_sweep(g)
+    _assert_matches_gray_sweep(g, gc.isoperimetric_constant(g))
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -294,7 +303,7 @@ def test_beta_matches_gray_sweep_small_chunks(g, bits, block):
         got = gc.isoperimetric_constant(g)
     finally:
         gc.BETA_CHUNK_BITS, gc.BETA_BLOCK_STEPS = saved
-    assert got == _gray_sweep(g)
+    _assert_matches_gray_sweep(g, got)
 
 
 # The tables that the popcount ones replaced, kept as their oracle: |L| for
@@ -319,11 +328,10 @@ def _cut_by_gather(g: Graph, first: int, count: int) -> np.ndarray:
 
 @pytest.mark.parametrize("k", range(gc.BETA_CHUNK_BITS + 1))
 def test_beta_tables_match_the_size_gather(k):
-    ranks, order, bounds = gc._beta_tables(k)
+    order, bounds = gc._beta_tables(k)
     size, low = _size_table(k), np.arange(1 << k)
     gray = low ^ low >> 1
-    want = np.argsort(size[gray], kind="stable")
-    assert (ranks == want).all() and (order == gray[want]).all()
+    assert (order == gray[np.argsort(size[gray], kind="stable")]).all()
     assert (bounds == np.searchsorted(size[order], np.arange(k + 2))).all()
     rng = random.Random(k)
     for mask in [0, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(20))]:
@@ -352,7 +360,7 @@ def test_beta_pinned_on_largest_corpus_graphs(cid, beta, witness):
 
 
 @pytest.mark.parametrize("g,cap,beta,witness", [
-    # every minimizer holds vertex n - 1: the sweep's second pass
+    # every minimizer holds vertex n - 1: the witness is a complement
     (gf.frucht(), gc.BETA_CAP, Fraction(3, 5), [0, 1, 2, 3, 11]),
     (gf.paley(25), 32, Fraction(11, 2), range(12)),
     (gf.incidence(3, 3), 32, Fraction(16, 13), [*range(7), *range(13, 19)]),
@@ -365,6 +373,24 @@ def test_beta_pinned_across_the_half_sweep(g, cap, beta, witness):
     """Values the full 2^n Gray-code sweep gave, kept by the sweep over the
     subsets of the first n - 1 vertices and their complements."""
     assert gc.isoperimetric_constant(g, cap=cap) == (beta, frozenset(witness))
+
+
+@pytest.mark.parametrize("g", [gf.frucht(), gf.petersen(), gf.cycle(15)],
+                         ids=["frucht", "petersen", "cycle_15"])
+def test_beta_sweeps_once(g, monkeypatch):
+    """One pass: one cut table for the low vertices and one for the high,
+    also on frucht, whose minimizers all hold vertex n - 1. A second pass
+    over all n vertices for such graphs built four."""
+    calls = []
+    cut_table = gc._cut_table
+
+    def counted(*args):
+        calls.append(args[1:])
+        return cut_table(*args)
+    monkeypatch.setattr(gc, "_cut_table", counted)
+    gc.isoperimetric_constant(g)
+    k = min(g.n - 1, gc.BETA_CHUNK_BITS)
+    assert calls == [(0, k), (k, g.n - 1 - k)]
 
 
 def test_beta_honours_budget(monkeypatch):
@@ -1059,6 +1085,36 @@ def test_konig_walks_long_augmenting_paths_off_the_call_stack():
     """The matching recursed once per step of an augmenting path, so a path
     of 2,000 vertices raised RecursionError."""
     assert gc.independence_number(gf.path(5000), cap=10**6) == 2500
+
+
+def test_konig_searches_only_from_the_black_vertices_left_unmatched(monkeypatch):
+    """On a path each black vertex takes its free white neighbour, so no
+    augmenting search runs. Searching from every black vertex, the matched
+    neighbour first, entered the whites of the whole matched prefix again
+    from each: 2,346,250 entries."""
+    g = gf.path(5000)
+    assert g.is_bipartite
+    entered = []
+
+    class Seen(set):
+        def add(self, w):
+            entered.append(w)
+            super().add(w)
+    monkeypatch.setattr(gc, "set", Seen, raising=False)
+    assert gc._max_matching_bipartite(g) == 2500
+    assert len(entered) == 0
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 10),
+       st.randoms(use_true_random=False))
+def test_konig_matching_matches_networkx(a, b, density, rng):
+    """Matching sizes against networkx's maximum-cardinality matching, on
+    random bipartite graphs with sides 0..a - 1 and a..a + b - 1."""
+    edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < density / 10]
+    g = Graph(a + b, edges)
+    largest = pytest.importorskip("networkx").max_weight_matching(_networkx(g), maxcardinality=True)
+    assert gc._max_matching_bipartite(g) == len(largest)
 
 
 @st.composite

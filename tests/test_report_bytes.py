@@ -6,10 +6,13 @@
   others to one thread whatever the environment says.
 - Each command in DIGEST_COMMANDS runs in-process through `cli.main`, and the
   sha256 of its stdout and of its stderr, and its exit code, must equal those
-  in `report_digests.json`. The digests belong to the numpy and BLAS build
-  and the OpenBLAS kernel recorded there; under another build or kernel the
-  test skips. A change that moves report bytes on purpose re-records them
-  with `PYTHONPATH=src python tests/test_report_bytes.py`.
+  in `report_digests.json`. The KERNEL_BOUND reports print a dense solve's
+  last bits, so their digests belong to the numpy and BLAS build and the
+  OpenBLAS kernel recorded there, and skip under any other. The rest are
+  portable: they are required whenever numpy's version is the recorded one,
+  and one more test requires them in a child whose OpenBLAS is forced onto
+  another kernel. A change that moves report bytes on purpose re-records
+  them with `PYTHONPATH=src python tests/test_report_bytes.py`.
 """
 
 import contextlib
@@ -108,6 +111,14 @@ DIGEST_COMMANDS = {
     "refuse_gen_paley_15": ["gen", "paley:15"],
 }
 
+# the reports whose bytes moved under the forced Haswell, Sandybridge and
+# Katmai kernels, each time the same 8; the other 23 held under all three
+KERNEL_BOUND = {"verify", "spec_petersen", "audit_petersen", "spec_sum_product_5_closed_form",
+                "audit_sum_product_4", "spec_frucht_no_closed_form", "audit_frucht",
+                "audit_tree_3_3"}
+PORTABLE = sorted(set(DIGEST_COMMANDS) - KERNEL_BOUND)
+FORCED_CORE = "Katmai"  # an OpenBLAS kernel that no current x86-64 CPU picks
+
 
 def blas_core() -> str | None:
     """The kernel that OpenBLAS's DYNAMIC_ARCH picked for this CPU (or that
@@ -148,11 +159,32 @@ def write_edge_lists(directory) -> None:
 @pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
 def test_report_digest(name, tmp_path, monkeypatch):
     recorded = json.loads(DIGEST_FILE.read_text())
-    if build() != recorded["build"]:
+    keys = recorded["build"] if name in KERNEL_BOUND else ["numpy"]
+    if any(build()[key] != recorded["build"][key] for key in keys):
         pytest.skip(f"digests were recorded under {recorded['build']}, this is {build()}")
     write_edge_lists(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert digest(DIGEST_COMMANDS[name]) == recorded["commands"][name]
+
+
+def test_portable_digests_under_another_kernel(tmp_path):
+    """The portable reports, run in one child whose OpenBLAS is forced onto
+    FORCED_CORE, print the recorded bytes: a dense solve that reaches one of
+    them fails here."""
+    recorded = json.loads(DIGEST_FILE.read_text())
+    if np.__version__ != recorded["build"]["numpy"] or blas_core() in (None, FORCED_CORE):
+        pytest.skip(f"needs numpy {recorded['build']['numpy']} on OpenBLAS off {FORCED_CORE}")
+    script = ("import json, sys, test_report_bytes as t; t.write_edge_lists('.'); "
+              "got = {name: t.digest(t.DIGEST_COMMANDS[name]) for name in t.PORTABLE}; "
+              "print(json.dumps({'core': t.blas_core(), 'commands': got}))")
+    path = os.pathsep.join(filter(None, [str(SRC), str(pathlib.Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=FORCED_CORE, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                           capture_output=True, text=True, check=True)
+    got = json.loads(child.stdout)
+    assert got["core"] == FORCED_CORE
+    assert got["commands"] == {name: recorded["commands"][name] for name in PORTABLE}
 
 
 if __name__ == "__main__":
