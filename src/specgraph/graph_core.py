@@ -47,22 +47,22 @@ class Graph:
     operations that need connectivity raise Disconnected themselves. ``group``
     is the groups.Group of a Cayley or bi-Cayley graph, else None; vertex i
     is then the group's element i (on a bi-Cayley graph, i and |G| + i are),
-    so the group's translations are automorphisms.
+    so the group's translations are automorphisms. A graph made from edges
+    or from a group builds its neighbour rows (``adj``) when they are first
+    read, so a graph refused for its size never builds them; one made from
+    edges checks them at once and keeps them only until then.
     """
 
     def __init__(self, n: int, edges, labels=None, name: str = ""):
         if n < 1:
             raise IndexOutOfRange("graph needs at least one vertex")
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        self._edges = list(edges)
+        for u, v in self._edges:
             if u == v:
                 raise LoopEdge(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            rows[u].append(v)
-            rows[v].append(u)
         self._describe(n, labels, name, None)
-        self.adj = _frozen(rows)
 
     @classmethod
     def from_rows(cls, rows, labels=None, name: str = "", group: Group | None = None) -> Graph:
@@ -97,8 +97,12 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        """The neighbour set of each vertex; a group graph builds them here."""
-        return _frozen(self.group.rows())
+        """The neighbour set of each vertex, built on first read from the group or the edges."""
+        rows = self.group.rows() if self.group is not None else [[] for _ in range(self.n)]
+        for u, v in self.__dict__.pop("_edges", ()):
+            rows[u].append(v)
+            rows[v].append(u)
+        return _frozen(rows)
 
     @cached_property
     def labels(self) -> tuple[str, ...] | None:
@@ -242,9 +246,9 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, name: str = "", size_check=None) -> Graph:
-    """The graph of an 'n m' header and m 'u v' rows; size_check, if given,
-    may refuse the header's n by raising before any row is built."""
+def parse_edge_list(text: str, name: str = "") -> Graph:
+    """The graph of an 'n m' header and m 'u v' rows, checked in full here;
+    its rows are built when first read, as for any Graph."""
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     try:
         (n, m), *edges = [(int(a), int(b)) for a, b in rows]
@@ -252,8 +256,6 @@ def parse_edge_list(text: str, name: str = "", size_check=None) -> Graph:
         raise BadParameters("an edge list is an 'n m' header and 'u v' integer pairs") from None
     if n + 2 * m > ADJACENCY_CAP:
         raise SizeOverflow(f"edge list header: n + 2m over {ADJACENCY_CAP} adjacency entries")
-    if size_check is not None:
-        size_check(n)
     if len(edges) != m:
         raise IndexOutOfRange(f"edge list announces {m} edges, has {len(edges)}")
     seen = set()

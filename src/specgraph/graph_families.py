@@ -166,6 +166,7 @@ LEAST_SIZE = {
     "halved_cube": (3, "halved cube needs n >= 3"),
     "sum_product": (3, "sum-product graph needs q >= 3"),
     "full_sum_product": (2, "full sum-product graph needs q >= 2"),
+    "rook": (2, "rook graph needs n >= 2"),
 }
 
 
@@ -354,6 +355,7 @@ def extended_ade(kind: str, n: int = 0) -> Graph:
             # legs 5,2,1 around the branch vertex: path on 8 nodes, horn at node 2
             edges = [(i, i + 1) for i in range(7)] + [(2, 8)]
             return Graph(9, edges, name="ADE_extE8")
+        raise BadParameters("extended E_n needs n in {6,7,8}")
     raise BadParameters(f"unknown extended A-D-E kind {kind!r}")
 
 
@@ -524,7 +526,7 @@ def shrikhande() -> Graph:
 
 
 def rook(n: int = 4) -> Graph:
-    check_size("complete", n)
+    check_size("rook", n)
     _check_size(n * n, 2 * (n - 1))
     # (0, a) and (a, 0) for a != 0
     return _cayley_indexed((n, n), [*range(1, n), *range(n, n * n, n)], f"rook_{n}", None)

@@ -544,7 +544,7 @@ def _cf_wheel(n: int) -> ClosedForm:
 
 
 def _cf_rook(n: int = 4) -> ClosedForm:
-    gf.check_size("complete", n)  # rook(n) is K_n x K_n
+    gf.check_size("rook", n)  # rook(n) is K_n x K_n
     return srg_closed_form(n * n, 2 * (n - 1), n - 2, 2)
 
 

@@ -599,6 +599,8 @@ USAGE_ERRORS = {
     "duplicate_edge": (["spec", "{duplicate}"], "error: "),
     "reversed_duplicate_edge": (["spec", "{reversed_duplicate}"], "error: "),
     "huge_header": (["audit", "{huge_header}"], "error: SizeOverflow: edge list header: "),
+    "rook_1": (["gen", "rook:1"], BAD + "rook graph needs n >= 2\n"),
+    "extended_e_9": (["gen", "extended_ade:E,9"], BAD + "extended E_n needs n in {6,7,8}\n"),
     "missing_parameter": (["gen", "cube"], BAD),
     "extra_parameter": (["gen", "paley:13,5"], BAD),
     "non_integer_parameter": (["gen", "paley:x"], BAD),
@@ -662,9 +664,31 @@ def test_edge_list_past_the_eigensolver_cap_is_refused_before_any_row(argv, tmp_
     them took seconds and hundreds of MB at n = 10^6."""
     path = tmp_path / "wide"
     path.write_text("1000000 1\n0 1\n")
-    monkeypatch.setattr(gc, "Graph", None)
+    monkeypatch.setattr(gc, "_frozen", None)
     assert cli.main([a.format(f=path) for a in argv]) == 2
     assert capsys.readouterr().err == "error: SizeOverflow: n = 1000000 over eigensolver cap 4096\n"
+
+
+@pytest.mark.parametrize("source", ["path:101", "star:101", "complete_bipartite:50,51"])
+@pytest.mark.parametrize("argv", [["spec", "{f}"], ["audit", "{f}"], ["iso", "{f}", "{f}"]],
+                         ids=["spec", "audit", "iso"])
+def test_family_past_the_eigensolver_cap_is_refused_before_any_row(argv, source, capsys,
+                                                                    monkeypatch):
+    """A family source is refused by the eigensolver's cap as an edge list is,
+    before any of its rows is built."""
+    monkeypatch.setattr(sp, "EIG_SIZE_CAP", 100)
+    monkeypatch.setattr(gc, "_frozen", None)
+    assert cli.main([a.format(f=source) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: SizeOverflow: n = 101 over eigensolver cap 100\n"
+
+
+@pytest.mark.parametrize("pair", [("petersen", "path:101"), ("path:101", "petersen")],
+                         ids=["second", "first"])
+def test_iso_refuses_an_oversized_source_before_any_spectrum(pair, capsys, monkeypatch):
+    monkeypatch.setattr(sp, "EIG_SIZE_CAP", 100)
+    monkeypatch.setattr(sp, "_solve", None)
+    assert cli.main(["iso", *pair]) == 2
+    assert capsys.readouterr().err == "error: SizeOverflow: n = 101 over eigensolver cap 100\n"
 
 
 def test_gen_takes_an_edge_list_past_the_eigensolver_cap(tmp_path, capsys):

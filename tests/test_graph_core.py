@@ -75,6 +75,23 @@ def test_graph_validation():
         gc.Graph(3, [(0, 5)])
 
 
+def test_edge_graph_builds_its_rows_on_first_read(monkeypatch):
+    """Graph(n, edges) checks its edges at once but builds no row until adj
+    is read, and then drops its copy of the edges."""
+    g = gc.Graph(4, (e for e in [(0, 1), (1, 2), (2, 3), (2, 1)]))  # read once, as a generator
+    assert "adj" not in g.__dict__ and g.n == 4
+    with monkeypatch.context() as m:
+        m.setattr(gc, "_frozen", None)
+        with pytest.raises(LoopEdge):  # checked at construction, with no row built
+            gc.Graph(1_000_000, [(0, 1), (5, 5)])
+        with pytest.raises(IndexOutOfRange):
+            gc.Graph(1_000_000, [(0, 1_000_000)])
+        assert gc.Graph(1_000_000, [(0, 1)]).n == 1_000_000
+    assert g.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
+    assert "_edges" not in g.__dict__
+    assert g.edge_count == 3 and g == gf.path(4)
+
+
 @pytest.mark.parametrize("pair", [(1, 1), (0, 2)], ids=["loop", "absent"])
 def test_remove_edges_refuses_a_pair_that_is_not_an_edge(pair):
     with pytest.raises(IndexOutOfRange):

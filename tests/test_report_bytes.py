@@ -6,13 +6,15 @@
   others to one thread whatever the environment says.
 - Each command in DIGEST_COMMANDS runs in-process through `cli.main`, and the
   sha256 of its stdout and of its stderr, and its exit code, must equal those
-  in `report_digests.json`. The KERNEL_BOUND reports print a dense solve's
-  last bits, so their digests belong to the numpy and BLAS build and the
-  OpenBLAS kernel recorded there, and skip under any other. The rest are
-  portable: they are required whenever numpy's version is the recorded one,
-  and one more test requires them in a child whose OpenBLAS is forced onto
-  another kernel. A change that moves report bytes on purpose re-records
-  them with `PYTHONPATH=src python tests/test_report_bytes.py`.
+  in `report_digests.json`. The reports filed there as `kernel_bound` print a
+  dense solve's last bits, so their digests belong to the numpy and BLAS
+  build and the OpenBLAS kernel recorded there, and skip under any other. The
+  rest are portable: they are required whenever numpy's version is the
+  recorded one, and one more test requires them in a child whose OpenBLAS is
+  forced onto another kernel. A change that moves report bytes on purpose
+  re-records them with `PYTHONPATH=src python tests/test_report_bytes.py`,
+  which runs every command both natively and forced onto FORCED_CORE, and
+  files as kernel-bound each one whose digest differs between the two.
 """
 
 import contextlib
@@ -111,12 +113,6 @@ DIGEST_COMMANDS = {
     "refuse_gen_paley_15": ["gen", "paley:15"],
 }
 
-# the reports whose bytes moved under the forced Haswell, Sandybridge and
-# Katmai kernels, each time the same 8; the other 23 held under all three
-KERNEL_BOUND = {"verify", "spec_petersen", "audit_petersen", "spec_sum_product_5_closed_form",
-                "audit_sum_product_4", "spec_frucht_no_closed_form", "audit_frucht",
-                "audit_tree_3_3"}
-PORTABLE = sorted(set(DIGEST_COMMANDS) - KERNEL_BOUND)
 FORCED_CORE = "Katmai"  # an OpenBLAS kernel that no current x86-64 CPU picks
 
 
@@ -156,10 +152,29 @@ def write_edge_lists(directory) -> None:
         pathlib.Path(directory, name).write_text(text)
 
 
+def forced_digests(names, directory) -> dict:
+    """{"core": the child's kernel, "commands": the digests of the named
+    commands}, run in one child in directory whose OpenBLAS is forced onto
+    FORCED_CORE."""
+    script = ("import json, sys, test_report_bytes as t; t.write_edge_lists('.'); "
+              "got = {name: t.digest(t.DIGEST_COMMANDS[name]) for name in sys.argv[1:]}; "
+              "print(json.dumps({'core': t.blas_core(), 'commands': got}))")
+    path = os.pathsep.join(filter(None, [str(SRC), str(pathlib.Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=FORCED_CORE, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, "-c", script, *names], env=env, cwd=directory,
+                           capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_kernel_bound_reports_are_digest_commands():
+    assert set(json.loads(DIGEST_FILE.read_text())["kernel_bound"]) <= set(DIGEST_COMMANDS)
+
+
 @pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
 def test_report_digest(name, tmp_path, monkeypatch):
     recorded = json.loads(DIGEST_FILE.read_text())
-    keys = recorded["build"] if name in KERNEL_BOUND else ["numpy"]
+    keys = recorded["build"] if name in recorded["kernel_bound"] else ["numpy"]
     if any(build()[key] != recorded["build"][key] for key in keys):
         pytest.skip(f"digests were recorded under {recorded['build']}, this is {build()}")
     write_edge_lists(tmp_path)
@@ -174,20 +189,16 @@ def test_portable_digests_under_another_kernel(tmp_path):
     recorded = json.loads(DIGEST_FILE.read_text())
     if np.__version__ != recorded["build"]["numpy"] or blas_core() in (None, FORCED_CORE):
         pytest.skip(f"needs numpy {recorded['build']['numpy']} on OpenBLAS off {FORCED_CORE}")
-    script = ("import json, sys, test_report_bytes as t; t.write_edge_lists('.'); "
-              "got = {name: t.digest(t.DIGEST_COMMANDS[name]) for name in t.PORTABLE}; "
-              "print(json.dumps({'core': t.blas_core(), 'commands': got}))")
-    path = os.pathsep.join(filter(None, [str(SRC), str(pathlib.Path(__file__).parent),
-                                         os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_CORETYPE=FORCED_CORE, PYTHONPATH=path)
-    child = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                           capture_output=True, text=True, check=True)
-    got = json.loads(child.stdout)
+    portable = sorted(set(DIGEST_COMMANDS) - set(recorded["kernel_bound"]))
+    got = forced_digests(portable, tmp_path)
     assert got["core"] == FORCED_CORE
-    assert got["commands"] == {name: recorded["commands"][name] for name in PORTABLE}
+    assert got["commands"] == {name: recorded["commands"][name] for name in portable}
 
 
 if __name__ == "__main__":
+    if blas_core() in (None, FORCED_CORE):
+        sys.exit(f"the recorder needs OpenBLAS on a kernel other than {FORCED_CORE}, "
+                 f"not {blas_core()}")
     with tempfile.TemporaryDirectory() as workdir:
         write_edge_lists(workdir)
         here = os.getcwd()
@@ -196,4 +207,8 @@ if __name__ == "__main__":
             commands = {name: digest(argv) for name, argv in sorted(DIGEST_COMMANDS.items())}
         finally:
             os.chdir(here)
-    DIGEST_FILE.write_text(json.dumps({"build": build(), "commands": commands}, indent=2) + "\n")
+        forced = forced_digests(sorted(DIGEST_COMMANDS), workdir)
+    assert forced["core"] == FORCED_CORE, forced["core"]
+    kernel_bound = [name for name in commands if forced["commands"][name] != commands[name]]
+    DIGEST_FILE.write_text(json.dumps({"build": build(), "kernel_bound": kernel_bound,
+                                       "commands": commands}, indent=2) + "\n")
